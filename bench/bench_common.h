@@ -1,9 +1,13 @@
 // Shared helpers for the experiment harnesses (one binary per paper
-// table/figure; see DESIGN.md section 3 for the full index).
+// table/figure, built as bench_<name>; README.md "Benchmarks and
+// examples" lists them and their --check goldens).
 
 #ifndef LINBP_BENCH_BENCH_COMMON_H_
 #define LINBP_BENCH_BENCH_COMMON_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -53,42 +57,49 @@ inline double TimeSeconds(const std::function<void()>& fn) {
   return timer.Seconds();
 }
 
-/// Minimal "--flag=value" parser for the bench binaries.
+/// Minimal "--flag=value" parser for the bench binaries. Numeric values
+/// are strict: a malformed, trailing-garbage, overflowing or negative
+/// value exits the driver with code 2 and a message naming the flag,
+/// instead of silently running with a default.
 class Args {
  public:
   Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
 
-  /// Integer flag "--name=V" with a default.
+  /// Integer flag "--name=V" with a default; V must be a non-negative
+  /// decimal integer that fits in int64.
   std::int64_t Int(const char* name, std::int64_t fallback) const {
-    const std::string prefix = std::string("--") + name + "=";
-    for (int i = 1; i < argc_; ++i) {
-      if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
-        return std::atoll(argv_[i] + prefix.size());
-      }
+    const char* text = Find(name);
+    if (text == nullptr) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const long long value = std::strtoll(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE) {
+      Reject(name, text, "a non-negative integer");
     }
-    return fallback;
+    return value;
   }
 
-  /// Floating-point flag "--name=V" with a default.
+  /// Floating-point flag "--name=V" with a default; V must be a finite,
+  /// non-negative decimal number.
   double Double(const char* name, double fallback) const {
-    const std::string prefix = std::string("--") + name + "=";
-    for (int i = 1; i < argc_; ++i) {
-      if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
-        return std::atof(argv_[i] + prefix.size());
-      }
+    const char* text = Find(name);
+    if (text == nullptr) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    const bool leads = std::isdigit(static_cast<unsigned char>(text[0])) ||
+                       text[0] == '.';
+    if (!leads || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+      Reject(name, text, "a finite non-negative number");
     }
-    return fallback;
+    return value;
   }
 
   /// String flag "--name=V" with a default.
   std::string Str(const char* name, const std::string& fallback) const {
-    const std::string prefix = std::string("--") + name + "=";
-    for (int i = 1; i < argc_; ++i) {
-      if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
-        return std::string(argv_[i] + prefix.size());
-      }
-    }
-    return fallback;
+    const char* text = Find(name);
+    return text == nullptr ? fallback : std::string(text);
   }
 
   /// Presence flag "--name".
@@ -101,6 +112,24 @@ class Args {
   }
 
  private:
+  // The value of the first "--name=V" argument, or nullptr.
+  const char* Find(const char* name) const {
+    const std::string prefix = std::string("--") + name + "=";
+    for (int i = 1; i < argc_; ++i) {
+      if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
+        return argv_[i] + prefix.size();
+      }
+    }
+    return nullptr;
+  }
+
+  [[noreturn]] static void Reject(const char* name, const char* text,
+                                  const char* expected) {
+    std::fprintf(stderr, "error: --%s must be %s, got '%s'\n", name, expected,
+                 text);
+    std::exit(2);
+  }
+
   int argc_;
   char** argv_;
 };

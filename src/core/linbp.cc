@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "src/core/convergence.h"
 #include "src/engine/backend_ops.h"
 #include "src/engine/in_memory_backend.h"
 #include "src/la/dense_linalg.h"
+#include "src/la/dense_matrix_f32.h"
 #include "src/la/kron_ops.h"
 #include "src/la/solvers.h"
 #include "src/obs/obs.h"
@@ -114,56 +116,27 @@ std::string DivergenceAbortError(int sweeps, int streak, double rho_hat,
   return buffer;
 }
 
-// The f32-storage twin of ApplyLinBpSweep: beliefs <- explicit +
-// propagated with every element stored as float, while the sweep
-// statistics (delta norms, magnitude) accumulate in fp64 exactly like
-// the fp64 sweep. Chunking is identical (it depends only on n*k), so
-// the update is bit-identical across thread counts for a fixed context.
-LinBpSweepStats ApplyLinBpSweepF32(const exec::ExecContext& ctx,
-                                   const DenseMatrixF32& explicit_residuals,
-                                   const DenseMatrixF32& propagated,
-                                   DenseMatrixF32* beliefs) {
-  const std::int64_t n = beliefs->rows();
-  const std::int64_t k = beliefs->cols();
-  LINBP_CHECK(explicit_residuals.rows() == n && explicit_residuals.cols() == k);
-  LINBP_CHECK(propagated.rows() == n && propagated.cols() == k);
-  const std::int64_t chunks = std::min<std::int64_t>(
-      std::max<std::int64_t>(n, 1),
-      ctx.NumChunks(n * k, exec::kDefaultMinWorkPerChunk));
-  std::vector<double> chunk_delta(chunks, 0.0);
-  std::vector<double> chunk_delta_sq(chunks, 0.0);
-  std::vector<double> chunk_magnitude(chunks, 0.0);
-  ctx.RunChunks(n, chunks, [&](std::int64_t chunk, std::int64_t row_begin,
-                               std::int64_t row_end) {
-    double local_delta = 0.0;
-    double local_delta_sq = 0.0;
-    double local_magnitude = 0.0;
-    for (std::int64_t s = row_begin; s < row_end; ++s) {
-      for (std::int64_t c = 0; c < k; ++c) {
-        const float value =
-            explicit_residuals.At(s, c) + propagated.At(s, c);
-        const double change = static_cast<double>(value) -
-                              static_cast<double>(beliefs->At(s, c));
-        local_delta = std::max(local_delta, std::abs(change));
-        local_delta_sq += change * change;
-        local_magnitude =
-            std::max(local_magnitude, std::abs(static_cast<double>(value)));
-        beliefs->At(s, c) = value;
-      }
-    }
-    chunk_delta[chunk] = local_delta;
-    chunk_delta_sq[chunk] = local_delta_sq;
-    chunk_magnitude[chunk] = local_magnitude;
-  });
-  LinBpSweepStats stats;
-  double delta_sq = 0.0;
-  for (std::int64_t chunk = 0; chunk < chunks; ++chunk) {
-    stats.delta = std::max(stats.delta, chunk_delta[chunk]);
-    delta_sq += chunk_delta_sq[chunk];
-    stats.magnitude = std::max(stats.magnitude, chunk_magnitude[chunk]);
+// One fused sweep from *current into *next, then a swap: the two buffers
+// carry the whole loop, and a failed sweep skips the swap, leaving
+// *current — the last completed sweep — untouched.
+template <typename Matrix>
+bool SweepAndSwap(const engine::PropagationBackend& backend,
+                  const DenseMatrix& modulation,
+                  const DenseMatrix* echo_modulation,
+                  const Matrix& explicit_residuals,
+                  const exec::ExecContext& ctx, Matrix* current, Matrix* next,
+                  LinBpSweepStats* stats, std::string* error) {
+  LinBpRowStats rows;
+  if (!engine::BackendLinBpSweep(backend, modulation, echo_modulation,
+                                 *current, explicit_residuals, ctx, next,
+                                 &rows, error)) {
+    return false;
   }
-  stats.delta_l2 = std::sqrt(delta_sq);
-  return stats;
+  std::swap(*current, *next);
+  stats->delta = rows.delta;
+  stats->delta_l2 = std::sqrt(rows.delta_sq);
+  stats->magnitude = rows.magnitude;
+  return true;
 }
 
 }  // namespace
@@ -184,15 +157,24 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
         EstimateSpectralRadius(backend, hhat, options.variant, ctx);
   }
 
-  // In f32 mode the working state lives in float matrices for the whole
-  // loop (the bandwidth win) and is widened back into *beliefs on every
-  // exit path below. A failing sweep is never applied in either mode.
+  // Each sweep writes a second belief buffer and swaps it in, so no sweep
+  // allocates. In f32 mode both buffers (and the explicit residuals) are
+  // float for the whole loop (the bandwidth win) and the result is
+  // widened back into *beliefs on every exit path below; in f64 mode
+  // *beliefs itself is one of the two buffers.
+  const std::int64_t k = modulation.rows();
+  const DenseMatrix* echo = with_echo ? &echo_modulation : nullptr;
   const bool f32 = options.precision == Precision::kF32;
+  DenseMatrix next;
   DenseMatrixF32 beliefs32;
+  DenseMatrixF32 next32;
   DenseMatrixF32 explicit32;
   if (f32) {
     beliefs32 = DenseMatrixF32::FromF64(*beliefs);
+    next32 = DenseMatrixF32(n, k);
     explicit32 = DenseMatrixF32::FromF64(explicit_residuals);
+  } else {
+    next = DenseMatrix(n, k);
   }
 
   std::vector<double> deltas;
@@ -205,28 +187,16 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
     WallTimer sweep_timer;
     const std::int64_t bytes_before = StreamBytesCounterValue();
     LinBpSweepStats stats;
-    if (f32) {
-      DenseMatrixF32 next32;
-      if (!engine::BackendLinBpPropagateF32(backend, modulation,
-                                            echo_modulation, beliefs32,
-                                            with_echo, ctx, &next32,
-                                            &result.error)) {
-        result.failed = true;
-        break;
-      }
-      stats = ApplyLinBpSweepF32(ctx, explicit32, next32, &beliefs32);
-    } else {
-      DenseMatrix next;
-      if (!engine::BackendLinBpPropagate(backend, modulation, echo_modulation,
-                                         *beliefs, with_echo, ctx, &next,
-                                         &result.error)) {
-        // The failing sweep was never applied: beliefs still hold sweep
-        // it - 1, so callers can report the error with their state
-        // intact.
-        result.failed = true;
-        break;
-      }
-      stats = ApplyLinBpSweep(ctx, explicit_residuals, next, beliefs);
+    const bool swept =
+        f32 ? SweepAndSwap(backend, modulation, echo, explicit32, ctx,
+                           &beliefs32, &next32, &stats, &result.error)
+            : SweepAndSwap(backend, modulation, echo, explicit_residuals,
+                           ctx, beliefs, &next, &stats, &result.error);
+    if (!swept) {
+      // The failing sweep was never applied: beliefs still hold sweep
+      // it - 1, so callers can report the error with their state intact.
+      result.failed = true;
+      break;
     }
     result.iterations = it;
     result.last_delta = stats.delta;
@@ -332,7 +302,10 @@ LinBpSweepStats ApplyLinBpSweep(const exec::ExecContext& ctx,
   });
   LinBpSweepStats stats;
   // Sum-of-squares reduces in chunk order so delta_l2 is deterministic
-  // for a fixed chunk count (chunking depends only on n*k, not threads).
+  // for a fixed chunk count. NumChunks clamps the count to ctx's thread
+  // count, so delta_l2 is deterministic for a fixed context and may
+  // differ in the last bits between contexts (delta and magnitude are
+  // maxima and never do).
   double delta_sq = 0.0;
   for (std::int64_t chunk = 0; chunk < chunks; ++chunk) {
     stats.delta = std::max(stats.delta, chunk_delta[chunk]);

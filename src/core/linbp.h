@@ -168,9 +168,12 @@ struct LinBpSweepStats {
 
 /// Applies one Jacobi sweep in place: beliefs <- explicit_residuals +
 /// propagated, tracking the sweep statistics. Chunked over `ctx`; rows
-/// are chunk-owned and max-reductions are exact, so the update is
-/// bit-identical across thread counts. Shared by RunLinBp and the
-/// warm-started LinBpState.
+/// are chunk-owned and max-reductions are exact, so beliefs, delta and
+/// magnitude are bit-identical across thread counts (delta_l2 is
+/// deterministic for a fixed context). The unfused apply step: the
+/// solvers fold it into the fused sweep (engine::BackendLinBpSweep),
+/// and this is the per-layer reference that sweep is checked and timed
+/// against.
 LinBpSweepStats ApplyLinBpSweep(const exec::ExecContext& ctx,
                                 const DenseMatrix& explicit_residuals,
                                 const DenseMatrix& propagated,
@@ -198,15 +201,18 @@ struct SweepLoopResult {
   ConvergenceDiagnostics diagnostics;
 };
 
-/// The shared LinBP Jacobi sweep loop: propagate + apply until
-/// convergence, divergence, failure, or options.max_iterations, with all
+/// The shared LinBP Jacobi sweep loop: one fused sweep
+/// (engine::BackendLinBpSweep) per iteration until convergence,
+/// divergence, failure, or options.max_iterations, with all
 /// observability (metrics, time series, spans, observer, diagnostics
 /// fit, divergence early-abort) attached. `modulation` /
 /// `echo_modulation` / `with_echo` select the variant's update;
 /// `spectral_hint` >= 0 supplies a precomputed rho(M) estimate (warm
 /// LinBpState re-solves) so the loop never re-runs power iteration.
-/// `beliefs` is updated in place and never partially mutated by a
-/// failing sweep. Used by RunLinBp and LinBpState::Solve.
+/// The loop swaps two belief buffers, one of them `beliefs`, and
+/// allocates nothing per sweep; `beliefs` ends on the last completed
+/// sweep and is never partially mutated by a failing one. Used by
+/// RunLinBp and LinBpState::Solve.
 SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
                              const DenseMatrix& hhat,
                              const DenseMatrix& modulation,

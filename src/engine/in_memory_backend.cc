@@ -1,5 +1,7 @@
 #include "src/engine/in_memory_backend.h"
 
+#include <memory>
+
 #include "src/util/check.h"
 
 namespace linbp {
@@ -19,6 +21,29 @@ const std::vector<double>& InMemoryBackend::weighted_degrees() const {
   return graph_->weighted_degrees();
 }
 
+bool InMemoryBackend::VisitRowBlocks(Precision precision,
+                                     const exec::ExecContext& ctx,
+                                     const BlockVisitor& visit,
+                                     std::string* error) const {
+  (void)ctx;
+  (void)error;
+  const SparseMatrix& a = graph_->adjacency();
+  CsrBlock block;
+  block.num_rows = a.rows();
+  block.row_ptr = a.row_ptr().data();
+  block.col_idx = a.col_idx().data();
+  // Pins the matrix's cached narrowed copy for the visit.
+  std::shared_ptr<const std::vector<float>> values_f32;
+  if (precision == Precision::kF32) {
+    values_f32 = a.values_f32();
+    block.values_f32 = values_f32->data();
+  } else {
+    block.values = a.values().data();
+  }
+  visit(block);
+  return true;
+}
+
 bool InMemoryBackend::MultiplyDense(const DenseMatrix& b,
                                     const exec::ExecContext& ctx,
                                     DenseMatrix* out,
@@ -34,15 +59,6 @@ bool InMemoryBackend::MultiplyVector(const std::vector<double>& x,
                                      std::string* error) const {
   (void)error;
   *y = graph_->adjacency().MultiplyVector(x, ctx);
-  return true;
-}
-
-bool InMemoryBackend::MultiplyDenseF32(const DenseMatrixF32& b,
-                                       const exec::ExecContext& ctx,
-                                       DenseMatrixF32* out,
-                                       std::string* error) const {
-  (void)error;
-  *out = graph_->adjacency().MultiplyDenseF32(b, ctx);
   return true;
 }
 

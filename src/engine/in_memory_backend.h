@@ -1,7 +1,8 @@
 // The resident-CSR propagation backend: a zero-cost adapter from a Graph
 // to the PropagationBackend interface. Products forward to the
-// SparseMatrix kernels unchanged, so a solver running on this backend is
-// bit-for-bit the solver running on the Graph directly.
+// SparseMatrix kernels unchanged and the block visitor sees the whole
+// CSR as one block, so a solver running on this backend is bit-for-bit
+// the solver running on the Graph directly.
 
 #ifndef LINBP_ENGINE_IN_MEMORY_BACKEND_H_
 #define LINBP_ENGINE_IN_MEMORY_BACKEND_H_
@@ -24,14 +25,16 @@ class InMemoryBackend final : public PropagationBackend {
   std::int64_t num_nodes() const override;
   std::int64_t num_stored_entries() const override;
   const std::vector<double>& weighted_degrees() const override;
+  /// One block: the whole CSR (f32 values from the matrix's cached
+  /// narrowed copy).
+  bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
+                      const BlockVisitor& visit,
+                      std::string* error) const override;
   bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
                      DenseMatrix* out, std::string* error) const override;
   bool MultiplyVector(const std::vector<double>& x,
                       const exec::ExecContext& ctx, std::vector<double>* y,
                       std::string* error) const override;
-  bool MultiplyDenseF32(const DenseMatrixF32& b, const exec::ExecContext& ctx,
-                        DenseMatrixF32* out,
-                        std::string* error) const override;
   bool MultiplyVectorF32(const std::vector<float>& x,
                          const exec::ExecContext& ctx, std::vector<float>* y,
                          std::string* error) const override;

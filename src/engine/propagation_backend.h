@@ -13,8 +13,8 @@
 // Contract: for the same on-disk/in-memory matrix, every backend must
 // produce BIT-IDENTICAL products at every thread count. Both backends
 // share the row-range kernels in src/la/sparse_matrix.h (SpmmRows /
-// SpmvRows), whose per-row results do not depend on how rows are grouped
-// into blocks, so this holds by construction.
+// SpmvRows / the fused LinBpRowsT), whose per-row results do not depend
+// on how rows are grouped into blocks, so this holds by construction.
 //
 // Failure model: in-memory products cannot fail; streamed products can
 // (I/O errors, checksum mismatches on a shard read mid-sweep). The
@@ -26,16 +26,36 @@
 #define LINBP_ENGINE_PROPAGATION_BACKEND_H_
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/exec/exec_context.h"
 #include "src/la/dense_matrix.h"
-#include "src/la/dense_matrix_f32.h"
+#include "src/la/precision.h"
 
 namespace linbp {
 namespace engine {
+
+/// One contiguous row block of A in CSR form, as a block visitor sees
+/// it. Local row r in [0, num_rows) is global row row_begin + r; its
+/// entries are [row_ptr[r], row_ptr[r + 1]) of col_idx and the values,
+/// and column ids are global. Exactly one of `values` / `values_f32` is
+/// set: the precision the visit asked for.
+struct CsrBlock {
+  std::int64_t row_begin = 0;
+  std::int64_t num_rows = 0;
+  const std::int64_t* row_ptr = nullptr;  // num_rows + 1 offsets
+  const std::int32_t* col_idx = nullptr;
+  const double* values = nullptr;
+  const float* values_f32 = nullptr;
+};
+
+/// Called once per block, in row order, on the visiting thread. Block
+/// consumers fan out over exec::RowPartition::ForContext ranges of the
+/// block's rows.
+using BlockVisitor = std::function<void(const CsrBlock&)>;
 
 /// Abstract provider of the products one LinBP/FaBP propagation step
 /// needs over the n x n symmetric adjacency matrix A.
@@ -53,6 +73,18 @@ class PropagationBackend {
   /// (Sect. 5.2), the diagonal of the echo term.
   virtual const std::vector<double>& weighted_degrees() const = 0;
 
+  /// Visits A as CSR row blocks that tile [0, n) in row order, with the
+  /// values in `precision`, calling `visit` once per block. The fused
+  /// LinBP sweep (src/engine/backend_ops.h) runs on this primitive; `ctx`
+  /// drives any I/O pipeline and the visitor fans out on it itself. The
+  /// block's arrays live until `visit` returns. Returns false and fills
+  /// *error on a stream failure: the blocks before the failing one were
+  /// visited, no later one is.
+  virtual bool VisitRowBlocks(Precision precision,
+                              const exec::ExecContext& ctx,
+                              const BlockVisitor& visit,
+                              std::string* error) const = 0;
+
   /// *out = A * b (SpMM; b is n x k). Resizes *out. Returns false and
   /// fills *error on a stream failure; *out is unspecified then.
   virtual bool MultiplyDense(const DenseMatrix& b,
@@ -66,23 +98,11 @@ class PropagationBackend {
                               std::vector<double>* y,
                               std::string* error) const = 0;
 
-  /// Float32 *out = A * b: the Precision::kF32 hot path. The default
-  /// implementation widens to fp64, runs MultiplyDense, and narrows the
+  /// Float32 *y = A * x (FaBP's Precision::kF32 path). The default
+  /// implementation widens to fp64, runs MultiplyVector, and narrows the
   /// result — correct for any backend (so test doubles keep working) but
-  /// without the bandwidth win; both real backends override it with true
-  /// f32 kernels. Same failure contract as MultiplyDense.
-  virtual bool MultiplyDenseF32(const DenseMatrixF32& b,
-                                const exec::ExecContext& ctx,
-                                DenseMatrixF32* out,
-                                std::string* error) const {
-    DenseMatrix wide;
-    if (!MultiplyDense(b.ToF64(), ctx, &wide, error)) return false;
-    *out = DenseMatrixF32::FromF64(wide);
-    return true;
-  }
-
-  /// Float32 *y = A * x, with the same widening default as
-  /// MultiplyDenseF32.
+  /// without the bandwidth win; both real backends override it with the
+  /// f32 kernel. Same failure contract as MultiplyDense.
   virtual bool MultiplyVectorF32(const std::vector<float>& x,
                                  const exec::ExecContext& ctx,
                                  std::vector<float>* y,

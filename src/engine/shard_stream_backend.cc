@@ -130,6 +130,60 @@ const std::vector<double>& ShardStreamBackend::weighted_degrees() const {
   return weighted_degrees_;
 }
 
+bool ShardStreamBackend::VisitRowBlocks(Precision precision,
+                                        const exec::ExecContext& ctx,
+                                        const BlockVisitor& visit,
+                                        std::string* error) const {
+  // A block stored in the other precision is converted once, into a
+  // buffer reused across the pass's blocks.
+  std::vector<double> widened;
+  std::vector<float> narrowed;
+  return StreamBlocks(
+      ctx,
+      [&](const dataset::ShardStreamBlock& block) {
+        CsrBlock view;
+        view.row_begin = block.row_begin;
+        view.num_rows = block.num_rows();
+        view.row_ptr = block.row_ptr.data();
+        view.col_idx = block.col_idx.data();
+        const bool stored_f32 = !block.values_f32.empty();
+        if (precision == Precision::kF32) {
+          if (!stored_f32) {
+            narrowed.assign(block.values.begin(), block.values.end());
+          }
+          view.values_f32 =
+              stored_f32 ? block.values_f32.data() : narrowed.data();
+        } else {
+          if (stored_f32) {
+            widened.assign(block.values_f32.begin(), block.values_f32.end());
+          }
+          view.values = stored_f32 ? widened.data() : block.values.data();
+        }
+        visit(view);
+      },
+      error);
+}
+
+namespace {
+
+// Runs a row-range kernel rows(row_begin, row_end) over nnz-balanced
+// ranges of a block's rows on `ctx` — the split the fused sweep and the
+// resident kernels use too. The block owns its output rows exclusively
+// and the kernels are per-row-owned, so results are bit-identical to the
+// monolithic kernels at every width.
+void ForEachRange(
+    const CsrBlock& block, std::int64_t work_per_entry,
+    const exec::ExecContext& ctx,
+    const std::function<void(std::int64_t, std::int64_t)>& rows) {
+  const exec::RowPartition ranges = exec::RowPartition::ForContext(
+      ctx, block.row_ptr, block.num_rows, work_per_entry);
+  ctx.RunBlocks(ranges.num_blocks(), [&](std::int64_t p) {
+    rows(ranges.begin(p), ranges.end(p));
+  });
+}
+
+}  // namespace
+
 bool ShardStreamBackend::MultiplyDense(const DenseMatrix& b,
                                        const exec::ExecContext& ctx,
                                        DenseMatrix* out,
@@ -140,36 +194,12 @@ bool ShardStreamBackend::MultiplyDense(const DenseMatrix& b,
   *out = DenseMatrix(n, k);
   const double* b_data = b.data().data();
   double* out_data = out->mutable_data().data();
-  // f32-valued shards widen once per block (reused buffer), mirroring
-  // the narrowing the f32 path applies to f64-valued shards.
-  std::vector<double> values_f64;
-  return StreamBlocks(
-      ctx,
-      [&](const dataset::ShardStreamBlock& block) {
-        // The block owns output rows [row_begin, row_end) exclusively;
-        // within the block the ExecContext fans out over nnz-balanced
-        // local row ranges. SpmmRows is per-row-owned, so the result is
-        // bit-identical to the monolithic kernel at every width.
-        const double* vals = block.values.data();
-        if (!block.values_f32.empty()) {
-          values_f64.assign(block.values_f32.begin(),
-                            block.values_f32.end());
-          vals = values_f64.data();
-        }
-        double* block_out = out_data + block.row_begin * k;
-        const std::int64_t chunks =
-            ctx.NumChunks(block.nnz() * k, exec::kDefaultMinWorkPerChunk);
-        if (chunks <= 1) {
-          SpmmRows(block.row_ptr.data(), block.col_idx.data(), vals, 0,
-                   block.num_rows(), b_data, k, block_out);
-          return;
-        }
-        const exec::RowPartition partition =
-            exec::RowPartition::NnzBalanced(block.row_ptr, chunks);
-        ctx.RunBlocks(partition.num_blocks(), [&](std::int64_t p) {
-          SpmmRows(block.row_ptr.data(), block.col_idx.data(), vals,
-                   partition.begin(p), partition.end(p), b_data, k,
-                   block_out);
+  return VisitRowBlocks(
+      Precision::kF64, ctx,
+      [&](const CsrBlock& block) {
+        ForEachRange(block, k, ctx, [&](std::int64_t lo, std::int64_t hi) {
+          SpmmRows(block.row_ptr, block.col_idx, block.values, lo, hi, b_data,
+                   k, out_data + block.row_begin * k);
         });
       },
       error);
@@ -179,76 +209,14 @@ bool ShardStreamBackend::MultiplyVector(const std::vector<double>& x,
                                         const exec::ExecContext& ctx,
                                         std::vector<double>* y,
                                         std::string* error) const {
-  const std::int64_t n = num_nodes();
-  LINBP_CHECK(static_cast<std::int64_t>(x.size()) == n);
-  y->assign(n, 0.0);
-  const double* x_data = x.data();
-  double* y_data = y->data();
-  std::vector<double> values_f64;
-  return StreamBlocks(
-      ctx,
-      [&](const dataset::ShardStreamBlock& block) {
-        const double* vals = block.values.data();
-        if (!block.values_f32.empty()) {
-          values_f64.assign(block.values_f32.begin(),
-                            block.values_f32.end());
-          vals = values_f64.data();
-        }
-        double* block_out = y_data + block.row_begin;
-        const std::int64_t chunks =
-            ctx.NumChunks(block.nnz(), exec::kDefaultMinWorkPerChunk);
-        if (chunks <= 1) {
-          SpmvRows(block.row_ptr.data(), block.col_idx.data(), vals, 0,
-                   block.num_rows(), x_data, block_out);
-          return;
-        }
-        const exec::RowPartition partition =
-            exec::RowPartition::NnzBalanced(block.row_ptr, chunks);
-        ctx.RunBlocks(partition.num_blocks(), [&](std::int64_t p) {
-          SpmvRows(block.row_ptr.data(), block.col_idx.data(), vals,
-                   partition.begin(p), partition.end(p), x_data, block_out);
-        });
-      },
-      error);
-}
-
-bool ShardStreamBackend::MultiplyDenseF32(const DenseMatrixF32& b,
-                                          const exec::ExecContext& ctx,
-                                          DenseMatrixF32* out,
-                                          std::string* error) const {
-  const std::int64_t n = num_nodes();
-  const std::int64_t k = b.cols();
-  LINBP_CHECK(b.rows() == n);
-  *out = DenseMatrixF32(n, k);
-  const float* b_data = b.data().data();
-  float* out_data = out->mutable_data().data();
-  // Reused across blocks so the narrowing conversion allocates once per
-  // product, not once per block. f32-valued shards skip it entirely —
-  // their stored floats feed the kernels as-is.
-  std::vector<float> values_f32;
-  return StreamBlocks(
-      ctx,
-      [&](const dataset::ShardStreamBlock& block) {
-        const float* vals = block.values_f32.data();
-        if (block.values_f32.empty()) {
-          values_f32.assign(block.values.begin(), block.values.end());
-          vals = values_f32.data();
-        }
-        float* block_out = out_data + block.row_begin * k;
-        const std::int64_t chunks = ctx.NumChunks(
-            block.nnz() * std::max<std::int64_t>(1, k / 2),
-            exec::kDefaultMinWorkPerChunk);
-        if (chunks <= 1) {
-          SpmmRowsT<float>(block.row_ptr.data(), block.col_idx.data(), vals,
-                           0, block.num_rows(), b_data, k, block_out);
-          return;
-        }
-        const exec::RowPartition partition =
-            exec::RowPartition::NnzBalanced(block.row_ptr, chunks);
-        ctx.RunBlocks(partition.num_blocks(), [&](std::int64_t p) {
-          SpmmRowsT<float>(block.row_ptr.data(), block.col_idx.data(), vals,
-                           partition.begin(p), partition.end(p), b_data, k,
-                           block_out);
+  LINBP_CHECK(static_cast<std::int64_t>(x.size()) == num_nodes());
+  y->assign(num_nodes(), 0.0);
+  return VisitRowBlocks(
+      Precision::kF64, ctx,
+      [&](const CsrBlock& block) {
+        ForEachRange(block, 1, ctx, [&](std::int64_t lo, std::int64_t hi) {
+          SpmvRows(block.row_ptr, block.col_idx, block.values, lo, hi,
+                   x.data(), y->data() + block.row_begin);
         });
       },
       error);
@@ -258,34 +226,14 @@ bool ShardStreamBackend::MultiplyVectorF32(const std::vector<float>& x,
                                            const exec::ExecContext& ctx,
                                            std::vector<float>* y,
                                            std::string* error) const {
-  const std::int64_t n = num_nodes();
-  LINBP_CHECK(static_cast<std::int64_t>(x.size()) == n);
-  y->assign(n, 0.0f);
-  const float* x_data = x.data();
-  float* y_data = y->data();
-  std::vector<float> values_f32;
-  return StreamBlocks(
-      ctx,
-      [&](const dataset::ShardStreamBlock& block) {
-        const float* vals = block.values_f32.data();
-        if (block.values_f32.empty()) {
-          values_f32.assign(block.values.begin(), block.values.end());
-          vals = values_f32.data();
-        }
-        float* block_out = y_data + block.row_begin;
-        const std::int64_t chunks =
-            ctx.NumChunks(block.nnz(), exec::kDefaultMinWorkPerChunk);
-        if (chunks <= 1) {
-          SpmvRowsT<float>(block.row_ptr.data(), block.col_idx.data(), vals,
-                           0, block.num_rows(), x_data, block_out);
-          return;
-        }
-        const exec::RowPartition partition =
-            exec::RowPartition::NnzBalanced(block.row_ptr, chunks);
-        ctx.RunBlocks(partition.num_blocks(), [&](std::int64_t p) {
-          SpmvRowsT<float>(block.row_ptr.data(), block.col_idx.data(), vals,
-                           partition.begin(p), partition.end(p), x_data,
-                           block_out);
+  LINBP_CHECK(static_cast<std::int64_t>(x.size()) == num_nodes());
+  y->assign(num_nodes(), 0.0f);
+  return VisitRowBlocks(
+      Precision::kF32, ctx,
+      [&](const CsrBlock& block) {
+        ForEachRange(block, 1, ctx, [&](std::int64_t lo, std::int64_t hi) {
+          SpmvRowsT<float>(block.row_ptr, block.col_idx, block.values_f32,
+                           lo, hi, x.data(), y->data() + block.row_begin);
         });
       },
       error);

@@ -1,18 +1,18 @@
 // The out-of-core propagation backend: LinBP/FaBP sweeps over a sharded
 // snapshot without ever materializing the full CSR.
 //
-// Each product (A*B or A*x) walks the manifest's row blocks through the
-// double-buffered pipeline of src/exec/pipeline.h: while block s is
-// applied — deserialized shard CSR against the full belief matrix, into
-// the block's disjoint output rows, parallelized over the ExecContext
-// within the block — block s+1 is read and checksum-verified on a
-// prefetch thread, so I/O overlaps compute and at most TWO blocks' CSR
-// bytes are resident at any instant (asserted by the reader's byte
-// accounting). The row-range kernels are the same SpmmRows / SpmvRows
-// the in-memory SparseMatrix kernels run, and per-row results do not
-// depend on the block split, so streamed products — and therefore
-// streamed LinBP/FaBP beliefs — are bit-identical to the in-memory run
-// at every thread count.
+// Each block visit (a fused LinBP sweep, A*B or A*x) walks the
+// manifest's row blocks through the double-buffered pipeline of
+// src/exec/pipeline.h: while block s is applied — deserialized shard CSR
+// against the full belief matrix, into the block's disjoint output rows,
+// parallelized over the ExecContext within the block — block s+1 is read
+// and checksum-verified on a prefetch thread, so I/O overlaps compute
+// and at most TWO blocks' CSR bytes are resident at any instant
+// (asserted by the reader's byte accounting). The row-range kernels are
+// the same SpmmRows / SpmvRows / LinBpRowsT the in-memory path runs, and
+// per-row results do not depend on the block split, so streamed products
+// — and therefore streamed LinBP/FaBP beliefs — are bit-identical to the
+// in-memory run at every thread count.
 //
 // Open() makes one streaming pass over all shards to derive the
 // O(n)-sized solver inputs (weighted degrees, explicit residual rows,
@@ -61,20 +61,20 @@ class ShardStreamBackend final : public PropagationBackend {
   std::int64_t num_nodes() const override;
   std::int64_t num_stored_entries() const override;
   const std::vector<double>& weighted_degrees() const override;
+  /// One block per shard, through the cache and the double-buffered
+  /// pipeline. A block stored in the other precision is converted once
+  /// as it is visited (f64-valued shards narrowed for an f32 visit,
+  /// v2/f32 shards widened for an f64 one); a block in the requested
+  /// precision is handed over as stored. The products below visit the
+  /// same way.
+  bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
+                      const BlockVisitor& visit,
+                      std::string* error) const override;
   bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
                      DenseMatrix* out, std::string* error) const override;
   bool MultiplyVector(const std::vector<double>& x,
                       const exec::ExecContext& ctx, std::vector<double>* y,
                       std::string* error) const override;
-  /// f32 products: for f64-valued shards each streamed block's value
-  /// array is narrowed to float once, right after the block loads, then
-  /// the f32 row-range kernels run against it; f32-valued (v2/f32)
-  /// shards feed the kernels their stored floats directly — no
-  /// conversion at all, and half the stream's value bytes. Same failure
-  /// contract as the fp64 pair.
-  bool MultiplyDenseF32(const DenseMatrixF32& b, const exec::ExecContext& ctx,
-                        DenseMatrixF32* out,
-                        std::string* error) const override;
   bool MultiplyVectorF32(const std::vector<float>& x,
                          const exec::ExecContext& ctx, std::vector<float>* y,
                          std::string* error) const override;

@@ -21,9 +21,18 @@ RowPartition RowPartition::Uniform(std::int64_t num_rows,
 
 RowPartition RowPartition::NnzBalanced(
     const std::vector<std::int64_t>& row_ptr, std::int64_t max_blocks) {
-  LINBP_CHECK(!row_ptr.empty() && max_blocks >= 1);
-  const std::int64_t num_rows = static_cast<std::int64_t>(row_ptr.size()) - 1;
-  const std::int64_t total = row_ptr[num_rows];
+  LINBP_CHECK(!row_ptr.empty());
+  return NnzBalanced(row_ptr.data(),
+                     static_cast<std::int64_t>(row_ptr.size()) - 1,
+                     max_blocks);
+}
+
+RowPartition RowPartition::NnzBalanced(const std::int64_t* row_ptr,
+                                       std::int64_t num_rows,
+                                       std::int64_t max_blocks) {
+  LINBP_CHECK(num_rows >= 0 && max_blocks >= 1);
+  const std::int64_t base = row_ptr[0];
+  const std::int64_t total = row_ptr[num_rows] - base;
   if (total == 0) return Uniform(num_rows, max_blocks);
   const std::int64_t blocks = std::max<std::int64_t>(
       1, std::min(max_blocks, num_rows));
@@ -36,7 +45,7 @@ RowPartition RowPartition::NnzBalanced(
   bounds.push_back(0);
   std::int64_t row = 0;
   for (std::int64_t b = 0; b < blocks && row < num_rows; ++b) {
-    const std::int64_t target = (b + 1) * total / blocks;
+    const std::int64_t target = base + (b + 1) * total / blocks;
     std::int64_t cut = row + 1;
     // Rows left must stay >= blocks remaining after this one.
     const std::int64_t max_cut = num_rows - (blocks - 1 - b);
@@ -46,6 +55,17 @@ RowPartition RowPartition::NnzBalanced(
   }
   bounds.back() = num_rows;
   return RowPartition(std::move(bounds));
+}
+
+RowPartition RowPartition::ForContext(const ExecContext& ctx,
+                                      const std::int64_t* row_ptr,
+                                      std::int64_t num_rows,
+                                      std::int64_t work_per_entry) {
+  const std::int64_t nnz = row_ptr[num_rows] - row_ptr[0];
+  const std::int64_t blocks =
+      ctx.NumChunks(nnz * work_per_entry, kDefaultMinWorkPerChunk);
+  if (blocks <= 1) return Uniform(num_rows, 1);
+  return NnzBalanced(row_ptr, num_rows, blocks);
 }
 
 }  // namespace exec

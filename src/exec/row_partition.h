@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/exec/exec_context.h"
+
 namespace linbp {
 namespace exec {
 
@@ -30,6 +32,22 @@ class RowPartition {
   /// returned when rows run out.
   static RowPartition NnzBalanced(const std::vector<std::int64_t>& row_ptr,
                                   std::int64_t max_blocks);
+
+  /// NnzBalanced over `num_rows` + 1 monotone offsets that need not start
+  /// at 0 (the rows of a sub-range of a larger CSR).
+  static RowPartition NnzBalanced(const std::int64_t* row_ptr,
+                                  std::int64_t num_rows,
+                                  std::int64_t max_blocks);
+
+  /// The split a CSR kernel fans out over on `ctx`: one block when
+  /// ctx.NumChunks(nnz * work_per_entry, kDefaultMinWorkPerChunk) is 1
+  /// (serial context, or too little work to amortize a dispatch), else
+  /// that many nnz-balanced blocks. Depends only on the row offsets,
+  /// the work estimate and ctx's thread count.
+  static RowPartition ForContext(const ExecContext& ctx,
+                                 const std::int64_t* row_ptr,
+                                 std::int64_t num_rows,
+                                 std::int64_t work_per_entry);
 
   std::int64_t num_blocks() const {
     return static_cast<std::int64_t>(bounds_.size()) - 1;

@@ -1,10 +1,11 @@
 // Row-major dense float32 matrix: the belief-storage type of the f32
 // precision mode.
 //
-// Deliberately minimal — it exists so the hot-path SpMM operands can be
+// Deliberately minimal — it exists so the hot-path sweep operands can be
 // float without templating DenseMatrix and everything built on it. The
 // solvers convert at the precision seam (FromF64 on entry, ToF64 on
-// exit) and do all arithmetic that feeds diagnostics in fp64; this type
+// exit); the fused row kernel (LinBpRowsT<float>) does every dense
+// product and all arithmetic that feeds diagnostics in fp64. This type
 // only stores and shuttles data.
 
 #ifndef LINBP_LA_DENSE_MATRIX_F32_H_
@@ -43,26 +44,6 @@ class DenseMatrixF32 {
     std::vector<double>& dst = out.mutable_data();
     for (std::size_t i = 0; i < data_.size(); ++i) {
       dst[i] = static_cast<double>(data_[i]);
-    }
-    return out;
-  }
-
-  /// this (n x k, f32) * other (k x m, fp64) -> n x m f32. The coupling
-  /// matrices on the f32 path stay fp64 (they are tiny), so each output
-  /// element accumulates in fp64 and rounds once on store. Serial and
-  /// deterministic; m and k are paper-sized (<= ~10).
-  DenseMatrixF32 MultiplyWide(const DenseMatrix& other) const {
-    LINBP_CHECK(cols_ == other.rows());
-    const std::int64_t m = other.cols();
-    DenseMatrixF32 out(rows_, m);
-    for (std::int64_t r = 0; r < rows_; ++r) {
-      for (std::int64_t c = 0; c < m; ++c) {
-        double acc = 0.0;
-        for (std::int64_t i = 0; i < cols_; ++i) {
-          acc += static_cast<double>(At(r, i)) * other.At(i, c);
-        }
-        out.At(r, c) = static_cast<float>(acc);
-      }
     }
     return out;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/exec/row_partition.h"
 #include "src/util/check.h"
 
 namespace linbp {
@@ -23,14 +24,33 @@ DenseMatrix LinBpPropagate(const SparseMatrix& adjacency,
   const std::int64_t n = adjacency.rows();
   const std::int64_t k = hhat.rows();
   LINBP_CHECK(adjacency.cols() == n);
+  LINBP_CHECK(hhat.cols() == k);
   LINBP_CHECK(beliefs.rows() == n && beliefs.cols() == k);
-  // A * B, then (A*B) * Hhat.
-  DenseMatrix propagated =
-      adjacency.MultiplyDense(beliefs, ctx).Multiply(hhat);
-  if (!with_echo) return propagated;
-  LINBP_CHECK(static_cast<std::int64_t>(degrees.size()) == n);
-  // Echo cancellation: subtract D * B * Hhat^2 row by row (D is diagonal).
-  SubtractDegreeScaledEcho(degrees, beliefs.Multiply(hhat2), ctx, &propagated);
+  DenseMatrix propagated(n, k);
+  LinBpRowsArgs<double> args;
+  args.row_ptr = adjacency.row_ptr().data();
+  args.col_idx = adjacency.col_idx().data();
+  args.values = adjacency.values().data();
+  args.k = k;
+  args.beliefs = beliefs.data().data();
+  args.hhat = hhat.data().data();
+  if (with_echo) {
+    LINBP_CHECK(static_cast<std::int64_t>(degrees.size()) == n);
+    LINBP_CHECK(hhat2.rows() == k && hhat2.cols() == k);
+    args.hhat2 = hhat2.data().data();
+    args.degrees = degrees.data();
+  }
+  args.out = propagated.mutable_data().data();
+  // The fused row kernel with its propagate-only epilogue, over the
+  // matrix's nnz-balanced row blocks.
+  const exec::RowPartition blocks =
+      exec::RowPartition::ForContext(ctx, args.row_ptr, n, k);
+  ctx.RunBlocks(blocks.num_blocks(), [&](std::int64_t b) {
+    LinBpRowsArgs<double> block = args;
+    block.row_begin = blocks.begin(b);
+    block.row_end = blocks.end(b);
+    LinBpRowsT<double>(block);
+  });
   return propagated;
 }
 
@@ -49,28 +69,6 @@ void SubtractDegreeScaledEcho(const std::vector<double>& degrees,
                       const double d = degrees[s];
                       for (std::int64_t c = 0; c < k; ++c) {
                         propagated->At(s, c) -= d * echo.At(s, c);
-                      }
-                    }
-                  });
-}
-
-void SubtractDegreeScaledEchoF32(const std::vector<double>& degrees,
-                                 const DenseMatrixF32& echo,
-                                 const exec::ExecContext& ctx,
-                                 DenseMatrixF32* propagated) {
-  const std::int64_t n = propagated->rows();
-  const std::int64_t k = propagated->cols();
-  LINBP_CHECK(echo.rows() == n && echo.cols() == k);
-  LINBP_CHECK(static_cast<std::int64_t>(degrees.size()) == n);
-  ctx.ParallelFor(0, n,
-                  exec::kDefaultMinWorkPerChunk / std::max<std::int64_t>(1, k),
-                  [&](std::int64_t row_begin, std::int64_t row_end) {
-                    for (std::int64_t s = row_begin; s < row_end; ++s) {
-                      const double d = degrees[s];
-                      for (std::int64_t c = 0; c < k; ++c) {
-                        propagated->At(s, c) = static_cast<float>(
-                            static_cast<double>(propagated->At(s, c)) -
-                            d * static_cast<double>(echo.At(s, c)));
                       }
                     }
                   });

@@ -48,9 +48,11 @@ class DenseOperator final : public LinearOperator {
 ///   returns A*B*Hhat        - D*B*Hhat2   if `with_echo`
 ///   returns A*B*Hhat                      otherwise,
 /// where D = diag(degrees). `hhat2` must be Hhat^2 (precomputed by callers
-/// so repeated steps do not recompute it). The SpMM and the echo update
-/// run on `ctx`; both are per-row-owned, so the result is bit-identical
-/// across thread counts.
+/// so repeated steps do not recompute it). Runs the fused row kernel
+/// (LinBpRowsT, propagate only) over the matrix's nnz-balanced row blocks
+/// on `ctx`: rows are block-owned, so the result is bit-identical across
+/// thread counts, and to the unfused MultiplyDense, Multiply,
+/// SubtractDegreeScaledEcho chain.
 DenseMatrix LinBpPropagate(const SparseMatrix& adjacency,
                            const std::vector<double>& degrees,
                            const DenseMatrix& hhat, const DenseMatrix& hhat2,
@@ -65,22 +67,15 @@ inline DenseMatrix LinBpPropagate(const SparseMatrix& adjacency,
                         exec::ExecContext::Default());
 }
 
-/// The echo-cancellation update shared by LinBpPropagate and the
-/// backend-generalized propagation in src/engine: subtracts
-/// degrees[s] * echo(s, c) from propagated(s, c) in place, chunked over
-/// `ctx` with per-row ownership (bit-identical across thread counts).
+/// The unfused echo-cancellation step: subtracts degrees[s] * echo(s, c)
+/// from propagated(s, c) in place, chunked over `ctx` with per-row
+/// ownership (bit-identical across thread counts). The solvers run the
+/// fused kernel instead; this is the per-layer reference the fused
+/// sweep is checked and timed against.
 void SubtractDegreeScaledEcho(const std::vector<double>& degrees,
                               const DenseMatrix& echo,
                               const exec::ExecContext& ctx,
                               DenseMatrix* propagated);
-
-/// Float32-storage variant of the echo cancellation: operands are f32,
-/// each element's update is computed in fp64 and rounded once on store.
-/// Same per-row ownership, bit-identical across thread counts.
-void SubtractDegreeScaledEchoF32(const std::vector<double>& degrees,
-                                 const DenseMatrixF32& echo,
-                                 const exec::ExecContext& ctx,
-                                 DenseMatrixF32* propagated);
 
 /// The implicit operator vec(B) -> vec(A*B*Hhat [- D*B*Hhat^2]).
 /// Vectorization is column-major (class-major), matching the paper's vec().

@@ -12,11 +12,9 @@
 namespace linbp {
 namespace {
 
-// Shared blocked row iteration for the product kernels: splits the rows
-// into nnz-balanced blocks sized for `ctx` and the per-entry work, and
-// runs body(row_begin, row_end) per block. Falls back to one serial block
-// when the context is serial or the total work is too small to amortize a
-// dispatch.
+// Shared blocked row iteration for the product kernels: runs
+// body(row_begin, row_end) per block of the matrix's
+// exec::RowPartition::ForContext split.
 void ForEachRowBlock(const exec::ExecContext& ctx,
                      const std::vector<std::int64_t>& row_ptr,
                      std::int64_t work_per_entry,
@@ -25,18 +23,123 @@ void ForEachRowBlock(const exec::ExecContext& ctx,
   const std::int64_t num_rows =
       static_cast<std::int64_t>(row_ptr.size()) - 1;
   if (num_rows <= 0) return;
-  const std::int64_t work = row_ptr[num_rows] * work_per_entry;
-  const std::int64_t blocks =
-      ctx.NumChunks(work, exec::kDefaultMinWorkPerChunk);
-  if (blocks <= 1) {
-    body(0, num_rows);
-    return;
-  }
-  const exec::RowPartition partition =
-      exec::RowPartition::NnzBalanced(row_ptr, blocks);
+  const exec::RowPartition partition = exec::RowPartition::ForContext(
+      ctx, row_ptr.data(), num_rows, work_per_entry);
   ctx.RunBlocks(partition.num_blocks(), [&](std::int64_t b) {
     body(partition.begin(b), partition.end(b));
   });
+}
+
+// SpmmRowsT's column tile: each tile's accumulators stay in registers
+// while a row's entries stream by.
+constexpr std::int64_t kColTile = 8;
+
+// LinBpRowsT for one k: kK in [2, kColTile] fixes k at compile time (the
+// row scratch then lives in registers and every k-loop unrolls); kK == 0
+// reads args.k at run time.
+template <typename Scalar, int kK>
+LinBpRowStats LinBpRowsForK(const LinBpRowsArgs<Scalar>& args) {
+  static_assert(kK >= 0 && kK <= kColTile, "one tile per row");
+  const std::int64_t k = kK > 0 ? kK : args.k;
+  const std::int64_t* row_ptr = args.row_ptr;
+  const Scalar* __restrict__ vals = args.values;
+  const std::int32_t* __restrict__ cols = args.col_idx;
+  const Scalar* b = args.beliefs;
+  const bool echo = args.hhat2 != nullptr;
+  const bool apply = args.explicit_residuals != nullptr;
+
+  // Row scratch: the SpMM row, the two dense products, and the coupling
+  // matrices copied next to them.
+  constexpr std::int64_t kSlots = kK > 0 ? kK : 1;
+  Scalar ab_fixed[kSlots] = {};
+  double prop_fixed[kSlots] = {};
+  double echo_fixed[kSlots] = {};
+  double h_fixed[kSlots * kSlots] = {};
+  double h2_fixed[kSlots * kSlots] = {};
+  Scalar* ab = ab_fixed;
+  double* prop = prop_fixed;
+  double* echo_row = echo_fixed;
+  const double* h = args.hhat;
+  const double* h2 = args.hhat2;
+  std::vector<Scalar> ab_heap;
+  std::vector<double> dense_heap;
+  if constexpr (kK > 0) {
+    std::copy(args.hhat, args.hhat + kK * kK, h_fixed);
+    h = h_fixed;
+    if (echo) {
+      std::copy(args.hhat2, args.hhat2 + kK * kK, h2_fixed);
+      h2 = h2_fixed;
+    }
+  } else {
+    ab_heap.resize(k);
+    dense_heap.resize(2 * k);
+    ab = ab_heap.data();
+    prop = dense_heap.data();
+    echo_row = dense_heap.data() + k;
+  }
+
+  LinBpRowStats stats;
+  for (std::int64_t r = args.row_begin; r < args.row_end; ++r) {
+    const std::int64_t s = args.row_offset + r;
+    const Scalar* own = b + s * k;
+    // (A*B)_s exactly as SpmmRowsT forms it: per k-tile, entries in
+    // order into zeroed accumulators.
+    const std::int64_t e_begin = row_ptr[r];
+    const std::int64_t e_end = row_ptr[r + 1];
+    for (std::int64_t c0 = 0; c0 < k; c0 += kColTile) {
+      const std::int64_t tile = std::min(kColTile, k - c0);
+      Scalar acc[kColTile] = {};
+      for (std::int64_t e = e_begin; e < e_end; ++e) {
+        const Scalar w = vals[e];
+        const Scalar* __restrict__ b_row =
+            b + static_cast<std::int64_t>(cols[e]) * k + c0;
+#pragma omp simd
+        for (std::int64_t c = 0; c < tile; ++c) acc[c] += w * b_row[c];
+      }
+      for (std::int64_t c = 0; c < tile; ++c) ab[c0 + c] = acc[c];
+    }
+    // (A*B)_s * hhat and B_s * hhat2 in DenseMatrix::Multiply's order,
+    // zero entries of the left operand skipped.
+    for (std::int64_t j = 0; j < k; ++j) prop[j] = 0.0;
+    for (std::int64_t l = 0; l < k; ++l) {
+      const double a = static_cast<double>(ab[l]);
+      if (a == 0.0) continue;
+      for (std::int64_t j = 0; j < k; ++j) prop[j] += a * h[l * k + j];
+    }
+    if (echo) {
+      for (std::int64_t j = 0; j < k; ++j) echo_row[j] = 0.0;
+      for (std::int64_t l = 0; l < k; ++l) {
+        const double a = static_cast<double>(own[l]);
+        if (a == 0.0) continue;
+        for (std::int64_t j = 0; j < k; ++j) echo_row[j] += a * h2[l * k + j];
+      }
+    }
+    const double d = echo ? args.degrees[s] : 0.0;
+    Scalar* out = args.out + s * k;
+    const Scalar* e_row = apply ? args.explicit_residuals + s * k : nullptr;
+    for (std::int64_t j = 0; j < k; ++j) {
+      // Each stored product rounds once (a no-op for double).
+      Scalar p = static_cast<Scalar>(prop[j]);
+      if (echo) {
+        p = static_cast<Scalar>(
+            static_cast<double>(p) -
+            d * static_cast<double>(static_cast<Scalar>(echo_row[j])));
+      }
+      if (!apply) {
+        out[j] = p;
+        continue;
+      }
+      const Scalar value = e_row[j] + p;
+      const double change =
+          static_cast<double>(value) - static_cast<double>(own[j]);
+      stats.delta = std::max(stats.delta, std::abs(change));
+      stats.delta_sq += change * change;
+      stats.magnitude =
+          std::max(stats.magnitude, std::abs(static_cast<double>(value)));
+      out[j] = value;
+    }
+  }
+  return stats;
 }
 
 }  // namespace
@@ -56,10 +159,9 @@ void SpmmRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
   // changes no accumulation order. gcc 12.2 -O3 -fopt-info-vec reports
   // "loop vectorized using 16 byte vectors" for both instantiations
   // (verified 2026-08; rerun with
-  //   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -c \
-  //     src/la/sparse_matrix.cc -I.
+  //   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -I. -c
+  //   src/la/sparse_matrix.cc
   // when touching this kernel).
-  constexpr std::int64_t kColTile = 8;
   const Scalar* __restrict__ vals = values;
   const std::int32_t* __restrict__ cols = col_idx;
   for (std::int64_t r = row_begin; r < row_end; ++r) {
@@ -133,6 +235,23 @@ template void SpmtvRowsT<double>(const std::int64_t*, const std::int32_t*,
 template void SpmtvRowsT<float>(const std::int64_t*, const std::int32_t*,
                                 const float*, std::int64_t, std::int64_t,
                                 const float*, float*);
+
+template <typename Scalar>
+LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args) {
+  switch (args.k) {
+    case 2: return LinBpRowsForK<Scalar, 2>(args);
+    case 3: return LinBpRowsForK<Scalar, 3>(args);
+    case 4: return LinBpRowsForK<Scalar, 4>(args);
+    case 5: return LinBpRowsForK<Scalar, 5>(args);
+    case 6: return LinBpRowsForK<Scalar, 6>(args);
+    case 7: return LinBpRowsForK<Scalar, 7>(args);
+    case 8: return LinBpRowsForK<Scalar, 8>(args);
+    default: return LinBpRowsForK<Scalar, 0>(args);
+  }
+}
+
+template LinBpRowStats LinBpRowsT<double>(const LinBpRowsArgs<double>&);
+template LinBpRowStats LinBpRowsT<float>(const LinBpRowsArgs<float>&);
 
 SparseMatrix::SparseMatrix(std::int64_t rows, std::int64_t cols)
     : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {

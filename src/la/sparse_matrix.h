@@ -100,6 +100,59 @@ extern template void SpmtvRowsT<float>(const std::int64_t*,
                                        std::int64_t, std::int64_t,
                                        const float*, float*);
 
+/// Change statistics of a fused LinBP row range (LinBpRowsT), all fp64:
+/// the max absolute belief change, the sum of squared changes, and the
+/// max absolute new belief. Zero when the range only propagates.
+struct LinBpRowStats {
+  double delta = 0.0;
+  double delta_sq = 0.0;
+  double magnitude = 0.0;
+};
+
+/// Operands of one fused LinBP pass over a CSR row range. The CSR fields
+/// follow SpmmRowsT (local row r has entries [row_ptr[r], row_ptr[r+1])
+/// and global column ids); local row r is global row row_offset + r,
+/// which indexes every n x k operand and `degrees`.
+template <typename Scalar>
+struct LinBpRowsArgs {
+  const std::int64_t* row_ptr = nullptr;
+  const std::int32_t* col_idx = nullptr;
+  const Scalar* values = nullptr;
+  std::int64_t row_begin = 0;  // local rows [row_begin, row_end)
+  std::int64_t row_end = 0;
+  std::int64_t row_offset = 0;
+  std::int64_t k = 0;
+  const Scalar* beliefs = nullptr;  // B, n x k
+  const double* hhat = nullptr;     // k x k modulation
+  /// k x k echo modulation (Hhat^2 for LinBP); nullptr drops D*B*hhat2.
+  const double* hhat2 = nullptr;
+  const double* degrees = nullptr;  // d_s; read only with hhat2
+  /// E, n x k: with it the range applies a Jacobi sweep, without it
+  /// (nullptr) `out` receives the propagated term alone.
+  const Scalar* explicit_residuals = nullptr;
+  Scalar* out = nullptr;  // n x k; must not alias `beliefs`
+};
+
+/// The fused LinBP row kernel. For every row s of the range, in one
+/// pass: takes the SpMM accumulator (A*B)_s, forms
+///   p_s = (A*B)_s * hhat - d_s * (B_s * hhat2)
+/// and writes out_s = E_s + p_s while folding the row's change against
+/// B_s into the returned statistics (out_s = p_s, no statistics, without
+/// E). Per element it keeps the unfused primitives' operation order, so
+/// the result is bit-identical to SpmmRowsT, then DenseMatrix::Multiply
+/// (zero entries skipped), then SubtractDegreeScaledEcho, then the
+/// apply step; a float range accumulates SpmmRowsT<float> in float and
+/// every dense product in fp64, rounding each stored element once as
+/// the f32 pipeline always has. k in [2, 8] runs a compile-time-k
+/// instantiation, any other k the same template with a runtime k.
+/// Instantiated for float and double only.
+template <typename Scalar>
+LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args);
+
+extern template LinBpRowStats LinBpRowsT<double>(
+    const LinBpRowsArgs<double>&);
+extern template LinBpRowStats LinBpRowsT<float>(const LinBpRowsArgs<float>&);
+
 /// Double-named wrappers kept for the (large) existing call surface.
 inline void SpmmRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
                      const double* values, std::int64_t row_begin,

@@ -156,12 +156,14 @@ TEST(LinBpStateBackendTest, BackendConstructionMatchesGraphConstruction) {
   EXPECT_EQ(from_graph.beliefs().MaxAbsDiff(from_backend.beliefs()), 0.0);
 }
 
-// Wraps InMemoryBackend but fails the Nth product on demand — the
-// in-memory stand-in for a shard checksum failure mid-solve.
+// Wraps InMemoryBackend but fails the next block visit on demand — the
+// in-memory stand-in for a shard checksum failure mid-solve. The visit
+// is the one primitive the solver's fused sweep runs on, so a test that
+// expects the injected error also proves the sweep went through it.
 class FlakyBackend final : public engine::PropagationBackend {
  public:
   explicit FlakyBackend(const Graph* graph) : inner_(graph) {}
-  void FailNextProduct() { armed_ = true; }
+  void FailNextVisit() { armed_ = true; }
 
   std::int64_t num_nodes() const override { return inner_.num_nodes(); }
   std::int64_t num_stored_entries() const override {
@@ -170,13 +172,18 @@ class FlakyBackend final : public engine::PropagationBackend {
   const std::vector<double>& weighted_degrees() const override {
     return inner_.weighted_degrees();
   }
-  bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
-                     DenseMatrix* out, std::string* error) const override {
+  bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
+                      const engine::BlockVisitor& visit,
+                      std::string* error) const override {
     if (armed_) {
       armed_ = false;
       *error = "injected stream failure";
       return false;
     }
+    return inner_.VisitRowBlocks(precision, ctx, visit, error);
+  }
+  bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
+                     DenseMatrix* out, std::string* error) const override {
     return inner_.MultiplyDense(b, ctx, out, error);
   }
   bool MultiplyVector(const std::vector<double>& x,
@@ -206,7 +213,7 @@ TEST(LinBpStateBackendTest, FailedDuplicateNodeUpdateRollsBackExactly) {
   ASSERT_EQ(tested.beliefs().MaxAbsDiff(control.beliefs()), 0.0);
 
   // Duplicate node 2 in the failing batch.
-  flaky->FailNextProduct();
+  flaky->FailNextVisit();
   const DenseMatrix duplicate_rows = testing::RandomMatrix(2, 3, 0.3, 53);
   EXPECT_EQ(tested.UpdateExplicitBeliefs({2, 2}, duplicate_rows), -1);
   EXPECT_NE(tested.last_error().find("injected stream failure"),
@@ -254,7 +261,7 @@ TEST(LinBpStateBackendTest, FailedEdgeMutationsRollBackGraphAndBeliefs) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    flaky->FailNextProduct();
+    flaky->FailNextVisit();
     std::string error;
     EXPECT_EQ((tested.*c.mutate)(*c.batch, &error), -1);
     EXPECT_NE(error.find("injected stream failure"), std::string::npos)

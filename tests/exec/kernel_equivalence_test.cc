@@ -6,19 +6,32 @@
 // floating-point evaluation order inside it). TransposeMultiplyVector
 // reduces per-block partials instead and is checked to tight tolerance
 // plus run-to-run determinism. The solver-level checks extend the
-// guarantee to RunLinBp / RunSbp outputs.
+// guarantee to RunLinBp / RunSbp outputs, and the fused-sweep matrix at
+// the end pins RunLinBp to the unfused primitives it replaced.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/convergence.h"
 #include "src/core/linbp.h"
 #include "src/core/sbp.h"
+#include "src/dataset/registry.h"
+#include "src/dataset/shard.h"
+#include "src/engine/in_memory_backend.h"
+#include "src/engine/shard_stream_backend.h"
 #include "src/exec/exec_context.h"
 #include "src/graph/beliefs.h"
 #include "src/graph/generators.h"
+#include "src/la/dense_matrix_f32.h"
+#include "src/la/kron_ops.h"
 #include "src/la/sparse_matrix.h"
 #include "tests/testing/test_util.h"
 
@@ -309,6 +322,257 @@ TEST(KernelEquivalenceTest, RunSbpIsBitExactAcrossThreadCounts) {
                ExecContext::WithThreads(threads));
     EXPECT_EQ(parallel.geodesic, serial.geodesic);
     ExpectBitEqual(parallel.beliefs.data(), serial.beliefs.data());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The fused sweep against the unfused pipeline it replaced.
+
+// What a LinBP run leaves behind that must match to the bit.
+struct SweepTrace {
+  DenseMatrix beliefs;
+  int iterations = 0;
+  std::vector<double> deltas;  // per-sweep max |change|
+};
+
+// RunSweepLoop's stop rule with the divergence early-abort off.
+bool StopsAfter(const LinBpSweepStats& stats, const LinBpOptions& options) {
+  return !std::isfinite(stats.delta) ||
+         stats.magnitude > options.divergence_threshold ||
+         stats.delta <= options.tolerance;
+}
+
+// The f64 Jacobi loop built from the kept unfused primitives: SpMM, the
+// two coupling products, the echo subtraction, the apply step.
+SweepTrace UnfusedLinBp(const Graph& graph, const DenseMatrix& modulation,
+                        const DenseMatrix* echo_modulation,
+                        const DenseMatrix& explicit_residuals,
+                        const LinBpOptions& options) {
+  const ExecContext serial = ExecContext::Serial();
+  SweepTrace trace;
+  trace.beliefs = explicit_residuals;
+  for (int it = 1; it <= options.max_iterations; ++it) {
+    DenseMatrix next = graph.adjacency()
+                           .MultiplyDense(trace.beliefs, serial)
+                           .Multiply(modulation);
+    if (echo_modulation != nullptr) {
+      SubtractDegreeScaledEcho(graph.weighted_degrees(),
+                               trace.beliefs.Multiply(*echo_modulation),
+                               serial, &next);
+    }
+    const LinBpSweepStats stats =
+        ApplyLinBpSweep(serial, explicit_residuals, next, &trace.beliefs);
+    trace.iterations = it;
+    trace.deltas.push_back(stats.delta);
+    if (StopsAfter(stats, options)) break;
+  }
+  return trace;
+}
+
+// The unfused f32 pipeline the fused kernel must reproduce: f32 SpMM,
+// then (f32 x fp64 coupling) products accumulated in fp64 with one
+// rounding per element, the echo subtraction in fp64 rounded once, and
+// the apply in float with fp64 statistics.
+DenseMatrixF32 MultiplyWide(const DenseMatrixF32& m,
+                            const DenseMatrix& other) {
+  DenseMatrixF32 out(m.rows(), other.cols());
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
+    for (std::int64_t c = 0; c < other.cols(); ++c) {
+      double acc = 0.0;
+      for (std::int64_t i = 0; i < m.cols(); ++i) {
+        acc += static_cast<double>(m.At(r, i)) * other.At(i, c);
+      }
+      out.At(r, c) = static_cast<float>(acc);
+    }
+  }
+  return out;
+}
+
+SweepTrace UnfusedLinBpF32(const Graph& graph, const DenseMatrix& modulation,
+                           const DenseMatrix* echo_modulation,
+                           const DenseMatrix& explicit_residuals,
+                           const LinBpOptions& options) {
+  const ExecContext serial = ExecContext::Serial();
+  const std::vector<double>& degrees = graph.weighted_degrees();
+  const DenseMatrixF32 e = DenseMatrixF32::FromF64(explicit_residuals);
+  DenseMatrixF32 b = e;
+  SweepTrace trace;
+  for (int it = 1; it <= options.max_iterations; ++it) {
+    DenseMatrixF32 next = MultiplyWide(
+        graph.adjacency().MultiplyDenseF32(b, serial), modulation);
+    if (echo_modulation != nullptr) {
+      const DenseMatrixF32 echo = MultiplyWide(b, *echo_modulation);
+      for (std::int64_t s = 0; s < next.rows(); ++s) {
+        for (std::int64_t c = 0; c < next.cols(); ++c) {
+          next.At(s, c) = static_cast<float>(
+              static_cast<double>(next.At(s, c)) -
+              degrees[s] * static_cast<double>(echo.At(s, c)));
+        }
+      }
+    }
+    LinBpSweepStats stats;
+    for (std::int64_t s = 0; s < b.rows(); ++s) {
+      for (std::int64_t c = 0; c < b.cols(); ++c) {
+        const float value = e.At(s, c) + next.At(s, c);
+        const double change =
+            static_cast<double>(value) - static_cast<double>(b.At(s, c));
+        stats.delta = std::max(stats.delta, std::abs(change));
+        stats.magnitude =
+            std::max(stats.magnitude, std::abs(static_cast<double>(value)));
+        b.At(s, c) = value;
+      }
+    }
+    trace.iterations = it;
+    trace.deltas.push_back(stats.delta);
+    if (StopsAfter(stats, options)) break;
+  }
+  trace.beliefs = b.ToF64();
+  return trace;
+}
+
+SweepTrace FusedLinBp(const engine::PropagationBackend& backend,
+                      const DenseMatrix& hhat,
+                      const DenseMatrix& explicit_residuals,
+                      LinBpOptions options) {
+  SweepTrace trace;
+  options.sweep_observer = [&trace](const SweepTelemetry& t) {
+    trace.deltas.push_back(t.delta);
+  };
+  const LinBpResult result =
+      RunLinBp(backend, hhat, explicit_residuals, options);
+  EXPECT_FALSE(result.failed) << result.error;
+  trace.beliefs = result.beliefs;
+  trace.iterations = result.iterations;
+  return trace;
+}
+
+void ExpectSameTrace(const SweepTrace& fused, const SweepTrace& reference) {
+  EXPECT_EQ(fused.iterations, reference.iterations);
+  EXPECT_EQ(fused.deltas, reference.deltas);
+  ASSERT_EQ(fused.beliefs.data().size(), reference.beliefs.data().size());
+  EXPECT_EQ(std::memcmp(fused.beliefs.data().data(),
+                        reference.beliefs.data().data(),
+                        fused.beliefs.data().size() * sizeof(double)),
+            0);
+}
+
+// Every k the kernel dispatches on (compile-time 2..8, runtime 9), every
+// variant, both precisions, threads {1, 2, 4, 8}, in memory and streamed
+// from v1, v2/f64 and v2/f32 shards with the block cache off and on:
+// beliefs, sweep count and every sweep's delta equal the unfused loop's.
+TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
+  std::vector<ExecContext> contexts;
+  for (const int threads : kThreadCounts) {
+    contexts.push_back(ExecContext::WithThreads(threads));
+  }
+  struct Stream {
+    const char* name;
+    dataset::ShardCompression compression;
+    std::int64_t cache_budget;
+  };
+  const Stream kStreams[] = {
+      {"v1", dataset::ShardCompression::kNone, 0},
+      {"v1 cached", dataset::ShardCompression::kNone, std::int64_t{1} << 30},
+      {"v2/f64", dataset::ShardCompression::kF64, 0},
+      {"v2/f64 cached", dataset::ShardCompression::kF64,
+       std::int64_t{1} << 30},
+      {"v2/f32", dataset::ShardCompression::kF32, 0},
+      {"v2/f32 cached", dataset::ShardCompression::kF32,
+       std::int64_t{1} << 30},
+  };
+  const LinBpVariant kVariants[] = {LinBpVariant::kLinBp,
+                                    LinBpVariant::kLinBpStar,
+                                    LinBpVariant::kLinBpExact};
+
+  for (const std::int64_t k : {2, 3, 4, 8, 9}) {
+    std::string error;
+    const auto scenario = dataset::MakeScenario(
+        "sbm:n=240,k=" + std::to_string(k) +
+            ",deg=6,labeled=0.1,seed=" + std::to_string(k),
+        &error);
+    ASSERT_TRUE(scenario.has_value()) << error;
+    const CouplingMatrix coupling = scenario->Coupling();
+    const DenseMatrix hhat = coupling.ScaledResidual(
+        0.5 * SufficientEpsilonBound(scenario->graph, coupling,
+                                     LinBpVariant::kLinBp));
+    const DenseMatrix& e = scenario->explicit_residuals;
+
+    // One backend per shard format and cache setting; v2/f32 shards hold
+    // narrowed values, so their reference runs on the bulk load of the
+    // same files.
+    std::vector<engine::ShardStreamBackend> streamed;
+    std::optional<Graph> narrowed;
+    for (const Stream& stream : kStreams) {
+      const std::string dir = ::testing::TempDir() + "/fused_k" +
+                              std::to_string(k) + "_" +
+                              std::to_string(streamed.size());
+      std::filesystem::remove_all(dir);
+      const auto written =
+          dataset::ShardSnapshot(*scenario, 3, dir, &error,
+                                 stream.compression);
+      ASSERT_TRUE(written.has_value()) << error;
+      auto backend = engine::ShardStreamBackend::Open(
+          written->manifest_path, &error, ExecContext::Serial(),
+          stream.cache_budget);
+      ASSERT_TRUE(backend.has_value()) << error;
+      streamed.push_back(std::move(*backend));
+      if (stream.compression == dataset::ShardCompression::kF32 &&
+          !narrowed.has_value()) {
+        auto loaded =
+            dataset::LoadShardedSnapshot(written->manifest_path, &error);
+        ASSERT_TRUE(loaded.has_value()) << error;
+        narrowed = std::move(loaded->graph);
+      }
+    }
+    const engine::InMemoryBackend in_memory(&scenario->graph);
+
+    for (const LinBpVariant variant : kVariants) {
+      const DenseMatrix modulation = variant == LinBpVariant::kLinBpExact
+                                         ? ExactModulation(hhat)
+                                         : hhat;
+      const DenseMatrix echo = hhat.Multiply(modulation);
+      const DenseMatrix* echo_modulation =
+          variant == LinBpVariant::kLinBpStar ? nullptr : &echo;
+      for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+        LinBpOptions options;
+        options.variant = variant;
+        options.precision = precision;
+        options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
+        options.divergence_patience = 0;
+        const auto reference = [&](const Graph& graph) {
+          return precision == Precision::kF32
+                     ? UnfusedLinBpF32(graph, modulation, echo_modulation, e,
+                                       options)
+                     : UnfusedLinBp(graph, modulation, echo_modulation, e,
+                                    options);
+        };
+        const SweepTrace expected = reference(scenario->graph);
+        const SweepTrace expected_narrowed = reference(*narrowed);
+        ASSERT_GE(expected.iterations, 3);
+        ASSERT_LT(expected.iterations, options.max_iterations);
+
+        for (std::size_t t = 0; t < contexts.size(); ++t) {
+          options.exec = contexts[t];
+          SCOPED_TRACE(::testing::Message()
+                       << "k " << k << ", variant "
+                       << static_cast<int>(variant) << ", "
+                       << PrecisionName(precision) << ", threads "
+                       << kThreadCounts[t]);
+          {
+            SCOPED_TRACE("in memory");
+            ExpectSameTrace(FusedLinBp(in_memory, hhat, e, options),
+                            expected);
+          }
+          for (std::size_t s = 0; s < streamed.size(); ++s) {
+            SCOPED_TRACE(kStreams[s].name);
+            const bool f32_values =
+                kStreams[s].compression == dataset::ShardCompression::kF32;
+            ExpectSameTrace(FusedLinBp(streamed[s], hhat, e, options),
+                            f32_values ? expected_narrowed : expected);
+          }
+        }
+      }
+    }
   }
 }
 

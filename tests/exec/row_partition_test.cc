@@ -93,6 +93,38 @@ TEST(RowPartitionTest, NnzBalancedMoreBlocksThanRows) {
   ExpectTiles(p, 2);
 }
 
+TEST(RowPartitionTest, NnzBalancedSubRangeMatchesRebasedRows) {
+  // Rows 3..9 of a larger CSR, addressed in place (offsets start at 14),
+  // split exactly like the same rows rebased to start at 0.
+  const auto row_ptr = RowPtr({5, 4, 5, 1, 7, 1, 1, 9, 2, 3});
+  const std::vector<std::int64_t> rebased =
+      RowPtr({1, 7, 1, 1, 9, 2, 3});
+  for (const std::int64_t blocks : {1, 2, 3, 5}) {
+    EXPECT_EQ(RowPartition::NnzBalanced(row_ptr.data() + 3, 7, blocks)
+                  .bounds(),
+              RowPartition::NnzBalanced(rebased, blocks).bounds())
+        << blocks << " blocks";
+  }
+}
+
+TEST(RowPartitionTest, ForContextFansOutOnlyWithWorkAndThreads) {
+  const auto row_ptr = RowPtr(std::vector<std::int64_t>(64, 4));
+  // Serial: one block however much work there is.
+  const RowPartition serial = RowPartition::ForContext(
+      ExecContext::Serial(), row_ptr.data(), 64, 1 << 20);
+  EXPECT_EQ(serial.num_blocks(), 1);
+  ExpectTiles(serial, 64);
+  const ExecContext four = ExecContext::WithThreads(4);
+  // 256 entries x 4 units is below one chunk's minimum work.
+  EXPECT_EQ(RowPartition::ForContext(four, row_ptr.data(), 64, 4)
+                .num_blocks(),
+            1);
+  // Enough work: one nnz-balanced block per thread.
+  const RowPartition wide =
+      RowPartition::ForContext(four, row_ptr.data(), 64, 64);
+  EXPECT_EQ(wide.bounds(), RowPartition::NnzBalanced(row_ptr, 4).bounds());
+}
+
 TEST(RowPartitionTest, NnzBalancedEqualRowsSplitEvenly) {
   const RowPartition p =
       RowPartition::NnzBalanced(RowPtr(std::vector<std::int64_t>(64, 4)), 4);
