@@ -1,5 +1,7 @@
 #include "src/core/closed_form.h"
 
+#include "src/engine/backend_ops.h"
+#include "src/engine/in_memory_backend.h"
 #include "src/la/dense_linalg.h"
 #include "src/la/kron_ops.h"
 #include "src/la/solvers.h"
@@ -66,31 +68,9 @@ ClosedFormIterativeResult ClosedFormLinBpIterative(
   LINBP_CHECK(explicit_residuals.rows() == n && explicit_residuals.cols() == k);
 
   const Modulations mod = ModulationsFor(hhat, variant);
-  // The implicit operator needs propagation/echo; LinBpOperator supports the
-  // (propagation, propagation^2) pairing only, so for kLinBpExact we wrap
-  // LinBpPropagate directly.
-  class Operator final : public LinearOperator {
-   public:
-    Operator(const Graph* graph, Modulations mod)
-        : graph_(graph), mod_(std::move(mod)) {}
-    std::int64_t dim() const override {
-      return graph_->num_nodes() * mod_.propagation.rows();
-    }
-    void Apply(const std::vector<double>& x,
-               std::vector<double>* y) const override {
-      const DenseMatrix b = UnvectorizeBeliefs(x, graph_->num_nodes(),
-                                               mod_.propagation.rows());
-      *y = VectorizeBeliefs(LinBpPropagate(
-          graph_->adjacency(), graph_->weighted_degrees(), mod_.propagation,
-          mod_.echo, b, mod_.with_echo));
-    }
-
-   private:
-    const Graph* graph_;
-    Modulations mod_;
-  };
-
-  const Operator op(&graph, mod);
+  const engine::InMemoryBackend backend(&graph);
+  const engine::BackendLinBpOperator op(&backend, mod.propagation,
+                                        mod.with_echo ? &mod.echo : nullptr);
   const JacobiResult jacobi =
       JacobiSolve(op, VectorizeBeliefs(explicit_residuals), max_iterations,
                   tolerance);

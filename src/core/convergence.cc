@@ -53,9 +53,9 @@ double LinBpOperatorSpectralRadius(const engine::PropagationBackend& backend,
                                    const exec::ExecContext& ctx) {
   LINBP_CHECK_MSG(variant != LinBpVariant::kLinBpExact,
                   "spectral criteria are defined for kLinBp / kLinBpStar");
-  const engine::BackendLinBpOperator op(&backend, hhat,
-                                        variant == LinBpVariant::kLinBp,
-                                        ctx);
+  const DenseMatrix hhat2 = hhat.Multiply(hhat);
+  const engine::BackendLinBpOperator op(
+      &backend, hhat, variant == LinBpVariant::kLinBp ? &hhat2 : nullptr, ctx);
   return PowerIteration(op, max_iterations, tolerance).spectral_radius;
 }
 

@@ -1,261 +1,53 @@
 #include "src/core/fabp.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <vector>
+#include <utility>
 
 #include "src/engine/in_memory_backend.h"
-#include "src/la/kron_ops.h"
-#include "src/la/solvers.h"
 #include "src/obs/obs.h"
 #include "src/util/check.h"
-#include "src/util/timer.h"
 
 namespace linbp {
-namespace {
-
-// y = c1 * A x - c2 * D x, the FaBP propagation operator over any
-// backend. Throws engine::StreamError on a backend failure (JacobiSolve
-// has no error channel); RunFabp converts it back into an error return.
-class FabpOperator final : public LinearOperator {
- public:
-  FabpOperator(const engine::PropagationBackend* backend, double c1,
-               double c2, const exec::ExecContext* ctx)
-      : backend_(backend), c1_(c1), c2_(c2), ctx_(ctx) {}
-  std::int64_t dim() const override { return backend_->num_nodes(); }
-  void Apply(const std::vector<double>& x,
-             std::vector<double>* y) const override {
-    std::string error;
-    if (!backend_->MultiplyVector(x, *ctx_, y, &error)) {
-      throw engine::StreamError(error);
-    }
-    const std::vector<double>& degrees = backend_->weighted_degrees();
-    double* out = y->data();
-    ctx_->ParallelFor(0, dim(), exec::kDefaultMinWorkPerChunk,
-                      [&](std::int64_t begin, std::int64_t end) {
-                        for (std::int64_t s = begin; s < end; ++s) {
-                          out[s] = c1_ * out[s] - c2_ * degrees[s] * x[s];
-                        }
-                      });
-  }
-
- private:
-  const engine::PropagationBackend* backend_;  // not owned
-  double c1_;
-  double c2_;
-  const exec::ExecContext* ctx_;  // not owned
-};
-
-// Mirrors the helper in linbp.cc: per-iteration deltas of this counter
-// give the shard bytes a streamed backend read (0 for in-memory).
-std::int64_t StreamBytesCounterValue() {
-#ifndef LINBP_OBS_DISABLED
-  static obs::Counter& counter =
-      obs::Registry::Global().GetCounter("shard_stream_bytes_read_total");
-  return counter.Value();
-#else
-  return 0;
-#endif
-}
-
-// Consecutive rising-delta iterations JacobiSolve tolerates before its
-// divergence abort (matches LinBpOptions::divergence_patience's default).
-constexpr int kFabpDivergencePatience = 5;
-
-// The f32-storage twin of la JacobiSolve specialized to the FaBP
-// operator: the iterate lives in a float vector and the SpMV runs the
-// backend's f32 kernel, while the per-element update (c1 * (Ax)_s -
-// c2 * d_s * y_s, then + x_s) and the delta reduction accumulate in
-// fp64 with one rounding per stored element. Stopping and divergence
-// logic mirror JacobiSolve exactly. Throws engine::StreamError on a
-// backend failure, like FabpOperator::Apply.
-JacobiResult JacobiSolveFabpF32(const engine::PropagationBackend& backend,
-                                double c1, double c2,
-                                const std::vector<double>& x,
-                                int max_iterations, double tolerance,
-                                const JacobiIterationObserver& observer,
-                                int divergence_patience,
-                                const exec::ExecContext& ctx) {
-  const std::int64_t n = backend.num_nodes();
-  LINBP_CHECK(static_cast<std::int64_t>(x.size()) == n);
-  const std::vector<double>& degrees = backend.weighted_degrees();
-  JacobiResult result;
-  std::vector<float> y(n, 0.0f);
-  std::vector<float> ax;
-  std::vector<double> deltas;
-  if (divergence_patience > 0) deltas.reserve(max_iterations);
-  int growth_streak = 0;
-  for (int it = 1; it <= max_iterations; ++it) {
-    WallTimer iteration_timer;
-    std::string error;
-    if (!backend.MultiplyVectorF32(y, ctx, &ax, &error)) {
-      throw engine::StreamError(error);
-    }
-    double delta = 0.0;
-    for (std::int64_t s = 0; s < n; ++s) {
-      const double propagated = c1 * static_cast<double>(ax[s]) -
-                                c2 * degrees[s] * static_cast<double>(y[s]);
-      const float next = static_cast<float>(x[s] + propagated);
-      delta = std::max(delta, std::abs(static_cast<double>(next) -
-                                       static_cast<double>(y[s])));
-      y[s] = next;
-    }
-    result.iterations = it;
-    if (divergence_patience > 0) {
-      growth_streak =
-          delta > result.last_delta && it > 1 ? growth_streak + 1 : 0;
-      deltas.push_back(delta);
-    }
-    result.last_delta = delta;
-    if (observer) observer(it, delta, iteration_timer.Seconds());
-    if (delta <= tolerance) {
-      result.converged = true;
-      break;
-    }
-    if (divergence_patience > 0 && growth_streak >= divergence_patience &&
-        delta > deltas.front() && FitContractionRate(deltas) > 1.0) {
-      result.diverged = true;
-      break;
-    }
-  }
-  result.solution.assign(y.begin(), y.end());
-  return result;
-}
-
-}  // namespace
 
 FabpResult RunFabp(const engine::PropagationBackend& backend, double h,
                    const std::vector<double>& explicit_residuals,
                    const FabpOptions& options) {
-  const int max_iterations = options.max_iterations;
-  const double tolerance = options.tolerance;
-  const exec::ExecContext& exec = options.exec;
-  const SweepObserver& observer = options.observer;
-  LINBP_CHECK(static_cast<std::int64_t>(explicit_residuals.size()) ==
-              backend.num_nodes());
+  const std::int64_t n = backend.num_nodes();
+  LINBP_CHECK(static_cast<std::int64_t>(explicit_residuals.size()) == n);
   LINBP_CHECK_MSG(std::abs(h) < 0.5, "|h| must be < 1/2");
   const double denom = 1.0 - 4.0 * h * h;
-  const double c1 = 2.0 * h / denom;
-  const double c2 = 4.0 * h * h / denom;
-  const FabpOperator op(&backend, c1, c2, &exec);
-  FabpResult result;
-  // Bridge each Jacobi iteration into the shared sweep telemetry path
-  // (registry series fabp_*, the "fabp_sweep" time series; magnitude and
-  // delta_l2 are not tracked by JacobiSolve, so they report as 0). The
-  // deltas double as the input of the convergence-diagnostics fit.
-  const std::int64_t rows = backend.num_nodes();
-  const std::int64_t nnz = backend.num_stored_entries();
-  std::vector<double> deltas;
-  deltas.reserve(std::max(max_iterations, 0));
-  std::int64_t last_bytes = StreamBytesCounterValue();
-  double prev_delta = 0.0;
-  const JacobiIterationObserver iteration_observer =
-      [&](int it, double delta, double seconds) {
-        LINBP_OBS_COUNTER_ADD("fabp_sweeps_total", 1);
-        LINBP_OBS_COUNTER_ADD("fabp_rows_processed_total", rows);
-        LINBP_OBS_COUNTER_ADD("fabp_nnz_processed_total", nnz);
-        LINBP_OBS_HISTOGRAM_OBSERVE("fabp_sweep_seconds", seconds);
-        const std::int64_t bytes_now = StreamBytesCounterValue();
-        {
-          obs::TimeSeriesSample sample;
-          sample.sweep = it;
-          sample.delta = delta;
-          sample.seconds = seconds;
-          sample.bytes_streamed = bytes_now - last_bytes;
-          sample.precision = PrecisionName(options.precision);
-          LINBP_OBS_TIMESERIES_APPEND("fabp_sweep", sample);
-        }
-        deltas.push_back(delta);
-        if (observer) {
-          SweepTelemetry telemetry;
-          telemetry.sweep = it;
-          telemetry.delta = delta;
-          telemetry.seconds = seconds;
-          telemetry.contraction =
-              it > 1 && prev_delta > 0.0 ? delta / prev_delta : 0.0;
-          telemetry.rows = rows;
-          telemetry.nnz = nnz;
-          telemetry.bytes_streamed = bytes_now - last_bytes;
-          telemetry.precision = options.precision;
-          observer(telemetry);
-        }
-        last_bytes = bytes_now;
-        prev_delta = delta;
-      };
-  try {
-    obs::ScopedSpan span("fabp_solve");
-    LINBP_OBS_TIMESERIES_BEGIN_RUN("fabp_sweep");
-    const JacobiResult jacobi =
-        options.precision == Precision::kF32
-            ? JacobiSolveFabpF32(backend, c1, c2, explicit_residuals,
-                                 max_iterations, tolerance,
-                                 iteration_observer, kFabpDivergencePatience,
-                                 exec)
-            : JacobiSolve(op, explicit_residuals, max_iterations, tolerance,
-                          iteration_observer, kFabpDivergencePatience);
-    if (span.active()) {
-      span.SetAttr("iterations", jacobi.iterations);
-      span.SetAttr("delta", jacobi.last_delta);
-      span.SetAttr("rows", rows);
-      span.SetAttr("nnz", nnz);
-      span.SetAttr("precision", PrecisionName(options.precision));
-    }
-    result.beliefs = jacobi.solution;
-    result.iterations = jacobi.iterations;
-    result.converged = jacobi.converged;
-    result.diagnostics.empirical_contraction = FitContractionRate(deltas);
-    {
-      const int window = 16;
-      const std::size_t begin =
-          deltas.size() > static_cast<std::size_t>(window)
-              ? deltas.size() - static_cast<std::size_t>(window)
-              : 0;
-      for (std::size_t i = begin; i < deltas.size(); ++i) {
-        if (std::isfinite(deltas[i]) && deltas[i] > 0.0) {
-          ++result.diagnostics.fitted_sweeps;
-        }
-      }
-    }
-    const double rho = result.diagnostics.empirical_contraction;
-    if (jacobi.converged) {
-      result.diagnostics.predicted_sweeps_to_tolerance = 0.0;
-    } else if (rho > 0.0 && rho < 1.0 && tolerance > 0.0 &&
-               jacobi.last_delta > tolerance) {
-      result.diagnostics.predicted_sweeps_to_tolerance = std::ceil(
-          std::log(tolerance / jacobi.last_delta) / std::log(rho));
-    }
-    if (jacobi.diverged) {
-      // rho(c1 A - c2 D) >= 1: report with the exact spectral estimate
-      // when the backend survives the extra products.
-      try {
-        const PowerIterationResult power = PowerIteration(op);
-        result.diagnostics.spectral_radius_estimate = power.spectral_radius;
-      } catch (const engine::StreamError&) {
-        // Estimate unavailable; the fit still carries the diagnosis.
-      }
-      result.diverged = true;
-      result.failed = true;
-      char spectral[64];
-      if (result.diagnostics.spectral_radius_estimate >= 0.0) {
-        std::snprintf(spectral, sizeof(spectral), "%.6g",
-                      result.diagnostics.spectral_radius_estimate);
-      } else {
-        std::snprintf(spectral, sizeof(spectral), "unavailable");
-      }
-      char buffer[256];
-      std::snprintf(buffer, sizeof(buffer),
-                    "diverging: residual delta rose for %d consecutive "
-                    "sweeps (completed %d sweeps, rho_hat=%.6g, spectral "
-                    "radius estimate=%s)",
-                    kFabpDivergencePatience, jacobi.iterations, rho,
-                    spectral);
-      result.error = buffer;
-    }
-  } catch (const engine::StreamError& stream_error) {
-    result.failed = true;
-    result.error = stream_error.what();
+  const DenseMatrix c1{{2.0 * h / denom}};
+  const DenseMatrix c2{{4.0 * h * h / denom}};
+  LinBpOptions loop_options;
+  loop_options.max_iterations = options.max_iterations;
+  loop_options.tolerance = options.tolerance;
+  loop_options.exec = options.exec;
+  loop_options.sweep_observer = options.observer;
+  loop_options.precision = options.precision;
+
+  // From zero beliefs the first sweep lands on the priors, as the scalar
+  // Jacobi iteration b <- e + c1*A*b - c2*D*b always started.
+  DenseMatrix beliefs(n, 1);
+  obs::ScopedSpan span("fabp_solve");
+  const core_internal::SweepLoopResult loop = core_internal::RunSweepLoop(
+      backend, c1, &c2, DenseMatrix::FromVectorized(explicit_residuals, n, 1),
+      loop_options, /*spectral_hint=*/-1.0, core_internal::SweepFamily::kFabp,
+      &beliefs);
+  if (span.active()) {
+    span.SetAttr("iterations", loop.iterations);
+    span.SetAttr("delta", loop.last_delta);
+    span.SetAttr("rows", n);
+    span.SetAttr("nnz", backend.num_stored_entries());
+    span.SetAttr("precision", PrecisionName(options.precision));
   }
+  FabpResult result;
+  result.beliefs = std::move(beliefs.mutable_data());
+  result.iterations = loop.iterations;
+  result.converged = loop.converged;
+  result.diverged = loop.diverged;
+  result.failed = loop.failed;
+  result.error = loop.error;
+  result.diagnostics = loop.diagnostics;
   return result;
 }
 
@@ -264,29 +56,6 @@ FabpResult RunFabp(const Graph& graph, double h,
                    const FabpOptions& options) {
   const engine::InMemoryBackend backend(&graph);
   return RunFabp(backend, h, explicit_residuals, options);
-}
-
-FabpResult RunFabp(const engine::PropagationBackend& backend, double h,
-                   const std::vector<double>& explicit_residuals,
-                   int max_iterations, double tolerance,
-                   const exec::ExecContext& exec,
-                   const SweepObserver& observer) {
-  FabpOptions options;
-  options.max_iterations = max_iterations;
-  options.tolerance = tolerance;
-  options.exec = exec;
-  options.observer = observer;
-  return RunFabp(backend, h, explicit_residuals, options);
-}
-
-FabpResult RunFabp(const Graph& graph, double h,
-                   const std::vector<double>& explicit_residuals,
-                   int max_iterations, double tolerance,
-                   const exec::ExecContext& exec,
-                   const SweepObserver& observer) {
-  const engine::InMemoryBackend backend(&graph);
-  return RunFabp(backend, h, explicit_residuals, max_iterations, tolerance,
-                 exec, observer);
 }
 
 }  // namespace linbp

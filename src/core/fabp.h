@@ -6,7 +6,10 @@
 //   b = (I_n - c1 * A + c2 * D)^-1 e
 // with c1 = 2h / (1 - 4h^2) and c2 = 4h^2 / (1 - 4h^2). This equals the
 // kLinBpExact variant specialized to k = 2 (the paper shows both centering
-// choices lead to the same equation).
+// choices lead to the same equation). The Jacobi update
+// b <- e + c1*A*b - c2*D*b is the LinBP sweep B <- E + A*B*M - D*B*M2
+// with n x 1 beliefs, M = [c1] and M2 = [c2], so FaBP runs the LinBP sweep
+// loop at k = 1.
 
 #ifndef LINBP_CORE_FABP_H_
 #define LINBP_CORE_FABP_H_
@@ -21,22 +24,21 @@
 
 namespace linbp {
 
-/// Result of a FaBP solve.
+/// Result of a FaBP solve. The flags mean what they mean on LinBpResult.
 struct FabpResult {
   /// Per-node scalar residual belief in class 0 (class 1 is its negation).
   std::vector<double> beliefs;
   int iterations = 0;
   bool converged = false;
-  /// The Jacobi iteration was detected as diverging (residual delta grew
-  /// for several consecutive iterations with a fitted contraction rate
-  /// above 1) and aborted early. `failed` is then also set and `error`
-  /// carries the diagnostic (rho-hat and, when computable, the rho(M)
-  /// power-iteration estimate).
+  /// The sweeps diverged: a non-finite delta, a belief magnitude above
+  /// 1e12, or the early abort (the delta rose for 5 consecutive sweeps
+  /// with a fitted contraction rate above 1). The early abort also sets
+  /// `failed`, and `error` then carries rho-hat and, when computable, the
+  /// power-iteration estimate of rho(c1 A - c2 D).
   bool diverged = false;
-  /// A streamed backend failed mid-solve; `error` describes the failure
-  /// and `beliefs` is empty. Always false for in-memory backends. Also
-  /// set by a divergence abort (see `diverged`) — `beliefs` then holds
-  /// the last iterate for inspection.
+  /// A streamed backend failed mid-solve, or the divergence early abort
+  /// fired; `error` describes it. `beliefs` holds the last completed
+  /// sweep: the failing sweep is never partially applied.
   bool failed = false;
   std::string error;
   /// Fitted convergence diagnostics of this run (see linbp.h).
@@ -45,54 +47,35 @@ struct FabpResult {
 
 /// Options for RunFabp (mirrors LinBpOptions for the binary solver).
 struct FabpOptions {
-  /// Maximum Jacobi iterations.
+  /// Maximum sweeps.
   int max_iterations = 1000;
   /// Stop when the max abs belief change falls below this.
   double tolerance = 1e-13;
-  /// Where the per-iteration SpMV and scaling run.
+  /// Where the sweeps run.
   exec::ExecContext exec = exec::ExecContext::Default();
-  /// Per-iteration telemetry hook (one SweepTelemetry per Jacobi
-  /// iteration); independent of it, iterations record into the global
-  /// obs registry and active tracer.
+  /// Per-sweep telemetry hook; independent of it, sweeps record into the
+  /// global obs registry (the fabp_* metrics and the "fabp_sweep" time
+  /// series) and the active tracer.
   SweepObserver observer;
-  /// Storage precision of the belief vector on the iteration hot path.
-  /// kF32 runs the f32 SpMV kernels with fp64 delta accumulation and
-  /// widens the solution on exit; kF64 is bit-identical to the
-  /// pre-precision-seam solver.
+  /// Storage precision of the beliefs on the sweep hot path (see
+  /// LinBpOptions::precision).
   Precision precision = Precision::kF64;
 };
 
-/// Solves the binary linearized system by Jacobi iteration over any
-/// propagation backend. `h` is the scalar coupling residual (homophily
-/// h > 0, heterophily h < 0, |h| < 1/2) and `explicit_residuals` the
-/// per-node scalar priors (0 if unlabeled). The per-sweep SpMV and
-/// scaling run on `options.exec` (bit-identical across backends and
-/// thread counts per precision: per-row ownership throughout).
+/// Solves the binary linearized system over any propagation backend with
+/// the LinBP sweep loop, from zero beliefs. `h` is the scalar coupling
+/// residual (homophily h > 0, heterophily h < 0, |h| < 1/2) and
+/// `explicit_residuals` the per-node scalar priors (0 if unlabeled).
+/// Beliefs are bit-identical across backends and thread counts per
+/// precision.
 FabpResult RunFabp(const engine::PropagationBackend& backend, double h,
                    const std::vector<double>& explicit_residuals,
-                   const FabpOptions& options);
+                   const FabpOptions& options = {});
 
 /// RunFabp on a resident graph (wraps engine::InMemoryBackend).
 FabpResult RunFabp(const Graph& graph, double h,
                    const std::vector<double>& explicit_residuals,
-                   const FabpOptions& options);
-
-/// Loose-argument overloads preserved for the pre-FabpOptions call
-/// surface; they delegate to the options form (precision kF64).
-FabpResult RunFabp(const engine::PropagationBackend& backend, double h,
-                   const std::vector<double>& explicit_residuals,
-                   int max_iterations = 1000, double tolerance = 1e-13,
-                   const exec::ExecContext& exec =
-                       exec::ExecContext::Default(),
-                   const SweepObserver& observer = {});
-
-/// RunFabp on a resident graph (wraps engine::InMemoryBackend).
-FabpResult RunFabp(const Graph& graph, double h,
-                   const std::vector<double>& explicit_residuals,
-                   int max_iterations = 1000, double tolerance = 1e-13,
-                   const exec::ExecContext& exec =
-                       exec::ExecContext::Default(),
-                   const SweepObserver& observer = {});
+                   const FabpOptions& options = {});
 
 }  // namespace linbp
 

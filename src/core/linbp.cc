@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/convergence.h"
 #include "src/engine/backend_ops.h"
 #include "src/engine/in_memory_backend.h"
 #include "src/la/dense_linalg.h"
@@ -29,22 +28,37 @@ DenseMatrix ExactModulation(const DenseMatrix& hhat) {
 }
 
 namespace core_internal {
+namespace {
 
-void ReportSweep(const SweepTelemetry& telemetry, const SweepObserver& observer,
-                 obs::ScopedSpan* span) {
-  LINBP_OBS_COUNTER_ADD("linbp_sweeps_total", 1);
-  LINBP_OBS_COUNTER_ADD("linbp_rows_processed_total", telemetry.rows);
-  LINBP_OBS_COUNTER_ADD("linbp_nnz_processed_total", telemetry.nnz);
-  LINBP_OBS_HISTOGRAM_OBSERVE("linbp_sweep_seconds", telemetry.seconds);
-  {
-    obs::TimeSeriesSample sample;
-    sample.sweep = telemetry.sweep;
-    sample.delta = telemetry.delta;
-    sample.delta_l2 = telemetry.delta_l2;
-    sample.seconds = telemetry.seconds;
-    sample.bytes_streamed = telemetry.bytes_streamed;
-    sample.precision = PrecisionName(telemetry.precision);
-    LINBP_OBS_TIMESERIES_APPEND("linbp_sweep", sample);
+// Records one completed sweep into the global metrics registry, the
+// family's time series, the enclosing trace span (may be null), and the
+// observer (may be empty), so cold, warm and FaBP sweeps report alike.
+void ReportSweep(SweepFamily family, const SweepTelemetry& telemetry,
+                 const SweepObserver& observer, obs::ScopedSpan* span) {
+  obs::TimeSeriesSample sample;
+  sample.sweep = telemetry.sweep;
+  sample.delta = telemetry.delta;
+  sample.delta_l2 = telemetry.delta_l2;
+  sample.seconds = telemetry.seconds;
+  sample.bytes_streamed = telemetry.bytes_streamed;
+  sample.precision = PrecisionName(telemetry.precision);
+  // The obs macros cache one handle per call site, so each family's
+  // names need call sites of their own.
+  switch (family) {
+    case SweepFamily::kLinBp:
+      LINBP_OBS_COUNTER_ADD("linbp_sweeps_total", 1);
+      LINBP_OBS_COUNTER_ADD("linbp_rows_processed_total", telemetry.rows);
+      LINBP_OBS_COUNTER_ADD("linbp_nnz_processed_total", telemetry.nnz);
+      LINBP_OBS_HISTOGRAM_OBSERVE("linbp_sweep_seconds", telemetry.seconds);
+      LINBP_OBS_TIMESERIES_APPEND("linbp_sweep", sample);
+      break;
+    case SweepFamily::kFabp:
+      LINBP_OBS_COUNTER_ADD("fabp_sweeps_total", 1);
+      LINBP_OBS_COUNTER_ADD("fabp_rows_processed_total", telemetry.rows);
+      LINBP_OBS_COUNTER_ADD("fabp_nnz_processed_total", telemetry.nnz);
+      LINBP_OBS_HISTOGRAM_OBSERVE("fabp_sweep_seconds", telemetry.seconds);
+      LINBP_OBS_TIMESERIES_APPEND("fabp_sweep", sample);
+      break;
   }
   if (span != nullptr && span->active()) {
     span->SetAttr("sweep", telemetry.sweep);
@@ -56,8 +70,6 @@ void ReportSweep(const SweepTelemetry& telemetry, const SweepObserver& observer,
   }
   if (observer) observer(telemetry);
 }
-
-namespace {
 
 // Current value of the shard-stream byte counter; per-sweep deltas give
 // the bytes a streamed backend read for that sweep (0 for in-memory
@@ -72,15 +84,16 @@ std::int64_t StreamBytesCounterValue() {
 #endif
 }
 
-// rho(M) via power iteration, or -1 when the estimate is unavailable
-// (kLinBpExact has no operator form here; streamed backends may fail).
+// rho of the swept operator B -> A*B*modulation - D*B*echo_modulation by
+// power iteration, or -1 when a streamed backend fails mid-estimate.
 double EstimateSpectralRadius(const engine::PropagationBackend& backend,
-                              const DenseMatrix& hhat, LinBpVariant variant,
+                              const DenseMatrix& modulation,
+                              const DenseMatrix* echo_modulation,
                               const exec::ExecContext& ctx) {
-  if (variant == LinBpVariant::kLinBpExact) return -1.0;
   try {
-    return LinBpOperatorSpectralRadius(backend, hhat, variant, 500, 1e-11,
-                                       ctx);
+    const engine::BackendLinBpOperator op(&backend, modulation,
+                                          echo_modulation, ctx);
+    return PowerIteration(op, 500, 1e-11).spectral_radius;
   } catch (const std::exception&) {
     return -1.0;
   }
@@ -142,19 +155,18 @@ bool SweepAndSwap(const engine::PropagationBackend& backend,
 }  // namespace
 
 SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
-                             const DenseMatrix& hhat,
                              const DenseMatrix& modulation,
-                             const DenseMatrix& echo_modulation, bool with_echo,
+                             const DenseMatrix* echo_modulation,
                              const DenseMatrix& explicit_residuals,
                              const LinBpOptions& options, double spectral_hint,
-                             DenseMatrix* beliefs) {
+                             SweepFamily family, DenseMatrix* beliefs) {
   const std::int64_t n = backend.num_nodes();
   const exec::ExecContext& ctx = options.exec;
   SweepLoopResult result;
   result.diagnostics.spectral_radius_estimate = spectral_hint;
   if (spectral_hint < 0.0 && options.estimate_spectral_radius) {
     result.diagnostics.spectral_radius_estimate =
-        EstimateSpectralRadius(backend, hhat, options.variant, ctx);
+        EstimateSpectralRadius(backend, modulation, echo_modulation, ctx);
   }
 
   // Each sweep writes a second belief buffer and swaps it in, so no sweep
@@ -163,7 +175,6 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
   // widened back into *beliefs on every exit path below; in f64 mode
   // *beliefs itself is one of the two buffers.
   const std::int64_t k = modulation.rows();
-  const DenseMatrix* echo = with_echo ? &echo_modulation : nullptr;
   const bool f32 = options.precision == Precision::kF32;
   DenseMatrix next;
   DenseMatrixF32 beliefs32;
@@ -181,17 +192,23 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
   deltas.reserve(std::max(options.max_iterations, 0));
   int growth_streak = 0;
   double prev_delta = 0.0;
-  LINBP_OBS_TIMESERIES_BEGIN_RUN("linbp_sweep");
+  const bool fabp = family == SweepFamily::kFabp;
+  if (fabp) {
+    LINBP_OBS_TIMESERIES_BEGIN_RUN("fabp_sweep");
+  } else {
+    LINBP_OBS_TIMESERIES_BEGIN_RUN("linbp_sweep");
+  }
   for (int it = 1; it <= options.max_iterations; ++it) {
-    obs::ScopedSpan span("linbp_sweep");
+    obs::ScopedSpan span(fabp ? "fabp_sweep" : "linbp_sweep");
     WallTimer sweep_timer;
     const std::int64_t bytes_before = StreamBytesCounterValue();
     LinBpSweepStats stats;
     const bool swept =
-        f32 ? SweepAndSwap(backend, modulation, echo, explicit32, ctx,
-                           &beliefs32, &next32, &stats, &result.error)
-            : SweepAndSwap(backend, modulation, echo, explicit_residuals,
-                           ctx, beliefs, &next, &stats, &result.error);
+        f32 ? SweepAndSwap(backend, modulation, echo_modulation, explicit32,
+                           ctx, &beliefs32, &next32, &stats, &result.error)
+            : SweepAndSwap(backend, modulation, echo_modulation,
+                           explicit_residuals, ctx, beliefs, &next, &stats,
+                           &result.error);
     if (!swept) {
       // The failing sweep was never applied: beliefs still hold sweep
       // it - 1, so callers can report the error with their state intact.
@@ -214,7 +231,7 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
     telemetry.nnz = backend.num_stored_entries();
     telemetry.bytes_streamed = StreamBytesCounterValue() - bytes_before;
     telemetry.precision = options.precision;
-    ReportSweep(telemetry, options.sweep_observer, &span);
+    ReportSweep(family, telemetry, options.sweep_observer, &span);
 
     growth_streak =
         it > 1 && stats.delta > prev_delta ? growth_streak + 1 : 0;
@@ -235,7 +252,8 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
       if (rho_hat > 1.0) {
         if (result.diagnostics.spectral_radius_estimate < 0.0) {
           result.diagnostics.spectral_radius_estimate =
-              EstimateSpectralRadius(backend, hhat, options.variant, ctx);
+              EstimateSpectralRadius(backend, modulation, echo_modulation,
+                                     ctx);
         }
         result.diverged = true;
         result.failed = true;
@@ -328,19 +346,21 @@ LinBpResult RunLinBp(const engine::PropagationBackend& backend,
 
   // Pick the modulation matrices for the requested variant. For kLinBpExact
   // the per-edge modulation is Hhat* and the echo term uses Hhat * Hhat*
-  // (Eq. 29); for kLinBp both collapse to Hhat and Hhat^2 (Theorem 4).
+  // (Eq. 29); for kLinBp both collapse to Hhat and Hhat^2 (Theorem 4);
+  // kLinBpStar drops the echo term.
   DenseMatrix modulation = hhat;
   if (options.variant == LinBpVariant::kLinBpExact) {
     modulation = ExactModulation(hhat);
   }
   const DenseMatrix echo_modulation = hhat.Multiply(modulation);
-  const bool with_echo = options.variant != LinBpVariant::kLinBpStar;
 
   LinBpResult result;
   result.beliefs = explicit_residuals;
   const core_internal::SweepLoopResult loop = core_internal::RunSweepLoop(
-      backend, hhat, modulation, echo_modulation, with_echo,
-      explicit_residuals, options, -1.0, &result.beliefs);
+      backend, modulation,
+      options.variant == LinBpVariant::kLinBpStar ? nullptr : &echo_modulation,
+      explicit_residuals, options, -1.0, core_internal::SweepFamily::kLinBp,
+      &result.beliefs);
   result.iterations = loop.iterations;
   result.converged = loop.converged;
   result.diverged = loop.diverged;

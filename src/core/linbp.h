@@ -23,10 +23,6 @@
 
 namespace linbp {
 
-namespace obs {
-class ScopedSpan;
-}  // namespace obs
-
 /// Which update equation to run.
 enum class LinBpVariant {
   kLinBp,       // Eq. 6, with echo cancellation
@@ -36,7 +32,7 @@ enum class LinBpVariant {
 
 /// Telemetry for one completed solver sweep, delivered to a
 /// SweepObserver. One "sweep" is one propagate + apply over all rows
-/// (LinBP), one Jacobi iteration (FaBP), or one geodesic level (SBP).
+/// (LinBP, and FaBP at k = 1), or one geodesic level (SBP).
 struct SweepTelemetry {
   int sweep = 0;                // 1-based within this (re-)solve
   double delta = 0.0;           // max abs belief change of the sweep
@@ -82,7 +78,7 @@ struct LinBpOptions {
   /// Estimate rho(M) of the update operator by power iteration before
   /// the solve (Lemma 8's exact convergence criterion) and surface it on
   /// the result's diagnostics. Costs ~hundreds of extra backend products,
-  /// so it is opt-in; ignored for kLinBpExact. Beliefs are unaffected.
+  /// so it is opt-in. Beliefs are unaffected.
   bool estimate_spectral_radius = false;
   /// Divergence early-abort: when the residual delta has risen for this
   /// many consecutive sweeps, exceeds the run's first delta, and the
@@ -115,8 +111,8 @@ struct ConvergenceDiagnostics {
   /// geometric decay from the last delta. 0 when already converged, -1
   /// when unknown (no usable fit or rho-hat >= 1).
   double predicted_sweeps_to_tolerance = -1.0;
-  /// rho(M) power-iteration estimate (LinBpOperatorSpectralRadius), only
-  /// when options.estimate_spectral_radius was set or a divergence abort
+  /// rho(M) power-iteration estimate for the operator the sweeps iterate,
+  /// only when options.estimate_spectral_radius was set or a divergence abort
   /// computed it for its error message; -1 when not computed. Compare
   /// against empirical_contraction: they agree within a few percent on a
   /// converging run.
@@ -180,14 +176,11 @@ LinBpSweepStats ApplyLinBpSweep(const exec::ExecContext& ctx,
                                 DenseMatrix* beliefs);
 
 namespace core_internal {
-/// Records one completed LinBP sweep into the global metrics registry
-/// (linbp_sweeps_total, linbp_sweep_seconds, linbp_rows_processed_total,
-/// linbp_nnz_processed_total), the "linbp_sweep" time series, the
-/// enclosing trace span (may be null), and the observer (may be empty).
-/// Shared by RunLinBp and LinBpState::Solve so cold and warm sweeps
-/// report identically.
-void ReportSweep(const SweepTelemetry& telemetry, const SweepObserver& observer,
-                 obs::ScopedSpan* span);
+/// The solver a sweep loop reports as: LinBP sweeps record into
+/// linbp_sweeps_total, linbp_rows_processed_total,
+/// linbp_nnz_processed_total, linbp_sweep_seconds and the "linbp_sweep"
+/// series and span; FaBP sweeps into their fabp_* counterparts.
+enum class SweepFamily { kLinBp, kFabp };
 
 /// Outcome of one RunSweepLoop call — LinBpResult minus the beliefs,
 /// which the loop updates in place.
@@ -201,25 +194,26 @@ struct SweepLoopResult {
   ConvergenceDiagnostics diagnostics;
 };
 
-/// The shared LinBP Jacobi sweep loop: one fused sweep
-/// (engine::BackendLinBpSweep) per iteration until convergence,
-/// divergence, failure, or options.max_iterations, with all
+/// The Jacobi sweep loop of LinBP and FaBP: one fused sweep
+/// (engine::BackendLinBpSweep) of
+///   B <- E + A*B*modulation - D*B*(*echo_modulation)
+/// (no echo term when `echo_modulation` is null) per iteration until
+/// convergence, divergence, failure, or options.max_iterations, with all
 /// observability (metrics, time series, spans, observer, diagnostics
-/// fit, divergence early-abort) attached. `modulation` /
-/// `echo_modulation` / `with_echo` select the variant's update;
-/// `spectral_hint` >= 0 supplies a precomputed rho(M) estimate (warm
-/// LinBpState re-solves) so the loop never re-runs power iteration.
-/// The loop swaps two belief buffers, one of them `beliefs`, and
-/// allocates nothing per sweep; `beliefs` ends on the last completed
-/// sweep and is never partially mutated by a failing one. Used by
-/// RunLinBp and LinBpState::Solve.
+/// fit, divergence early-abort) attached under `family`'s names. Its
+/// rho(M) estimates are of that operator: `spectral_hint` >= 0 supplies
+/// a cached one (warm LinBpState re-solves); otherwise power iteration
+/// runs when options.estimate_spectral_radius is set and for a
+/// divergence abort's message. The loop swaps two belief buffers, one of
+/// them `beliefs`, and allocates nothing per sweep; `beliefs` ends on
+/// the last completed sweep and is never partially mutated by a failing
+/// one. Used by RunLinBp, LinBpState::Solve and RunFabp.
 SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
-                             const DenseMatrix& hhat,
                              const DenseMatrix& modulation,
-                             const DenseMatrix& echo_modulation, bool with_echo,
+                             const DenseMatrix* echo_modulation,
                              const DenseMatrix& explicit_residuals,
                              const LinBpOptions& options, double spectral_hint,
-                             DenseMatrix* beliefs);
+                             SweepFamily family, DenseMatrix* beliefs);
 }  // namespace core_internal
 
 }  // namespace linbp

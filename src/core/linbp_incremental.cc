@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "src/core/convergence.h"
 #include "src/engine/in_memory_backend.h"
 #include "src/la/kron_ops.h"
 #include "src/obs/obs.h"
@@ -85,30 +84,18 @@ const Graph& LinBpState::graph() const {
 
 int LinBpState::Solve() {
   const DenseMatrix hhat2 = hhat_.Multiply(hhat_);
-  const bool with_echo = options_.variant == LinBpVariant::kLinBp;
   converged_ = false;
   last_error_.clear();
-  if (options_.estimate_spectral_radius && spectral_estimate_ < 0.0) {
-    try {
-      spectral_estimate_ = LinBpOperatorSpectralRadius(
-          *backend_, hhat_, options_.variant, 500, 1e-11, options_.exec);
-    } catch (const std::exception&) {
-      // Streamed backend failed mid-estimate: diagnostics stay without a
-      // spectral estimate; the solve itself proceeds (and reports its
-      // own failure if the stream is truly broken).
-    }
-  }
-  // The estimate (when any) travels as the hint, so the shared loop
-  // never re-runs power iteration on a warm re-solve.
-  LinBpOptions loop_options = options_;
-  loop_options.estimate_spectral_radius = false;
+  // The cached estimate travels as the hint, so the loop runs power
+  // iteration once per operator (when requested, or for a divergence
+  // abort's message), not on every warm re-solve.
   const core_internal::SweepLoopResult loop = core_internal::RunSweepLoop(
-      *backend_, hhat_, hhat_, hhat2, with_echo, explicit_residuals_,
-      loop_options, spectral_estimate_, &beliefs_);
+      *backend_, hhat_,
+      options_.variant == LinBpVariant::kLinBp ? &hhat2 : nullptr,
+      explicit_residuals_, options_, spectral_estimate_,
+      core_internal::SweepFamily::kLinBp, &beliefs_);
   diagnostics_ = loop.diagnostics;
   if (loop.diagnostics.spectral_radius_estimate >= 0.0) {
-    // A divergence abort computes the estimate for its error message;
-    // keep it cached for later re-solves on the same operator.
     spectral_estimate_ = loop.diagnostics.spectral_radius_estimate;
   }
   converged_ = loop.converged;

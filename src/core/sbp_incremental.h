@@ -8,8 +8,8 @@
 //                          unreachable nodes zeroed),
 //   * UpdateEdgeWeights  — weight changes (geodesics unchanged).
 // All touch only the affected region of the graph. The updates implement
-// the corrected level-ordered worklist described in DESIGN.md: the paper's
-// literal Datalog can re-target nodes with equal geodesic numbers; we
+// a corrected level-ordered worklist: the paper's literal Datalog can
+// re-target nodes with equal geodesic numbers; we
 // instead (1) maintain geodesic numbers, (2) seed the dirty set from
 // geodesic changes plus level-crossing edges that appeared, vanished, or
 // changed weight, and (3) recompute beliefs level by level. Results are

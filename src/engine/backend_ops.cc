@@ -102,6 +102,24 @@ bool Sweep(const PropagationBackend& backend, const DenseMatrix& hhat,
       ctx, stats, error);
 }
 
+// The propagate-only pass: *out = A*B*hhat - D*B*(*hhat2), no echo term
+// when hhat2 is null.
+bool Propagate(const PropagationBackend& backend, const DenseMatrix& hhat,
+               const DenseMatrix* hhat2, const DenseMatrix& beliefs,
+               const exec::ExecContext& ctx, DenseMatrix* out,
+               std::string* error) {
+  const std::int64_t n = backend.num_nodes();
+  LINBP_CHECK(beliefs.rows() == n && beliefs.cols() == hhat.rows());
+  LINBP_CHECK(out != &beliefs);
+  *out = DenseMatrix(n, hhat.rows());
+  LinBpRowStats unused;
+  return RunLinBpRows(
+      backend,
+      StepArgs<double>(backend, hhat, hhat2, beliefs.data().data(), nullptr,
+                       out->mutable_data().data()),
+      ctx, &unused, error);
+}
+
 }  // namespace
 
 bool BackendLinBpSweep(const PropagationBackend& backend,
@@ -129,17 +147,8 @@ bool BackendLinBpPropagate(const PropagationBackend& backend,
                            const DenseMatrix& beliefs, bool with_echo,
                            const exec::ExecContext& ctx, DenseMatrix* out,
                            std::string* error) {
-  const std::int64_t n = backend.num_nodes();
-  LINBP_CHECK(beliefs.rows() == n && beliefs.cols() == hhat.rows());
-  LINBP_CHECK(out != &beliefs);
-  *out = DenseMatrix(n, hhat.rows());
-  LinBpRowStats unused;
-  return RunLinBpRows(
-      backend,
-      StepArgs<double>(backend, hhat, with_echo ? &hhat2 : nullptr,
-                       beliefs.data().data(), nullptr,
-                       out->mutable_data().data()),
-      ctx, &unused, error);
+  return Propagate(backend, hhat, with_echo ? &hhat2 : nullptr, beliefs, ctx,
+                   out, error);
 }
 
 BackendAdjacencyOperator::BackendAdjacencyOperator(
@@ -161,30 +170,30 @@ void BackendAdjacencyOperator::Apply(const std::vector<double>& x,
 }
 
 BackendLinBpOperator::BackendLinBpOperator(const PropagationBackend* backend,
-                                           DenseMatrix hhat, bool with_echo,
+                                           DenseMatrix modulation,
+                                           const DenseMatrix* echo_modulation,
                                            exec::ExecContext ctx)
     : backend_(backend),
-      hhat_(std::move(hhat)),
-      hhat2_(hhat_.Multiply(hhat_)),
-      with_echo_(with_echo),
+      modulation_(std::move(modulation)),
       ctx_(std::move(ctx)) {
   LINBP_CHECK(backend_ != nullptr);
-  LINBP_CHECK(hhat_.rows() == hhat_.cols());
+  LINBP_CHECK(modulation_.rows() == modulation_.cols());
+  if (echo_modulation != nullptr) echo_modulation_ = *echo_modulation;
 }
 
 std::int64_t BackendLinBpOperator::dim() const {
-  return backend_->num_nodes() * hhat_.rows();
+  return backend_->num_nodes() * modulation_.rows();
 }
 
 void BackendLinBpOperator::Apply(const std::vector<double>& x,
                                  std::vector<double>* y) const {
-  const std::int64_t n = backend_->num_nodes();
-  const std::int64_t k = hhat_.rows();
-  const DenseMatrix b = UnvectorizeBeliefs(x, n, k);
+  const DenseMatrix b =
+      UnvectorizeBeliefs(x, backend_->num_nodes(), modulation_.rows());
   DenseMatrix out;
   std::string error;
-  if (!BackendLinBpPropagate(*backend_, hhat_, hhat2_, b, with_echo_, ctx_,
-                             &out, &error)) {
+  if (!Propagate(*backend_, modulation_,
+                 echo_modulation_ ? &*echo_modulation_ : nullptr, b, ctx_,
+                 &out, &error)) {
     throw StreamError(error);
   }
   *y = VectorizeBeliefs(out);

@@ -1,10 +1,10 @@
 // Backend-generalized LinBP steps and propagation operators.
 //
-// BackendLinBpSweep is the solvers' sweep: one pass of the fused row
-// kernel (LinBpRowsT in src/la/sparse_matrix.h) over a backend's row
-// blocks, each fanned out over nnz-balanced ranges of its rows
-// (exec::RowPartition::ForContext). It lives here once for both
-// backends and both precisions.
+// BackendLinBpSweep is the solvers' sweep (LinBP's, and FaBP's at k = 1):
+// one pass of the fused row kernel (LinBpRowsT in src/la/sparse_matrix.h)
+// over a backend's row blocks, each fanned out over nnz-balanced ranges
+// of its rows (exec::RowPartition::ForContext). It lives here once for
+// both backends and both precisions.
 // BackendLinBpPropagate runs the same pass with the propagate-only
 // epilogue, mirroring kron_ops' LinBpPropagate with the SparseMatrix
 // replaced by a PropagationBackend, and the LinearOperator adapters let
@@ -16,6 +16,7 @@
 #define LINBP_ENGINE_BACKEND_OPS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,26 +87,26 @@ class BackendAdjacencyOperator final : public LinearOperator {
   exec::ExecContext ctx_;
 };
 
-/// The implicit LinBP operator vec(B) -> vec(A*B*Hhat [- D*B*Hhat^2])
-/// over a backend — LinBpOperator generalized past the resident CSR.
-/// Apply() throws StreamError on a backend failure.
+/// The implicit operator vec(B) -> vec(A*B*M - D*B*M2) over a backend,
+/// for any modulation pair M = `modulation`, M2 = *`echo_modulation` (no
+/// echo term when null): (Hhat, Hhat^2) for LinBP, (Hhat*, Hhat Hhat*)
+/// for the exact variant, ([c1], [c2]) for FaBP. It is the propagation
+/// each RunSweepLoop sweep iterates. Apply() throws StreamError on a
+/// backend failure.
 class BackendLinBpOperator final : public LinearOperator {
  public:
-  BackendLinBpOperator(const PropagationBackend* backend, DenseMatrix hhat,
-                       bool with_echo,
+  BackendLinBpOperator(const PropagationBackend* backend,
+                       DenseMatrix modulation,
+                       const DenseMatrix* echo_modulation,
                        exec::ExecContext ctx = exec::ExecContext::Default());
   std::int64_t dim() const override;
   void Apply(const std::vector<double>& x,
              std::vector<double>* y) const override;
 
-  const DenseMatrix& hhat() const { return hhat_; }
-  const DenseMatrix& hhat2() const { return hhat2_; }
-
  private:
   const PropagationBackend* backend_;  // not owned
-  DenseMatrix hhat_;
-  DenseMatrix hhat2_;
-  bool with_echo_;
+  DenseMatrix modulation_;
+  std::optional<DenseMatrix> echo_modulation_;
   exec::ExecContext ctx_;
 };
 

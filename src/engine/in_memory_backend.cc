@@ -44,32 +44,5 @@ bool InMemoryBackend::VisitRowBlocks(Precision precision,
   return true;
 }
 
-bool InMemoryBackend::MultiplyDense(const DenseMatrix& b,
-                                    const exec::ExecContext& ctx,
-                                    DenseMatrix* out,
-                                    std::string* error) const {
-  (void)error;
-  *out = graph_->adjacency().MultiplyDense(b, ctx);
-  return true;
-}
-
-bool InMemoryBackend::MultiplyVector(const std::vector<double>& x,
-                                     const exec::ExecContext& ctx,
-                                     std::vector<double>* y,
-                                     std::string* error) const {
-  (void)error;
-  *y = graph_->adjacency().MultiplyVector(x, ctx);
-  return true;
-}
-
-bool InMemoryBackend::MultiplyVectorF32(const std::vector<float>& x,
-                                        const exec::ExecContext& ctx,
-                                        std::vector<float>* y,
-                                        std::string* error) const {
-  (void)error;
-  *y = graph_->adjacency().MultiplyVectorF32(x, ctx);
-  return true;
-}
-
 }  // namespace engine
 }  // namespace linbp

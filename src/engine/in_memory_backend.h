@@ -1,6 +1,5 @@
 // The resident-CSR propagation backend: a zero-cost adapter from a Graph
-// to the PropagationBackend interface. Products forward to the
-// SparseMatrix kernels unchanged and the block visitor sees the whole
+// to the PropagationBackend interface. The block visitor sees the whole
 // CSR as one block, so a solver running on this backend is bit-for-bit
 // the solver running on the Graph directly.
 
@@ -30,14 +29,6 @@ class InMemoryBackend final : public PropagationBackend {
   bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
                       const BlockVisitor& visit,
                       std::string* error) const override;
-  bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
-                     DenseMatrix* out, std::string* error) const override;
-  bool MultiplyVector(const std::vector<double>& x,
-                      const exec::ExecContext& ctx, std::vector<double>* y,
-                      std::string* error) const override;
-  bool MultiplyVectorF32(const std::vector<float>& x,
-                         const exec::ExecContext& ctx, std::vector<float>* y,
-                         std::string* error) const override;
 
   const Graph& graph() const { return *graph_; }
 

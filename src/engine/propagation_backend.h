@@ -1,26 +1,28 @@
 // Propagation backends: where the adjacency matrix lives during a solve.
 //
-// Every LinBP-family algorithm reduces to products of the (fixed,
-// symmetric) adjacency matrix A with skinny dense matrices or vectors,
+// Every LinBP-family algorithm reduces to passes over the rows of the
+// (fixed, symmetric) adjacency matrix A against skinny dense operands,
 // plus the diagonal degree echo term. The solvers in src/core therefore
-// do not need a materialized Graph — only something that can compute
-// A * B and A * x and hand out the weighted degrees. PropagationBackend
-// is that seam: InMemoryBackend wraps the resident CSR kernels
-// bit-for-bit, and ShardStreamBackend (src/engine/shard_stream_backend.h)
-// computes the same products by streaming the row blocks of a sharded
-// snapshot, never holding more than two blocks' CSR in memory.
+// do not need a materialized Graph — only something that hands out A's
+// rows and the weighted degrees. PropagationBackend is that seam, and
+// it has one primitive: VisitRowBlocks hands A out as CSR row blocks.
+// InMemoryBackend visits the resident CSR as one block, and
+// ShardStreamBackend (src/engine/shard_stream_backend.h) streams the row
+// blocks of a sharded snapshot, never holding more than two blocks' CSR
+// in memory. Everything else is written once on the primitive: the fused
+// LinBP / FaBP sweep (src/engine/backend_ops.h) and the SpMM / SpMV
+// members below.
 //
 // Contract: for the same on-disk/in-memory matrix, every backend must
-// produce BIT-IDENTICAL products at every thread count. Both backends
-// share the row-range kernels in src/la/sparse_matrix.h (SpmmRows /
-// SpmvRows / the fused LinBpRowsT), whose per-row results do not depend
-// on how rows are grouped into blocks, so this holds by construction.
+// produce BIT-IDENTICAL results at every thread count. The consumers run
+// the row-range kernels in src/la/sparse_matrix.h (SpmmRows / SpmvRows /
+// the fused LinBpRowsT), whose per-row results do not depend on how rows
+// are grouped into blocks or ranges, so this holds by construction.
 //
-// Failure model: in-memory products cannot fail; streamed products can
-// (I/O errors, checksum mismatches on a shard read mid-sweep). The
-// product methods return false and fill *error instead of aborting, so a
-// corrupted shard surfaces as a recoverable error with the caller's
-// state intact.
+// Failure model: in-memory visits cannot fail; streamed ones can (I/O
+// errors, checksum mismatches on a shard read mid-sweep). A failed visit
+// returns false and fills *error instead of aborting, so a corrupted
+// shard surfaces as a recoverable error with the caller's state intact.
 
 #ifndef LINBP_ENGINE_PROPAGATION_BACKEND_H_
 #define LINBP_ENGINE_PROPAGATION_BACKEND_H_
@@ -57,8 +59,8 @@ struct CsrBlock {
 /// block's rows.
 using BlockVisitor = std::function<void(const CsrBlock&)>;
 
-/// Abstract provider of the products one LinBP/FaBP propagation step
-/// needs over the n x n symmetric adjacency matrix A.
+/// Abstract provider of the n x n symmetric adjacency matrix A that every
+/// LinBP / FaBP propagation step passes over.
 class PropagationBackend {
  public:
   virtual ~PropagationBackend() = default;
@@ -75,8 +77,9 @@ class PropagationBackend {
 
   /// Visits A as CSR row blocks that tile [0, n) in row order, with the
   /// values in `precision`, calling `visit` once per block. The fused
-  /// LinBP sweep (src/engine/backend_ops.h) runs on this primitive; `ctx`
-  /// drives any I/O pipeline and the visitor fans out on it itself. The
+  /// LinBP / FaBP sweep (src/engine/backend_ops.h) and the products below
+  /// run on this primitive; `ctx` drives any I/O pipeline and the visitor
+  /// fans out on it itself. The
   /// block's arrays live until `visit` returns. Returns false and fills
   /// *error on a stream failure: the blocks before the failing one were
   /// visited, no later one is.
@@ -85,34 +88,18 @@ class PropagationBackend {
                               const BlockVisitor& visit,
                               std::string* error) const = 0;
 
-  /// *out = A * b (SpMM; b is n x k). Resizes *out. Returns false and
-  /// fills *error on a stream failure; *out is unspecified then.
-  virtual bool MultiplyDense(const DenseMatrix& b,
-                             const exec::ExecContext& ctx, DenseMatrix* out,
-                             std::string* error) const = 0;
+  /// *out = A * b (SpMM; b is n x k), on VisitRowBlocks: each block fans
+  /// out on `ctx` over nnz-balanced ranges of its rows. Resizes *out.
+  /// Returns false and fills *error on a stream failure; *out is
+  /// unspecified then.
+  bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
+                     DenseMatrix* out, std::string* error) const;
 
-  /// *y = A * x (SpMV). Resizes *y. Same failure contract as
-  /// MultiplyDense.
-  virtual bool MultiplyVector(const std::vector<double>& x,
-                              const exec::ExecContext& ctx,
-                              std::vector<double>* y,
-                              std::string* error) const = 0;
-
-  /// Float32 *y = A * x (FaBP's Precision::kF32 path). The default
-  /// implementation widens to fp64, runs MultiplyVector, and narrows the
-  /// result — correct for any backend (so test doubles keep working) but
-  /// without the bandwidth win; both real backends override it with the
-  /// f32 kernel. Same failure contract as MultiplyDense.
-  virtual bool MultiplyVectorF32(const std::vector<float>& x,
-                                 const exec::ExecContext& ctx,
-                                 std::vector<float>* y,
-                                 std::string* error) const {
-    std::vector<double> xd(x.begin(), x.end());
-    std::vector<double> yd;
-    if (!MultiplyVector(xd, ctx, &yd, error)) return false;
-    y->assign(yd.begin(), yd.end());
-    return true;
-  }
+  /// *y = A * x (SpMV, stored zeros skipped), the same way. Resizes *y.
+  /// Same failure contract as MultiplyDense.
+  bool MultiplyVector(const std::vector<double>& x,
+                      const exec::ExecContext& ctx, std::vector<double>* y,
+                      std::string* error) const;
 };
 
 /// Thrown by the LinearOperator adapters in src/engine/backend_ops.h when

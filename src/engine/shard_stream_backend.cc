@@ -1,12 +1,9 @@
 #include "src/engine/shard_stream_backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "src/exec/pipeline.h"
-#include "src/exec/row_partition.h"
-#include "src/la/sparse_matrix.h"
 #include "src/obs/obs.h"
 #include "src/util/check.h"
 
@@ -160,81 +157,6 @@ bool ShardStreamBackend::VisitRowBlocks(Precision precision,
           view.values = stored_f32 ? widened.data() : block.values.data();
         }
         visit(view);
-      },
-      error);
-}
-
-namespace {
-
-// Runs a row-range kernel rows(row_begin, row_end) over nnz-balanced
-// ranges of a block's rows on `ctx` — the split the fused sweep and the
-// resident kernels use too. The block owns its output rows exclusively
-// and the kernels are per-row-owned, so results are bit-identical to the
-// monolithic kernels at every width.
-void ForEachRange(
-    const CsrBlock& block, std::int64_t work_per_entry,
-    const exec::ExecContext& ctx,
-    const std::function<void(std::int64_t, std::int64_t)>& rows) {
-  const exec::RowPartition ranges = exec::RowPartition::ForContext(
-      ctx, block.row_ptr, block.num_rows, work_per_entry);
-  ctx.RunBlocks(ranges.num_blocks(), [&](std::int64_t p) {
-    rows(ranges.begin(p), ranges.end(p));
-  });
-}
-
-}  // namespace
-
-bool ShardStreamBackend::MultiplyDense(const DenseMatrix& b,
-                                       const exec::ExecContext& ctx,
-                                       DenseMatrix* out,
-                                       std::string* error) const {
-  const std::int64_t n = num_nodes();
-  const std::int64_t k = b.cols();
-  LINBP_CHECK(b.rows() == n);
-  *out = DenseMatrix(n, k);
-  const double* b_data = b.data().data();
-  double* out_data = out->mutable_data().data();
-  return VisitRowBlocks(
-      Precision::kF64, ctx,
-      [&](const CsrBlock& block) {
-        ForEachRange(block, k, ctx, [&](std::int64_t lo, std::int64_t hi) {
-          SpmmRows(block.row_ptr, block.col_idx, block.values, lo, hi, b_data,
-                   k, out_data + block.row_begin * k);
-        });
-      },
-      error);
-}
-
-bool ShardStreamBackend::MultiplyVector(const std::vector<double>& x,
-                                        const exec::ExecContext& ctx,
-                                        std::vector<double>* y,
-                                        std::string* error) const {
-  LINBP_CHECK(static_cast<std::int64_t>(x.size()) == num_nodes());
-  y->assign(num_nodes(), 0.0);
-  return VisitRowBlocks(
-      Precision::kF64, ctx,
-      [&](const CsrBlock& block) {
-        ForEachRange(block, 1, ctx, [&](std::int64_t lo, std::int64_t hi) {
-          SpmvRows(block.row_ptr, block.col_idx, block.values, lo, hi,
-                   x.data(), y->data() + block.row_begin);
-        });
-      },
-      error);
-}
-
-bool ShardStreamBackend::MultiplyVectorF32(const std::vector<float>& x,
-                                           const exec::ExecContext& ctx,
-                                           std::vector<float>* y,
-                                           std::string* error) const {
-  LINBP_CHECK(static_cast<std::int64_t>(x.size()) == num_nodes());
-  y->assign(num_nodes(), 0.0f);
-  return VisitRowBlocks(
-      Precision::kF32, ctx,
-      [&](const CsrBlock& block) {
-        ForEachRange(block, 1, ctx, [&](std::int64_t lo, std::int64_t hi) {
-          SpmvRowsT<float>(block.row_ptr, block.col_idx, block.values_f32,
-                           lo, hi, x.data(), y->data() + block.row_begin);
-        });
       },
       error);
 }

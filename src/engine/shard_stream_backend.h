@@ -19,8 +19,8 @@
 // ground truth); those are the same asymptotic size as the belief matrix
 // every solver holds anyway. Only the O(nnz) CSR stays on disk.
 //
-// A shard that fails its checksum mid-product (e.g. corruption appearing
-// between sweeps) makes the product return false with a descriptive
+// A shard that fails its checksum mid-visit (e.g. corruption appearing
+// between sweeps) makes the visit return false with a descriptive
 // error; the caller's solver state is left intact and the reader's
 // residency drops back to zero.
 
@@ -65,19 +65,10 @@ class ShardStreamBackend final : public PropagationBackend {
   /// pipeline. A block stored in the other precision is converted once
   /// as it is visited (f64-valued shards narrowed for an f32 visit,
   /// v2/f32 shards widened for an f64 one); a block in the requested
-  /// precision is handed over as stored. The products below visit the
-  /// same way.
+  /// precision is handed over as stored.
   bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
                       const BlockVisitor& visit,
                       std::string* error) const override;
-  bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
-                     DenseMatrix* out, std::string* error) const override;
-  bool MultiplyVector(const std::vector<double>& x,
-                      const exec::ExecContext& ctx, std::vector<double>* y,
-                      std::string* error) const override;
-  bool MultiplyVectorF32(const std::vector<float>& x,
-                         const exec::ExecContext& ctx, std::vector<float>* y,
-                         std::string* error) const override;
 
   // Scenario-level inputs a solver pipeline needs, derived at Open()
   // without adopting a global CSR:

@@ -4,7 +4,6 @@
 
 #include "src/util/check.h"
 #include "src/util/random.h"
-#include "src/util/timer.h"
 
 namespace linbp {
 
@@ -75,41 +74,27 @@ double FitContractionRate(const std::vector<double>& deltas, int window) {
 }
 
 JacobiResult JacobiSolve(const LinearOperator& op, const std::vector<double>& x,
-                         int max_iterations, double tolerance,
-                         const JacobiIterationObserver& observer,
-                         int divergence_patience) {
+                         int max_iterations, double tolerance) {
   LINBP_CHECK(static_cast<std::int64_t>(x.size()) == op.dim());
   JacobiResult result;
   result.solution.assign(x.size(), 0.0);
   std::vector<double> propagated;
-  std::vector<double> deltas;
-  if (divergence_patience > 0) deltas.reserve(max_iterations);
-  int growth_streak = 0;
   for (int it = 1; it <= max_iterations; ++it) {
-    WallTimer iteration_timer;
     op.Apply(result.solution, &propagated);
     double delta = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
       const double next = x[i] + propagated[i];
-      delta = std::max(delta, std::abs(next - result.solution[i]));
+      const double change = std::abs(next - result.solution[i]);
+      // Unlike std::max, this keeps a NaN change (inf - inf once the
+      // iterate overflows), so the finiteness check below sees it.
+      if (!(change <= delta)) delta = change;
       result.solution[i] = next;
     }
     result.iterations = it;
-    if (divergence_patience > 0) {
-      growth_streak = delta > result.last_delta && it > 1
-                          ? growth_streak + 1
-                          : 0;
-      deltas.push_back(delta);
-    }
     result.last_delta = delta;
-    if (observer) observer(it, delta, iteration_timer.Seconds());
+    if (!std::isfinite(delta)) break;
     if (delta <= tolerance) {
       result.converged = true;
-      break;
-    }
-    if (divergence_patience > 0 && growth_streak >= divergence_patience &&
-        delta > deltas.front() && FitContractionRate(deltas) > 1.0) {
-      result.diverged = true;
       break;
     }
   }

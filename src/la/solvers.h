@@ -9,7 +9,6 @@
 #define LINBP_LA_SOLVERS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/la/kron_ops.h"
@@ -45,31 +44,16 @@ struct JacobiResult {
   std::vector<double> solution;
   int iterations = 0;
   bool converged = false;
-  /// The solve aborted early: the delta grew for `divergence_patience`
-  /// consecutive iterations with a fitted contraction rate above 1.
-  bool diverged = false;
   double last_delta = 0.0;  // max abs change in the final sweep
 };
 
-/// Per-iteration telemetry hook for JacobiSolve: (1-based iteration,
-/// max abs change, wall seconds of the iteration). Observers only read;
-/// the solution is identical with or without one installed. The la layer
-/// stays observability-free — callers (e.g. RunFabp) bridge this into
-/// their own metrics.
-using JacobiIterationObserver = std::function<void(int, double, double)>;
-
 /// Solves y = x + M y by fixed-point iteration from y = 0 (equivalently,
 /// y = (I - M)^-1 x when rho(M) < 1). Stops when the max abs change drops
-/// below `tolerance` or after `max_iterations` sweeps. With
-/// `divergence_patience` > 0 the solve also aborts (result.diverged) once
-/// the delta has risen for that many consecutive iterations, exceeds its
-/// starting value, and FitContractionRate over the recent window is
-/// above 1 — a diverging rho(M) >= 1 system then stops in O(patience)
-/// sweeps instead of spinning to `max_iterations`.
+/// below `tolerance` or after `max_iterations` sweeps, and unconverged at
+/// the first sweep whose iterate is not finite (a rho(M) >= 1 system
+/// overflowing).
 JacobiResult JacobiSolve(const LinearOperator& op, const std::vector<double>& x,
-                         int max_iterations = 200, double tolerance = 1e-12,
-                         const JacobiIterationObserver& observer = {},
-                         int divergence_patience = 0);
+                         int max_iterations = 200, double tolerance = 1e-12);
 
 }  // namespace linbp
 

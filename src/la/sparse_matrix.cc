@@ -34,7 +34,7 @@ void ForEachRowBlock(const exec::ExecContext& ctx,
 // while a row's entries stream by.
 constexpr std::int64_t kColTile = 8;
 
-// LinBpRowsT for one k: kK in [2, kColTile] fixes k at compile time (the
+// LinBpRowsT for one k: kK in [1, kColTile] fixes k at compile time (the
 // row scratch then lives in registers and every k-loop unrolls); kK == 0
 // reads args.k at run time.
 template <typename Scalar, int kK>
@@ -239,6 +239,7 @@ template void SpmtvRowsT<float>(const std::int64_t*, const std::int32_t*,
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args) {
   switch (args.k) {
+    case 1: return LinBpRowsForK<Scalar, 1>(args);
     case 2: return LinBpRowsForK<Scalar, 2>(args);
     case 3: return LinBpRowsForK<Scalar, 3>(args);
     case 4: return LinBpRowsForK<Scalar, 4>(args);

@@ -143,9 +143,9 @@ struct LinBpRowsArgs {
 /// (zero entries skipped), then SubtractDegreeScaledEcho, then the
 /// apply step; a float range accumulates SpmmRowsT<float> in float and
 /// every dense product in fp64, rounding each stored element once as
-/// the f32 pipeline always has. k in [2, 8] runs a compile-time-k
-/// instantiation, any other k the same template with a runtime k.
-/// Instantiated for float and double only.
+/// the f32 pipeline always has. k in [1, 8] runs a compile-time-k
+/// instantiation (k = 1 is FaBP's scalar sweep), any other k the same
+/// template with a runtime k. Instantiated for float and double only.
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args);
 

@@ -115,7 +115,7 @@ void SbpSql::AddEdges(const Table& an) {
   }
   UnionAllInPlace(&a_, directed);
 
-  // Line 2 (corrected guard, see DESIGN.md): seed nodes are the targets of
+  // Line 2 (corrected guard, see sbp_sql.h): seed nodes are the targets of
   // new edges whose source is closer to explicit beliefs:
   //   Gn(t, min(gs + 1)) :- G(s, gs), An(s, t, _), not (G(t, gt), gt <= gs).
   Table frontier = directed;  // (s, t, w) rows; sources annotated below

@@ -5,7 +5,9 @@
 //   B(v, c, b) final residual beliefs (rows absent = residual 0).
 // Initial assignment (Algorithm 2) visits nodes level by level; the batch
 // updates (Algorithms 3 and 4) touch only affected nodes. Algorithm 4 uses
-// the corrected guard g_t > g_s discussed in DESIGN.md.
+// the corrected guard g_t > g_s: the paper's literal Datalog can
+// re-target nodes with equal geodesic numbers (see
+// src/core/sbp_incremental.h, which corrects it the same way).
 
 #ifndef LINBP_RELATIONAL_SBP_SQL_H_
 #define LINBP_RELATIONAL_SBP_SQL_H_

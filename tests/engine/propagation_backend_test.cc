@@ -77,7 +77,7 @@ TEST(BackendOpsTest, OperatorsMatchKronOps) {
   const LinBpOperator direct(&graph.adjacency(), graph.weighted_degrees(),
                              hhat, /*with_echo=*/true);
   const engine::BackendLinBpOperator generalized(&backend, hhat,
-                                                 /*with_echo=*/true);
+                                                 &direct.hhat2());
   ASSERT_EQ(direct.dim(), generalized.dim());
   std::vector<double> x(direct.dim());
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.02 * i - 0.5;
@@ -156,14 +156,15 @@ TEST(LinBpStateBackendTest, BackendConstructionMatchesGraphConstruction) {
   EXPECT_EQ(from_graph.beliefs().MaxAbsDiff(from_backend.beliefs()), 0.0);
 }
 
-// Wraps InMemoryBackend but fails the next block visit on demand — the
+// Wraps InMemoryBackend but fails a block visit on demand — the
 // in-memory stand-in for a shard checksum failure mid-solve. The visit
 // is the one primitive the solver's fused sweep runs on, so a test that
 // expects the injected error also proves the sweep went through it.
 class FlakyBackend final : public engine::PropagationBackend {
  public:
   explicit FlakyBackend(const Graph* graph) : inner_(graph) {}
-  void FailNextVisit() { armed_ = true; }
+  // Fails the visit that follows `skip` successful ones.
+  void FailNextVisit(int skip = 0) { countdown_ = skip + 1; }
 
   std::int64_t num_nodes() const override { return inner_.num_nodes(); }
   std::int64_t num_stored_entries() const override {
@@ -175,27 +176,42 @@ class FlakyBackend final : public engine::PropagationBackend {
   bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
                       const engine::BlockVisitor& visit,
                       std::string* error) const override {
-    if (armed_) {
-      armed_ = false;
+    if (countdown_ > 0 && --countdown_ == 0) {
       *error = "injected stream failure";
       return false;
     }
     return inner_.VisitRowBlocks(precision, ctx, visit, error);
   }
-  bool MultiplyDense(const DenseMatrix& b, const exec::ExecContext& ctx,
-                     DenseMatrix* out, std::string* error) const override {
-    return inner_.MultiplyDense(b, ctx, out, error);
-  }
-  bool MultiplyVector(const std::vector<double>& x,
-                      const exec::ExecContext& ctx, std::vector<double>* y,
-                      std::string* error) const override {
-    return inner_.MultiplyVector(x, ctx, y, error);
-  }
 
  private:
   engine::InMemoryBackend inner_;
-  mutable bool armed_ = false;
+  mutable int countdown_ = 0;
 };
+
+// FaBP runs on the LinBP sweep loop, so a visit failing mid-solve leaves
+// the last completed sweep behind, as it does for LinBP.
+TEST(BackendSolversTest, FabpMidSolveFailureKeepsLastCompletedSweep) {
+  const Graph graph = TestGraph();
+  std::vector<double> scalar(graph.num_nodes(), 0.0);
+  scalar[0] = 0.4;
+  scalar[3] = -0.2;
+  constexpr int kFailingVisit = 4;
+  FabpOptions capped;
+  capped.max_iterations = kFailingVisit - 1;
+  const FabpResult clean = RunFabp(graph, 0.05, scalar, capped);
+  ASSERT_EQ(clean.iterations, kFailingVisit - 1);
+  ASSERT_FALSE(clean.converged);
+
+  FlakyBackend flaky(&graph);
+  flaky.FailNextVisit(kFailingVisit - 1);
+  const FabpResult failed = RunFabp(flaky, 0.05, scalar);
+  EXPECT_TRUE(failed.failed);
+  EXPECT_FALSE(failed.diverged);
+  EXPECT_FALSE(failed.converged);
+  EXPECT_EQ(failed.error, "injected stream failure");
+  EXPECT_EQ(failed.iterations, kFailingVisit - 1);
+  EXPECT_EQ(failed.beliefs, clean.beliefs);
+}
 
 // A failed update must be all-or-nothing even when the batch names the
 // same node twice (the rollback must restore the ORIGINAL row, not the

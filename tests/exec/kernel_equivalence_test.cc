@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/convergence.h"
+#include "src/core/fabp.h"
 #include "src/core/linbp.h"
 #include "src/core/sbp.h"
 #include "src/dataset/registry.h"
@@ -343,14 +345,16 @@ bool StopsAfter(const LinBpSweepStats& stats, const LinBpOptions& options) {
 }
 
 // The f64 Jacobi loop built from the kept unfused primitives: SpMM, the
-// two coupling products, the echo subtraction, the apply step.
+// two coupling products, the echo subtraction, the apply step. It starts
+// from `start` (LinBP starts from E, FaBP from zero).
 SweepTrace UnfusedLinBp(const Graph& graph, const DenseMatrix& modulation,
                         const DenseMatrix* echo_modulation,
                         const DenseMatrix& explicit_residuals,
+                        const DenseMatrix& start,
                         const LinBpOptions& options) {
   const ExecContext serial = ExecContext::Serial();
   SweepTrace trace;
-  trace.beliefs = explicit_residuals;
+  trace.beliefs = start;
   for (int it = 1; it <= options.max_iterations; ++it) {
     DenseMatrix next = graph.adjacency()
                            .MultiplyDense(trace.beliefs, serial)
@@ -391,11 +395,12 @@ DenseMatrixF32 MultiplyWide(const DenseMatrixF32& m,
 SweepTrace UnfusedLinBpF32(const Graph& graph, const DenseMatrix& modulation,
                            const DenseMatrix* echo_modulation,
                            const DenseMatrix& explicit_residuals,
+                           const DenseMatrix& start,
                            const LinBpOptions& options) {
   const ExecContext serial = ExecContext::Serial();
   const std::vector<double>& degrees = graph.weighted_degrees();
   const DenseMatrixF32 e = DenseMatrixF32::FromF64(explicit_residuals);
-  DenseMatrixF32 b = e;
+  DenseMatrixF32 b = DenseMatrixF32::FromF64(start);
   SweepTrace trace;
   for (int it = 1; it <= options.max_iterations; ++it) {
     DenseMatrixF32 next = MultiplyWide(
@@ -446,6 +451,27 @@ SweepTrace FusedLinBp(const engine::PropagationBackend& backend,
   return trace;
 }
 
+// RunFabp with the loop settings of `options`, which FabpOptions mirrors.
+SweepTrace FusedFabp(const engine::PropagationBackend& backend, double h,
+                     const std::vector<double>& priors,
+                     const LinBpOptions& options) {
+  SweepTrace trace;
+  FabpOptions fabp;
+  fabp.max_iterations = options.max_iterations;
+  fabp.tolerance = options.tolerance;
+  fabp.exec = options.exec;
+  fabp.precision = options.precision;
+  fabp.observer = [&trace](const SweepTelemetry& t) {
+    trace.deltas.push_back(t.delta);
+  };
+  const FabpResult result = RunFabp(backend, h, priors, fabp);
+  EXPECT_FALSE(result.failed) << result.error;
+  trace.beliefs = DenseMatrix::FromVectorized(
+      result.beliefs, static_cast<std::int64_t>(result.beliefs.size()), 1);
+  trace.iterations = result.iterations;
+  return trace;
+}
+
 void ExpectSameTrace(const SweepTrace& fused, const SweepTrace& reference) {
   EXPECT_EQ(fused.iterations, reference.iterations);
   EXPECT_EQ(fused.deltas, reference.deltas);
@@ -456,30 +482,87 @@ void ExpectSameTrace(const SweepTrace& fused, const SweepTrace& reference) {
             0);
 }
 
-// Every k the kernel dispatches on (compile-time 2..8, runtime 9), every
-// variant, both precisions, threads {1, 2, 4, 8}, in memory and streamed
-// from v1, v2/f64 and v2/f32 shards with the block cache off and on:
-// beliefs, sweep count and every sweep's delta equal the unfused loop's.
+// The stream configurations of the fused-sweep matrix.
+struct Stream {
+  const char* name;
+  dataset::ShardCompression compression;
+  std::int64_t cache_budget;
+};
+const Stream kStreams[] = {
+    {"v1", dataset::ShardCompression::kNone, 0},
+    {"v1 cached", dataset::ShardCompression::kNone, std::int64_t{1} << 30},
+    {"v2/f64", dataset::ShardCompression::kF64, 0},
+    {"v2/f64 cached", dataset::ShardCompression::kF64, std::int64_t{1} << 30},
+    {"v2/f32", dataset::ShardCompression::kF32, 0},
+    {"v2/f32 cached", dataset::ShardCompression::kF32, std::int64_t{1} << 30},
+};
+
+// Opens one backend per stream configuration over `scenario`'s shards.
+// v2/f32 shards hold narrowed values, so *narrowed receives the bulk load
+// of those files: the reference of the streams that read them.
+void OpenStreams(const dataset::Scenario& scenario, const std::string& tag,
+                 std::vector<engine::ShardStreamBackend>* streamed,
+                 std::optional<Graph>* narrowed) {
+  std::string error;
+  for (const Stream& stream : kStreams) {
+    const std::string dir = ::testing::TempDir() + "/fused_" + tag + "_" +
+                            std::to_string(streamed->size());
+    std::filesystem::remove_all(dir);
+    const auto written =
+        dataset::ShardSnapshot(scenario, 3, dir, &error, stream.compression);
+    ASSERT_TRUE(written.has_value()) << error;
+    auto backend = engine::ShardStreamBackend::Open(
+        written->manifest_path, &error, ExecContext::Serial(),
+        stream.cache_budget);
+    ASSERT_TRUE(backend.has_value()) << error;
+    streamed->push_back(std::move(*backend));
+    if (stream.compression == dataset::ShardCompression::kF32 &&
+        !narrowed->has_value()) {
+      auto loaded =
+          dataset::LoadShardedSnapshot(written->manifest_path, &error);
+      ASSERT_TRUE(loaded.has_value()) << error;
+      *narrowed = std::move(loaded->graph);
+    }
+  }
+}
+
+// Runs `fused` in memory and on every stream at every context, and
+// expects each run to reproduce `expected` (`expected_narrowed` on the
+// streams that read f32-valued shards).
+void ExpectFusedEverywhere(
+    const std::function<SweepTrace(const engine::PropagationBackend&,
+                                   const LinBpOptions&)>& fused,
+    const engine::PropagationBackend& in_memory,
+    const std::vector<engine::ShardStreamBackend>& streamed,
+    const std::vector<ExecContext>& contexts, LinBpOptions options,
+    const SweepTrace& expected, const SweepTrace& expected_narrowed) {
+  for (std::size_t t = 0; t < contexts.size(); ++t) {
+    options.exec = contexts[t];
+    SCOPED_TRACE(::testing::Message() << "threads " << kThreadCounts[t]);
+    {
+      SCOPED_TRACE("in memory");
+      ExpectSameTrace(fused(in_memory, options), expected);
+    }
+    for (std::size_t s = 0; s < streamed.size(); ++s) {
+      SCOPED_TRACE(kStreams[s].name);
+      const bool f32_values =
+          kStreams[s].compression == dataset::ShardCompression::kF32;
+      ExpectSameTrace(fused(streamed[s], options),
+                      f32_values ? expected_narrowed : expected);
+    }
+  }
+}
+
+// Every k the kernel dispatches on (compile-time 1..8, runtime 9; k = 1
+// is FaBP), every variant, both precisions, threads {1, 2, 4, 8}, in
+// memory and streamed from v1, v2/f64 and v2/f32 shards with the block
+// cache off and on: beliefs, sweep count and every sweep's delta equal
+// the unfused loop's.
 TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
   std::vector<ExecContext> contexts;
   for (const int threads : kThreadCounts) {
     contexts.push_back(ExecContext::WithThreads(threads));
   }
-  struct Stream {
-    const char* name;
-    dataset::ShardCompression compression;
-    std::int64_t cache_budget;
-  };
-  const Stream kStreams[] = {
-      {"v1", dataset::ShardCompression::kNone, 0},
-      {"v1 cached", dataset::ShardCompression::kNone, std::int64_t{1} << 30},
-      {"v2/f64", dataset::ShardCompression::kF64, 0},
-      {"v2/f64 cached", dataset::ShardCompression::kF64,
-       std::int64_t{1} << 30},
-      {"v2/f32", dataset::ShardCompression::kF32, 0},
-      {"v2/f32 cached", dataset::ShardCompression::kF32,
-       std::int64_t{1} << 30},
-  };
   const LinBpVariant kVariants[] = {LinBpVariant::kLinBp,
                                     LinBpVariant::kLinBpStar,
                                     LinBpVariant::kLinBpExact};
@@ -496,34 +579,10 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
         0.5 * SufficientEpsilonBound(scenario->graph, coupling,
                                      LinBpVariant::kLinBp));
     const DenseMatrix& e = scenario->explicit_residuals;
-
-    // One backend per shard format and cache setting; v2/f32 shards hold
-    // narrowed values, so their reference runs on the bulk load of the
-    // same files.
     std::vector<engine::ShardStreamBackend> streamed;
     std::optional<Graph> narrowed;
-    for (const Stream& stream : kStreams) {
-      const std::string dir = ::testing::TempDir() + "/fused_k" +
-                              std::to_string(k) + "_" +
-                              std::to_string(streamed.size());
-      std::filesystem::remove_all(dir);
-      const auto written =
-          dataset::ShardSnapshot(*scenario, 3, dir, &error,
-                                 stream.compression);
-      ASSERT_TRUE(written.has_value()) << error;
-      auto backend = engine::ShardStreamBackend::Open(
-          written->manifest_path, &error, ExecContext::Serial(),
-          stream.cache_budget);
-      ASSERT_TRUE(backend.has_value()) << error;
-      streamed.push_back(std::move(*backend));
-      if (stream.compression == dataset::ShardCompression::kF32 &&
-          !narrowed.has_value()) {
-        auto loaded =
-            dataset::LoadShardedSnapshot(written->manifest_path, &error);
-        ASSERT_TRUE(loaded.has_value()) << error;
-        narrowed = std::move(loaded->graph);
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(OpenStreams(*scenario, "k" + std::to_string(k),
+                                        &streamed, &narrowed));
     const engine::InMemoryBackend in_memory(&scenario->graph);
 
     for (const LinBpVariant variant : kVariants) {
@@ -534,6 +593,9 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
       const DenseMatrix* echo_modulation =
           variant == LinBpVariant::kLinBpStar ? nullptr : &echo;
       for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k " << k << ", variant " << static_cast<int>(variant)
+                     << ", " << PrecisionName(precision));
         LinBpOptions options;
         options.variant = variant;
         options.precision = precision;
@@ -542,37 +604,66 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
         const auto reference = [&](const Graph& graph) {
           return precision == Precision::kF32
                      ? UnfusedLinBpF32(graph, modulation, echo_modulation, e,
-                                       options)
-                     : UnfusedLinBp(graph, modulation, echo_modulation, e,
+                                       e, options)
+                     : UnfusedLinBp(graph, modulation, echo_modulation, e, e,
                                     options);
         };
         const SweepTrace expected = reference(scenario->graph);
-        const SweepTrace expected_narrowed = reference(*narrowed);
         ASSERT_GE(expected.iterations, 3);
         ASSERT_LT(expected.iterations, options.max_iterations);
-
-        for (std::size_t t = 0; t < contexts.size(); ++t) {
-          options.exec = contexts[t];
-          SCOPED_TRACE(::testing::Message()
-                       << "k " << k << ", variant "
-                       << static_cast<int>(variant) << ", "
-                       << PrecisionName(precision) << ", threads "
-                       << kThreadCounts[t]);
-          {
-            SCOPED_TRACE("in memory");
-            ExpectSameTrace(FusedLinBp(in_memory, hhat, e, options),
-                            expected);
-          }
-          for (std::size_t s = 0; s < streamed.size(); ++s) {
-            SCOPED_TRACE(kStreams[s].name);
-            const bool f32_values =
-                kStreams[s].compression == dataset::ShardCompression::kF32;
-            ExpectSameTrace(FusedLinBp(streamed[s], hhat, e, options),
-                            f32_values ? expected_narrowed : expected);
-          }
-        }
+        ExpectFusedEverywhere(
+            [&](const engine::PropagationBackend& backend,
+                const LinBpOptions& run) {
+              return FusedLinBp(backend, hhat, e, run);
+            },
+            in_memory, streamed, contexts, options, expected,
+            reference(*narrowed));
       }
     }
+  }
+
+  // k = 1 is FaBP: the sweep over n x 1 beliefs with modulation [c1] and
+  // echo modulation [c2], started from zero beliefs.
+  std::string error;
+  const auto scenario = dataset::MakeScenario(
+      "sbm:n=240,k=2,deg=6,labeled=0.1,seed=1", &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  const std::int64_t n = scenario->graph.num_nodes();
+  std::vector<double> priors(static_cast<std::size_t>(n));
+  for (std::int64_t v = 0; v < n; ++v) {
+    priors[v] = scenario->explicit_residuals.At(v, 0);
+  }
+  const double h = 0.04;
+  const double denom = 1.0 - 4.0 * h * h;
+  const DenseMatrix c1{{2.0 * h / denom}};
+  const DenseMatrix c2{{4.0 * h * h / denom}};
+  const DenseMatrix e = DenseMatrix::FromVectorized(priors, n, 1);
+  const DenseMatrix zero(n, 1);
+  std::vector<engine::ShardStreamBackend> streamed;
+  std::optional<Graph> narrowed;
+  ASSERT_NO_FATAL_FAILURE(OpenStreams(*scenario, "k1", &streamed, &narrowed));
+  const engine::InMemoryBackend in_memory(&scenario->graph);
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "k 1 (FaBP), " << PrecisionName(precision));
+    LinBpOptions options;
+    options.precision = precision;
+    options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
+    const auto reference = [&](const Graph& graph) {
+      return precision == Precision::kF32
+                 ? UnfusedLinBpF32(graph, c1, &c2, e, zero, options)
+                 : UnfusedLinBp(graph, c1, &c2, e, zero, options);
+    };
+    const SweepTrace expected = reference(scenario->graph);
+    ASSERT_GE(expected.iterations, 3);
+    ASSERT_LT(expected.iterations, options.max_iterations);
+    ExpectFusedEverywhere(
+        [&](const engine::PropagationBackend& backend,
+            const LinBpOptions& run) {
+          return FusedFabp(backend, h, priors, run);
+        },
+        in_memory, streamed, contexts, options, expected,
+        reference(*narrowed));
   }
 }
 

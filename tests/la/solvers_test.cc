@@ -93,6 +93,13 @@ TEST(JacobiSolveTest, DoesNotConvergeBeyondSpectralRadiusOne) {
   const JacobiResult jacobi = JacobiSolve(op, {1.0, 1.0, 1.0}, 60, 1e-12);
   EXPECT_FALSE(jacobi.converged);
   EXPECT_GT(jacobi.last_delta, 1.0);
+  // Given long enough the iterate overflows, and the inf - inf delta
+  // after it must stop the solve unconverged, not read as no change.
+  const JacobiResult overflowed =
+      JacobiSolve(op, {1.0, 1.0, 1.0}, 2000, 1e-12);
+  EXPECT_FALSE(overflowed.converged);
+  EXPECT_LT(overflowed.iterations, 2000);
+  EXPECT_FALSE(std::isfinite(overflowed.last_delta));
 }
 
 TEST(JacobiSolveTest, GeometricSeriesHandValue) {
