@@ -1,27 +1,86 @@
 #include "src/dataset/format_internal.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <utility>
 
-#include "src/dataset/shard.h"  // kMaxShards: one cap for writer + readers
+#include "src/dataset/shard.h"  // kMaxShards, the shard format versions
 #include "src/util/check.h"
 
 namespace linbp {
 namespace dataset {
 namespace internal {
+namespace {
 
-std::uint64_t Fnv1a(const char* data, std::size_t size) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
+// Odd, so the multiply is a bijection mod 2^64 (the 64-bit golden ratio).
+constexpr std::uint64_t kChecksumMultiplier = 0x9e3779b97f4a7c15ull;
+// Distinct lane seeds, so equal words in different lanes diverge.
+constexpr std::uint64_t kChecksumSeeds[4] = {
+    0x243f6a8885a308d3ull, 0x13198a2e03707344ull, 0xa4093822299f31d0ull,
+    0x082efa98ec4e6c89ull};
+
+// A little-endian 8-byte word; compilers fold the shifts into one load
+// on little-endian targets.
+inline std::uint64_t LoadLe64(const unsigned char* p) {
+  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
+         std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
+         std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
+         std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
+}
+
+inline std::uint64_t AbsorbWord(std::uint64_t lane, std::uint64_t word) {
+  lane = (lane ^ word) * kChecksumMultiplier;
+  return lane ^ (lane >> 29);
+}
+
+// murmur3's 64-bit finalizer (a bijection).
+inline std::uint64_t Fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
+}
+
+}  // namespace
+
+std::uint64_t PayloadChecksum(const char* data, std::size_t size) {
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
+  const std::size_t words = size / 8;
+  std::uint64_t a = kChecksumSeeds[0];
+  std::uint64_t b = kChecksumSeeds[1];
+  std::uint64_t c = kChecksumSeeds[2];
+  std::uint64_t d = kChecksumSeeds[3];
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4, p += 32) {
+    a = AbsorbWord(a, LoadLe64(p));
+    b = AbsorbWord(b, LoadLe64(p + 8));
+    c = AbsorbWord(c, LoadLe64(p + 16));
+    d = AbsorbWord(d, LoadLe64(p + 24));
   }
-  return hash;
+  std::uint64_t lanes[4] = {a, b, c, d};
+  for (; w < words; ++w, p += 8) {
+    lanes[w % 4] = AbsorbWord(lanes[w % 4], LoadLe64(p));
+  }
+  if (const std::size_t tail = size % 8; tail > 0) {
+    std::uint64_t last = 0;
+    for (std::size_t i = 0; i < tail; ++i) {
+      last |= std::uint64_t{p[i]} << (8 * i);
+    }
+    lanes[w % 4] = AbsorbWord(lanes[w % 4], last);
+  }
+  std::uint64_t h = static_cast<std::uint64_t>(size);
+  for (const std::uint64_t lane : lanes) h = Fmix64(h ^ lane);
+  return h;
 }
 
 void AppendString(const std::string& s, std::vector<char>* out) {
@@ -32,15 +91,34 @@ void AppendString(const std::string& s, std::vector<char>* out) {
 
 bool ReadFileBytes(const std::string& path, std::vector<char>* out,
                    std::string* error) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
+  // O_NONBLOCK: opening a FIFO must not wait for a writer before the
+  // regular-file check rejects it (regular-file reads ignore the flag).
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  struct stat st {};
+  if (fd < 0 || ::fstat(fd, &st) != 0) {
+    if (fd >= 0) ::close(fd);
     *error = path + ": cannot open";
     return false;
   }
-  const std::streamoff size = in.tellg();
-  in.seekg(0);
-  out->resize(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(out->data(), size)) {
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    *error = path + ": not a regular file";
+    return false;
+  }
+  // Growing within capacity neither allocates nor faults in new pages,
+  // and shrinking is free, so a reused buffer costs only the read.
+  out->resize(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (done < out->size()) {
+    const ssize_t got = ::read(fd, out->data() + done, out->size() - done);
+    if (got > 0) {
+      done += static_cast<std::size_t>(got);
+    } else if (got == 0 || errno != EINTR) {
+      break;  // the file shrank under us, or an I/O error
+    }
+  }
+  ::close(fd);
+  if (done != out->size()) {
     *error = path + ": read failed";
     return false;
   }
@@ -183,9 +261,12 @@ std::int64_t ShardDecodedPayloadBytes(std::int64_t rows, std::int64_t nnz,
          num_explicit * 8 * (1 + k) + (has_ground_truth ? rows * 4 : 0);
 }
 
-std::int64_t ShardPayloadBytesV2Min(std::int64_t rows, std::int64_t nnz,
-                                    std::int64_t num_explicit, std::int64_t k,
-                                    bool has_ground_truth, bool values_f32) {
+std::int64_t CompressedShardPayloadBytesMin(std::int64_t rows,
+                                            std::int64_t nnz,
+                                            std::int64_t num_explicit,
+                                            std::int64_t k,
+                                            bool has_ground_truth,
+                                            bool values_f32) {
   return 8 +                // u64 column-section byte count
          rows + nnz +       // >= 1 varint byte per row count and column id
          nnz * (values_f32 ? 4 : 8) + num_explicit * 8 * (1 + k) +
@@ -239,12 +320,17 @@ bool ReadVarint(const char** data, const char* end, std::uint64_t* value,
   return false;
 }
 
-}  // namespace
-
+// Decodes a column section into a local row_ptr (rows + 1 entries) and
+// expected_nnz column ids; local row r is global row row_begin + r.
+// Rejects, with a short reason in *what: truncated or over-long
+// (> 5 byte) varints, column ids outside [0, num_nodes), zero deltas
+// (equal or decreasing columns), a row listing itself, per-row counts
+// that do not sum to expected_nnz, and trailing section bytes.
 bool DecodeColumnSection(const char* data, std::size_t size,
-                         std::int64_t rows, std::int64_t expected_nnz,
-                         std::int64_t num_nodes, std::int64_t* local_row_ptr,
-                         std::int32_t* col_idx, std::string* what) {
+                         std::int64_t row_begin, std::int64_t rows,
+                         std::int64_t expected_nnz, std::int64_t num_nodes,
+                         std::int64_t* local_row_ptr, std::int32_t* col_idx,
+                         std::string* what) {
   const char* end = data + size;
   std::int64_t written = 0;
   local_row_ptr[0] = 0;
@@ -255,6 +341,7 @@ bool DecodeColumnSection(const char* data, std::size_t size,
       *what = "row entry counts exceed the header nnz";
       return false;
     }
+    const std::int64_t row = row_begin + r;
     std::int64_t col = 0;
     for (std::uint64_t e = 0; e < row_nnz; ++e) {
       std::uint64_t delta = 0;
@@ -267,6 +354,10 @@ bool DecodeColumnSection(const char* data, std::size_t size,
                    : col + static_cast<std::int64_t>(delta);
       if (col >= num_nodes) {
         *what = "column id out of range";
+        return false;
+      }
+      if (col == row) {
+        *what = "self-loop";
         return false;
       }
       col_idx[written++] = static_cast<std::int32_t>(col);
@@ -284,15 +375,99 @@ bool DecodeColumnSection(const char* data, std::size_t size,
   return true;
 }
 
-bool ParseShardManifest(const std::string& path,
-                        const std::vector<char>& bytes,
-                        std::uint32_t max_version, ShardManifest* m,
-                        std::string* error) {
-  if (!CheckMagicVersionEndianRange(path, bytes.data(), bytes.size(),
-                                    kShardManifestMagic, 1, max_version,
-                                    "shard manifest", &m->version, error)) {
+// Copies `count` little-endian `Stored` values from `data` into `out`,
+// converted to `Out`. Returns false if any is NaN or infinite (`out` is
+// then partly written).
+template <typename Stored, typename Out>
+bool CopyFiniteValues(const char* data, std::size_t count, Out* out) {
+  bool finite = true;
+  for (std::size_t i = 0; i < count; ++i) {
+    Stored value;
+    std::memcpy(&value, data + i * sizeof(Stored), sizeof(Stored));
+    // value - value is 0 for finite values and NaN for NaN or infinite
+    // ones, so the check needs no branch and the loop vectorizes.
+    finite &= (value - value) == Stored(0);
+    out[i] = static_cast<Out>(value);
+  }
+  return finite;
+}
+
+}  // namespace
+
+template <typename Value>
+bool DecodeCompressedCsr(const std::string& path,
+                         const ShardManifest& manifest,
+                         const ShardFileHeader& h, const char** payload,
+                         std::size_t* payload_size,
+                         std::int64_t* local_row_ptr, std::int32_t* col_idx,
+                         Value* values, std::string* error) {
+  LINBP_CHECK(sizeof(Value) == sizeof(double) || manifest.values_f32);
+  std::uint64_t encoded_bytes = 0;
+  if (*payload_size < 8) {
+    *error = path + ": truncated shard payload";
     return false;
   }
+  std::memcpy(&encoded_bytes, *payload, 8);
+  const char* columns = *payload + 8;
+  const std::size_t after_prefix = *payload_size - 8;
+  if (encoded_bytes > after_prefix) {
+    *error = path + ": truncated shard payload";
+    return false;
+  }
+  std::string what;
+  if (!DecodeColumnSection(columns, static_cast<std::size_t>(encoded_bytes),
+                           h.row_begin, h.row_end - h.row_begin, h.nnz,
+                           manifest.num_nodes, local_row_ptr, col_idx,
+                           &what)) {
+    *error = path + ": invalid shard column section (" + what + ")";
+    return false;
+  }
+  const std::size_t count = static_cast<std::size_t>(h.nnz);
+  const std::size_t width = manifest.values_f32 ? sizeof(float)
+                                                : sizeof(double);
+  // Division, not multiplication, so a hostile count cannot wrap.
+  if (count > (after_prefix - encoded_bytes) / width) {
+    *error = path + ": truncated shard payload";
+    return false;
+  }
+  const char* stored = columns + encoded_bytes;
+  if (!(manifest.values_f32
+            ? CopyFiniteValues<float>(stored, count, values)
+            : CopyFiniteValues<double>(stored, count, values))) {
+    *error = path + ": invalid shard value section (non-finite weight)";
+    return false;
+  }
+  const std::size_t consumed = 8 + encoded_bytes + count * width;
+  *payload += consumed;
+  *payload_size -= consumed;
+  return true;
+}
+
+template bool DecodeCompressedCsr<double>(const std::string&,
+                                          const ShardManifest&,
+                                          const ShardFileHeader&,
+                                          const char**, std::size_t*,
+                                          std::int64_t*, std::int32_t*,
+                                          double*, std::string*);
+template bool DecodeCompressedCsr<float>(const std::string&,
+                                         const ShardManifest&,
+                                         const ShardFileHeader&,
+                                         const char**, std::size_t*,
+                                         std::int64_t*, std::int32_t*,
+                                         float*, std::string*);
+
+bool ParseShardManifest(const std::string& path,
+                        const std::vector<char>& bytes, ShardManifest* m,
+                        std::string* error) {
+  static_assert(kShardFormatVersionCompressed == kShardFormatVersionRaw + 1,
+                "the manifest reader accepts exactly the two layouts");
+  if (!CheckMagicVersionEndianRange(
+          path, bytes.data(), bytes.size(), kShardManifestMagic,
+          kShardFormatVersionRaw, kShardFormatVersionCompressed,
+          "shard manifest", &m->version, error)) {
+    return false;
+  }
+  const bool compressed = IsCompressedShardVersion(m->version);
   const char* data = bytes.data();
   std::uint32_t flags = 0;
   std::uint32_t num_shards = 0;
@@ -305,7 +480,7 @@ bool ParseShardManifest(const std::string& path,
   std::memcpy(&num_shards, data + 52, 4);
   std::memcpy(&checksum, data + 56, 8);
   const std::uint32_t allowed_flags =
-      m->version >= 2 ? kFlagGroundTruth | kFlagF32Values : kFlagGroundTruth;
+      compressed ? kFlagGroundTruth | kFlagF32Values : kFlagGroundTruth;
   if (!CheckHeaderCounts(path, m->num_nodes, m->k, m->nnz, m->num_explicit,
                          flags, allowed_flags, "manifest header", error)) {
     return false;
@@ -320,7 +495,7 @@ bool ParseShardManifest(const std::string& path,
   }
   const char* payload = data + kHeaderBytes;
   const std::size_t payload_size = bytes.size() - kHeaderBytes;
-  if (Fnv1a(payload, payload_size) != checksum) {
+  if (PayloadChecksum(payload, payload_size) != checksum) {
     *error = path + ": checksum mismatch (corrupted manifest)";
     return false;
   }
@@ -339,7 +514,7 @@ bool ParseShardManifest(const std::string& path,
     ShardManifestEntry& entry = m->entries[s];
     if (!cursor.Read(&entry.row_begin, 1) || !cursor.Read(&entry.row_end, 1) ||
         !cursor.Read(&entry.nnz, 1) || !cursor.Read(&entry.num_explicit, 1) ||
-        (m->version >= 2 && !cursor.Read(&entry.payload_bytes, 1)) ||
+        (compressed && !cursor.Read(&entry.payload_bytes, 1)) ||
         !cursor.Read(&entry.checksum, 1) || !cursor.ReadString(&entry.file)) {
       *error = path + ": truncated manifest payload";
       return false;
@@ -374,12 +549,12 @@ bool ParseShardManifest(const std::string& path,
       return false;
     }
     const std::int64_t rows = entry.row_end - entry.row_begin;
-    if (m->version >= 2) {
+    if (compressed) {
       // The encoded size is a declared field, so bound it both ways: at
       // least one varint byte per row count and column id (the floor the
       // preflight trusts against hostile decoded counts) and at most the
       // 5-byte varint ceiling.
-      const std::int64_t floor = ShardPayloadBytesV2Min(
+      const std::int64_t floor = CompressedShardPayloadBytesMin(
           rows, entry.nnz, entry.num_explicit, m->k, m->has_ground_truth,
           m->values_f32);
       const std::int64_t ceiling = floor + 4 * (rows + entry.nnz);
@@ -456,8 +631,16 @@ bool CheckShardAgainstManifest(const std::string& path,
   const char* payload = bytes.data() + kHeaderBytes;
   const std::size_t payload_size = bytes.size() - kHeaderBytes;
   if (h->checksum != entry.checksum ||
-      Fnv1a(payload, payload_size) != h->checksum) {
+      PayloadChecksum(payload, payload_size) != h->checksum) {
     *error = path + ": checksum mismatch (corrupted shard)";
+    return false;
+  }
+  // The declared payload size is at least what the header counts need
+  // on disk, so holding the file to it bounds every count-sized buffer
+  // a decoder allocates by real bytes, even under forged checksums (the
+  // bulk loader's preflight checks the same bound up front).
+  if (payload_size < static_cast<std::size_t>(entry.payload_bytes)) {
+    *error = path + ": truncated shard payload";
     return false;
   }
   return true;

@@ -21,7 +21,6 @@ using internal::AppendString;
 using internal::CheckShardAgainstManifest;
 using internal::Cursor;
 using internal::EncodeColumnSection;
-using internal::Fnv1a;
 using internal::kFlagF32Values;
 using internal::kFlagGroundTruth;
 using internal::kHeaderBytes;
@@ -29,6 +28,7 @@ using internal::kMaxClasses;
 using internal::kShardFileMagic;
 using internal::kShardManifestMagic;
 using internal::ParseShardManifest;
+using internal::PayloadChecksum;
 using internal::ShardFileHeader;
 using internal::ShardManifest;
 using internal::ShardManifestEntry;
@@ -71,52 +71,19 @@ bool LoadOneShard(const std::string& manifest_path,
   const std::int64_t k = manifest.k;
   const char* payload = bytes.data() + kHeaderBytes;
   std::size_t payload_size = bytes.size() - kHeaderBytes;
-  bool csr_ok = true;
-  if (manifest.version >= 2) {
-    // v2: u64-prefixed delta+varint column section, then the values
-    // (possibly f32). The decoder writes straight into this shard's
-    // col_idx slice; f32 values widen exactly into the global array.
-    std::uint64_t encoded_bytes = 0;
-    if (payload_size < 8) {
-      *error = path + ": truncated shard payload";
-      return false;
-    }
-    std::memcpy(&encoded_bytes, payload, 8);
-    payload += 8;
-    payload_size -= 8;
-    if (encoded_bytes > payload_size) {
-      *error = path + ": truncated shard payload";
-      return false;
-    }
+  if (IsCompressedShardVersion(manifest.version)) {
+    // The decoder writes straight into this shard's col_idx and values
+    // slices (f32 values widen exactly); only the row pointers need the
+    // slice offset added.
     std::vector<std::int64_t> local_row_ptr(rows + 1);
-    std::string what;
-    if (!internal::DecodeColumnSection(
-            payload, static_cast<std::size_t>(encoded_bytes), rows, h.nnz,
-            manifest.num_nodes, local_row_ptr.data(),
-            parts->col_idx.data() + nnz_offset, &what)) {
-      *error = path + ": invalid shard column section (" + what + ")";
+    if (!internal::DecodeCompressedCsr(
+            path, manifest, h, &payload, &payload_size, local_row_ptr.data(),
+            parts->col_idx.data() + nnz_offset,
+            parts->values.data() + nnz_offset, error)) {
       return false;
     }
-    payload += encoded_bytes;
-    payload_size -= encoded_bytes;
     for (std::int64_t r = 0; r < rows; ++r) {
       parts->row_ptr[h.row_begin + r] = nnz_offset + local_row_ptr[r];
-    }
-    Cursor cursor(payload, payload_size);
-    if (manifest.values_f32) {
-      std::vector<float> narrow;
-      csr_ok = cursor.ReadVector(&narrow, static_cast<std::size_t>(h.nnz));
-      if (csr_ok) {
-        std::copy(narrow.begin(), narrow.end(),
-                  parts->values.begin() + nnz_offset);
-      }
-    } else {
-      csr_ok = cursor.Read(parts->values.data() + nnz_offset,
-                           static_cast<std::size_t>(h.nnz));
-    }
-    if (csr_ok) {
-      payload += payload_size - cursor.remaining();
-      payload_size = cursor.remaining();
     }
   } else {
     Cursor cursor(payload, payload_size);
@@ -137,18 +104,18 @@ bool LoadOneShard(const std::string& manifest_path,
       }
       parts->row_ptr[h.row_begin + r] = nnz_offset + local_row_ptr[r];
     }
-    csr_ok = cursor.Read(parts->col_idx.data() + nnz_offset,
-                         static_cast<std::size_t>(h.nnz)) &&
-             cursor.Read(parts->values.data() + nnz_offset,
-                         static_cast<std::size_t>(h.nnz));
-    if (csr_ok) {
-      payload += payload_size - cursor.remaining();
-      payload_size = cursor.remaining();
+    if (!cursor.Read(parts->col_idx.data() + nnz_offset,
+                     static_cast<std::size_t>(h.nnz)) ||
+        !cursor.Read(parts->values.data() + nnz_offset,
+                     static_cast<std::size_t>(h.nnz))) {
+      *error = path + ": truncated shard payload";
+      return false;
     }
+    payload += payload_size - cursor.remaining();
+    payload_size = cursor.remaining();
   }
   Cursor cursor(payload, payload_size);
   const bool arrays_ok =
-      csr_ok &&
       cursor.Read(parts->explicit_nodes.data() + explicit_offset,
                   static_cast<std::size_t>(h.num_explicit)) &&
       cursor.Read(parts->explicit_rows.data() + explicit_offset * k,
@@ -225,8 +192,9 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
       exec::RowPartition::NnzBalanced(adjacency.row_ptr(), max_shards);
   const std::int64_t num_shards = partition.num_blocks();
   const std::uint32_t version = compression == ShardCompression::kNone
-                                    ? kShardFormatVersion
-                                    : kShardFormatVersionV2;
+                                    ? kShardFormatVersionRaw
+                                    : kShardFormatVersionCompressed;
+  const bool compressed = IsCompressedShardVersion(version);
   const bool values_f32 = compression == ShardCompression::kF32;
   const std::uint32_t flags =
       (scenario.HasGroundTruth() ? kFlagGroundTruth : 0) |
@@ -258,7 +226,7 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
     for (std::int64_t r = 0; r <= rows; ++r) {
       local_row_ptr[r] = row_ptr[row_begin + r] - nnz_begin;
     }
-    if (version >= kShardFormatVersionV2) {
+    if (compressed) {
       std::vector<char> cols;
       EncodeColumnSection(local_row_ptr.data(), rows,
                           col_idx.data() + nnz_begin, &cols);
@@ -304,7 +272,7 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
     header.num_explicit = num_explicit;
     header.flags = flags;
     header.shard_index = static_cast<std::uint32_t>(s);
-    header.checksum = Fnv1a(payload.data(), payload.size());
+    header.checksum = PayloadChecksum(payload.data(), payload.size());
     char header_bytes[kHeaderBytes];
     WriteShardHeader(header, version, header_bytes);
     const std::string file = ShardFileName(s);
@@ -331,9 +299,7 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
     AppendPod(&entry.row_end, 1, &payload);
     AppendPod(&entry.nnz, 1, &payload);
     AppendPod(&entry.num_explicit, 1, &payload);
-    if (version >= kShardFormatVersionV2) {
-      AppendPod(&entry.payload_bytes, 1, &payload);
-    }
+    if (compressed) AppendPod(&entry.payload_bytes, 1, &payload);
     AppendPod(&entry.checksum, 1, &payload);
     AppendString(entry.file, &payload);
   }
@@ -351,7 +317,8 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
   std::memcpy(header_bytes + 48, &flags, 4);
   const std::uint32_t shard_count = static_cast<std::uint32_t>(num_shards);
   std::memcpy(header_bytes + 52, &shard_count, 4);
-  const std::uint64_t checksum = Fnv1a(payload.data(), payload.size());
+  const std::uint64_t checksum =
+      PayloadChecksum(payload.data(), payload.size());
   std::memcpy(header_bytes + 56, &checksum, 8);
 
   ShardWriteResult result;
@@ -374,8 +341,7 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
     return std::nullopt;
   }
   ShardManifest manifest;
-  if (!ParseShardManifest(manifest_path, bytes, kShardFormatVersionV2,
-                          &manifest, error)) {
+  if (!ParseShardManifest(manifest_path, bytes, &manifest, error)) {
     return std::nullopt;
   }
   bytes.clear();
@@ -399,9 +365,10 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
       *error = shard_path + ": cannot open";
       return std::nullopt;
     }
-    // entry.payload_bytes is either computed from the counts (v1) or
-    // declared but bounds-checked against them during parse (v2), so
-    // either way it ties the decoded allocation to real file bytes.
+    // entry.payload_bytes is either computed from the counts (raw) or
+    // declared but bounds-checked against them during parse
+    // (compressed), so either way it ties the decoded allocation to real
+    // file bytes.
     const std::int64_t needed =
         static_cast<std::int64_t>(internal::kHeaderBytes) +
         entry.payload_bytes;
@@ -464,8 +431,7 @@ std::optional<ShardManifestInfo> ReadShardManifestInfo(
   std::vector<char> bytes;
   if (!internal::ReadFileBytes(path, &bytes, error)) return std::nullopt;
   ShardManifest manifest;
-  if (!ParseShardManifest(path, bytes, kShardFormatVersionV2, &manifest,
-                          error)) {
+  if (!ParseShardManifest(path, bytes, &manifest, error)) {
     return std::nullopt;
   }
   ShardManifestInfo info;
@@ -483,7 +449,7 @@ std::optional<ShardManifestInfo> ReadShardManifestInfo(
   for (const ShardManifestEntry& entry : manifest.entries) {
     // Declared payload sizes, not on-disk file sizes: the info call
     // stays manifest-only (no shard I/O). The decoded bytes are what a
-    // full load would have to hold resident; for v1 they equal the
+    // full load would have to hold resident; for raw shards they equal the
     // on-disk payload.
     const std::int64_t decoded_bytes = internal::ShardDecodedPayloadBytes(
         entry.row_end - entry.row_begin, entry.nnz, entry.num_explicit,

@@ -24,16 +24,16 @@
 //
 //   offset  size  field
 //   0       8     magic "LINBPSHM"
-//   8       4     u32 version (1 = raw payloads, 2 = compressed)
+//   8       4     u32 version (3 = raw payloads, 4 = compressed)
 //   12      4     u32 endian tag 0x01020304
 //   16      8     i64 num_nodes
 //   24      8     i64 k (classes)
 //   32      8     i64 nnz (global stored adjacency entries)
 //   40      8     i64 num_explicit (global)
 //   48      4     u32 flags (bit 0: ground truth present;
-//                            bit 1, v2 only: f32 value sections)
+//                            bit 1, compressed only: f32 value sections)
 //   52      4     u32 num_shards
-//   56      8     u64 FNV-1a checksum of the manifest payload
+//   56      8     u64 PayloadChecksum of the manifest payload
 //   64      ...   payload:
 //                   u32 name length, name bytes
 //                   u32 spec length, spec bytes
@@ -41,10 +41,11 @@
 //                   num_shards x shard entry:
 //                     i64 row_begin, i64 row_end
 //                     i64 nnz, i64 num_explicit
-//                     i64 payload_bytes (v2 only: the shard file's
-//                         on-disk payload size, not derivable from the
-//                         counts once the columns are varint-packed)
-//                     u64 FNV-1a checksum of the shard's payload
+//                     i64 payload_bytes (compressed only: the shard
+//                         file's on-disk payload size, not derivable
+//                         from the counts once the columns are
+//                         varint-packed)
+//                     u64 PayloadChecksum of the shard's payload
 //                     u32 file-name length, file-name bytes (relative
 //                         to the manifest's directory)
 //
@@ -58,10 +59,10 @@
 //   32      8     i64 nnz (this shard's stored entries)
 //   40      8     i64 num_explicit (this shard's explicit nodes)
 //   48      4     u32 flags (bit 0: ground-truth slice present;
-//                            bit 1, v2 only: f32 value section)
+//                            bit 1, compressed only: f32 value section)
 //   52      4     u32 shard index
-//   56      8     u64 FNV-1a checksum of the shard payload
-//   64      ...   v1 payload:
+//   56      8     u64 PayloadChecksum of the shard payload
+//   64      ...   raw payload (version 3):
 //                   i64[rows + 1]       local row_ptr (rebased to 0)
 //                   i32[nnz]            col_idx (GLOBAL column ids)
 //                   f64[nnz]            values
@@ -70,10 +71,10 @@
 //                   f64[num_explicit*k] explicit residual rows
 //                   i32[rows]           ground truth slice (iff flag)
 //
-// A v2 payload replaces the row_ptr + col_idx sections with a
+// A compressed payload replaces the row_ptr + col_idx sections with a
 // delta+varint column section and optionally narrows the values:
 //
-//   64      ...   v2 payload:
+//   64      ...   compressed payload (version 4):
 //                   u64                 column-section byte count
 //                   per row: varint     row entry count, then the row's
 //                                       GLOBAL column ids — the first
@@ -84,15 +85,20 @@
 //                                       writer narrows once, so decoded
 //                                       blocks feed the f32 kernels with
 //                                       no second narrowing pass)
-//                   ... explicit ids / rows / ground truth as in v1
+//                   ... explicit ids / rows / ground truth as raw
 //
 // Sorted columns make the deltas small — most ids encode in 1-2 bytes
 // instead of 4 — which cuts the bytes an out-of-core sweep re-reads
 // from disk (the stream is bandwidth-bound, not FLOP-bound). Column
-// encoding is lossless and f64 values are stored exactly, so v2/f64
-// solves stay bit-identical to v1 and to in-memory; v2/f32 narrows each
-// value once at write time, exactly matching the narrowing the f32
-// kernel path applies to resident f64 graphs.
+// encoding is lossless and f64 values are stored exactly, so compressed
+// f64 solves stay bit-identical to raw and to in-memory; compressed f32
+// narrows each value once at write time, exactly matching the narrowing
+// the f32 kernel path applies to resident f64 graphs.
+//
+// PayloadChecksum (src/dataset/format_internal.h) is a word-at-a-time
+// hash with four 64-bit lanes. Versions 1 (raw) and 2 (compressed) were
+// the same layouts checksummed with byte-serial FNV-1a; readers reject
+// them as unsupported versions.
 //
 // LoadShardedSnapshot rejects every mismatch with a descriptive error,
 // never a crash: bad magic/version/endianness, checksum failures at the
@@ -117,18 +123,25 @@
 namespace linbp {
 namespace dataset {
 
-/// Format version of uncompressed sharded snapshots (the default).
-inline constexpr std::uint32_t kShardFormatVersion = 1;
+/// Format version of raw (uncompressed) sharded snapshots, the default.
+/// Manifests and shard files share the version field.
+inline constexpr std::uint32_t kShardFormatVersionRaw = 3;
 
 /// Format version of compressed (delta+varint column) sharded
 /// snapshots; also the newest version the readers accept.
-inline constexpr std::uint32_t kShardFormatVersionV2 = 2;
+inline constexpr std::uint32_t kShardFormatVersionCompressed = 4;
+
+/// The one layout test every reader and writer goes through: true for
+/// the compressed layout, false for the raw one.
+inline constexpr bool IsCompressedShardVersion(std::uint32_t version) {
+  return version == kShardFormatVersionCompressed;
+}
 
 /// How ShardSnapshot encodes shard payloads.
 enum class ShardCompression {
-  kNone,  // v1: raw row_ptr/col_idx/f64 values
-  kF64,   // v2: delta+varint columns, f64 values (lossless)
-  kF32,   // v2: delta+varint columns, values narrowed to f32 at write
+  kNone,  // raw: row_ptr/col_idx/f64 values
+  kF64,   // compressed: delta+varint columns, f64 values (lossless)
+  kF32,   // compressed: delta+varint columns, values narrowed to f32
 };
 
 /// Sanity bound on the shard count a manifest may declare.
@@ -148,9 +161,10 @@ struct ShardWriteResult {
 /// (exec::RowPartition::NnzBalanced over the CSR row pointers; fewer
 /// shards when rows run out) and writes one shard file per block plus
 /// the manifest into `dir` (created if missing). `compression` picks the
-/// payload encoding: kNone writes format v1, kF64/kF32 write v2 (see
-/// the layout comment above). Every file is flushed and close-checked
-/// before success is reported; the manifest is written last. Returns
+/// payload encoding: kNone writes the raw layout, kF64/kF32 the
+/// compressed one (see the layout comment above). Every file is flushed
+/// and close-checked before success is reported; the manifest is
+/// written last. Returns
 /// nullopt and fills *error on I/O failure or an unshardable scenario
 /// (no nodes, max_shards out of [1, kMaxShards]).
 std::optional<ShardWriteResult> ShardSnapshot(
@@ -177,11 +191,12 @@ struct ShardRangeInfo {
   std::int64_t nnz = 0;
   std::int64_t num_explicit = 0;
   /// Declared on-disk payload bytes of this shard's file (header
-  /// excluded): computed from the manifest counts for v1, read from the
-  /// manifest entry for v2 — either way, file size minus 64.
+  /// excluded): computed from the manifest counts for raw shards, read
+  /// from the manifest entry for compressed ones — either way, file size
+  /// minus 64.
   std::int64_t payload_bytes = 0;
   /// Bytes the shard occupies once decoded into resident CSR sections
-  /// (== payload_bytes for v1; larger for compressed v2 shards).
+  /// (== payload_bytes for raw shards; larger for compressed ones).
   std::int64_t decoded_bytes = 0;
   std::string file;
 };
@@ -194,7 +209,7 @@ struct ShardManifestInfo {
   std::int64_t nnz = 0;
   std::int64_t num_explicit = 0;
   bool has_ground_truth = false;
-  /// v2 only: value sections are stored as f32.
+  /// Compressed only: value sections are stored as f32.
   bool values_f32 = false;
   /// Size of the manifest file itself.
   std::int64_t file_bytes = 0;
@@ -205,7 +220,7 @@ struct ShardManifestInfo {
   /// decoded total, not the (smaller) on-disk one.
   std::int64_t total_shard_payload_bytes = 0;
   /// Sum of every shard's on-disk payload bytes (== the payload total
-  /// above for v1; the compressed size for v2).
+  /// above for raw shards; the compressed size otherwise).
   std::int64_t total_encoded_payload_bytes = 0;
   std::string name;
   std::string spec;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "src/dataset/format_internal.h"
@@ -72,8 +71,7 @@ std::optional<ShardStreamReader> ShardStreamReader::Open(
     return std::nullopt;
   }
   auto manifest = std::make_shared<internal::ShardManifest>();
-  if (!internal::ParseShardManifest(manifest_path, bytes,
-                                    kShardFormatVersionV2, manifest.get(),
+  if (!internal::ParseShardManifest(manifest_path, bytes, manifest.get(),
                                     error)) {
     return std::nullopt;
   }
@@ -162,17 +160,24 @@ std::int64_t ShardStreamReader::encoded_bytes_read_total() const {
 }
 
 bool ShardStreamReader::ReadBlock(std::int64_t shard,
-                                  ShardStreamBlock* block,
-                                  std::string* error) const {
+                                  ShardStreamBlock* block, std::string* error,
+                                  std::vector<char>* file_bytes) const {
   LINBP_CHECK(block != nullptr && error != nullptr);
   LINBP_CHECK(shard >= 0 && shard < num_shards());
-  *block = ShardStreamBlock();
+  // Refilled in place: only the count of the shard the block held is
+  // dropped, its vectors keep their capacity. Every failure empties it.
+  block->ReleaseAccounting();
+  const auto fail = [block] {
+    *block = ShardStreamBlock();
+    return false;
+  };
   const internal::ShardManifest& manifest = *manifest_;
   const internal::ShardManifestEntry& entry = manifest.entries[shard];
   const std::string path =
       internal::ShardSiblingPath(manifest_path_, entry.file);
-  std::vector<char> bytes;
-  if (!internal::ReadFileBytes(path, &bytes, error)) return false;
+  std::vector<char> temporary;
+  std::vector<char>& bytes = file_bytes != nullptr ? *file_bytes : temporary;
+  if (!internal::ReadFileBytes(path, &bytes, error)) return fail();
   internal::ShardFileHeader h;
   if (!internal::CheckShardAgainstManifest(path, bytes, manifest, shard, &h,
                                            error)) {
@@ -181,76 +186,90 @@ bool ShardStreamReader::ReadBlock(std::int64_t shard,
     // corruption fails identically on the second pass.
     accounting_->checksum_retries.fetch_add(1, std::memory_order_relaxed);
     LINBP_OBS_COUNTER_ADD("shard_stream_checksum_retries_total", 1);
-    if (!internal::ReadFileBytes(path, &bytes, error)) return false;
-    if (!internal::CheckShardAgainstManifest(path, bytes, manifest, shard,
+    if (!internal::ReadFileBytes(path, &bytes, error) ||
+        !internal::CheckShardAgainstManifest(path, bytes, manifest, shard,
                                              &h, error)) {
-      return false;
+      return fail();
     }
   }
 
+  // The checks above bound every count by the file's real size, so the
+  // sections can be sized up front.
   const std::int64_t rows = h.row_end - h.row_begin;
   const std::int64_t k = manifest.k;
+  const std::size_t nnz = static_cast<std::size_t>(h.nnz);
+  block->shard = shard;
+  block->row_begin = h.row_begin;
+  block->row_end = h.row_end;
+  block->row_ptr.resize(static_cast<std::size_t>(rows + 1));
+  block->col_idx.resize(nnz);
+  block->values.resize(manifest.values_f32 ? 0 : nnz);
+  block->values_f32.resize(manifest.values_f32 ? nnz : 0);
+  // The CSR memory is live from here on: count it before decoding so the
+  // residency instrumentation never under-reports.
+  block->accounting_ = accounting_;
+  block->counted_bytes_ = block_csr_bytes(shard);
+  accounting_->Add(block->counted_bytes_);
+
   const char* payload = bytes.data() + internal::kHeaderBytes;
   std::size_t payload_size = bytes.size() - internal::kHeaderBytes;
-  bool csr_ok = true;
-  if (manifest.version >= 2) {
-    // v2: u64-prefixed delta+varint column section, then an f64 or f32
-    // value section. The decoder enforces monotone row pointers,
-    // strictly increasing columns, and column bounds as it unpacks, so
-    // any malformed encoding is an error return here — never a crash.
-    std::uint64_t encoded_bytes = 0;
-    if (payload_size < 8) {
-      *error = path + ": truncated shard payload";
-      *block = ShardStreamBlock();
-      return false;
-    }
-    std::memcpy(&encoded_bytes, payload, 8);
-    payload += 8;
-    payload_size -= 8;
-    if (encoded_bytes > payload_size) {
-      *error = path + ": truncated shard payload";
-      *block = ShardStreamBlock();
-      return false;
-    }
-    block->row_ptr.resize(static_cast<std::size_t>(rows + 1));
-    block->col_idx.resize(static_cast<std::size_t>(h.nnz));
-    std::string what;
-    if (!internal::DecodeColumnSection(
-            payload, static_cast<std::size_t>(encoded_bytes), rows, h.nnz,
-            manifest.num_nodes, block->row_ptr.data(),
-            block->col_idx.data(), &what)) {
-      *error = path + ": invalid shard column section (" + what + ")";
-      *block = ShardStreamBlock();
-      return false;
-    }
-    payload += encoded_bytes;
-    payload_size -= encoded_bytes;
-    internal::Cursor v2_cursor(payload, payload_size);
-    csr_ok = manifest.values_f32
-                 ? v2_cursor.ReadVector(&block->values_f32,
-                                        static_cast<std::size_t>(h.nnz))
-                 : v2_cursor.ReadVector(&block->values,
-                                        static_cast<std::size_t>(h.nnz));
-    if (csr_ok) {
-      payload += payload_size - v2_cursor.remaining();
-      payload_size = v2_cursor.remaining();
-    }
+  const bool compressed = IsCompressedShardVersion(manifest.version);
+  if (compressed) {
+    // The decode enforces the CSR structure as it unpacks and checks
+    // each value finite as it is copied: no second pass.
+    const bool decoded =
+        manifest.values_f32
+            ? internal::DecodeCompressedCsr(
+                  path, manifest, h, &payload, &payload_size,
+                  block->row_ptr.data(), block->col_idx.data(),
+                  block->values_f32.data(), error)
+            : internal::DecodeCompressedCsr(
+                  path, manifest, h, &payload, &payload_size,
+                  block->row_ptr.data(), block->col_idx.data(),
+                  block->values.data(), error);
+    if (!decoded) return fail();
   } else {
-    internal::Cursor v1_cursor(payload, payload_size);
-    csr_ok = v1_cursor.ReadVector(&block->row_ptr,
-                                  static_cast<std::size_t>(rows + 1)) &&
-             v1_cursor.ReadVector(&block->col_idx,
-                                  static_cast<std::size_t>(h.nnz)) &&
-             v1_cursor.ReadVector(&block->values,
-                                  static_cast<std::size_t>(h.nnz));
-    if (csr_ok) {
-      payload += payload_size - v1_cursor.remaining();
-      payload_size = v1_cursor.remaining();
+    internal::Cursor cursor(payload, payload_size);
+    if (!cursor.Read(block->row_ptr.data(), block->row_ptr.size()) ||
+        !cursor.Read(block->col_idx.data(), nnz) ||
+        !cursor.Read(block->values.data(), nnz)) {
+      *error = path + ": truncated shard payload";
+      return fail();
+    }
+    payload += payload_size - cursor.remaining();
+    payload_size = cursor.remaining();
+    // Raw sections are copied verbatim, so everything the SpMM/SpMV
+    // kernels rely on is checked here (the checksum only proves the
+    // bytes match what was written). The whole row_ptr must be monotone
+    // before the entry sweep trusts any of its ranges.
+    const std::vector<std::int64_t>& row_ptr = block->row_ptr;
+    bool rows_ok = row_ptr.front() == 0 && row_ptr.back() == h.nnz;
+    for (std::int64_t r = 0; r < rows && rows_ok; ++r) {
+      rows_ok = row_ptr[r] <= row_ptr[r + 1];
+    }
+    if (!rows_ok) {
+      *error = path + ": invalid shard row pointers";
+      return fail();
+    }
+    const std::int64_t n = manifest.num_nodes;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        const std::int64_t c = block->col_idx[e];
+        if (c < 0 || c >= n || c == h.row_begin + r ||
+            !std::isfinite(block->values[e]) ||
+            (e > row_ptr[r] && block->col_idx[e - 1] >= c)) {
+          *error = path +
+                   ": invalid shard payload (CSR structure, self-loop, or "
+                   "non-finite weights)";
+          return fail();
+        }
+      }
     }
   }
+
   internal::Cursor cursor(payload, payload_size);
+  if (!manifest.has_ground_truth) block->ground_truth.clear();
   const bool sections_ok =
-      csr_ok &&
       cursor.ReadVector(&block->explicit_nodes,
                         static_cast<std::size_t>(h.num_explicit)) &&
       cursor.ReadVector(&block->explicit_rows,
@@ -261,82 +280,43 @@ bool ShardStreamReader::ReadBlock(std::int64_t shard,
   if (!sections_ok || cursor.remaining() != 0) {
     *error = path + (sections_ok ? ": trailing bytes after the shard payload"
                                  : ": truncated shard payload");
-    *block = ShardStreamBlock();
-    return false;
-  }
-  block->shard = shard;
-  block->row_begin = h.row_begin;
-  block->row_end = h.row_end;
-  // The block's CSR memory is live from here on: count it before the
-  // structural sweep so the residency instrumentation never under-reports.
-  block->accounting_ = accounting_;
-  block->counted_bytes_ = block_csr_bytes(shard);
-  accounting_->Add(block->counted_bytes_);
-
-  // Structural validation — everything the SpMM/SpMV kernels rely on
-  // (the checksum above only proves the bytes match what was written).
-  auto fail = [&](const std::string& what) {
-    *error = path + ": " + what;
-    *block = ShardStreamBlock();
-    return false;
-  };
-  if (block->row_ptr.front() != 0 || block->row_ptr.back() != h.nnz) {
-    return fail("invalid shard row pointers");
-  }
-  const std::int64_t n = manifest.num_nodes;
-  const bool f32 = manifest.values_f32;
-  const auto value_at = [&](std::int64_t e) -> double {
-    return f32 ? static_cast<double>(block->values_f32[e])
-               : block->values[e];
-  };
-  for (std::int64_t r = 0; r < rows; ++r) {
-    if (block->row_ptr[r] > block->row_ptr[r + 1]) {
-      return fail("invalid shard row pointers");
-    }
-    for (std::int64_t e = block->row_ptr[r]; e < block->row_ptr[r + 1];
-         ++e) {
-      const std::int64_t c = block->col_idx[e];
-      if (c < 0 || c >= n || c == h.row_begin + r ||
-          !std::isfinite(value_at(e)) ||
-          (e > block->row_ptr[r] && block->col_idx[e - 1] >= c)) {
-        return fail(
-            "invalid shard payload (CSR structure, self-loop, or "
-            "non-finite weights)");
-      }
-    }
+    return fail();
   }
   for (std::int64_t i = 0; i < h.num_explicit; ++i) {
     const std::int64_t v = block->explicit_nodes[i];
     if (v < h.row_begin || v >= h.row_end ||
         (i > 0 && block->explicit_nodes[i - 1] >= v)) {
-      return fail("invalid explicit node list");
+      *error = path + ": invalid explicit node list";
+      return fail();
     }
     for (std::int64_t c = 0; c < k; ++c) {
       if (!std::isfinite(block->explicit_rows[i * k + c])) {
-        return fail("non-finite explicit belief");
+        *error = path + ": non-finite explicit belief";
+        return fail();
       }
     }
   }
   for (const std::int32_t cls : block->ground_truth) {
     if (cls < -1 || cls >= k) {
-      return fail("ground-truth class out of range");
+      *error = path + ": ground-truth class out of range";
+      return fail();
     }
   }
   // Count the completed read (cumulative totals are success-only, so
   // they sum consistently with the blocks actually handed out).
-  const std::int64_t file_bytes = static_cast<std::int64_t>(bytes.size());
+  const std::int64_t file_bytes_read = static_cast<std::int64_t>(bytes.size());
   accounting_->blocks_read.fetch_add(1, std::memory_order_relaxed);
-  accounting_->file_bytes_read.fetch_add(file_bytes,
+  accounting_->file_bytes_read.fetch_add(file_bytes_read,
                                          std::memory_order_relaxed);
   accounting_->csr_bytes_read.fetch_add(block->counted_bytes_,
                                         std::memory_order_relaxed);
   LINBP_OBS_COUNTER_ADD("shard_stream_blocks_read_total", 1);
-  LINBP_OBS_COUNTER_ADD("shard_stream_bytes_read_total", file_bytes);
+  LINBP_OBS_COUNTER_ADD("shard_stream_bytes_read_total", file_bytes_read);
   LINBP_OBS_COUNTER_ADD("shard_stream_csr_bytes_total",
                         block->counted_bytes_);
-  if (manifest.version >= 2) {
+  if (compressed) {
     const std::int64_t encoded =
-        file_bytes - static_cast<std::int64_t>(internal::kHeaderBytes);
+        file_bytes_read - static_cast<std::int64_t>(internal::kHeaderBytes);
     accounting_->encoded_bytes_read.fetch_add(encoded,
                                               std::memory_order_relaxed);
     LINBP_OBS_COUNTER_ADD("shard_stream_encoded_bytes_total", encoded);

@@ -7,14 +7,19 @@
 // a self-contained ShardStreamBlock. Blocks release their memory on
 // destruction, so a caller that walks the shards with a bounded window
 // (e.g. the double-buffered pipeline in src/exec/pipeline.h) keeps the
-// peak resident CSR at O(window * max shard) instead of O(nnz).
+// peak resident CSR at O(window * max shard) instead of O(nnz). A caller
+// that refills the same blocks (see ReadBlock) also stops allocating.
 //
 // Every ReadBlock re-validates its shard from the bytes on disk — the
-// header against the manifest entry, the FNV-1a payload checksum, local
-// row-pointer structure, column-id bounds and ordering, finite weights,
-// and the explicit-node slice — so corruption that appears mid-stream
-// (between sweeps of an iterative solve) surfaces as an error return on
-// the sweep that hits it, never as a crash or a silent wrong product.
+// header against the manifest entry, the word-at-a-time payload checksum
+// (internal::PayloadChecksum), local row-pointer structure, column-id
+// bounds and ordering, self-loops, finite weights, and the explicit-node
+// slice — so corruption that appears mid-stream (between sweeps of an
+// iterative solve) surfaces as an error return on the sweep that hits
+// it, never as a crash or a silent wrong product. For compressed shards
+// the varint decoder enforces the CSR structure as it unpacks and the
+// values are checked finite as they are copied, so the bytes are walked
+// once; raw shards get a separate structural pass.
 // What the streaming path does NOT check is cross-shard symmetry of the
 // assembled matrix (that requires the mirror entry's shard); symmetric-
 // by-construction holds for every manifest ShardSnapshot writes.
@@ -55,9 +60,9 @@ struct ShardByteAccounting {
   std::atomic<std::int64_t> file_bytes_read{0};
   std::atomic<std::int64_t> csr_bytes_read{0};
   std::atomic<std::int64_t> checksum_retries{0};
-  // On-disk payload bytes of compressed (v2) blocks read — the wire
-  // size the varint encoding is shrinking, vs csr_bytes_read's decoded
-  // size. Zero for v1 manifests.
+  // On-disk payload bytes of compressed blocks read — the wire size the
+  // varint encoding is shrinking, vs csr_bytes_read's decoded size. Zero
+  // for raw manifests.
   std::atomic<std::int64_t> encoded_bytes_read{0};
 
   void Add(std::int64_t bytes) {
@@ -91,11 +96,11 @@ class ShardStreamBlock {
   std::int64_t row_end = 0;
   std::vector<std::int64_t> row_ptr;  // local (rebased to 0), rows + 1
   std::vector<std::int32_t> col_idx;  // GLOBAL column ids
-  /// Exactly one of `values` / `values_f32` is populated: f64 for v1 and
-  /// v2/f64 manifests, f32 for v2/f32 ones. Keeping the narrow section
-  /// narrow is the point — an f32 shard's values really are half the
-  /// resident bytes, and the f32 kernels consume them with no second
-  /// narrowing pass. f64 consumers widen per block.
+  /// Exactly one of `values` / `values_f32` is populated: f64 for raw and
+  /// compressed f64 manifests, f32 for compressed f32 ones. Keeping the
+  /// narrow section narrow is the point — an f32 shard's values really
+  /// are half the resident bytes, and the f32 kernels consume them with
+  /// no second narrowing pass. f64 consumers widen per block.
   std::vector<double> values;
   std::vector<float> values_f32;
   std::vector<std::int64_t> explicit_nodes;  // global ids, sorted
@@ -139,9 +144,11 @@ class ShardStreamReader {
   std::int64_t nnz() const;
   std::int64_t num_explicit() const;
   bool has_ground_truth() const;
-  /// Manifest format version (1 or 2).
+  /// Manifest format version (kShardFormatVersionRaw or
+  /// kShardFormatVersionCompressed, src/dataset/shard.h).
   std::uint32_t version() const;
-  /// True when blocks carry f32 value sections (v2/f32 manifests).
+  /// True when blocks carry f32 value sections (compressed f32
+  /// manifests).
   bool values_f32() const;
   const std::string& name() const;
   const std::string& spec() const;
@@ -159,9 +166,20 @@ class ShardStreamReader {
 
   /// Reads and fully validates shard `shard` into *block. Returns false
   /// and fills *error on I/O failure or any corruption; *block is left
-  /// empty then.
+  /// empty then (no rows, no entries, no counted bytes).
+  ///
+  /// Buffer reuse: *block is refilled in place, not rebuilt. The shard
+  /// it held before is released from the residency count first, and its
+  /// vectors keep their capacity, so a caller that cycles the same
+  /// blocks through a pass allocates nothing once each block has held a
+  /// shard at least as large as the next one. `file_bytes`, if given, is
+  /// the scratch buffer the shard file is read into, reused the same way
+  /// (its contents afterwards are unspecified); nullptr reads into a
+  /// temporary. The scratch never belongs to the block and never counts
+  /// as resident. Concurrent calls need distinct blocks and buffers.
   bool ReadBlock(std::int64_t shard, ShardStreamBlock* block,
-                 std::string* error) const;
+                 std::string* error,
+                 std::vector<char>* file_bytes = nullptr) const;
 
   /// CSR bytes of currently live blocks / their lifetime high-water
   /// mark. Blocks keep their count alive past the reader (shared
@@ -177,7 +195,7 @@ class ShardStreamReader {
   std::int64_t blocks_read_total() const;
   std::int64_t file_bytes_read_total() const;
   std::int64_t csr_bytes_read_total() const;
-  /// On-disk payload bytes of compressed (v2) blocks read; 0 for v1.
+  /// On-disk payload bytes of compressed blocks read; 0 for raw ones.
   std::int64_t encoded_bytes_read_total() const;
   /// Times a shard failed manifest/checksum verification and the one
   /// re-read attempt was taken (transient-read protection; a second

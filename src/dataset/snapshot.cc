@@ -14,10 +14,10 @@ namespace {
 using internal::AppendPod;
 using internal::AppendString;
 using internal::Cursor;
-using internal::Fnv1a;
 using internal::kFlagGroundTruth;
 using internal::kHeaderBytes;
 using internal::kMaxClasses;
+using internal::PayloadChecksum;
 
 constexpr char kMagic[8] = {'L', 'I', 'N', 'B', 'P', 'S', 'N', 'P'};
 
@@ -115,7 +115,7 @@ bool SaveSnapshot(const Scenario& scenario, const std::string& path,
   header.num_explicit =
       static_cast<std::int64_t>(scenario.explicit_nodes.size());
   header.flags = scenario.HasGroundTruth() ? kFlagGroundTruth : 0;
-  header.checksum = Fnv1a(payload.data(), payload.size());
+  header.checksum = PayloadChecksum(payload.data(), payload.size());
   char header_bytes[kHeaderBytes];
   WriteHeader(header, header_bytes);
   return internal::WriteFileDurably(path, header_bytes, kHeaderBytes, payload,
@@ -134,7 +134,7 @@ std::optional<Scenario> LoadSnapshot(const std::string& path,
   }
   const char* payload = bytes.data() + kHeaderBytes;
   const std::size_t payload_size = bytes.size() - kHeaderBytes;
-  if (Fnv1a(payload, payload_size) != header.checksum) {
+  if (PayloadChecksum(payload, payload_size) != header.checksum) {
     *error = path + ": checksum mismatch (corrupted snapshot)";
     return std::nullopt;
   }

@@ -8,7 +8,8 @@
 //
 //   offset  size  field
 //   0       8     magic "LINBPSNP"
-//   8       4     u32 version (currently 1)
+//   8       4     u32 version (currently 2; version 1 was the same
+//                 layout checksummed with byte-serial FNV-1a)
 //   12      4     u32 endian tag 0x01020304 (byte-swapped on a
 //                 big-endian writer, which readers reject)
 //   16      8     i64 num_nodes
@@ -17,7 +18,8 @@
 //   40      8     i64 num_explicit (nodes with explicit beliefs)
 //   48      4     u32 flags (bit 0: ground truth present)
 //   52      4     u32 reserved (0)
-//   56      8     u64 FNV-1a checksum of the payload bytes
+//   56      8     u64 PayloadChecksum of the payload bytes (the
+//                 word-at-a-time hash in src/dataset/format_internal.h)
 //   64      ...   payload:
 //                   u32 name length, name bytes
 //                   u32 spec length, spec bytes
@@ -51,7 +53,7 @@ namespace linbp {
 namespace dataset {
 
 /// Current snapshot format version.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Writes `scenario` to `path`. Returns false and fills *error on I/O
 /// failure.

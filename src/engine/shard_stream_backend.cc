@@ -24,19 +24,33 @@ bool ShardStreamBackend::StreamBlocks(
     span.SetAttr("shards", reader.num_shards());
     span.SetAttr("overlap", static_cast<std::int64_t>(overlap ? 1 : 0));
   }
+  // Per-pass scratch. Production is sequential (produce(s + 1) starts
+  // after produce(s) returned), so one file buffer serves every read.
+  // Item s lives in pipeline slot s % 2, whose previous item (s - 2) has
+  // been consumed by the time s is produced, so an uncached pass refills
+  // the same two blocks and stops allocating once they have held the
+  // largest shards. Cached passes insert fresh blocks instead. The pass
+  // owns both, so residency drops to zero when it ends, failed or not.
+  std::vector<char> file_bytes;
+  dataset::ShardStreamBlock recycled[2];
   // Items are shared_ptr so a cached block can sit in the pipeline slot
   // and in the cache at once; a hit costs a refcount bump, not a read.
+  // A recycled block is lent to its slot through a non-owning pointer.
   using Item = std::shared_ptr<const dataset::ShardStreamBlock>;
   return exec::RunDoubleBuffered<Item>(
       reader.num_shards(), overlap,
-      [&reader, cache](std::int64_t s, Item* item, std::string* err) {
-        if (cache != nullptr) {
-          *item = cache->Lookup(s);
-          if (*item != nullptr) return true;
+      [&](std::int64_t s, Item* item, std::string* err) {
+        if (cache == nullptr) {
+          dataset::ShardStreamBlock* block = &recycled[s % 2];
+          if (!reader.ReadBlock(s, block, err, &file_bytes)) return false;
+          *item = Item(Item(), block);
+          return true;
         }
+        *item = cache->Lookup(s);
+        if (*item != nullptr) return true;
         auto block = std::make_shared<dataset::ShardStreamBlock>();
-        if (!reader.ReadBlock(s, block.get(), err)) return false;
-        if (cache != nullptr) cache->Insert(s, block);
+        if (!reader.ReadBlock(s, block.get(), err, &file_bytes)) return false;
+        cache->Insert(s, block);
         *item = std::move(block);
         return true;
       },

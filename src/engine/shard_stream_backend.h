@@ -64,8 +64,8 @@ class ShardStreamBackend final : public PropagationBackend {
   /// One block per shard, through the cache and the double-buffered
   /// pipeline. A block stored in the other precision is converted once
   /// as it is visited (f64-valued shards narrowed for an f32 visit,
-  /// v2/f32 shards widened for an f64 one); a block in the requested
-  /// precision is handed over as stored.
+  /// compressed f32 shards widened for an f64 one); a block in the
+  /// requested precision is handed over as stored.
   bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
                       const BlockVisitor& visit,
                       std::string* error) const override;
@@ -101,7 +101,8 @@ class ShardStreamBackend final : public PropagationBackend {
   // `apply` (called in shard order on the caller thread). Shared by the
   // products and the Open() derivation pass. Blocks come from the cache
   // when one is configured and hot; misses read from disk and populate
-  // it.
+  // it. Without a cache the pass refills two blocks it owns, so its
+  // reads stop allocating once those have held the largest shards.
   bool StreamBlocks(
       const exec::ExecContext& ctx,
       const std::function<void(const dataset::ShardStreamBlock&)>& apply,

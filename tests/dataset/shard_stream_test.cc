@@ -8,12 +8,14 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/dataset/format_internal.h"
 #include "src/dataset/registry.h"
 #include "src/dataset/shard.h"
 #include "tests/testing/test_util.h"
@@ -196,27 +198,19 @@ TEST(ShardStreamReaderTest, OpenValidatesTheManifest) {
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
 }
 
-// ---- Compressed (v2) streams ---------------------------------------------
+// ---- Compressed streams --------------------------------------------------
 
-// FNV-1a, reimplemented so the corruption tests can forge checksum-valid
-// hostile bytes that only the structural decode can reject.
-std::uint64_t TestFnv1a(const char* data, std::size_t size) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
+// Re-forges the payload checksum in a header, so the corruption tests
+// can build checksum-valid hostile bytes that only the structural decode
+// can reject.
 void FixChecksum(std::vector<char>* bytes) {
   const std::uint64_t checksum =
-      TestFnv1a(bytes->data() + 64, bytes->size() - 64);
+      internal::PayloadChecksum(bytes->data() + 64, bytes->size() - 64);
   std::memcpy(bytes->data() + 56, &checksum, 8);
 }
 
-// Byte offset of shard `index`'s manifest entry; v2 entries carry an
-// extra i64 payload_bytes before the checksum.
+// Byte offset of shard `index`'s manifest entry; compressed entries carry
+// an extra i64 payload_bytes before the checksum.
 std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
                                 std::int64_t index) {
   std::uint32_t version = 0;
@@ -233,10 +227,35 @@ std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
   skip_string();  // spec
   off += static_cast<std::size_t>(k * k) * 8;  // coupling residual
   for (std::int64_t s = 0; s < index; ++s) {
-    off += (version >= 2 ? 8 * 5 : 8 * 4) + 8;
+    off += (IsCompressedShardVersion(version) ? 8 * 5 : 8 * 4) + 8;
     skip_string();  // file name
   }
   return off;
+}
+
+// Byte offset of the checksum inside shard `index`'s manifest entry.
+std::size_t ManifestEntryChecksumOffset(const std::vector<char>& manifest,
+                                        std::int64_t index) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, manifest.data() + 8, 4);
+  return ManifestEntryOffset(manifest, index) +
+         (IsCompressedShardVersion(version) ? 8 * 5 : 8 * 4);
+}
+
+// Writes `shard` as shard `index`'s file and re-forges every checksum on
+// the path to it (shard header, manifest entry, manifest header), so only
+// the structural decode can reject the bytes.
+void WriteForgedShard(const std::string& manifest, std::int64_t index,
+                      std::vector<char> shard) {
+  FixChecksum(&shard);
+  WriteBytes(std::filesystem::path(manifest).parent_path() /
+                 ShardFileName(index),
+             shard);
+  std::vector<char> man = ReadBytes(manifest);
+  std::memcpy(man.data() + ManifestEntryChecksumOffset(man, index),
+              shard.data() + 56, 8);
+  FixChecksum(&man);
+  WriteBytes(manifest, man);
 }
 
 // Reads one LEB128 varint from pristine test bytes (trusted input).
@@ -260,7 +279,7 @@ TEST(ShardStreamReaderTest, CompressedBlocksMatchTheMonolithicCsr) {
         scenario, f32 ? "v2_blocks_f32" : "v2_blocks_f64",
         f32 ? ShardCompression::kF32 : ShardCompression::kF64);
     const ShardStreamReader reader = OpenReader(manifest);
-    EXPECT_EQ(reader.version(), kShardFormatVersionV2);
+    EXPECT_EQ(reader.version(), kShardFormatVersionCompressed);
     EXPECT_EQ(reader.values_f32(), f32);
     const auto& row_ptr = scenario.graph.adjacency().row_ptr();
     const auto& col_idx = scenario.graph.adjacency().col_idx();
@@ -322,7 +341,7 @@ TEST(ShardStreamReaderTest, UncompressedReadsCountNoEncodedBytes) {
   ShardStreamBlock block;
   std::string error;
   ASSERT_TRUE(reader.ReadBlock(0, &block, &error)) << error;
-  EXPECT_EQ(reader.version(), kShardFormatVersion);
+  EXPECT_EQ(reader.version(), kShardFormatVersionRaw);
   EXPECT_GT(reader.file_bytes_read_total(), 0);
   EXPECT_EQ(reader.encoded_bytes_read_total(), 0);
 }
@@ -339,23 +358,15 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   const std::vector<char> shard_pristine = ReadBytes(shard1);
   const std::vector<char> manifest_pristine = ReadBytes(manifest);
 
-  // Applies `mutate` to shard 1, re-forges the shard header checksum,
-  // the manifest entry checksum, and the manifest header checksum, then
-  // expects both the streamed and the bulk load to fail with `what`.
+  // Applies `mutate` to shard 1, re-forges every checksum on the path to
+  // it, then expects both the streamed and the bulk load to fail with
+  // `what`.
   const auto expect_rejected =
       [&](const std::string& what,
           const std::function<void(std::vector<char>*)>& mutate) {
         std::vector<char> shard = shard_pristine;
         mutate(&shard);
-        FixChecksum(&shard);
-        std::uint64_t forged = 0;
-        std::memcpy(&forged, shard.data() + 56, 8);
-        WriteBytes(shard1, shard);
-        std::vector<char> man = manifest_pristine;
-        std::memcpy(man.data() + ManifestEntryOffset(man, 1) + 40, &forged,
-                    8);
-        FixChecksum(&man);
-        WriteBytes(manifest, man);
+        WriteForgedShard(manifest, 1, std::move(shard));
 
         std::string error;
         auto reader = ShardStreamReader::Open(manifest, &error);
@@ -413,19 +424,34 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
                     std::memcpy(shard->data() + 64, &encoded, 8);
                   });
 
+  // A row listing itself. Only the row's first column id is rewritten
+  // (possibly clobbering the byte after it): the decode stops right
+  // there, so nothing behind it is read.
+  expect_rejected("self-loop", [&](std::vector<char>* shard) {
+    std::int64_t row_begin = 0;
+    std::memcpy(&row_begin, shard->data() + 16, 8);
+    std::size_t off = 72;
+    const std::uint64_t nnz0 = ReadTestVarint(*shard, &off);
+    ASSERT_GE(nnz0, 1u);
+    std::vector<char> self;
+    internal::AppendVarint(static_cast<std::uint64_t>(row_begin), &self);
+    std::memcpy(shard->data() + off, self.data(), self.size());
+  });
+
+  // A NaN weight, caught as the value section is copied.
+  expect_rejected("non-finite weight", [](std::vector<char>* shard) {
+    std::uint64_t encoded = 0;
+    std::memcpy(&encoded, shard->data() + 64, 8);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::memcpy(shard->data() + 72 + encoded, &nan, 8);
+  });
+
   // Wrong value-section size: the file ends before the values the header
   // counts promise.
   {
     std::vector<char> shard = shard_pristine;
     shard.resize(shard.size() - 4);
-    FixChecksum(&shard);
-    std::uint64_t forged = 0;
-    std::memcpy(&forged, shard.data() + 56, 8);
-    WriteBytes(shard1, shard);
-    std::vector<char> man = manifest_pristine;
-    std::memcpy(man.data() + ManifestEntryOffset(man, 1) + 40, &forged, 8);
-    FixChecksum(&man);
-    WriteBytes(manifest, man);
+    WriteForgedShard(manifest, 1, std::move(shard));
     std::string error;
     auto reader = ShardStreamReader::Open(manifest, &error);
     ASSERT_TRUE(reader.has_value()) << error;
@@ -443,14 +469,7 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
     std::memcpy(&encoded, shard.data() + 64, 8);
     const double tweaked = 7.5;
     std::memcpy(shard.data() + 72 + encoded, &tweaked, 8);
-    FixChecksum(&shard);
-    std::uint64_t forged = 0;
-    std::memcpy(&forged, shard.data() + 56, 8);
-    WriteBytes(shard1, shard);
-    std::vector<char> man = manifest_pristine;
-    std::memcpy(man.data() + ManifestEntryOffset(man, 1) + 40, &forged, 8);
-    FixChecksum(&man);
-    WriteBytes(manifest, man);
+    WriteForgedShard(manifest, 1, std::move(shard));
     std::string error;
     EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
     EXPECT_NE(error.find("invalid adjacency payload"), std::string::npos)
@@ -464,6 +483,180 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   ShardStreamBlock block;
   std::string error;
   EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
+}
+
+// Raw shards are copied verbatim and checked afterwards: the whole
+// row_ptr must be monotone before any entry range in it is trusted.
+TEST(ShardStreamReaderTest, RawRejectsNonMonotoneRowPointers) {
+  const Scenario scenario = TestScenario();
+  const std::string manifest = ShardScenario(scenario, "raw_row_ptr");
+  std::vector<char> shard = ReadBytes(
+      std::filesystem::path(manifest).parent_path() / ShardFileName(1));
+  // row_ptr[1] far past nnz while row_ptr[0] <= row_ptr[1] holds: an
+  // entry sweep trusting row 0's range would read far out of bounds.
+  const std::int64_t huge = 1000000;
+  std::memcpy(shard.data() + 64 + 8, &huge, 8);
+  WriteForgedShard(manifest, 1, std::move(shard));
+  const ShardStreamReader reader = OpenReader(manifest);
+  ShardStreamBlock block;
+  std::string error;
+  EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
+  EXPECT_NE(error.find("invalid shard row pointers"), std::string::npos)
+      << error;
+  EXPECT_EQ(reader.resident_csr_bytes(), 0);
+  EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+  EXPECT_NE(error.find("invalid shard row pointers"), std::string::npos)
+      << error;
+}
+
+// A manifest entry naming a directory: the read is an error, never an
+// allocation sized by whatever the OS reports for a directory.
+TEST(ShardStreamReaderTest, ShardEntryNamingADirectoryIsAnError) {
+  const Scenario scenario = TestScenario();
+  const std::string manifest =
+      ShardScenario(scenario, "reader_dir_entry", ShardCompression::kF64);
+  std::vector<char> man = ReadBytes(manifest);
+  // The u32 file-name length follows the entry's u64 checksum.
+  const std::size_t name_at = ManifestEntryChecksumOffset(man, 1) + 8;
+  std::uint32_t length = 0;
+  std::memcpy(&length, man.data() + name_at, 4);
+  const std::uint32_t one = 1;
+  std::memcpy(man.data() + name_at, &one, 4);
+  man.erase(man.begin() + name_at + 4, man.begin() + name_at + 4 + length);
+  man.insert(man.begin() + name_at + 4, '.');
+  FixChecksum(&man);
+  WriteBytes(manifest, man);
+
+  const ShardStreamReader reader = OpenReader(manifest);
+  ShardStreamBlock block;
+  std::string error;
+  EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  EXPECT_EQ(reader.resident_csr_bytes(), 0);
+  EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+}
+
+// ---- Block reuse ---------------------------------------------------------
+
+void ExpectSameBlock(const ShardStreamBlock& expected,
+                     const ShardStreamBlock& actual) {
+  EXPECT_EQ(actual.shard, expected.shard);
+  EXPECT_EQ(actual.row_begin, expected.row_begin);
+  EXPECT_EQ(actual.row_end, expected.row_end);
+  EXPECT_EQ(actual.row_ptr, expected.row_ptr);
+  EXPECT_EQ(actual.col_idx, expected.col_idx);
+  EXPECT_EQ(actual.values, expected.values);
+  EXPECT_EQ(actual.values_f32, expected.values_f32);
+  EXPECT_EQ(actual.explicit_nodes, expected.explicit_nodes);
+  EXPECT_EQ(actual.explicit_rows, expected.explicit_rows);
+  EXPECT_EQ(actual.ground_truth, expected.ground_truth);
+  EXPECT_EQ(actual.resident_csr_bytes(), expected.resident_csr_bytes());
+}
+
+void ExpectEmptyBlock(const ShardStreamBlock& block) {
+  EXPECT_EQ(block.num_rows(), 0);
+  EXPECT_EQ(block.nnz(), 0);
+  EXPECT_TRUE(block.row_ptr.empty());
+  EXPECT_TRUE(block.col_idx.empty());
+  EXPECT_TRUE(block.values.empty());
+  EXPECT_TRUE(block.values_f32.empty());
+  EXPECT_TRUE(block.explicit_nodes.empty());
+  EXPECT_TRUE(block.explicit_rows.empty());
+  EXPECT_TRUE(block.ground_truth.empty());
+  EXPECT_EQ(block.resident_csr_bytes(), 0);
+}
+
+// A refilled block equals a fresh read, member by member, whatever it
+// held before: a larger shard with explicit nodes, ground truth and f32
+// values from another manifest, or the previous shard of the same one.
+// Its residency moves with it.
+TEST(ShardStreamReaderTest, RefilledBlockEqualsAFreshRead) {
+  const Scenario with_truth = TestScenario();
+  std::string error;
+  const auto without_truth = MakeScenario("kronecker:g=1,seed=4", &error);
+  ASSERT_TRUE(without_truth.has_value()) << error;
+  ASSERT_TRUE(with_truth.HasGroundTruth());
+  ASSERT_FALSE(without_truth->HasGroundTruth());
+
+  // One shard: every row, explicit node and ground-truth entry.
+  const std::string source_dir = ::testing::TempDir() + "/reuse_source";
+  std::filesystem::remove_all(source_dir);
+  const auto written = ShardSnapshot(with_truth, 1, source_dir, &error,
+                                     ShardCompression::kF32);
+  ASSERT_TRUE(written.has_value()) << error;
+  const ShardStreamReader source = OpenReader(written->manifest_path);
+
+  const struct {
+    const Scenario* scenario;
+    ShardCompression compression;
+    const char* name;
+  } targets[] = {
+      {&with_truth, ShardCompression::kNone, "reuse_raw"},
+      {&with_truth, ShardCompression::kF64, "reuse_f64"},
+      {&*without_truth, ShardCompression::kNone, "reuse_plain_raw"},
+      {&*without_truth, ShardCompression::kF64, "reuse_plain_f64"},
+  };
+  for (const auto& target : targets) {
+    SCOPED_TRACE(target.name);
+    const ShardStreamReader reader = OpenReader(
+        ShardScenario(*target.scenario, target.name, target.compression));
+    ShardStreamBlock chained;  // walks every shard in turn
+    std::vector<char> scratch;
+    for (std::int64_t s = 0; s < reader.num_shards(); ++s) {
+      ShardStreamBlock fresh;
+      ASSERT_TRUE(reader.ReadBlock(s, &fresh, &error)) << error;
+      ShardStreamBlock primed;
+      ASSERT_TRUE(source.ReadBlock(0, &primed, &error)) << error;
+      ASSERT_GT(primed.num_rows(), fresh.num_rows());
+      ASSERT_FALSE(primed.explicit_nodes.empty());
+      ASSERT_FALSE(primed.values_f32.empty());
+      ASSERT_TRUE(reader.ReadBlock(s, &primed, &error, &scratch)) << error;
+      ExpectSameBlock(fresh, primed);
+      EXPECT_EQ(source.resident_csr_bytes(), 0);
+
+      ASSERT_TRUE(reader.ReadBlock(s, &chained, &error, &scratch)) << error;
+      ExpectSameBlock(fresh, chained);
+      EXPECT_EQ(reader.resident_csr_bytes(), 3 * reader.block_csr_bytes(s));
+    }
+  }
+}
+
+// A failed read into a used block leaves it empty and uncounted, whether
+// it fails before the block is sized (a missing file) or after (a NaN
+// weight behind forged checksums).
+TEST(ShardStreamReaderTest, FailedRefillLeavesTheBlockEmpty) {
+  const Scenario scenario = TestScenario();
+  const std::string manifest =
+      ShardScenario(scenario, "refill_fail", ShardCompression::kF64);
+  const std::string shard1 =
+      std::filesystem::path(manifest).parent_path() / ShardFileName(1);
+  std::vector<char> shard = ReadBytes(shard1);
+  std::uint64_t encoded = 0;
+  std::memcpy(&encoded, shard.data() + 64, 8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(shard.data() + 72 + encoded, &nan, 8);
+  WriteForgedShard(manifest, 1, std::move(shard));
+  const ShardStreamReader reader = OpenReader(manifest);
+
+  ShardStreamBlock block;
+  std::vector<char> scratch;
+  std::string error;
+  ASSERT_TRUE(reader.ReadBlock(0, &block, &error, &scratch)) << error;
+  EXPECT_FALSE(reader.ReadBlock(1, &block, &error, &scratch));
+  EXPECT_NE(error.find("non-finite weight"), std::string::npos) << error;
+  ExpectEmptyBlock(block);
+  EXPECT_EQ(reader.resident_csr_bytes(), 0);
+
+  ASSERT_TRUE(reader.ReadBlock(0, &block, &error, &scratch)) << error;
+  std::filesystem::remove(shard1);
+  EXPECT_FALSE(reader.ReadBlock(1, &block, &error, &scratch));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+  ExpectEmptyBlock(block);
+  EXPECT_EQ(reader.resident_csr_bytes(), 0);
+
+  // The emptied block is an ordinary block again.
+  ASSERT_TRUE(reader.ReadBlock(0, &block, &error, &scratch)) << error;
+  EXPECT_EQ(reader.resident_csr_bytes(), reader.block_csr_bytes(0));
 }
 
 // ---- Decoded-block cache -------------------------------------------------

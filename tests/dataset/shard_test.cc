@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/dataset/format_internal.h"
 #include "src/dataset/registry.h"
 #include "src/dataset/snapshot.h"
 #include "tests/testing/test_util.h"
@@ -80,25 +81,17 @@ void ExpectScenariosIdentical(const Scenario& a, const Scenario& b) {
   EXPECT_EQ(a.ground_truth, b.ground_truth);
 }
 
-// The FNV-1a the formats use, reimplemented so the corruption tests can
-// forge "checksum-valid" hostile bytes.
-std::uint64_t TestFnv1a(const char* data, std::size_t size) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
+// Re-forges the payload checksum in a header, so the corruption tests can
+// build "checksum-valid" hostile bytes.
 void FixChecksum(std::vector<char>* bytes) {
   const std::uint64_t checksum =
-      TestFnv1a(bytes->data() + 64, bytes->size() - 64);
+      internal::PayloadChecksum(bytes->data() + 64, bytes->size() - 64);
   std::memcpy(bytes->data() + 56, &checksum, 8);
 }
 
 // Byte offset of shard `index`'s manifest entry (the i64 row_begin).
-// Reads the header version: v2 entries carry an extra i64 payload_bytes.
+// Reads the header version: compressed entries carry an extra i64
+// payload_bytes.
 std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
                                 std::int64_t index) {
   std::uint32_t version = 0;
@@ -116,7 +109,7 @@ std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
   off += static_cast<std::size_t>(k * k) * 8;  // coupling residual
   for (std::int64_t s = 0; s < index; ++s) {
     // row_begin, row_end, nnz, num_explicit, [payload_bytes,] checksum
-    off += (version >= 2 ? 8 * 5 : 8 * 4) + 8;
+    off += (IsCompressedShardVersion(version) ? 8 * 5 : 8 * 4) + 8;
     skip_string();  // file name
   }
   return off;
@@ -229,7 +222,7 @@ TEST(ShardTest, ManifestInfoReportsTheShardTable) {
   std::string error;
   const auto info = ReadShardManifestInfo(manifest, &error);
   ASSERT_TRUE(info.has_value()) << error;
-  EXPECT_EQ(info->version, kShardFormatVersion);
+  EXPECT_EQ(info->version, kShardFormatVersionRaw);
   EXPECT_EQ(info->num_nodes, original.graph.num_nodes());
   EXPECT_EQ(info->k, original.k);
   EXPECT_EQ(info->nnz, original.graph.num_directed_edges());
@@ -334,7 +327,7 @@ TEST(ShardTest, ManifestInfoReportsV2CompressionAndBothSizes) {
     std::string error;
     const auto info = ReadShardManifestInfo(manifest, &error);
     ASSERT_TRUE(info.has_value()) << error;
-    EXPECT_EQ(info->version, kShardFormatVersionV2);
+    EXPECT_EQ(info->version, kShardFormatVersionCompressed);
     EXPECT_EQ(info->values_f32, f32);
     const std::filesystem::path dir =
         std::filesystem::path(manifest).parent_path();
@@ -410,6 +403,47 @@ TEST(ShardTest, RejectsBadMagicVersionAndEndianness) {
   WriteBytes(manifest, swapped);
   EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
   EXPECT_NE(error.find("big-endian"), std::string::npos) << error;
+}
+
+// Versions 1 (raw) and 2 (compressed) are the same layouts checksummed
+// with FNV-1a: a file still carrying one must fail as an unsupported
+// version, never reach the checksum comparison.
+TEST(ShardTest, RejectsThePreviousFormatVersions) {
+  const Scenario original = TestScenario();
+  for (const ShardCompression compression :
+       {ShardCompression::kNone, ShardCompression::kF64}) {
+    const bool raw = compression == ShardCompression::kNone;
+    const std::uint32_t previous = raw ? 1 : 2;
+    const std::string manifest = ShardedCompressed(
+        original, raw ? "previous_raw" : "previous_compressed", 3,
+        compression);
+    const std::vector<char> pristine = ReadBytes(manifest);
+    std::string error;
+
+    std::vector<char> old_manifest = pristine;
+    std::memcpy(old_manifest.data() + 8, &previous, 4);
+    WriteBytes(manifest, old_manifest);
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_NE(error.find("unsupported shard manifest version " +
+                         std::to_string(previous)),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(ReadShardManifestInfo(manifest, &error).has_value());
+    WriteBytes(manifest, pristine);
+
+    // A current manifest pointing at a shard file of the old version.
+    const std::string shard =
+        (std::filesystem::path(manifest).parent_path() / ShardFileName(1))
+            .string();
+    std::vector<char> old_shard = ReadBytes(shard);
+    std::memcpy(old_shard.data() + 8, &previous, 4);
+    WriteBytes(shard, old_shard);
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_NE(error.find("unsupported snapshot shard version " +
+                         std::to_string(previous)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(ShardTest, RejectsRowRangeGapAndOverlap) {

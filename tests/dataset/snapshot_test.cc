@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/dataset/format_internal.h"
 #include "src/dataset/registry.h"
 #include "tests/testing/test_util.h"
 
@@ -183,6 +184,24 @@ TEST(SnapshotTest, RejectsBadMagicVersionAndEndianness) {
   EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
 }
 
+// Version 1 is the same layout checksummed with FNV-1a: it must fail as
+// an unsupported version, never reach the checksum comparison.
+TEST(SnapshotTest, RejectsThePreviousFormatVersion) {
+  const Scenario original = TestScenario();
+  const std::string path = SavedSnapshot(original, "previous.lbps");
+  std::vector<char> bytes = ReadBytes(path);
+  const std::uint32_t previous = kSnapshotVersion - 1;
+  std::memcpy(bytes.data() + 8, &previous, 4);
+  WriteBytes(path, bytes);
+  std::string error;
+  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+  EXPECT_NE(error.find("unsupported snapshot version 1"), std::string::npos)
+      << error;
+  EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
+  EXPECT_NE(error.find("unsupported snapshot version 1"), std::string::npos)
+      << error;
+}
+
 TEST(SnapshotTest, RejectsCorruptedPayloadAndHeaderCounts) {
   const Scenario original = TestScenario();
   const std::string path = SavedSnapshot(original, "corrupt.lbps");
@@ -213,18 +232,9 @@ TEST(SnapshotTest, RejectsCorruptedPayloadAndHeaderCounts) {
 
 // Helpers for crafting checksum-valid but structurally hostile payloads:
 // the loader must reject them with errors, never crash or abort.
-std::uint64_t TestFnv1a(const char* data, std::size_t size) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 void FixChecksum(std::vector<char>* bytes) {
   const std::uint64_t checksum =
-      TestFnv1a(bytes->data() + 64, bytes->size() - 64);
+      internal::PayloadChecksum(bytes->data() + 64, bytes->size() - 64);
   std::memcpy(bytes->data() + 56, &checksum, 8);
 }
 

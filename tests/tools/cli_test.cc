@@ -1,6 +1,7 @@
 #include "tools/cli_lib.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -271,7 +272,7 @@ TEST(RunMainTest, ConvertInfoAndSnapRoundTrip) {
 
   ASSERT_EQ(RunMain({"info", "--snapshot=" + snapshot}, &output, &error), 0)
       << error;
-  EXPECT_NE(output.find("version:       1"), std::string::npos) << output;
+  EXPECT_NE(output.find("version:       2"), std::string::npos) << output;
   EXPECT_NE(output.find("ground truth:  yes"), std::string::npos) << output;
 
   ASSERT_EQ(RunMain({"--scenario=snap:path=" + snapshot, "--method=sbp"},
@@ -279,6 +280,22 @@ TEST(RunMainTest, ConvertInfoAndSnapRoundTrip) {
             0)
       << error;
   EXPECT_EQ(std::count(output.begin(), output.end(), '\n'), 90);
+}
+
+// A directory where a snapshot belongs is an error naming the path,
+// not an allocation sized by whatever the OS reports for a directory.
+TEST(RunMainTest, DirectoryInputIsAnErrorNotACrash) {
+  const std::string dir = TempPath("cli_dir_input");
+  std::filesystem::create_directories(dir);
+  std::string output;
+  std::string error;
+  EXPECT_EQ(RunMain({"info", "--snapshot=" + dir}, &output, &error), 1);
+  EXPECT_NE(error.find(dir + ": not a regular file"), std::string::npos)
+      << error;
+  error.clear();
+  EXPECT_EQ(RunMain({"--scenario=snap:path=" + dir}, &output, &error), 1);
+  EXPECT_NE(error.find(dir + ": not a regular file"), std::string::npos)
+      << error;
 }
 
 TEST(RunMainTest, ConvertExportsTextFiles) {
@@ -538,7 +555,7 @@ TEST(RunMainTest, InfoReportsV2CompressionAndRatio) {
                     &output, &error),
             0)
       << error;
-  EXPECT_NE(output.find("version:       2"), std::string::npos) << output;
+  EXPECT_NE(output.find("version:       4"), std::string::npos) << output;
   EXPECT_NE(output.find("compression:   varint-f64"), std::string::npos)
       << output;
   EXPECT_NE(output.find("decoded;"), std::string::npos) << output;

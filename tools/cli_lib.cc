@@ -299,7 +299,7 @@ int RunShardManifestInfo(const InfoOptions& options, std::string* output,
   const auto info =
       dataset::ReadShardManifestInfo(options.snapshot_path, error);
   if (!info.has_value()) return 1;
-  const bool compressed = info->version >= dataset::kShardFormatVersionV2;
+  const bool compressed = dataset::IsCompressedShardVersion(info->version);
   const char* compression_name =
       !compressed ? "none" : (info->values_f32 ? "varint-f32" : "varint-f64");
   const auto ratio = [](std::int64_t encoded, std::int64_t decoded) {
@@ -571,8 +571,8 @@ std::string Usage() {
       "           --cache-budget=BYTES keeps decoded blocks in an LRU\n"
       "           cache so sweeps after the first skip disk when the\n"
       "           working set fits (0 = off, the default)\n"
-      "  compress: write format v2 — delta+varint column ids (lossless,\n"
-      "           labels unchanged) and, with =f32, float32 value\n"
+      "  compress: write compressed shards — delta+varint column ids\n"
+      "           (lossless, labels unchanged) and, with =f32, float32 value\n"
       "           sections (half the value bytes; beliefs then match the\n"
       "           f32 solve of the same shards)\n"
       "  serve:   REPL on stdin; per line: a u v w | d u v | w u v w |\n"
