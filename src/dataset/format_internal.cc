@@ -89,8 +89,14 @@ void AppendString(const std::string& s, std::vector<char>* out) {
   AppendPod(s.data(), s.size(), out);
 }
 
+std::string OversizedFileError(const std::string& path, std::uint64_t size,
+                               std::uint64_t expected) {
+  return path + ": oversized file (" + std::to_string(size) +
+         " bytes, expected " + std::to_string(expected) + ")";
+}
+
 bool ReadFileBytes(const std::string& path, std::vector<char>* out,
-                   std::string* error) {
+                   std::string* error, std::uint64_t max_bytes) {
   // O_NONBLOCK: opening a FIFO must not wait for a writer before the
   // regular-file check rejects it (regular-file reads ignore the flag).
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
@@ -103,6 +109,12 @@ bool ReadFileBytes(const std::string& path, std::vector<char>* out,
   if (!S_ISREG(st.st_mode)) {
     ::close(fd);
     *error = path + ": not a regular file";
+    return false;
+  }
+  if (static_cast<std::uint64_t>(st.st_size) > max_bytes) {
+    ::close(fd);
+    *error = OversizedFileError(path, static_cast<std::uint64_t>(st.st_size),
+                                max_bytes);
     return false;
   }
   // Growing within capacity neither allocates nor faults in new pages,
@@ -150,11 +162,11 @@ bool WriteFileDurably(const std::string& path, const char* header,
   return true;
 }
 
-bool CheckMagicVersionEndianRange(const std::string& path, const char* data,
-                                  std::size_t size, const char* magic,
-                                  std::uint32_t min_version,
-                                  std::uint32_t max_version, const char* what,
-                                  std::uint32_t* version, std::string* error) {
+bool CheckMagicVersionEndianIn(const std::string& path, const char* data,
+                               std::size_t size, const char* magic,
+                               std::initializer_list<std::uint32_t> versions,
+                               const char* what, std::uint32_t* version,
+                               std::string* error) {
   if (size < kHeaderBytes) {
     *error = path + ": truncated " + what + " (shorter than the header)";
     return false;
@@ -174,11 +186,12 @@ bool CheckMagicVersionEndianRange(const std::string& path, const char* data,
     return false;
   }
   std::memcpy(version, data + 8, 4);
-  if (*version < min_version || *version > max_version) {
-    const std::string expected =
-        min_version == max_version
-            ? std::to_string(min_version)
-            : std::to_string(min_version) + ".." + std::to_string(max_version);
+  if (std::find(versions.begin(), versions.end(), *version) ==
+      versions.end()) {
+    std::string expected;
+    for (const std::uint32_t v : versions) {
+      expected += (expected.empty() ? "" : " or ") + std::to_string(v);
+    }
     *error = path + ": unsupported " + what + " version " +
              std::to_string(*version) + " (expected " + expected + ")";
     return false;
@@ -191,9 +204,8 @@ bool CheckMagicVersionEndian(const std::string& path, const char* data,
                              std::uint32_t expected_version, const char* what,
                              std::string* error) {
   std::uint32_t version = 0;
-  return CheckMagicVersionEndianRange(path, data, size, magic,
-                                      expected_version, expected_version,
-                                      what, &version, error);
+  return CheckMagicVersionEndianIn(path, data, size, magic,
+                                   {expected_version}, what, &version, error);
 }
 
 bool CheckCouplingResidual(const std::string& path,
@@ -267,8 +279,9 @@ std::int64_t CompressedShardPayloadBytesMin(std::int64_t rows,
                                             std::int64_t k,
                                             bool has_ground_truth,
                                             bool values_f32) {
-  return 8 +                // u64 column-section byte count
-         rows + nnz +       // >= 1 varint byte per row count and column id
+  return 8 +                         // u64 varint byte count
+         16 * RowGroupCount(rows) +    // row-group table
+         rows + nnz +                  // >= 1 byte per varint
          nnz * (values_f32 ? 4 : 8) + num_explicit * 8 * (1 + k) +
          (has_ground_truth ? rows * 4 : 0);
 }
@@ -284,95 +297,97 @@ void AppendVarint(std::uint64_t value, std::vector<char>* out) {
 void EncodeColumnSection(const std::int64_t* local_row_ptr, std::int64_t rows,
                          const std::int32_t* col_idx,
                          std::vector<char>* out) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int64_t begin = local_row_ptr[r];
-    const std::int64_t end = local_row_ptr[r + 1];
-    AppendVarint(static_cast<std::uint64_t>(end - begin), out);
-    std::int64_t prev = 0;
-    for (std::int64_t e = begin; e < end; ++e) {
-      const std::int64_t col = col_idx[e];
-      // First id raw, then strictly positive deltas (columns are sorted
-      // and duplicate-free per row, so col > prev always holds here).
-      AppendVarint(static_cast<std::uint64_t>(e == begin ? col : col - prev),
-                   out);
-      prev = col;
+  // The byte count and the table are filled in once the varints are out.
+  const std::int64_t groups = RowGroupCount(rows);
+  const std::size_t section = out->size();
+  const std::size_t varints =
+      section + 8 + 16 * static_cast<std::size_t>(groups);
+  out->resize(varints);
+  for (std::int64_t g = 0; g < groups; ++g) {
+    const std::int64_t row_end = std::min(rows, (g + 1) * kRowGroupRows);
+    for (std::int64_t r = g * kRowGroupRows; r < row_end; ++r) {
+      const std::int64_t begin = local_row_ptr[r];
+      const std::int64_t end = local_row_ptr[r + 1];
+      AppendVarint(static_cast<std::uint64_t>(end - begin), out);
+      std::int64_t prev = 0;
+      for (std::int64_t e = begin; e < end; ++e) {
+        const std::int64_t col = col_idx[e];
+        // First id raw, then strictly positive deltas (columns are sorted
+        // and duplicate-free per row, so col > prev always holds here).
+        AppendVarint(
+            static_cast<std::uint64_t>(e == begin ? col : col - prev), out);
+        prev = col;
+      }
     }
+    const std::uint64_t pair[2] = {
+        static_cast<std::uint64_t>(out->size() - varints),
+        static_cast<std::uint64_t>(local_row_ptr[row_end])};
+    std::memcpy(out->data() + section + 8 + 16 * g, pair, 16);
   }
+  const std::uint64_t varint_bytes = out->size() - varints;
+  std::memcpy(out->data() + section, &varint_bytes, 8);
 }
 
 namespace {
 
-// One bounds-checked LEB128 read. A valid value fits int32, so anything
-// longer than 5 bytes is corrupt regardless of its numeric value.
-bool ReadVarint(const char** data, const char* end, std::uint64_t* value,
-                std::string* what) {
+// One bounds-checked LEB128 read; returns the defect, or nullptr. A
+// valid value fits int32, so anything longer than 5 bytes is corrupt
+// regardless of its numeric value.
+const char* ReadVarint(const char** data, const char* end,
+                       std::uint64_t* value) {
   *value = 0;
   for (int shift = 0; shift < 5 * 7; shift += 7) {
-    if (*data == end) {
-      *what = "truncated varint";
-      return false;
-    }
+    if (*data == end) return "truncated varint";
     const std::uint8_t byte = static_cast<std::uint8_t>(*(*data)++);
     *value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return true;
+    if ((byte & 0x80) == 0) return nullptr;
   }
-  *what = "varint overflow (more than 5 bytes)";
-  return false;
+  return "varint overflow (more than 5 bytes)";
 }
 
-// Decodes a column section into a local row_ptr (rows + 1 entries) and
-// expected_nnz column ids; local row r is global row row_begin + r.
-// Rejects, with a short reason in *what: truncated or over-long
-// (> 5 byte) varints, column ids outside [0, num_nodes), zero deltas
-// (equal or decreasing columns), a row listing itself, per-row counts
-// that do not sum to expected_nnz, and trailing section bytes.
-bool DecodeColumnSection(const char* data, std::size_t size,
-                         std::int64_t row_begin, std::int64_t rows,
-                         std::int64_t expected_nnz, std::int64_t num_nodes,
-                         std::int64_t* local_row_ptr, std::int32_t* col_idx,
-                         std::string* what) {
+// Decodes one row group's varints [data, data + size) into the local
+// row_ptr entries of rows [row_begin, row_end) (row_ptr[r + 1] for each
+// local row r) and the column ids [entry_begin, entry_end); local row r
+// is global row first_row + r. Returns the defect, or nullptr: truncated
+// or over-long (> 5 byte) varints, column ids outside [0, num_nodes),
+// zero deltas (equal or decreasing columns), a row listing itself, row
+// entry counts that overrun or fall short of the group's entries, and
+// trailing group bytes.
+const char* DecodeRowGroup(const char* data, std::size_t size,
+                           std::int64_t first_row, std::int64_t row_begin,
+                           std::int64_t row_end, std::int64_t entry_begin,
+                           std::int64_t entry_end, std::int64_t num_nodes,
+                           std::int64_t* local_row_ptr,
+                           std::int32_t* col_idx) {
   const char* end = data + size;
-  std::int64_t written = 0;
-  local_row_ptr[0] = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
+  std::int64_t written = entry_begin;
+  for (std::int64_t r = row_begin; r < row_end; ++r) {
     std::uint64_t row_nnz = 0;
-    if (!ReadVarint(&data, end, &row_nnz, what)) return false;
-    if (row_nnz > static_cast<std::uint64_t>(expected_nnz - written)) {
-      *what = "row entry counts exceed the header nnz";
-      return false;
+    if (const char* what = ReadVarint(&data, end, &row_nnz)) return what;
+    if (row_nnz > static_cast<std::uint64_t>(entry_end - written)) {
+      return "row entry counts exceed the row group's entries";
     }
-    const std::int64_t row = row_begin + r;
+    const std::int64_t row = first_row + r;
     std::int64_t col = 0;
     for (std::uint64_t e = 0; e < row_nnz; ++e) {
       std::uint64_t delta = 0;
-      if (!ReadVarint(&data, end, &delta, what)) return false;
+      if (const char* what = ReadVarint(&data, end, &delta)) return what;
       if (e > 0 && delta == 0) {
-        *what = "non-monotone delta (columns not strictly increasing)";
-        return false;
+        return "non-monotone delta (columns not strictly increasing)";
       }
       col = e == 0 ? static_cast<std::int64_t>(delta)
                    : col + static_cast<std::int64_t>(delta);
-      if (col >= num_nodes) {
-        *what = "column id out of range";
-        return false;
-      }
-      if (col == row) {
-        *what = "self-loop";
-        return false;
-      }
+      if (col >= num_nodes) return "column id out of range";
+      if (col == row) return "self-loop";
       col_idx[written++] = static_cast<std::int32_t>(col);
     }
     local_row_ptr[r + 1] = written;
   }
-  if (written != expected_nnz) {
-    *what = "row entry counts do not sum to the header nnz";
-    return false;
+  if (written != entry_end) {
+    return "row entry counts fall short of the row group's entries";
   }
-  if (data != end) {
-    *what = "trailing bytes in the column section";
-    return false;
-  }
-  return true;
+  if (data != end) return "trailing bytes in the column section";
+  return nullptr;
 }
 
 // Copies `count` little-endian `Stored` values from `data` into `out`,
@@ -392,52 +407,158 @@ bool CopyFiniteValues(const char* data, std::size_t count, Out* out) {
   return finite;
 }
 
+// Pair g of a row-group table: where group g's varints and entries end.
+struct RowGroupEnds {
+  std::uint64_t bytes = 0;
+  std::uint64_t entries = 0;
+};
+
+RowGroupEnds ReadRowGroupEnds(const char* table, std::int64_t g) {
+  RowGroupEnds ends;
+  std::memcpy(&ends.bytes, table + 16 * g, 8);
+  std::memcpy(&ends.entries, table + 16 * g + 8, 8);
+  return ends;
+}
+
+// The whole table, before any group runs: returns the defect, or nullptr.
+const char* CheckRowGroupTable(const char* table, std::int64_t groups,
+                               std::uint64_t varint_bytes,
+                               std::uint64_t nnz) {
+  RowGroupEnds previous;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    const RowGroupEnds ends = ReadRowGroupEnds(table, g);
+    if (ends.bytes < previous.bytes) return "byte ends decrease";
+    if (ends.entries < previous.entries) return "entry ends decrease";
+    if (ends.bytes > varint_bytes) return "byte end past the section";
+    if (ends.entries > nnz) return "entry end past the header nnz";
+    previous = ends;
+  }
+  if (previous.bytes != varint_bytes) {
+    return "last byte end short of the section end";
+  }
+  if (previous.entries != nnz) return "last entry end short of the header nnz";
+  return nullptr;
+}
+
+constexpr char kNonFiniteWeight[] = "non-finite weight";
+
+// One compressed shard's row groups over a checked table: Decode(g)
+// fills group g's rows, entries and values, touching nothing another
+// group writes.
+template <typename Value>
+struct RowGroupDecoder {
+  const char* table;
+  const char* varints;
+  const char* stored;  // the value section
+  bool values_f32;
+  std::int64_t rows;
+  std::int64_t first_row;  // global id of local row 0
+  std::int64_t num_nodes;
+  std::int64_t* local_row_ptr;
+  std::int32_t* col_idx;
+  Value* values;
+
+  // Returns the defect (kNonFiniteWeight for the value slice), or nullptr.
+  const char* Decode(std::int64_t g) const {
+    const RowGroupEnds begin =
+        g == 0 ? RowGroupEnds() : ReadRowGroupEnds(table, g - 1);
+    const RowGroupEnds end = ReadRowGroupEnds(table, g);
+    const std::int64_t entry_begin = static_cast<std::int64_t>(begin.entries);
+    const std::int64_t entry_end = static_cast<std::int64_t>(end.entries);
+    if (const char* what = DecodeRowGroup(
+            varints + begin.bytes, end.bytes - begin.bytes, first_row,
+            g * kRowGroupRows, std::min(rows, (g + 1) * kRowGroupRows),
+            entry_begin, entry_end, num_nodes, local_row_ptr, col_idx)) {
+      return what;
+    }
+    const std::size_t count = static_cast<std::size_t>(entry_end - entry_begin);
+    const bool finite =
+        values_f32 ? CopyFiniteValues<float>(
+                         stored + entry_begin * sizeof(float), count,
+                         values + entry_begin)
+                   : CopyFiniteValues<double>(
+                         stored + entry_begin * sizeof(double), count,
+                         values + entry_begin);
+    return finite ? nullptr : kNonFiniteWeight;
+  }
+};
+
 }  // namespace
 
 template <typename Value>
 bool DecodeCompressedCsr(const std::string& path,
                          const ShardManifest& manifest,
-                         const ShardFileHeader& h, const char** payload,
+                         const ShardFileHeader& h,
+                         const exec::ExecContext& ctx, const char** payload,
                          std::size_t* payload_size,
                          std::int64_t* local_row_ptr, std::int32_t* col_idx,
                          Value* values, std::string* error) {
   LINBP_CHECK(sizeof(Value) == sizeof(double) || manifest.values_f32);
-  std::uint64_t encoded_bytes = 0;
-  if (*payload_size < 8) {
+  const std::int64_t rows = h.row_end - h.row_begin;
+  const std::int64_t groups = RowGroupCount(rows);
+  const std::size_t table_bytes = 16 * static_cast<std::size_t>(groups);
+  if (*payload_size < 8 + table_bytes) {
     *error = path + ": truncated shard payload";
     return false;
   }
-  std::memcpy(&encoded_bytes, *payload, 8);
-  const char* columns = *payload + 8;
-  const std::size_t after_prefix = *payload_size - 8;
-  if (encoded_bytes > after_prefix) {
-    *error = path + ": truncated shard payload";
-    return false;
-  }
-  std::string what;
-  if (!DecodeColumnSection(columns, static_cast<std::size_t>(encoded_bytes),
-                           h.row_begin, h.row_end - h.row_begin, h.nnz,
-                           manifest.num_nodes, local_row_ptr, col_idx,
-                           &what)) {
-    *error = path + ": invalid shard column section (" + what + ")";
-    return false;
-  }
+  std::uint64_t varint_bytes = 0;
+  std::memcpy(&varint_bytes, *payload, 8);
+  const char* table = *payload + 8;
+  const std::size_t after_table = *payload_size - 8 - table_bytes;
   const std::size_t count = static_cast<std::size_t>(h.nnz);
   const std::size_t width = manifest.values_f32 ? sizeof(float)
                                                 : sizeof(double);
-  // Division, not multiplication, so a hostile count cannot wrap.
-  if (count > (after_prefix - encoded_bytes) / width) {
+  // Division, not multiplication, so a hostile count cannot wrap. Both
+  // sections are bounded before any group runs, so no group can read
+  // past the payload.
+  if (varint_bytes > after_table ||
+      count > (after_table - varint_bytes) / width) {
     *error = path + ": truncated shard payload";
     return false;
   }
-  const char* stored = columns + encoded_bytes;
-  if (!(manifest.values_f32
-            ? CopyFiniteValues<float>(stored, count, values)
-            : CopyFiniteValues<double>(stored, count, values))) {
-    *error = path + ": invalid shard value section (non-finite weight)";
+  if (const char* what = CheckRowGroupTable(
+          table, groups, varint_bytes, static_cast<std::uint64_t>(h.nnz))) {
+    *error = path + ": invalid shard column section (row-group table: " +
+             what + ")";
     return false;
   }
-  const std::size_t consumed = 8 + encoded_bytes + count * width;
+
+  const char* varints = table + table_bytes;
+  const RowGroupDecoder<Value> decoder{table,
+                                       varints,
+                                       varints + varint_bytes,
+                                       manifest.values_f32,
+                                       rows,
+                                       h.row_begin,
+                                       manifest.num_nodes,
+                                       local_row_ptr,
+                                       col_idx,
+                                       values};
+  local_row_ptr[0] = 0;
+  // One task per group. A failing group lowers `lowest`; groups above it
+  // skip their work, since only the lowest failure is ever reported.
+  std::atomic<std::int64_t> lowest(groups);
+  ctx.RunBlocks(groups, [&decoder, &lowest](std::int64_t g) {
+    if (g > lowest.load(std::memory_order_relaxed)) return;
+    if (decoder.Decode(g) == nullptr) return;
+    std::int64_t seen = lowest.load(std::memory_order_relaxed);
+    while (g < seen && !lowest.compare_exchange_weak(
+                           seen, g, std::memory_order_relaxed)) {
+    }
+  });
+  if (const std::int64_t g = lowest.load(); g < groups) {
+    // Decoding is a pure function of the group's bytes, so running the
+    // lowest failing group again names its defect — the same one at
+    // every thread count.
+    const char* what = decoder.Decode(g);
+    *error = path +
+             (what == kNonFiniteWeight
+                  ? ": invalid shard value section (row group "
+                  : ": invalid shard column section (row group ") +
+             std::to_string(g) + ": " + what + ")";
+    return false;
+  }
+  const std::size_t consumed = 8 + table_bytes + varint_bytes + count * width;
   *payload += consumed;
   *payload_size -= consumed;
   return true;
@@ -446,12 +567,14 @@ bool DecodeCompressedCsr(const std::string& path,
 template bool DecodeCompressedCsr<double>(const std::string&,
                                           const ShardManifest&,
                                           const ShardFileHeader&,
+                                          const exec::ExecContext&,
                                           const char**, std::size_t*,
                                           std::int64_t*, std::int32_t*,
                                           double*, std::string*);
 template bool DecodeCompressedCsr<float>(const std::string&,
                                          const ShardManifest&,
                                          const ShardFileHeader&,
+                                         const exec::ExecContext&,
                                          const char**, std::size_t*,
                                          std::int64_t*, std::int32_t*,
                                          float*, std::string*);
@@ -459,11 +582,9 @@ template bool DecodeCompressedCsr<float>(const std::string&,
 bool ParseShardManifest(const std::string& path,
                         const std::vector<char>& bytes, ShardManifest* m,
                         std::string* error) {
-  static_assert(kShardFormatVersionCompressed == kShardFormatVersionRaw + 1,
-                "the manifest reader accepts exactly the two layouts");
-  if (!CheckMagicVersionEndianRange(
+  if (!CheckMagicVersionEndianIn(
           path, bytes.data(), bytes.size(), kShardManifestMagic,
-          kShardFormatVersionRaw, kShardFormatVersionCompressed,
+          {kShardFormatVersionRaw, kShardFormatVersionCompressed},
           "shard manifest", &m->version, error)) {
     return false;
   }
@@ -638,9 +759,15 @@ bool CheckShardAgainstManifest(const std::string& path,
   // The declared payload size is at least what the header counts need
   // on disk, so holding the file to it bounds every count-sized buffer
   // a decoder allocates by real bytes, even under forged checksums (the
-  // bulk loader's preflight checks the same bound up front).
-  if (payload_size < static_cast<std::size_t>(entry.payload_bytes)) {
+  // bulk loader's preflight checks the same size up front, and readers
+  // that pass it to ReadFileBytes never buffer a longer file).
+  const std::size_t expected = static_cast<std::size_t>(entry.payload_bytes);
+  if (payload_size < expected) {
     *error = path + ": truncated shard payload";
+    return false;
+  }
+  if (payload_size > expected) {
+    *error = OversizedFileError(path, bytes.size(), kHeaderBytes + expected);
     return false;
   }
   return true;

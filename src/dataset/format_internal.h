@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -105,10 +106,21 @@ class Cursor {
 
 /// Reads a whole regular file into *out, reusing its capacity: a caller
 /// that passes the same buffer for every read allocates only when a
-/// file outgrows it. Returns false and fills *error ("<path>: cannot
-/// open", "<path>: not a regular file", "<path>: read failed") otherwise.
+/// file outgrows it. A file larger than `max_bytes` fails before
+/// anything is allocated or read (OversizedFileError), so a caller that
+/// knows the exact size (a shard file: its manifest entry fixes it) is
+/// never made to buffer a file that cannot be valid. Returns false and
+/// fills *error ("<path>: cannot open", "<path>: not a regular file",
+/// "<path>: read failed") otherwise.
 bool ReadFileBytes(const std::string& path, std::vector<char>* out,
-                   std::string* error);
+                   std::string* error,
+                   std::uint64_t max_bytes = UINT64_MAX);
+
+/// "<path>: oversized file (<size> bytes, expected <expected>)": the one
+/// message for a shard file longer than its manifest entry declares,
+/// whether the bulk loader's preflight or a streamed read finds it.
+std::string OversizedFileError(const std::string& path, std::uint64_t size,
+                               std::uint64_t expected);
 
 /// Writes header + payload, then flushes and closes with the stream
 /// state checked at every step: a buffered failure (disk full, quota)
@@ -126,14 +138,15 @@ bool CheckMagicVersionEndian(const std::string& path, const char* data,
                              std::uint32_t expected_version, const char* what,
                              std::string* error);
 
-/// Multi-version variant: accepts any version in [min_version,
-/// max_version] and reports the one found through *version. The
-/// single-version overload above delegates here with min == max.
-bool CheckMagicVersionEndianRange(const std::string& path, const char* data,
-                                  std::size_t size, const char* magic,
-                                  std::uint32_t min_version,
-                                  std::uint32_t max_version, const char* what,
-                                  std::uint32_t* version, std::string* error);
+/// Multi-version variant: accepts exactly the listed versions (not a
+/// range: a retired version between two live ones must still fail as
+/// unsupported) and reports the one found through *version. The
+/// single-version overload above delegates here with a one-entry list.
+bool CheckMagicVersionEndianIn(const std::string& path, const char* data,
+                               std::size_t size, const char* magic,
+                               std::initializer_list<std::uint32_t> versions,
+                               const char* what, std::uint32_t* version,
+                               std::string* error);
 
 /// Validates a k*k row-major coupling residual: finite entries,
 /// symmetry, |row sum| <= 1e-9. One gate shared by the bulk loader
@@ -252,13 +265,14 @@ std::int64_t ShardDecodedPayloadBytes(std::int64_t rows, std::int64_t nnz,
                                       bool values_f32);
 
 /// Smallest possible on-disk payload of a compressed shard with the
-/// given counts: the u64 column-section prefix, at least one varint byte
-/// per row and per column id, the exact value section, and the raw-layout
-/// explicit/ground-truth sections. The loader preflight checks each
-/// compressed entry's payload_bytes against this floor, so a hostile
-/// manifest cannot claim huge decoded counts backed by a tiny file and
-/// trigger a multi-terabyte resize — the same hole ShardPayloadBytes
-/// closes for raw shards. Cannot overflow for the same count caps.
+/// given counts: the u64 varint byte count, the row-group table, at
+/// least one varint byte per row and per column id, the exact value
+/// section, and the raw-layout explicit/ground-truth sections. The
+/// loader preflight checks each compressed entry's payload_bytes against
+/// this floor, so a hostile manifest cannot claim huge decoded counts
+/// backed by a tiny file and trigger a multi-terabyte resize — the same
+/// hole ShardPayloadBytes closes for raw shards. Cannot overflow for the
+/// same count caps.
 std::int64_t CompressedShardPayloadBytesMin(std::int64_t rows,
                                             std::int64_t nnz,
                                             std::int64_t num_explicit,
@@ -267,18 +281,39 @@ std::int64_t CompressedShardPayloadBytesMin(std::int64_t rows,
                                             bool values_f32);
 
 // ---------------------------------------------------------------------
-// Compressed column section: per row a varint entry count, then the
-// row's column ids as varints — the first id raw, each subsequent id as
-// the strictly positive delta to its predecessor (columns are sorted,
-// so deltas are small and most ids fit 1-2 bytes). Varints are LEB128
+// Compressed column section: a u64 count of the varint bytes, the
+// row-group table, then per row a varint entry count and the row's
+// column ids as varints — the first id raw, each subsequent id as the
+// strictly positive delta to its predecessor (columns are sorted, so
+// deltas are small and most ids fit 1-2 bytes). Varints are LEB128
 // (7 payload bits per byte, high bit = continuation); every encoded
 // value fits int32, so a valid varint is at most 5 bytes.
+//
+// A varint stream can only be walked from its start, so one shard would
+// decode on one core. The row-group table cuts it into independent
+// pieces: rows [g * kRowGroupRows, (g + 1) * kRowGroupRows) form group
+// g, and its pair (u64 varint-byte end, u64 entry end) says where the
+// group's varints and its entries end, counted from the first varint
+// and from the shard's first entry. Group g starts where group g - 1
+// ends (group 0 at zero), so every group — and its slice of the value
+// section — decodes on its own lane. The table costs 16 bytes per 2048
+// rows, under 1% of even an edgeless group's varints.
+
+/// Rows per row group. A format constant: changing it changes every
+/// compressed shard's layout, so it needs a format version bump.
+inline constexpr std::int64_t kRowGroupRows = 2048;
+
+/// Row groups of a compressed shard with `rows` rows (>= 1 for rows >= 1).
+inline std::int64_t RowGroupCount(std::int64_t rows) {
+  return (rows + kRowGroupRows - 1) / kRowGroupRows;
+}
 
 /// Appends one LEB128 varint.
 void AppendVarint(std::uint64_t value, std::vector<char>* out);
 
-/// Encodes `rows` rows of sorted column ids into the column section.
-/// `local_row_ptr` has rows + 1 entries rebased to 0.
+/// Appends the whole column section for `rows` rows of sorted column ids
+/// (u64 varint byte count, row-group table, varints). `local_row_ptr`
+/// has rows + 1 entries rebased to 0.
 void EncodeColumnSection(const std::int64_t* local_row_ptr, std::int64_t rows,
                          const std::int32_t* col_idx, std::vector<char>* out);
 
@@ -297,7 +332,7 @@ struct ShardFileHeader {
 /// version / endianness (the shard's version must equal the manifest's),
 /// a header agreeing with the manifest (row range, counts, flags —
 /// including the f32-values bit — and index), the payload checksum
-/// matching both the header and the manifest, and a payload at least
+/// matching both the header and the manifest, and a payload exactly
 /// entry.payload_bytes long (which bounds every count-sized allocation a
 /// decoder makes). Fills *h on success. The payload itself (bytes after
 /// the 64-byte header) is NOT deserialized here.
@@ -308,25 +343,34 @@ bool CheckShardAgainstManifest(const std::string& path,
                                std::string* error);
 
 /// Decodes the CSR sections at the front of a compressed shard payload
-/// (the bytes after the header): the u64-prefixed column section into a
-/// local row_ptr (rows + 1 entries, rebased to 0) and h.nnz column ids,
-/// then the h.nnz stored values (f32 or f64, per the manifest) into
-/// `values` as `Value`, each checked finite as it is copied. `Value` is
-/// double (widening f32 exactly) or, for f32 manifests only, float. On
-/// success advances *payload / *payload_size past both sections.
+/// (the bytes after the header): the column section into a local row_ptr
+/// (rows + 1 entries, rebased to 0) and h.nnz column ids, and the h.nnz
+/// stored values (f32 or f64, per the manifest) into `values` as
+/// `Value`, each checked finite as it is copied. `Value` is double
+/// (widening f32 exactly) or, for f32 manifests only, float. On success
+/// advances *payload / *payload_size past both sections.
 ///
-/// The decode enforces everything the row kernels rely on — row entry
-/// counts summing to h.nnz, strictly increasing column ids in
-/// [0, num_nodes), no self-loops, finite weights — so no second
-/// structural pass over the decoded arrays is needed. Errors name
-/// `path`: "truncated shard payload", "invalid shard column section
-/// (<reason>)" with reasons such as "truncated varint", "non-monotone
-/// delta" or "self-loop", and "invalid shard value section (non-finite
-/// weight)". Instantiated for double and float.
+/// The whole row-group table is checked first: byte and entry ends never
+/// decrease, stay inside the section and h.nnz, and the last pair ends
+/// exactly at both. Then each group decodes its rows and copies its
+/// slice of the values as one task on `ctx`, and must consume exactly
+/// its bytes and yield exactly its entries. The decode enforces
+/// everything the row kernels rely on — strictly increasing column ids
+/// in [0, num_nodes), no self-loops, finite weights — so no second
+/// structural pass over the decoded arrays is needed. It allocates
+/// nothing, and the outputs and the error do not depend on ctx: when
+/// several groups fail, the lowest one's reason is reported. Errors
+/// name `path`: "truncated shard payload", "invalid shard column section
+/// (row-group table: <reason>)", "invalid shard column section (row
+/// group <g>: <reason>)" with reasons such as "truncated varint",
+/// "non-monotone delta" or "self-loop", and "invalid shard value section
+/// (row group <g>: non-finite weight)". Instantiated for double and
+/// float.
 template <typename Value>
 bool DecodeCompressedCsr(const std::string& path,
                          const ShardManifest& manifest,
-                         const ShardFileHeader& h, const char** payload,
+                         const ShardFileHeader& h,
+                         const exec::ExecContext& ctx, const char** payload,
                          std::size_t* payload_size,
                          std::int64_t* local_row_ptr, std::int32_t* col_idx,
                          Value* values, std::string* error);

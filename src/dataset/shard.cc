@@ -57,11 +57,15 @@ void WriteShardHeader(const ShardFileHeader& h, std::uint32_t version,
 bool LoadOneShard(const std::string& manifest_path,
                   const ShardManifest& manifest, std::int64_t shard,
                   std::int64_t nnz_offset, std::int64_t explicit_offset,
+                  const exec::ExecContext& ctx,
                   internal::ScenarioParts* parts, std::string* error) {
   const ShardManifestEntry& entry = manifest.entries[shard];
   const std::string path = ShardSiblingPath(manifest_path, entry.file);
   std::vector<char> bytes;
-  if (!internal::ReadFileBytes(path, &bytes, error)) return false;
+  if (!internal::ReadFileBytes(path, &bytes, error,
+                               kHeaderBytes + entry.payload_bytes)) {
+    return false;
+  }
   ShardFileHeader h;
   if (!CheckShardAgainstManifest(path, bytes, manifest, shard, &h, error)) {
     return false;
@@ -74,10 +78,13 @@ bool LoadOneShard(const std::string& manifest_path,
   if (IsCompressedShardVersion(manifest.version)) {
     // The decoder writes straight into this shard's col_idx and values
     // slices (f32 values widen exactly); only the row pointers need the
-    // slice offset added.
+    // slice offset added. Its row groups fan out on `ctx` when this
+    // shard is the only task (inside a multi-shard fan-out they run
+    // inline, as every nested pool call does).
     std::vector<std::int64_t> local_row_ptr(rows + 1);
     if (!internal::DecodeCompressedCsr(
-            path, manifest, h, &payload, &payload_size, local_row_ptr.data(),
+            path, manifest, h, ctx, &payload, &payload_size,
+            local_row_ptr.data(),
             parts->col_idx.data() + nnz_offset,
             parts->values.data() + nnz_offset, error)) {
       return false;
@@ -227,12 +234,8 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
       local_row_ptr[r] = row_ptr[row_begin + r] - nnz_begin;
     }
     if (compressed) {
-      std::vector<char> cols;
       EncodeColumnSection(local_row_ptr.data(), rows,
-                          col_idx.data() + nnz_begin, &cols);
-      const std::uint64_t encoded_bytes = cols.size();
-      AppendPod(&encoded_bytes, 1, &payload);
-      payload.insert(payload.end(), cols.begin(), cols.end());
+                          col_idx.data() + nnz_begin, &payload);
       if (values_f32) {
         std::vector<float> narrow(values.begin() + nnz_begin,
                                   values.begin() + nnz_begin + nnz);
@@ -349,11 +352,12 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
 
   const std::int64_t num_shards =
       static_cast<std::int64_t>(manifest.entries.size());
-  // Preflight: every shard file must be large enough for the counts its
-  // manifest entry declares. This bounds the global allocations below by
-  // actual on-disk bytes, so a checksum-consistent but hostile manifest
+  // Preflight: every shard file must be exactly as large as its manifest
+  // entry declares. Not shorter: that bounds the global allocations below
+  // by actual on-disk bytes, so a checksum-consistent but hostile manifest
   // cannot drive the loader into a multi-terabyte resize (the same
   // guarantee the monolithic loader gets from its bounds-checked Cursor).
+  // Not longer: a grown file fails here, before any shard is read whole.
   for (std::int64_t s = 0; s < num_shards; ++s) {
     const ShardManifestEntry& entry = manifest.entries[s];
     const std::string shard_path =
@@ -374,6 +378,11 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
         entry.payload_bytes;
     if (file_size < static_cast<std::uintmax_t>(needed)) {
       *error = shard_path + ": truncated shard payload";
+      return std::nullopt;
+    }
+    if (file_size > static_cast<std::uintmax_t>(needed)) {
+      *error = internal::OversizedFileError(
+          shard_path, file_size, static_cast<std::uint64_t>(needed));
       return std::nullopt;
     }
   }
@@ -408,7 +417,7 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
   std::vector<std::string> shard_errors(num_shards);
   ctx.RunBlocks(num_shards, [&](std::int64_t s) {
     LoadOneShard(manifest_path, manifest, s, nnz_offset[s],
-                 explicit_offset[s], &parts, &shard_errors[s]);
+                 explicit_offset[s], ctx, &parts, &shard_errors[s]);
   });
   for (std::int64_t s = 0; s < num_shards; ++s) {
     if (!shard_errors[s].empty()) {

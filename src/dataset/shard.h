@@ -24,7 +24,7 @@
 //
 //   offset  size  field
 //   0       8     magic "LINBPSHM"
-//   8       4     u32 version (3 = raw payloads, 4 = compressed)
+//   8       4     u32 version (3 = raw payloads, 5 = compressed)
 //   12      4     u32 endian tag 0x01020304
 //   16      8     i64 num_nodes
 //   24      8     i64 k (classes)
@@ -74,11 +74,13 @@
 // A compressed payload replaces the row_ptr + col_idx sections with a
 // delta+varint column section and optionally narrows the values:
 //
-//   64      ...   compressed payload (version 4):
-//                   u64                 column-section byte count
-//                   per row: varint     row entry count, then the row's
-//                                       GLOBAL column ids — the first
-//                                       raw, the rest as strictly
+//   64      ...   compressed payload (version 5):
+//                   u64                 varint byte count (V)
+//                   ceil(rows / 2048) x row-group pair:
+//                     u64 varint-byte end, u64 entry end (see below)
+//                   V bytes, per row:   varint row entry count, then the
+//                                       row's GLOBAL column ids — the
+//                                       first raw, the rest as strictly
 //                                       positive deltas (LEB128, max 5
 //                                       bytes per varint)
 //                   f64[nnz]|f32[nnz]   values (f32 iff flag bit 1; the
@@ -95,16 +97,31 @@
 // narrows each value once at write time, exactly matching the narrowing
 // the f32 kernel path applies to resident f64 graphs.
 //
+// The row-group table exists so one shard can decode on every core. A
+// varint can only be found by walking every varint before it, so a
+// plain stream decodes on one thread, and decoding was most of a
+// streamed sweep's cost. Row group g is rows [2048 g, 2048 (g + 1)); its
+// pair gives the offset just past its varints (counted from the first
+// varint) and the index just past its entries (counted from the shard's
+// first entry), and it starts where group g - 1 ends. So each group —
+// its varints and its slice of the value section — decodes on its own
+// lane, and readers check the table (ends never decrease, the last pair
+// ends exactly at V and nnz) before any group runs, then require every
+// group to consume exactly its bytes and yield exactly its entries.
+// 2048 is a format constant (internal::kRowGroupRows), not a setting.
+//
 // PayloadChecksum (src/dataset/format_internal.h) is a word-at-a-time
 // hash with four 64-bit lanes. Versions 1 (raw) and 2 (compressed) were
-// the same layouts checksummed with byte-serial FNV-1a; readers reject
-// them as unsupported versions.
+// the same layouts checksummed with byte-serial FNV-1a; version 4 was
+// the compressed layout without the row-group table. Readers reject all
+// three as unsupported versions.
 //
 // LoadShardedSnapshot rejects every mismatch with a descriptive error,
 // never a crash: bad magic/version/endianness, checksum failures at the
 // manifest or shard level, shard headers disagreeing with their manifest
 // entry, row-range gaps or overlaps, count mismatches, truncation,
-// trailing bytes, missing shard files, and — via the shared global
+// trailing bytes, shard files longer than their entry declares (checked
+// before anything is read), missing shard files, and — via the shared global
 // validation sweep — cross-shard asymmetry of the assembled adjacency.
 // A successful load is bit-identical to loading the monolithic snapshot
 // of the same scenario.
@@ -127,9 +144,9 @@ namespace dataset {
 /// Manifests and shard files share the version field.
 inline constexpr std::uint32_t kShardFormatVersionRaw = 3;
 
-/// Format version of compressed (delta+varint column) sharded
-/// snapshots; also the newest version the readers accept.
-inline constexpr std::uint32_t kShardFormatVersionCompressed = 4;
+/// Format version of compressed (delta+varint column, row-grouped)
+/// sharded snapshots; also the newest version the readers accept.
+inline constexpr std::uint32_t kShardFormatVersionCompressed = 5;
 
 /// The one layout test every reader and writer goes through: true for
 /// the compressed layout, false for the raw one.

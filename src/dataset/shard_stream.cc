@@ -82,7 +82,10 @@ std::optional<ShardStreamReader> ShardStreamReader::Open(
     return std::nullopt;
   }
   ShardStreamReader reader;
-  reader.manifest_path_ = manifest_path;
+  for (const internal::ShardManifestEntry& entry : manifest->entries) {
+    reader.shard_paths_.push_back(
+        internal::ShardSiblingPath(manifest_path, entry.file));
+  }
   reader.manifest_ = std::move(manifest);
   return reader;
 }
@@ -159,11 +162,60 @@ std::int64_t ShardStreamReader::encoded_bytes_read_total() const {
   return accounting_->encoded_bytes_read.load(std::memory_order_relaxed);
 }
 
+bool ShardStreamReader::FetchBlock(std::int64_t shard,
+                                   std::vector<char>* file_bytes,
+                                   std::string* error) const {
+  LINBP_CHECK(file_bytes != nullptr && error != nullptr);
+  LINBP_CHECK(shard >= 0 && shard < num_shards());
+  const internal::ShardManifest& manifest = *manifest_;
+  const std::string& path = shard_paths_[shard];
+  // The manifest fixes the file's exact size, so a longer file fails
+  // before it is buffered.
+  const std::uint64_t expected_size =
+      internal::kHeaderBytes +
+      static_cast<std::uint64_t>(manifest.entries[shard].payload_bytes);
+  const auto read = [&] {
+    obs::ScopedSpan span("stream_read");
+    return internal::ReadFileBytes(path, file_bytes, error, expected_size);
+  };
+  const auto check = [&] {
+    obs::ScopedSpan span("stream_checksum");
+    internal::ShardFileHeader h;
+    return internal::CheckShardAgainstManifest(path, *file_bytes, manifest,
+                                               shard, &h, error);
+  };
+  if (!read()) return false;
+  if (check()) return true;
+  // One re-read before giving up: a mismatch can be a transient partial
+  // read (e.g. a writer still flushing); persistent on-disk corruption
+  // fails identically on the second pass.
+  accounting_->checksum_retries.fetch_add(1, std::memory_order_relaxed);
+  LINBP_OBS_COUNTER_ADD("shard_stream_checksum_retries_total", 1);
+  return read() && check();
+}
+
 bool ShardStreamReader::ReadBlock(std::int64_t shard,
                                   ShardStreamBlock* block, std::string* error,
                                   std::vector<char>* file_bytes) const {
+  LINBP_CHECK(block != nullptr);
+  std::vector<char> temporary;
+  std::vector<char>& bytes = file_bytes != nullptr ? *file_bytes : temporary;
+  if (!FetchBlock(shard, &bytes, error)) {
+    *block = ShardStreamBlock();
+    return false;
+  }
+  return DecodeBlock(shard, bytes, exec::ExecContext::Serial(), block, error);
+}
+
+bool ShardStreamReader::DecodeBlock(std::int64_t shard,
+                                    const std::vector<char>& bytes,
+                                    const exec::ExecContext& ctx,
+                                    ShardStreamBlock* block,
+                                    std::string* error) const {
   LINBP_CHECK(block != nullptr && error != nullptr);
   LINBP_CHECK(shard >= 0 && shard < num_shards());
+  obs::ScopedSpan span("stream_decode");
+  if (span.active()) span.SetAttr("shard", shard);
   // Refilled in place: only the count of the shard the block held is
   // dropped, its vectors keep their capacity. Every failure empties it.
   block->ReleaseAccounting();
@@ -173,25 +225,17 @@ bool ShardStreamReader::ReadBlock(std::int64_t shard,
   };
   const internal::ShardManifest& manifest = *manifest_;
   const internal::ShardManifestEntry& entry = manifest.entries[shard];
-  const std::string path =
-      internal::ShardSiblingPath(manifest_path_, entry.file);
-  std::vector<char> temporary;
-  std::vector<char>& bytes = file_bytes != nullptr ? *file_bytes : temporary;
-  if (!internal::ReadFileBytes(path, &bytes, error)) return fail();
+  const std::string& path = shard_paths_[shard];
+  // FetchBlock proved the header equals the manifest entry and the file
+  // has exactly the declared size; anything else is a caller bug.
+  LINBP_CHECK(bytes.size() ==
+              internal::kHeaderBytes +
+                  static_cast<std::size_t>(entry.payload_bytes));
   internal::ShardFileHeader h;
-  if (!internal::CheckShardAgainstManifest(path, bytes, manifest, shard, &h,
-                                           error)) {
-    // One re-read before giving up: a mismatch can be a transient
-    // partial read (e.g. a writer still flushing); persistent on-disk
-    // corruption fails identically on the second pass.
-    accounting_->checksum_retries.fetch_add(1, std::memory_order_relaxed);
-    LINBP_OBS_COUNTER_ADD("shard_stream_checksum_retries_total", 1);
-    if (!internal::ReadFileBytes(path, &bytes, error) ||
-        !internal::CheckShardAgainstManifest(path, bytes, manifest, shard,
-                                             &h, error)) {
-      return fail();
-    }
-  }
+  h.row_begin = entry.row_begin;
+  h.row_end = entry.row_end;
+  h.nnz = entry.nnz;
+  h.num_explicit = entry.num_explicit;
 
   // The checks above bound every count by the file's real size, so the
   // sections can be sized up front.
@@ -216,15 +260,16 @@ bool ShardStreamReader::ReadBlock(std::int64_t shard,
   const bool compressed = IsCompressedShardVersion(manifest.version);
   if (compressed) {
     // The decode enforces the CSR structure as it unpacks and checks
-    // each value finite as it is copied: no second pass.
+    // each value finite as it is copied: no second pass. Its row groups
+    // fan out on ctx.
     const bool decoded =
         manifest.values_f32
             ? internal::DecodeCompressedCsr(
-                  path, manifest, h, &payload, &payload_size,
+                  path, manifest, h, ctx, &payload, &payload_size,
                   block->row_ptr.data(), block->col_idx.data(),
                   block->values_f32.data(), error)
             : internal::DecodeCompressedCsr(
-                  path, manifest, h, &payload, &payload_size,
+                  path, manifest, h, ctx, &payload, &payload_size,
                   block->row_ptr.data(), block->col_idx.data(),
                   block->values.data(), error);
     if (!decoded) return fail();

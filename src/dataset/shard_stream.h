@@ -9,6 +9,10 @@
 // (e.g. the double-buffered pipeline in src/exec/pipeline.h) keeps the
 // peak resident CSR at O(window * max shard) instead of O(nnz). A caller
 // that refills the same blocks (see ReadBlock) also stops allocating.
+// ReadBlock is two halves a caller may run on different threads:
+// FetchBlock (read the file, check header and checksum — I/O and one
+// fast pass) and DecodeBlock (deserialize and validate, with a
+// compressed shard's row groups fanned out on an ExecContext).
 //
 // Every ReadBlock re-validates its shard from the bytes on disk — the
 // header against the manifest entry, the word-at-a-time payload checksum
@@ -17,9 +21,10 @@
 // slice — so corruption that appears mid-stream (between sweeps of an
 // iterative solve) surfaces as an error return on the sweep that hits
 // it, never as a crash or a silent wrong product. For compressed shards
-// the varint decoder enforces the CSR structure as it unpacks and the
-// values are checked finite as they are copied, so the bytes are walked
-// once; raw shards get a separate structural pass.
+// the row-group table is checked whole, then each group's varint decode
+// enforces the CSR structure as it unpacks and its values are checked
+// finite as they are copied, so the bytes are walked once; raw shards
+// get a separate structural pass.
 // What the streaming path does NOT check is cross-shard symmetry of the
 // assembled matrix (that requires the mirror entry's shard); symmetric-
 // by-construction holds for every manifest ShardSnapshot writes.
@@ -40,6 +45,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "src/exec/exec_context.h"
 
 namespace linbp {
 namespace dataset {
@@ -125,8 +132,9 @@ class ShardStreamBlock {
 };
 
 /// Validated handle on a shard manifest with per-block streaming reads.
-/// ReadBlock is const and thread-safe (the accounting is atomic), so a
-/// prefetch thread may read block s + 1 while block s is consumed.
+/// ReadBlock, FetchBlock and DecodeBlock are const and thread-safe (the
+/// accounting is atomic), so a prefetch thread may fetch block s + 1
+/// while block s is decoded and consumed.
 class ShardStreamReader {
  public:
   ShardStreamReader(ShardStreamReader&&) = default;
@@ -164,9 +172,10 @@ class ShardStreamReader {
   /// Max over shards of block_csr_bytes — the streaming unit size.
   std::int64_t max_block_csr_bytes() const;
 
-  /// Reads and fully validates shard `shard` into *block. Returns false
-  /// and fills *error on I/O failure or any corruption; *block is left
-  /// empty then (no rows, no entries, no counted bytes).
+  /// Reads and fully validates shard `shard` into *block: FetchBlock,
+  /// then DecodeBlock on a serial context. Returns false and fills *error
+  /// on I/O failure or any corruption; *block is left empty then (no
+  /// rows, no entries, no counted bytes).
   ///
   /// Buffer reuse: *block is refilled in place, not rebuilt. The shard
   /// it held before is released from the residency count first, and its
@@ -180,6 +189,28 @@ class ShardStreamReader {
   bool ReadBlock(std::int64_t shard, ShardStreamBlock* block,
                  std::string* error,
                  std::vector<char>* file_bytes = nullptr) const;
+
+  /// ReadBlock's first half: reads shard `shard`'s file into *file_bytes
+  /// (capacity reused as in ReadBlock) and checks it against the
+  /// manifest — size (a file longer than its entry declares fails
+  /// before it is read), header, and payload checksum, with one re-read
+  /// after a failed check. Returns false and fills *error otherwise.
+  /// Touches no block and no residency count.
+  bool FetchBlock(std::int64_t shard, std::vector<char>* file_bytes,
+                  std::string* error) const;
+
+  /// ReadBlock's second half: deserializes and validates `file_bytes`,
+  /// which a successful FetchBlock(shard) filled, into *block (refilled
+  /// and emptied on failure as in ReadBlock). A compressed shard's row
+  /// groups, and their value slices, decode as parallel tasks on `ctx`;
+  /// the block and any error message are the same at every thread
+  /// count. Allocates nothing once the block has held a shard this
+  /// large. Call it from a thread that may use ctx's pool: a pool
+  /// thread or the pool's owner, not a helper thread started inside a
+  /// pool task (that thread would wait on the very batch it runs in).
+  bool DecodeBlock(std::int64_t shard, const std::vector<char>& file_bytes,
+                   const exec::ExecContext& ctx, ShardStreamBlock* block,
+                   std::string* error) const;
 
   /// CSR bytes of currently live blocks / their lifetime high-water
   /// mark. Blocks keep their count alive past the reader (shared
@@ -205,7 +236,7 @@ class ShardStreamReader {
  private:
   ShardStreamReader();
 
-  std::string manifest_path_;
+  std::vector<std::string> shard_paths_;  // per shard, joined once
   std::shared_ptr<internal::ShardManifest> manifest_;
   std::shared_ptr<internal::ShardByteAccounting> accounting_;
 };

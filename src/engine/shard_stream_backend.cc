@@ -17,44 +17,66 @@ bool ShardStreamBackend::StreamBlocks(
   const dataset::ShardStreamReader& reader = *reader_;
   dataset::ShardBlockCache* cache = cache_.get();
   // Prefetch overlap needs a second runnable lane; with a serial context
-  // the read happens inline (results are identical either way).
+  // everything runs inline (results are identical either way).
   const bool overlap = ctx.threads() > 1;
   obs::ScopedSpan span("shard_stream_pass");
   if (span.active()) {
     span.SetAttr("shards", reader.num_shards());
     span.SetAttr("overlap", static_cast<std::int64_t>(overlap ? 1 : 0));
   }
-  // Per-pass scratch. Production is sequential (produce(s + 1) starts
-  // after produce(s) returned), so one file buffer serves every read.
-  // Item s lives in pipeline slot s % 2, whose previous item (s - 2) has
-  // been consumed by the time s is produced, so an uncached pass refills
-  // the same two blocks and stops allocating once they have held the
-  // largest shards. Cached passes insert fresh blocks instead. The pass
-  // owns both, so residency drops to zero when it ends, failed or not.
-  std::vector<char> file_bytes;
+  // With overlap, the prefetch thread only fetches shard s + 1 (read,
+  // header check, checksum) into its pipeline slot's file buffer while
+  // the consumer decodes shard s on ctx's lanes and applies it. The
+  // decode must stay on the consumer to fan out: the consumer is the
+  // pool's caller or a pool task (where nested pool calls run inline),
+  // while a prefetch thread started inside a pool task would wait
+  // forever on that task's batch. Slot s % 2's previous item (s - 2)
+  // has been consumed by the time s is fetched, so two buffers serve
+  // the pass, and an uncached pass decodes into one recycled block.
+  // Without overlap each shard is fetched and decoded in one step, so
+  // one buffer serves the pass and is still in cache when refilled
+  // (alternating two cost a serial pass about a quarter more); shard
+  // s + 1 is then decoded before shard s is applied, so two recycled
+  // blocks alternate. Uncached passes stop allocating once the scratch
+  // has held the largest shard; cached ones decode misses into fresh
+  // blocks the cache keeps. The pass owns its scratch, so residency
+  // drops to zero when it ends, failed or not.
+  std::vector<char> file_bytes[2];
   dataset::ShardStreamBlock recycled[2];
-  // Items are shared_ptr so a cached block can sit in the pipeline slot
-  // and in the cache at once; a hit costs a refcount bump, not a read.
-  // A recycled block is lent to its slot through a non-owning pointer.
+  const auto buffer = [&](std::int64_t s) -> std::vector<char>& {
+    return file_bytes[overlap ? s % 2 : 0];
+  };
+  // An item is a decoded block — cached (a hit costs a refcount bump, not
+  // a read) or recycled — or, with overlap, null for a fetched shard that
+  // the consumer still has to decode.
   using Item = std::shared_ptr<const dataset::ShardStreamBlock>;
+  const auto decode = [&](std::int64_t s, Item* item, std::string* err) {
+    if (cache == nullptr) {
+      dataset::ShardStreamBlock* block = &recycled[overlap ? 0 : s % 2];
+      if (!reader.DecodeBlock(s, buffer(s), ctx, block, err)) return false;
+      *item = Item(Item(), block);
+      return true;
+    }
+    auto block = std::make_shared<dataset::ShardStreamBlock>();
+    if (!reader.DecodeBlock(s, buffer(s), ctx, block.get(), err)) {
+      return false;
+    }
+    cache->Insert(s, block);
+    *item = std::move(block);
+    return true;
+  };
   return exec::RunDoubleBuffered<Item>(
       reader.num_shards(), overlap,
       [&](std::int64_t s, Item* item, std::string* err) {
-        if (cache == nullptr) {
-          dataset::ShardStreamBlock* block = &recycled[s % 2];
-          if (!reader.ReadBlock(s, block, err, &file_bytes)) return false;
-          *item = Item(Item(), block);
-          return true;
+        if (cache != nullptr) {
+          *item = cache->Lookup(s);
+          if (*item != nullptr) return true;
         }
-        *item = cache->Lookup(s);
-        if (*item != nullptr) return true;
-        auto block = std::make_shared<dataset::ShardStreamBlock>();
-        if (!reader.ReadBlock(s, block.get(), err, &file_bytes)) return false;
-        cache->Insert(s, block);
-        *item = std::move(block);
-        return true;
+        if (!reader.FetchBlock(s, &buffer(s), err)) return false;
+        return overlap || decode(s, item, err);
       },
-      [&apply](std::int64_t, Item* item, std::string*) {
+      [&](std::int64_t s, Item* item, std::string* err) {
+        if (*item == nullptr && !decode(s, item, err)) return false;
         apply(**item);
         return true;
       },

@@ -3,16 +3,19 @@
 //
 // Each block visit (a fused LinBP sweep, A*B or A*x) walks the
 // manifest's row blocks through the double-buffered pipeline of
-// src/exec/pipeline.h: while block s is applied — deserialized shard CSR
-// against the full belief matrix, into the block's disjoint output rows,
-// parallelized over the ExecContext within the block — block s+1 is read
-// and checksum-verified on a prefetch thread, so I/O overlaps compute
-// and at most TWO blocks' CSR bytes are resident at any instant
-// (asserted by the reader's byte accounting). The row-range kernels are
-// the same SpmmRows / SpmvRows / LinBpRowsT the in-memory path runs, and
-// per-row results do not depend on the block split, so streamed products
-// — and therefore streamed LinBP/FaBP beliefs — are bit-identical to the
-// in-memory run at every thread count.
+// src/exec/pipeline.h: while block s is decoded and applied — the shard
+// file's bytes deserialized (a compressed shard's row groups in parallel
+// over the ExecContext), then the block's CSR against the full belief
+// matrix into the block's disjoint output rows, again in parallel — the
+// file of block s+1 is read and checksum-verified on a prefetch thread,
+// so I/O overlaps compute. (With a serial context there is no prefetch
+// thread: each block is read and decoded in one step.) At most TWO
+// blocks' CSR bytes are resident at any instant beyond what a cache
+// keeps — asserted by the reader's byte accounting. The row-range
+// kernels are the same SpmmRows / SpmvRows / LinBpRowsT the in-memory
+// path runs, and per-row results do not depend on the block split, so
+// streamed products — and therefore streamed LinBP/FaBP beliefs — are
+// bit-identical to the in-memory run at every thread count.
 //
 // Open() makes one streaming pass over all shards to derive the
 // O(n)-sized solver inputs (weighted degrees, explicit residual rows,
@@ -100,9 +103,10 @@ class ShardStreamBackend final : public PropagationBackend {
   // Streams every block once through the pipeline and hands it to
   // `apply` (called in shard order on the caller thread). Shared by the
   // products and the Open() derivation pass. Blocks come from the cache
-  // when one is configured and hot; misses read from disk and populate
-  // it. Without a cache the pass refills two blocks it owns, so its
-  // reads stop allocating once those have held the largest shards.
+  // when one is configured and hot; misses are fetched on the prefetch
+  // thread, decoded on ctx by the caller, and populate it. Without a
+  // cache the pass refills blocks and file buffers it owns, so its reads
+  // stop allocating once those have held the largest shard.
   bool StreamBlocks(
       const exec::ExecContext& ctx,
       const std::function<void(const dataset::ShardStreamBlock&)>& apply,

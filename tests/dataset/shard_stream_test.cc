@@ -29,22 +29,29 @@ using linbp::testing::WriteBytes;
 
 constexpr char kSpec[] = "sbm:n=600,k=3,deg=6,seed=11";
 constexpr std::int64_t kShards = 4;
+// Two shards of about 10,000 rows: five row groups each, so compressed
+// decodes fan out.
+constexpr char kMultiGroupSpec[] = "sbm:n=20000,k=3,deg=6,seed=11";
+constexpr std::int64_t kMultiGroupShards = 2;
 
-Scenario TestScenario() {
+Scenario MakeTestScenario(const std::string& spec) {
   std::string error;
-  auto scenario = MakeScenario(kSpec, &error);
+  auto scenario = MakeScenario(spec, &error);
   EXPECT_TRUE(scenario.has_value()) << error;
   return std::move(*scenario);
 }
 
+Scenario TestScenario() { return MakeTestScenario(kSpec); }
+
 std::string ShardScenario(const Scenario& scenario, const std::string& name,
                           ShardCompression compression =
-                              ShardCompression::kNone) {
+                              ShardCompression::kNone,
+                          std::int64_t shards = kShards) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   std::string error;
   const auto result =
-      ShardSnapshot(scenario, kShards, dir, &error, compression);
+      ShardSnapshot(scenario, shards, dir, &error, compression);
   EXPECT_TRUE(result.has_value()) << error;
   return result.has_value() ? result->manifest_path : "";
 }
@@ -272,6 +279,92 @@ std::uint64_t ReadTestVarint(const std::vector<char>& bytes,
   }
 }
 
+// Where the sections of a compressed shard file start: the u64 varint
+// byte count right after the 64-byte header, then one 16-byte (byte end,
+// entry end) pair per row group, the varints, and the values.
+struct CompressedLayout {
+  std::int64_t row_begin = 0;
+  std::int64_t groups = 0;
+  std::size_t varints = 0;
+  std::uint64_t varint_bytes = 0;
+  std::size_t values = 0;
+};
+
+CompressedLayout LayoutOf(const std::vector<char>& shard) {
+  CompressedLayout layout;
+  std::int64_t row_end = 0;
+  std::memcpy(&layout.row_begin, shard.data() + 16, 8);
+  std::memcpy(&row_end, shard.data() + 24, 8);
+  layout.groups = internal::RowGroupCount(row_end - layout.row_begin);
+  layout.varints = 72 + 16 * static_cast<std::size_t>(layout.groups);
+  std::memcpy(&layout.varint_bytes, shard.data() + 64, 8);
+  layout.values = layout.varints + layout.varint_bytes;
+  return layout;
+}
+
+// Field 0 (varint-byte end) or 1 (entry end) of row group g's pair.
+std::uint64_t GroupEnd(const std::vector<char>& shard, std::int64_t g,
+                       int field) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, shard.data() + 72 + 16 * g + 8 * field, 8);
+  return value;
+}
+
+void SetGroupEnd(std::vector<char>* shard, std::int64_t g, int field,
+                 std::uint64_t value) {
+  std::memcpy(shard->data() + 72 + 16 * g + 8 * field, &value, 8);
+}
+
+// Sets the varint byte count and the last group's byte end together, so
+// the table stays consistent and only the varints can be at fault.
+void SetVarintBytes(std::vector<char>* shard, std::uint64_t bytes) {
+  std::memcpy(shard->data() + 64, &bytes, 8);
+  SetGroupEnd(shard, LayoutOf(*shard).groups - 1, 0, bytes);
+}
+
+// Offset of the first row in group g with at least `min_entries`
+// entries, just past its entry count.
+std::size_t FirstRowWithEntries(const std::vector<char>& shard,
+                                std::int64_t g, std::uint64_t min_entries) {
+  const CompressedLayout layout = LayoutOf(shard);
+  std::size_t off =
+      layout.varints + (g == 0 ? 0 : GroupEnd(shard, g - 1, 0));
+  while (true) {
+    const std::uint64_t entries = ReadTestVarint(shard, &off);
+    if (entries >= min_entries) return off;
+    for (std::uint64_t e = 0; e < entries; ++e) ReadTestVarint(shard, &off);
+  }
+}
+
+// Applies `mutate` to shard `index` of `manifest`, re-forges every
+// checksum on the path to it, then expects the streamed and the bulk
+// load both to fail with `what` and the reader to hold nothing. The
+// pristine bytes are restored afterwards.
+void ExpectRejected(const std::string& manifest, std::int64_t index,
+                    const std::string& what,
+                    const std::function<void(std::vector<char>*)>& mutate) {
+  SCOPED_TRACE(what);
+  const std::string path =
+      std::filesystem::path(manifest).parent_path() / ShardFileName(index);
+  const std::vector<char> shard_pristine = ReadBytes(path);
+  const std::vector<char> manifest_pristine = ReadBytes(manifest);
+  std::vector<char> shard = shard_pristine;
+  mutate(&shard);
+  WriteForgedShard(manifest, index, std::move(shard));
+
+  std::string error;
+  auto reader = ShardStreamReader::Open(manifest, &error);
+  ASSERT_TRUE(reader.has_value()) << error;
+  ShardStreamBlock block;
+  EXPECT_FALSE(reader->ReadBlock(index, &block, &error));
+  EXPECT_NE(error.find(what), std::string::npos) << error;
+  EXPECT_EQ(reader->resident_csr_bytes(), 0);
+  EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+  EXPECT_NE(error.find(what), std::string::npos) << error;
+  WriteBytes(path, shard_pristine);
+  WriteBytes(manifest, manifest_pristine);
+}
+
 TEST(ShardStreamReaderTest, CompressedBlocksMatchTheMonolithicCsr) {
   const Scenario scenario = TestScenario();
   for (const bool f32 : {false, true}) {
@@ -346,9 +439,10 @@ TEST(ShardStreamReaderTest, UncompressedReadsCountNoEncodedBytes) {
   EXPECT_EQ(reader.encoded_bytes_read_total(), 0);
 }
 
-// The v2 corruption matrix: every malformed column section is an error
-// return naming the defect — never a crash — even when every checksum on
-// the path to it has been re-forged to match the hostile bytes.
+// The compressed corruption matrix: every malformed column section is an
+// error return naming the defect — never a crash — even when every
+// checksum on the path to it has been re-forged to match the hostile
+// bytes. The test shards have one row group each.
 TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   const Scenario scenario = TestScenario();
   const std::string manifest =
@@ -357,118 +451,84 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
       std::filesystem::path(manifest).parent_path() / ShardFileName(1);
   const std::vector<char> shard_pristine = ReadBytes(shard1);
   const std::vector<char> manifest_pristine = ReadBytes(manifest);
+  ASSERT_EQ(LayoutOf(shard_pristine).groups, 1);
 
-  // Applies `mutate` to shard 1, re-forges every checksum on the path to
-  // it, then expects both the streamed and the bulk load to fail with
-  // `what`.
-  const auto expect_rejected =
-      [&](const std::string& what,
-          const std::function<void(std::vector<char>*)>& mutate) {
-        std::vector<char> shard = shard_pristine;
-        mutate(&shard);
-        WriteForgedShard(manifest, 1, std::move(shard));
+  // Row 1's entry-count varint leads the varints, after the table.
+  ExpectRejected(manifest, 1, "row group 0: truncated varint",
+                 [](std::vector<char>* shard) {
+                   SetVarintBytes(shard, 1);
+                   (*shard)[LayoutOf(*shard).varints] =
+                       static_cast<char>(0x80);
+                 });
 
-        std::string error;
-        auto reader = ShardStreamReader::Open(manifest, &error);
-        ASSERT_TRUE(reader.has_value()) << what << ": " << error;
-        ShardStreamBlock block;
-        EXPECT_FALSE(reader->ReadBlock(1, &block, &error)) << what;
-        EXPECT_NE(error.find(what), std::string::npos)
-            << what << " -> " << error;
-        EXPECT_EQ(reader->resident_csr_bytes(), 0) << what;
-        EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value())
-            << what;
-        EXPECT_NE(error.find(what), std::string::npos)
-            << what << " -> " << error;
-      };
+  ExpectRejected(manifest, 1, "varint overflow (more than 5 bytes)",
+                 [](std::vector<char>* shard) {
+                   for (int i = 0; i < 5; ++i) {
+                     (*shard)[LayoutOf(*shard).varints + i] =
+                         static_cast<char>(0x80);
+                   }
+                 });
 
-  // The column section starts at byte 72: 64-byte header, then the u64
-  // encoded-section size. Row 1's nnz varint leads the section.
-  expect_rejected("truncated varint", [](std::vector<char>* shard) {
-    const std::uint64_t one = 1;
-    std::memcpy(shard->data() + 64, &one, 8);
-    (*shard)[72] = static_cast<char>(0x80);
-  });
+  ExpectRejected(manifest, 1, "column id out of range",
+                 [](std::vector<char>* shard) {
+                   const std::size_t off = FirstRowWithEntries(*shard, 0, 1);
+                   // Overwrite the first (absolute) column id with the
+                   // 5-byte varint for 2^32 - 1 — far past any node id.
+                   const unsigned char huge[5] = {0xFF, 0xFF, 0xFF, 0xFF,
+                                                  0x0F};
+                   std::memcpy(shard->data() + off, huge, 5);
+                 });
 
-  expect_rejected("varint overflow (more than 5 bytes)",
-                  [](std::vector<char>* shard) {
-                    for (int i = 0; i < 5; ++i) {
-                      (*shard)[72 + i] = static_cast<char>(0x80);
-                    }
-                  });
+  ExpectRejected(manifest, 1,
+                 "non-monotone delta (columns not strictly increasing)",
+                 [](std::vector<char>* shard) {
+                   std::size_t off = FirstRowWithEntries(*shard, 0, 2);
+                   ReadTestVarint(*shard, &off);  // first column id
+                   (*shard)[off] = 0x00;  // delta 0: not strictly rising
+                 });
 
-  expect_rejected("column id out of range", [&](std::vector<char>* shard) {
-    std::size_t off = 72;
-    const std::uint64_t nnz0 = ReadTestVarint(*shard, &off);
-    ASSERT_GE(nnz0, 1u);
-    // Overwrite the first (absolute) column id with the 5-byte varint
-    // for 2^32 - 1 — far past any node id.
-    const unsigned char huge[5] = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F};
-    std::memcpy(shard->data() + off, huge, 5);
-  });
-
-  expect_rejected("non-monotone delta (columns not strictly increasing)",
-                  [&](std::vector<char>* shard) {
-                    std::size_t off = 72;
-                    const std::uint64_t nnz0 = ReadTestVarint(*shard, &off);
-                    ASSERT_GE(nnz0, 2u);
-                    ReadTestVarint(*shard, &off);  // first column id
-                    (*shard)[off] = 0x00;  // delta 0: not strictly rising
-                  });
-
-  expect_rejected("trailing bytes in the column section",
-                  [](std::vector<char>* shard) {
-                    std::uint64_t encoded = 0;
-                    std::memcpy(&encoded, shard->data() + 64, 8);
-                    encoded += 8;  // steal the first value's bytes
-                    std::memcpy(shard->data() + 64, &encoded, 8);
-                  });
+  ExpectRejected(manifest, 1, "trailing bytes in the column section",
+                 [](std::vector<char>* shard) {
+                   // Steal the first value's bytes.
+                   SetVarintBytes(shard, LayoutOf(*shard).varint_bytes + 8);
+                 });
 
   // A row listing itself. Only the row's first column id is rewritten
   // (possibly clobbering the byte after it): the decode stops right
   // there, so nothing behind it is read.
-  expect_rejected("self-loop", [&](std::vector<char>* shard) {
-    std::int64_t row_begin = 0;
-    std::memcpy(&row_begin, shard->data() + 16, 8);
-    std::size_t off = 72;
-    const std::uint64_t nnz0 = ReadTestVarint(*shard, &off);
-    ASSERT_GE(nnz0, 1u);
+  ExpectRejected(manifest, 1, "self-loop", [](std::vector<char>* shard) {
+    const CompressedLayout layout = LayoutOf(*shard);
+    std::size_t off = layout.varints;
+    ASSERT_GE(ReadTestVarint(*shard, &off), 1u);
     std::vector<char> self;
-    internal::AppendVarint(static_cast<std::uint64_t>(row_begin), &self);
+    internal::AppendVarint(static_cast<std::uint64_t>(layout.row_begin),
+                           &self);
     std::memcpy(shard->data() + off, self.data(), self.size());
   });
 
   // A NaN weight, caught as the value section is copied.
-  expect_rejected("non-finite weight", [](std::vector<char>* shard) {
-    std::uint64_t encoded = 0;
-    std::memcpy(&encoded, shard->data() + 64, 8);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(shard->data() + 72 + encoded, &nan, 8);
-  });
+  ExpectRejected(manifest, 1, "invalid shard value section (row group 0: "
+                              "non-finite weight)",
+                 [](std::vector<char>* shard) {
+                   const double nan = std::numeric_limits<double>::quiet_NaN();
+                   std::memcpy(shard->data() + LayoutOf(*shard).values, &nan,
+                               8);
+                 });
 
   // Wrong value-section size: the file ends before the values the header
   // counts promise.
-  {
-    std::vector<char> shard = shard_pristine;
-    shard.resize(shard.size() - 4);
-    WriteForgedShard(manifest, 1, std::move(shard));
-    std::string error;
-    auto reader = ShardStreamReader::Open(manifest, &error);
-    ASSERT_TRUE(reader.has_value()) << error;
-    ShardStreamBlock block;
-    EXPECT_FALSE(reader->ReadBlock(1, &block, &error));
-    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-  }
+  ExpectRejected(manifest, 1, "truncated shard payload",
+                 [](std::vector<char>* shard) {
+                   shard->resize(shard->size() - 4);
+                 });
 
   // Forged checksums around a tampered stored value: per-block structure
   // stays valid, so only the bulk loader's cross-shard symmetry sweep
   // can catch it — with an error, never a crash.
   {
     std::vector<char> shard = shard_pristine;
-    std::uint64_t encoded = 0;
-    std::memcpy(&encoded, shard.data() + 64, 8);
     const double tweaked = 7.5;
-    std::memcpy(shard.data() + 72 + encoded, &tweaked, 8);
+    std::memcpy(shard.data() + LayoutOf(shard).values, &tweaked, 8);
     WriteForgedShard(manifest, 1, std::move(shard));
     std::string error;
     EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
@@ -631,10 +691,8 @@ TEST(ShardStreamReaderTest, FailedRefillLeavesTheBlockEmpty) {
   const std::string shard1 =
       std::filesystem::path(manifest).parent_path() / ShardFileName(1);
   std::vector<char> shard = ReadBytes(shard1);
-  std::uint64_t encoded = 0;
-  std::memcpy(&encoded, shard.data() + 64, 8);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::memcpy(shard.data() + 72 + encoded, &nan, 8);
+  std::memcpy(shard.data() + LayoutOf(shard).values, &nan, 8);
   WriteForgedShard(manifest, 1, std::move(shard));
   const ShardStreamReader reader = OpenReader(manifest);
 
@@ -657,6 +715,251 @@ TEST(ShardStreamReaderTest, FailedRefillLeavesTheBlockEmpty) {
   // The emptied block is an ordinary block again.
   ASSERT_TRUE(reader.ReadBlock(0, &block, &error, &scratch)) << error;
   EXPECT_EQ(reader.resident_csr_bytes(), reader.block_csr_bytes(0));
+}
+
+// ---- Row groups ----------------------------------------------------------
+
+// The row-group table is checked whole before any group decodes, and
+// each group must consume exactly its bytes and yield exactly its
+// entries: every inconsistency is an error naming it, on the streamed and
+// the bulk path alike.
+TEST(ShardStreamReaderTest, CompressedRejectsEveryRowGroupTableCorruption) {
+  const std::string manifest =
+      ShardScenario(MakeTestScenario(kMultiGroupSpec), "table_corrupt",
+                    ShardCompression::kF64, kMultiGroupShards);
+  const std::vector<char> pristine = ReadBytes(
+      std::filesystem::path(manifest).parent_path() / ShardFileName(1));
+  const CompressedLayout layout = LayoutOf(pristine);
+  ASSERT_GE(layout.groups, 4);
+  const std::int64_t last = layout.groups - 1;
+  std::uint64_t nnz = 0;
+  std::memcpy(&nnz, pristine.data() + 32, 8);
+  const auto table = [](const std::string& what) {
+    return "invalid shard column section (row-group table: " + what + ")";
+  };
+
+  ExpectRejected(manifest, 1, table("byte ends decrease"),
+                 [](std::vector<char>* shard) {
+                   SetGroupEnd(shard, 1, 0, GroupEnd(*shard, 0, 0) - 1);
+                 });
+  ExpectRejected(manifest, 1, table("entry ends decrease"),
+                 [](std::vector<char>* shard) {
+                   SetGroupEnd(shard, 1, 1, GroupEnd(*shard, 0, 1) - 1);
+                 });
+  ExpectRejected(manifest, 1, table("byte end past the section"),
+                 [&](std::vector<char>* shard) {
+                   SetGroupEnd(shard, 1, 0, layout.varint_bytes + 1);
+                 });
+  ExpectRejected(manifest, 1, table("entry end past the header nnz"),
+                 [&](std::vector<char>* shard) {
+                   SetGroupEnd(shard, 1, 1, nnz + 1);
+                 });
+  ExpectRejected(manifest, 1, table("last byte end short of the section end"),
+                 [&](std::vector<char>* shard) {
+                   SetGroupEnd(shard, last, 0, layout.varint_bytes - 1);
+                 });
+  ExpectRejected(manifest, 1, table("last entry end short of the header nnz"),
+                 [&](std::vector<char>* shard) {
+                   SetGroupEnd(shard, last, 1, nnz - 1);
+                 });
+  // Group 1 loses its last byte, which ends the last varint of its last
+  // row: the group stops mid-row. (Group 2 now starts one byte early and
+  // fails too, but the lowest failing group is the one reported.)
+  ExpectRejected(manifest, 1,
+                 "invalid shard column section (row group 1: truncated "
+                 "varint)",
+                 [](std::vector<char>* shard) {
+                   SetGroupEnd(shard, 1, 0, GroupEnd(*shard, 1, 0) - 1);
+                 });
+  // Group 1 claims one entry more than its rows hold.
+  ExpectRejected(manifest, 1,
+                 "invalid shard column section (row group 1: row entry "
+                 "counts fall short of the row group's entries)",
+                 [](std::vector<char>* shard) {
+                   SetGroupEnd(shard, 1, 1, GroupEnd(*shard, 1, 1) + 1);
+                 });
+  // And one entry fewer.
+  ExpectRejected(manifest, 1,
+                 "invalid shard column section (row group 1: row entry "
+                 "counts exceed the row group's entries)",
+                 [](std::vector<char>* shard) {
+                   SetGroupEnd(shard, 1, 1, GroupEnd(*shard, 1, 1) - 1);
+                 });
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) ==
+                           0);
+}
+
+// Decoded at 1, 2, 4 and 8 threads, every block of a multi-group
+// manifest is memcmp-equal to the serial read and to its slice of the
+// monolithic CSR, with f64 and with f32 values.
+TEST(ShardStreamReaderTest, MultiGroupBlocksAreIdenticalAtEveryThreadCount) {
+  const Scenario scenario = MakeTestScenario(kMultiGroupSpec);
+  const auto& row_ptr = scenario.graph.adjacency().row_ptr();
+  const auto& col_idx = scenario.graph.adjacency().col_idx();
+  const auto& values = scenario.graph.adjacency().values();
+  std::vector<exec::ExecContext> contexts;
+  for (const int threads : {1, 2, 4, 8}) {
+    contexts.push_back(exec::ExecContext::WithThreads(threads));
+  }
+  for (const bool f32 : {false, true}) {
+    SCOPED_TRACE(f32 ? "f32" : "f64");
+    const ShardStreamReader reader = OpenReader(ShardScenario(
+        scenario, f32 ? "multi_group_f32" : "multi_group_f64",
+        f32 ? ShardCompression::kF32 : ShardCompression::kF64,
+        kMultiGroupShards));
+    for (std::int64_t s = 0; s < reader.num_shards(); ++s) {
+      std::string error;
+      ShardStreamBlock serial;
+      ASSERT_TRUE(reader.ReadBlock(s, &serial, &error)) << error;
+      const std::int64_t nnz_begin = row_ptr[serial.row_begin];
+      const std::int64_t nnz_end = row_ptr[serial.row_end];
+      std::vector<std::int64_t> expected_row_ptr;
+      for (std::int64_t r = serial.row_begin; r <= serial.row_end; ++r) {
+        expected_row_ptr.push_back(row_ptr[r] - nnz_begin);
+      }
+      EXPECT_TRUE(SameBytes(serial.row_ptr, expected_row_ptr));
+      EXPECT_TRUE(SameBytes(
+          serial.col_idx,
+          std::vector<std::int32_t>(col_idx.begin() + nnz_begin,
+                                    col_idx.begin() + nnz_end)));
+      const std::vector<double> slice(values.begin() + nnz_begin,
+                                      values.begin() + nnz_end);
+      if (f32) {
+        EXPECT_TRUE(SameBytes(serial.values_f32,
+                              std::vector<float>(slice.begin(), slice.end())));
+      } else {
+        EXPECT_TRUE(SameBytes(serial.values, slice));
+      }
+
+      std::vector<char> bytes;
+      ASSERT_TRUE(reader.FetchBlock(s, &bytes, &error)) << error;
+      ASSERT_GE(LayoutOf(bytes).groups, 4);
+      for (const exec::ExecContext& ctx : contexts) {
+        SCOPED_TRACE(::testing::Message() << "threads " << ctx.threads());
+        ShardStreamBlock block;
+        ASSERT_TRUE(reader.DecodeBlock(s, bytes, ctx, &block, &error))
+            << error;
+        EXPECT_TRUE(SameBytes(block.row_ptr, serial.row_ptr));
+        EXPECT_TRUE(SameBytes(block.col_idx, serial.col_idx));
+        EXPECT_TRUE(SameBytes(block.values, serial.values));
+        EXPECT_TRUE(SameBytes(block.values_f32, serial.values_f32));
+        ExpectSameBlock(serial, block);
+      }
+    }
+  }
+}
+
+// Defects in groups 2, 3 and 4 of one shard: groups 3 and 4 fail at
+// their first rows, group 2 only at its last weight, so lanes running
+// groups 3 or 4 find their defects first (the shard is dense, so a group
+// takes far longer to decode than a pool lane takes to wake). The decode
+// still reports group 2's, with the same message at every thread count,
+// on every repetition, and from the bulk loader.
+TEST(ShardStreamReaderTest, MultiGroupErrorIsTheSameAtEveryThreadCount) {
+  const std::string manifest = ShardScenario(
+      MakeTestScenario("sbm:n=10240,k=3,deg=40,seed=11"),
+      "multi_group_error", ShardCompression::kF64, 1);
+  std::vector<char> shard = ReadBytes(
+      std::filesystem::path(manifest).parent_path() / ShardFileName(0));
+  ASSERT_EQ(LayoutOf(shard).groups, 5);
+  for (const std::int64_t g : {3, 4}) {
+    std::size_t off = FirstRowWithEntries(shard, g, 2);
+    ReadTestVarint(shard, &off);  // first column id
+    shard[off] = 0x00;            // delta 0
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(shard.data() + LayoutOf(shard).values +
+                  8 * (GroupEnd(shard, 2, 1) - 1),
+              &nan, 8);  // group 2's last weight
+  WriteForgedShard(manifest, 0, std::move(shard));
+
+  const ShardStreamReader reader = OpenReader(manifest);
+  std::vector<char> bytes;
+  std::string error;
+  ASSERT_TRUE(reader.FetchBlock(0, &bytes, &error)) << error;
+  const std::string expected =
+      "invalid shard value section (row group 2: non-finite weight)";
+  std::string first;
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const exec::ExecContext ctx = exec::ExecContext::WithThreads(threads);
+    for (int rep = 0; rep < 10; ++rep) {
+      ShardStreamBlock block;
+      EXPECT_FALSE(reader.DecodeBlock(0, bytes, ctx, &block, &error));
+      EXPECT_NE(error.find(expected), std::string::npos) << error;
+      if (first.empty()) first = error;
+      EXPECT_EQ(error, first);
+      ExpectEmptyBlock(block);
+      EXPECT_EQ(reader.resident_csr_bytes(), 0);
+    }
+  }
+  for (const int threads : {1, 4}) {
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error,
+                                     exec::ExecContext::WithThreads(threads))
+                     .has_value());
+    EXPECT_EQ(error, first);
+  }
+}
+
+// A shard file longer than its manifest entry declares fails before it is
+// read — the size is known up front, so a grown file (here sparse, far
+// beyond memory) is never buffered, on the streamed and the bulk path.
+TEST(ShardStreamReaderTest, OversizedShardFileFailsBeforeItIsRead) {
+  const Scenario scenario = TestScenario();
+  for (const ShardCompression compression :
+       {ShardCompression::kNone, ShardCompression::kF64}) {
+    const bool raw = compression == ShardCompression::kNone;
+    SCOPED_TRACE(raw ? "raw" : "compressed");
+    const std::string manifest = ShardScenario(
+        scenario, raw ? "oversized_raw" : "oversized_compressed",
+        compression);
+    const std::string shard1 =
+        std::filesystem::path(manifest).parent_path() / ShardFileName(1);
+    const std::uintmax_t size = std::filesystem::file_size(shard1);
+    const ShardStreamReader reader = OpenReader(manifest);
+    for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
+      std::filesystem::resize_file(shard1, grown);
+      const std::string expected = shard1 + ": oversized file (" +
+                                   std::to_string(grown) + " bytes, expected " +
+                                   std::to_string(size) + ")";
+      ShardStreamBlock block;
+      std::string error;
+      EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
+      EXPECT_EQ(error, expected);
+      ExpectEmptyBlock(block);
+      EXPECT_EQ(reader.resident_csr_bytes(), 0);
+      std::vector<char> bytes;
+      EXPECT_FALSE(reader.FetchBlock(1, &bytes, &error));
+      EXPECT_EQ(error, expected);
+      EXPECT_TRUE(bytes.empty());
+      EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+      EXPECT_EQ(error, expected);
+    }
+    // The bulk loader's preflight checks every size before it reads any
+    // shard, so a corrupt shard 0 does not get to report first.
+    const std::string shard0 =
+        std::filesystem::path(manifest).parent_path() / ShardFileName(0);
+    const std::vector<char> pristine0 = ReadBytes(shard0);
+    std::vector<char> corrupt0 = pristine0;
+    corrupt0[64 + 3] ^= 0x10;
+    WriteBytes(shard0, corrupt0);
+    std::string error;
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_NE(error.find(shard1 + ": oversized file"), std::string::npos)
+        << error;
+    WriteBytes(shard0, pristine0);
+
+    // Cut back to size, the shard reads cleanly again.
+    std::filesystem::resize_file(shard1, size);
+    ShardStreamBlock block;
+    EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
+    EXPECT_TRUE(LoadShardedSnapshot(manifest, &error).has_value()) << error;
+  }
 }
 
 // ---- Decoded-block cache -------------------------------------------------

@@ -350,6 +350,46 @@ TEST(ShardTest, ManifestInfoReportsV2CompressionAndBothSizes) {
   }
 }
 
+// A compressed manifest entry declares its payload size, and the parser
+// bounds it below by what the counts need on disk — the u64 varint byte
+// count, 16 bytes per 2048-row group, a varint byte per row and per
+// entry, the values and the raw sections — so the preflight ties every
+// decoded allocation to real bytes. One byte under that floor is
+// rejected; the floor itself parses.
+TEST(ShardTest, CompressedPayloadFloorCountsTheRowGroupTable) {
+  const Scenario original = TestScenario();
+  const std::string manifest = ShardedCompressed(
+      original, "payload_floor", 3, ShardCompression::kF64);
+  const std::vector<char> pristine = ReadBytes(manifest);
+  std::int64_t k = 0;
+  std::uint32_t flags = 0;
+  std::memcpy(&k, pristine.data() + 24, 8);
+  std::memcpy(&flags, pristine.data() + 48, 4);
+  const std::size_t entry = ManifestEntryOffset(pristine, 1);
+  std::int64_t counts[4] = {};  // row_begin, row_end, nnz, num_explicit
+  std::memcpy(counts, pristine.data() + entry, sizeof(counts));
+  const std::int64_t rows = counts[1] - counts[0];
+  const std::int64_t nnz = counts[2];
+  const std::int64_t floor = 8 + 16 * ((rows + 2047) / 2048) + rows + nnz +
+                             8 * nnz + 8 * counts[3] * (1 + k) +
+                             ((flags & 1) != 0 ? 4 * rows : 0);
+  for (const std::int64_t declared : {floor - 1, floor}) {
+    std::vector<char> bytes = pristine;
+    std::memcpy(bytes.data() + entry + 32, &declared, 8);
+    FixChecksum(&bytes);
+    WriteBytes(manifest, bytes);
+    std::string error;
+    EXPECT_EQ(ReadShardManifestInfo(manifest, &error).has_value(),
+              declared == floor)
+        << declared << " vs floor " << floor << ": " << error;
+    if (declared < floor) {
+      EXPECT_NE(error.find("payload size is inconsistent with its counts"),
+                std::string::npos)
+          << error;
+    }
+  }
+}
+
 // ---- Corruption matrix ---------------------------------------------------
 
 TEST(ShardTest, RejectsMissingShardFile) {
@@ -406,43 +446,50 @@ TEST(ShardTest, RejectsBadMagicVersionAndEndianness) {
 }
 
 // Versions 1 (raw) and 2 (compressed) are the same layouts checksummed
-// with FNV-1a: a file still carrying one must fail as an unsupported
-// version, never reach the checksum comparison.
+// with FNV-1a, and version 4 is the compressed layout without the
+// row-group table: a file still carrying one must fail as an unsupported
+// version, never reach the checksum comparison or be parsed as another
+// layout. Version 4 sits between the two live versions, so it is tried
+// on a raw manifest too.
 TEST(ShardTest, RejectsThePreviousFormatVersions) {
   const Scenario original = TestScenario();
   for (const ShardCompression compression :
        {ShardCompression::kNone, ShardCompression::kF64}) {
     const bool raw = compression == ShardCompression::kNone;
-    const std::uint32_t previous = raw ? 1 : 2;
     const std::string manifest = ShardedCompressed(
         original, raw ? "previous_raw" : "previous_compressed", 3,
         compression);
     const std::vector<char> pristine = ReadBytes(manifest);
-    std::string error;
-
-    std::vector<char> old_manifest = pristine;
-    std::memcpy(old_manifest.data() + 8, &previous, 4);
-    WriteBytes(manifest, old_manifest);
-    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
-    EXPECT_NE(error.find("unsupported shard manifest version " +
-                         std::to_string(previous)),
-              std::string::npos)
-        << error;
-    EXPECT_FALSE(ReadShardManifestInfo(manifest, &error).has_value());
-    WriteBytes(manifest, pristine);
-
-    // A current manifest pointing at a shard file of the old version.
     const std::string shard =
         (std::filesystem::path(manifest).parent_path() / ShardFileName(1))
             .string();
-    std::vector<char> old_shard = ReadBytes(shard);
-    std::memcpy(old_shard.data() + 8, &previous, 4);
-    WriteBytes(shard, old_shard);
-    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
-    EXPECT_NE(error.find("unsupported snapshot shard version " +
-                         std::to_string(previous)),
-              std::string::npos)
-        << error;
+    const std::vector<char> pristine_shard = ReadBytes(shard);
+    for (const std::uint32_t previous : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << (raw ? "raw" : "compressed")
+                                        << " relabelled " << previous);
+      std::string error;
+      std::vector<char> old_manifest = pristine;
+      std::memcpy(old_manifest.data() + 8, &previous, 4);
+      WriteBytes(manifest, old_manifest);
+      EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+      EXPECT_NE(error.find("unsupported shard manifest version " +
+                           std::to_string(previous) + " (expected 3 or 5)"),
+                std::string::npos)
+          << error;
+      EXPECT_FALSE(ReadShardManifestInfo(manifest, &error).has_value());
+      WriteBytes(manifest, pristine);
+
+      // A current manifest pointing at a shard file of the old version.
+      std::vector<char> old_shard = pristine_shard;
+      std::memcpy(old_shard.data() + 8, &previous, 4);
+      WriteBytes(shard, old_shard);
+      EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+      EXPECT_NE(error.find("unsupported snapshot shard version " +
+                           std::to_string(previous)),
+                std::string::npos)
+          << error;
+      WriteBytes(shard, pristine_shard);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 // with the solver state intact.
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -30,6 +31,11 @@ using linbp::testing::WriteBytes;
 
 constexpr char kSpec[] = "sbm:n=1200,k=4,deg=8,mode=homophily,seed=3";
 constexpr std::int64_t kShards = 5;
+// Two shards of about 10,000 rows, five row groups each: every
+// compressed decode of this manifest fans out.
+constexpr char kMultiGroupSpec[] =
+    "sbm:n=20000,k=3,deg=6,mode=homophily,seed=5";
+constexpr std::int64_t kMultiGroupShards = 2;
 
 dataset::Scenario TestScenario() {
   std::string error;
@@ -427,6 +433,91 @@ TEST(ShardStreamBackendTest, CacheBudgetBoundsResidency) {
   EXPECT_LE(backend.cache()->cached_bytes(), budget);
   EXPECT_LE(reader.peak_resident_csr_bytes(),
             budget + 2 * reader.max_block_csr_bytes());
+}
+
+// The compressed multi-group manifest, and the in-memory LinBP solve its
+// streamed solves must reproduce to the bit.
+struct MultiGroupCase {
+  dataset::Scenario scenario;
+  std::string manifest;
+  DenseMatrix hhat;
+  LinBpResult reference;
+};
+
+MultiGroupCase MakeMultiGroupCase(const std::string& name) {
+  MultiGroupCase c;
+  std::string error;
+  auto scenario = dataset::MakeScenario(kMultiGroupSpec, &error);
+  EXPECT_TRUE(scenario.has_value()) << error;
+  c.scenario = std::move(*scenario);
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  const auto written =
+      dataset::ShardSnapshot(c.scenario, kMultiGroupShards, dir, &error,
+                             dataset::ShardCompression::kF64);
+  EXPECT_TRUE(written.has_value()) << error;
+  c.manifest = written->manifest_path;
+  // Fixed, well inside convergence for this degree: the exact-threshold
+  // bisection would add hundreds of solves under the sanitizers.
+  c.hhat = c.scenario.Coupling().ScaledResidual(0.02);
+  c.reference = RunLinBp(c.scenario.graph, c.hhat,
+                         c.scenario.explicit_residuals, LinBpOptions{});
+  EXPECT_TRUE(c.reference.converged);
+  EXPECT_GE(c.reference.iterations, 5);
+  return c;
+}
+
+bool SameBeliefs(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.data().size() == b.data().size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+// Row groups decode in parallel on the solve's own lanes: streamed LinBP
+// beliefs are memcmp-equal to in-memory at 1, 2, 4 and 8 threads, and an
+// uncached solve still holds at most two blocks' CSR bytes.
+TEST(ShardStreamBackendTest, MultiGroupStreamIsBitIdenticalAtEveryThreadCount) {
+  const MultiGroupCase c = MakeMultiGroupCase("stream_multi_group");
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const exec::ExecContext ctx = exec::ExecContext::WithThreads(threads);
+    const engine::ShardStreamBackend backend = OpenBackend(c.manifest, ctx);
+    LinBpOptions options;
+    options.exec = ctx;
+    const LinBpResult streamed =
+        RunLinBp(backend, c.hhat, backend.explicit_residuals(), options);
+    ASSERT_FALSE(streamed.failed) << streamed.error;
+    EXPECT_EQ(streamed.iterations, c.reference.iterations);
+    EXPECT_TRUE(SameBeliefs(streamed.beliefs, c.reference.beliefs));
+    const dataset::ShardStreamReader& reader = backend.reader();
+    EXPECT_GT(reader.peak_resident_csr_bytes(), 0);
+    EXPECT_LE(reader.peak_resident_csr_bytes(),
+              2 * reader.max_block_csr_bytes());
+    EXPECT_EQ(reader.resident_csr_bytes(), 0);
+  }
+}
+
+// A streamed solve run as a task of the pool it decodes on: the nested
+// fan-outs run inline on the task's thread, and the prefetch thread
+// never touches the pool, so both solves finish — a decode started from
+// the prefetch thread would wait on the very batch it runs in.
+TEST(ShardStreamBackendTest, StreamedSweepInsideAPoolTaskFinishes) {
+  const MultiGroupCase c = MakeMultiGroupCase("stream_nested");
+  const exec::ExecContext ctx = exec::ExecContext::WithThreads(4);
+  const engine::ShardStreamBackend backend = OpenBackend(c.manifest, ctx);
+  LinBpResult results[2];
+  ctx.RunBlocks(2, [&](std::int64_t b) {
+    LinBpOptions options;
+    options.exec = ctx;
+    results[b] =
+        RunLinBp(backend, c.hhat, backend.explicit_residuals(), options);
+  });
+  for (const LinBpResult& result : results) {
+    ASSERT_FALSE(result.failed) << result.error;
+    EXPECT_EQ(result.iterations, c.reference.iterations);
+    EXPECT_TRUE(SameBeliefs(result.beliefs, c.reference.beliefs));
+  }
+  EXPECT_EQ(backend.reader().resident_csr_bytes(), 0);
 }
 
 TEST(ShardStreamBackendTest, OpenRejectsCorruptManifestAndShards) {

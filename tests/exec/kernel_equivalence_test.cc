@@ -488,7 +488,7 @@ struct Stream {
   dataset::ShardCompression compression;
   std::int64_t cache_budget;
 };
-const Stream kStreams[] = {
+const std::vector<Stream> kStreams = {
     {"v1", dataset::ShardCompression::kNone, 0},
     {"v1 cached", dataset::ShardCompression::kNone, std::int64_t{1} << 30},
     {"v2/f64", dataset::ShardCompression::kF64, 0},
@@ -497,19 +497,21 @@ const Stream kStreams[] = {
     {"v2/f32 cached", dataset::ShardCompression::kF32, std::int64_t{1} << 30},
 };
 
-// Opens one backend per stream configuration over `scenario`'s shards.
-// v2/f32 shards hold narrowed values, so *narrowed receives the bulk load
-// of those files: the reference of the streams that read them.
+// Opens one backend per configuration in `streams` over `scenario` cut
+// into `shards` shards. v2/f32 shards hold narrowed values, so *narrowed
+// receives the bulk load of those files: the reference of the streams
+// that read them.
 void OpenStreams(const dataset::Scenario& scenario, const std::string& tag,
+                 const std::vector<Stream>& streams, std::int64_t shards,
                  std::vector<engine::ShardStreamBackend>* streamed,
                  std::optional<Graph>* narrowed) {
   std::string error;
-  for (const Stream& stream : kStreams) {
+  for (const Stream& stream : streams) {
     const std::string dir = ::testing::TempDir() + "/fused_" + tag + "_" +
                             std::to_string(streamed->size());
     std::filesystem::remove_all(dir);
-    const auto written =
-        dataset::ShardSnapshot(scenario, 3, dir, &error, stream.compression);
+    const auto written = dataset::ShardSnapshot(scenario, shards, dir, &error,
+                                                stream.compression);
     ASSERT_TRUE(written.has_value()) << error;
     auto backend = engine::ShardStreamBackend::Open(
         written->manifest_path, &error, ExecContext::Serial(),
@@ -526,13 +528,14 @@ void OpenStreams(const dataset::Scenario& scenario, const std::string& tag,
   }
 }
 
-// Runs `fused` in memory and on every stream at every context, and
-// expects each run to reproduce `expected` (`expected_narrowed` on the
-// streams that read f32-valued shards).
+// Runs `fused` in memory and on every stream (opened from `streams`) at
+// every context, and expects each run to reproduce `expected`
+// (`expected_narrowed` on the streams that read f32-valued shards).
 void ExpectFusedEverywhere(
     const std::function<SweepTrace(const engine::PropagationBackend&,
                                    const LinBpOptions&)>& fused,
     const engine::PropagationBackend& in_memory,
+    const std::vector<Stream>& streams,
     const std::vector<engine::ShardStreamBackend>& streamed,
     const std::vector<ExecContext>& contexts, LinBpOptions options,
     const SweepTrace& expected, const SweepTrace& expected_narrowed) {
@@ -544,9 +547,9 @@ void ExpectFusedEverywhere(
       ExpectSameTrace(fused(in_memory, options), expected);
     }
     for (std::size_t s = 0; s < streamed.size(); ++s) {
-      SCOPED_TRACE(kStreams[s].name);
+      SCOPED_TRACE(streams[s].name);
       const bool f32_values =
-          kStreams[s].compression == dataset::ShardCompression::kF32;
+          streams[s].compression == dataset::ShardCompression::kF32;
       ExpectSameTrace(fused(streamed[s], options),
                       f32_values ? expected_narrowed : expected);
     }
@@ -582,7 +585,7 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
     std::vector<engine::ShardStreamBackend> streamed;
     std::optional<Graph> narrowed;
     ASSERT_NO_FATAL_FAILURE(OpenStreams(*scenario, "k" + std::to_string(k),
-                                        &streamed, &narrowed));
+                                        kStreams, 3, &streamed, &narrowed));
     const engine::InMemoryBackend in_memory(&scenario->graph);
 
     for (const LinBpVariant variant : kVariants) {
@@ -616,7 +619,7 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
                 const LinBpOptions& run) {
               return FusedLinBp(backend, hhat, e, run);
             },
-            in_memory, streamed, contexts, options, expected,
+            in_memory, kStreams, streamed, contexts, options, expected,
             reference(*narrowed));
       }
     }
@@ -641,7 +644,8 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
   const DenseMatrix zero(n, 1);
   std::vector<engine::ShardStreamBackend> streamed;
   std::optional<Graph> narrowed;
-  ASSERT_NO_FATAL_FAILURE(OpenStreams(*scenario, "k1", &streamed, &narrowed));
+  ASSERT_NO_FATAL_FAILURE(
+      OpenStreams(*scenario, "k1", kStreams, 3, &streamed, &narrowed));
   const engine::InMemoryBackend in_memory(&scenario->graph);
   for (const Precision precision : {Precision::kF64, Precision::kF32}) {
     SCOPED_TRACE(::testing::Message()
@@ -662,7 +666,61 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
             const LinBpOptions& run) {
           return FusedFabp(backend, h, priors, run);
         },
-        in_memory, streamed, contexts, options, expected,
+        in_memory, kStreams, streamed, contexts, options, expected,
+        reference(*narrowed));
+  }
+}
+
+// The same pin on compressed shards of several row groups each (one
+// 5,000-row shard: three groups), so every streamed sweep decodes its
+// shard across the context's lanes: f64 and f32 values, cache off and
+// on, both precisions, threads {1, 2, 4, 8}.
+TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedOnMultiGroupShards) {
+  const std::vector<Stream> streams = {
+      {"v2/f64 multi-group", dataset::ShardCompression::kF64, 0},
+      {"v2/f64 multi-group cached", dataset::ShardCompression::kF64,
+       std::int64_t{1} << 30},
+      {"v2/f32 multi-group", dataset::ShardCompression::kF32, 0},
+  };
+  std::vector<ExecContext> contexts;
+  for (const int threads : kThreadCounts) {
+    contexts.push_back(ExecContext::WithThreads(threads));
+  }
+  std::string error;
+  const auto scenario = dataset::MakeScenario(
+      "sbm:n=5000,k=3,deg=6,labeled=0.1,seed=3", &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  const CouplingMatrix coupling = scenario->Coupling();
+  const DenseMatrix hhat = coupling.ScaledResidual(
+      0.5 * SufficientEpsilonBound(scenario->graph, coupling,
+                                   LinBpVariant::kLinBp));
+  const DenseMatrix echo = hhat.Multiply(hhat);
+  const DenseMatrix& e = scenario->explicit_residuals;
+  std::vector<engine::ShardStreamBackend> streamed;
+  std::optional<Graph> narrowed;
+  ASSERT_NO_FATAL_FAILURE(OpenStreams(*scenario, "multi_group", streams, 1,
+                                      &streamed, &narrowed));
+  const engine::InMemoryBackend in_memory(&scenario->graph);
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    SCOPED_TRACE(PrecisionName(precision));
+    LinBpOptions options;
+    options.precision = precision;
+    options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
+    options.divergence_patience = 0;
+    const auto reference = [&](const Graph& graph) {
+      return precision == Precision::kF32
+                 ? UnfusedLinBpF32(graph, hhat, &echo, e, e, options)
+                 : UnfusedLinBp(graph, hhat, &echo, e, e, options);
+    };
+    const SweepTrace expected = reference(scenario->graph);
+    ASSERT_GE(expected.iterations, 3);
+    ASSERT_LT(expected.iterations, options.max_iterations);
+    ExpectFusedEverywhere(
+        [&](const engine::PropagationBackend& backend,
+            const LinBpOptions& run) {
+          return FusedLinBp(backend, hhat, e, run);
+        },
+        in_memory, streams, streamed, contexts, options, expected,
         reference(*narrowed));
   }
 }

@@ -282,6 +282,38 @@ TEST(RunMainTest, ConvertInfoAndSnapRoundTrip) {
   EXPECT_EQ(std::count(output.begin(), output.end(), '\n'), 90);
 }
 
+// A shard file grown past its manifest entry (here sparse, far beyond
+// memory) is an error naming the file, found before the file is read —
+// for the streamed solve and for the bulk `snap:` load.
+TEST(RunMainTest, OversizedShardFileIsAnErrorNotACrash) {
+  const std::string dir = TempPath("cli_oversized_shards");
+  std::filesystem::remove_all(dir);
+  std::string output;
+  std::string error;
+  ASSERT_EQ(RunMain({"shard", "--scenario=sbm:n=200,k=2,seed=5",
+                     "--out-dir=" + dir, "--shards=2", "--compress=f64"},
+                    &output, &error),
+            0)
+      << error;
+  const std::string shard = dir + "/shard-000001.lbpsd";
+  const std::uintmax_t size = std::filesystem::file_size(shard);
+  const std::uintmax_t grown = std::uintmax_t{1} << 40;
+  std::filesystem::resize_file(shard, grown);
+  const std::string expected = shard + ": oversized file (" +
+                               std::to_string(grown) + " bytes, expected " +
+                               std::to_string(size) + ")";
+  const std::string scenario = "--scenario=snap:path=" + dir +
+                               "/manifest.lbpm";
+  for (const bool stream : {true, false}) {
+    SCOPED_TRACE(stream ? "--stream" : "bulk load");
+    std::vector<std::string> args = {scenario, "--method=linbp"};
+    if (stream) args.push_back("--stream");
+    error.clear();
+    EXPECT_EQ(RunMain(args, &output, &error), 1);
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+  }
+}
+
 // A directory where a snapshot belongs is an error naming the path,
 // not an allocation sized by whatever the OS reports for a directory.
 TEST(RunMainTest, DirectoryInputIsAnErrorNotACrash) {
@@ -555,7 +587,7 @@ TEST(RunMainTest, InfoReportsV2CompressionAndRatio) {
                     &output, &error),
             0)
       << error;
-  EXPECT_NE(output.find("version:       4"), std::string::npos) << output;
+  EXPECT_NE(output.find("version:       5"), std::string::npos) << output;
   EXPECT_NE(output.find("compression:   varint-f64"), std::string::npos)
       << output;
   EXPECT_NE(output.find("decoded;"), std::string::npos) << output;
