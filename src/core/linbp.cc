@@ -164,10 +164,6 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
   const exec::ExecContext& ctx = options.exec;
   SweepLoopResult result;
   result.diagnostics.spectral_radius_estimate = spectral_hint;
-  if (spectral_hint < 0.0 && options.estimate_spectral_radius) {
-    result.diagnostics.spectral_radius_estimate =
-        EstimateSpectralRadius(backend, modulation, echo_modulation, ctx);
-  }
 
   // Each sweep writes a second belief buffer and swaps it in, so no sweep
   // allocates. In f32 mode both buffers (and the explicit residuals) are
@@ -354,13 +350,19 @@ LinBpResult RunLinBp(const engine::PropagationBackend& backend,
   }
   const DenseMatrix echo_modulation = hhat.Multiply(modulation);
 
+  const DenseMatrix* echo =
+      options.variant == LinBpVariant::kLinBpStar ? nullptr : &echo_modulation;
+  const double spectral_estimate =
+      options.estimate_spectral_radius
+          ? core_internal::EstimateSpectralRadius(backend, modulation, echo,
+                                                  options.exec)
+          : -1.0;
+
   LinBpResult result;
   result.beliefs = explicit_residuals;
   const core_internal::SweepLoopResult loop = core_internal::RunSweepLoop(
-      backend, modulation,
-      options.variant == LinBpVariant::kLinBpStar ? nullptr : &echo_modulation,
-      explicit_residuals, options, -1.0, core_internal::SweepFamily::kLinBp,
-      &result.beliefs);
+      backend, modulation, echo, explicit_residuals, options,
+      spectral_estimate, core_internal::SweepFamily::kLinBp, &result.beliefs);
   result.iterations = loop.iterations;
   result.converged = loop.converged;
   result.diverged = loop.diverged;

@@ -75,10 +75,12 @@ struct LinBpOptions {
   /// sweep also records into the global obs registry (metrics + the
   /// "linbp_sweep" time series) and the active tracer.
   SweepObserver sweep_observer;
-  /// Estimate rho(M) of the update operator by power iteration before
-  /// the solve (Lemma 8's exact convergence criterion) and surface it on
-  /// the result's diagnostics. Costs ~hundreds of extra backend products,
-  /// so it is opt-in. Beliefs are unaffected.
+  /// RunLinBp only: estimate rho(M) of the update operator by power
+  /// iteration before the solve (Lemma 8's exact convergence criterion)
+  /// and surface it on the result's diagnostics. Costs ~hundreds of
+  /// extra backend products, so it is opt-in. Beliefs are unaffected.
+  /// LinBpState ignores it: its rho(M) is LinBpState::SpectralRadius(),
+  /// computed on request.
   bool estimate_spectral_radius = false;
   /// Divergence early-abort: when the residual delta has risen for this
   /// many consecutive sweeps, exceeds the run's first delta, and the
@@ -111,10 +113,11 @@ struct ConvergenceDiagnostics {
   /// geometric decay from the last delta. 0 when already converged, -1
   /// when unknown (no usable fit or rho-hat >= 1).
   double predicted_sweeps_to_tolerance = -1.0;
-  /// rho(M) power-iteration estimate for the operator the sweeps iterate,
-  /// only when options.estimate_spectral_radius was set or a divergence abort
-  /// computed it for its error message; -1 when not computed. Compare
-  /// against empirical_contraction: they agree within a few percent on a
+  /// rho(M) power-iteration estimate for the operator the sweeps iterate:
+  /// RunLinBp's when options.estimate_spectral_radius was set, a
+  /// LinBpState's cached SpectralRadius(), or the one a divergence abort
+  /// computed for its error message; -1 when none was. Compare against
+  /// empirical_contraction: they agree within a few percent on a
   /// converging run.
   double spectral_radius_estimate = -1.0;
 };
@@ -200,12 +203,13 @@ struct SweepLoopResult {
 /// (no echo term when `echo_modulation` is null) per iteration until
 /// convergence, divergence, failure, or options.max_iterations, with all
 /// observability (metrics, time series, spans, observer, diagnostics
-/// fit, divergence early-abort) attached under `family`'s names. Its
-/// rho(M) estimates are of that operator: `spectral_hint` >= 0 supplies
-/// a cached one (warm LinBpState re-solves); otherwise power iteration
-/// runs when options.estimate_spectral_radius is set and for a
-/// divergence abort's message. The loop swaps two belief buffers, one of
-/// them `beliefs`, and allocates nothing per sweep; `beliefs` ends on
+/// fit, divergence early-abort) attached under `family`'s names.
+/// `spectral_hint` >= 0 is rho(M) of that operator, known up front
+/// (RunLinBp's estimate, a LinBpState's cache) and reported on the
+/// diagnostics; the loop itself runs power iteration only for a
+/// divergence abort's message, and only without a hint. It ignores
+/// options.estimate_spectral_radius. The loop swaps two belief buffers,
+/// one of them `beliefs`, and allocates nothing per sweep; `beliefs` ends on
 /// the last completed sweep and is never partially mutated by a failing
 /// one. Used by RunLinBp, LinBpState::Solve and RunFabp.
 SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <string>
 #include <utility>
 
+#include "src/core/convergence.h"
 #include "src/engine/in_memory_backend.h"
-#include "src/la/kron_ops.h"
 #include "src/obs/obs.h"
 #include "src/util/check.h"
 
@@ -17,8 +18,91 @@ namespace {
 
 // Every `return -1` on a validation path is a rejection; every undo of
 // state after a mid-solve backend failure is a rollback.
-void RecordRejection() { LINBP_OBS_COUNTER_ADD("linbp_state_rejections_total", 1); }
+int Reject(const std::string& problem, std::string* error) {
+  if (error != nullptr) *error = problem;
+  LINBP_OBS_COUNTER_ADD("linbp_state_rejections_total", 1);
+  return -1;
+}
 void RecordRollback() { LINBP_OBS_COUNTER_ADD("linbp_state_rollbacks_total", 1); }
+
+// The belief-batch counterpart of the graph's Validate*EdgeBatch: empty
+// for a valid batch, else its first problem.
+std::string ValidateBeliefBatch(const std::vector<std::int64_t>& nodes,
+                                const DenseMatrix& residuals, std::int64_t n,
+                                std::int64_t k) {
+  if (static_cast<std::int64_t>(nodes.size()) != residuals.rows()) {
+    return "belief update names " + std::to_string(nodes.size()) +
+           " nodes but carries " + std::to_string(residuals.rows()) +
+           " residual rows";
+  }
+  if (residuals.cols() != k) {
+    return "belief update has " + std::to_string(residuals.cols()) +
+           " classes but the coupling has " + std::to_string(k);
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i] < 0 || nodes[i] >= n) {
+      return "belief update names node " + std::to_string(nodes[i]) +
+             " outside [0, " + std::to_string(n) + ")";
+    }
+    for (std::int64_t c = 0; c < k; ++c) {
+      if (!std::isfinite(residuals.At(static_cast<std::int64_t>(i), c))) {
+        return "belief update for node " + std::to_string(nodes[i]) +
+               " has a non-finite residual";
+      }
+    }
+  }
+  return std::string();
+}
+
+// The edge list after each edge mutation, for a batch already validated.
+std::vector<Edge> WithEdgesAdded(const Graph& graph,
+                                 const std::vector<Edge>& edges) {
+  std::vector<Edge> combined = graph.edges();
+  combined.insert(combined.end(), edges.begin(), edges.end());
+  return combined;
+}
+
+std::vector<Edge> WithEdgesRemoved(const Graph& graph,
+                                   const std::vector<Edge>& edges) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> doomed;
+  doomed.reserve(edges.size());
+  for (const Edge& e : edges) {
+    doomed.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
+  }
+  std::sort(doomed.begin(), doomed.end());
+  std::vector<Edge> kept;
+  kept.reserve(graph.edges().size() - edges.size());
+  for (const Edge& e : graph.edges()) {
+    if (!std::binary_search(doomed.begin(), doomed.end(),
+                            std::make_pair(e.u, e.v))) {
+      kept.push_back(e);
+    }
+  }
+  return kept;
+}
+
+std::vector<Edge> WithEdgesReweighted(const Graph& graph,
+                                      const std::vector<Edge>& edges) {
+  std::vector<std::pair<std::pair<std::int64_t, std::int64_t>, double>>
+      reweights;
+  reweights.reserve(edges.size());
+  for (const Edge& e : edges) {
+    reweights.push_back(
+        {{std::min(e.u, e.v), std::max(e.u, e.v)}, e.weight});
+  }
+  std::sort(reweights.begin(), reweights.end());
+  std::vector<Edge> rebuilt = graph.edges();
+  for (Edge& e : rebuilt) {
+    const auto it = std::lower_bound(
+        reweights.begin(), reweights.end(),
+        std::make_pair(std::make_pair(e.u, e.v),
+                       -std::numeric_limits<double>::infinity()));
+    if (it != reweights.end() && it->first == std::make_pair(e.u, e.v)) {
+      e.weight = it->second;
+    }
+  }
+  return rebuilt;
+}
 
 }  // namespace
 
@@ -86,18 +170,14 @@ int LinBpState::Solve() {
   const DenseMatrix hhat2 = hhat_.Multiply(hhat_);
   converged_ = false;
   last_error_.clear();
-  // The cached estimate travels as the hint, so the loop runs power
-  // iteration once per operator (when requested, or for a divergence
-  // abort's message), not on every warm re-solve.
+  // The cached rho(M) travels as the hint, so a divergence abort reuses
+  // it; the solve itself never runs power iteration up front.
   const core_internal::SweepLoopResult loop = core_internal::RunSweepLoop(
       *backend_, hhat_,
       options_.variant == LinBpVariant::kLinBp ? &hhat2 : nullptr,
       explicit_residuals_, options_, spectral_estimate_,
       core_internal::SweepFamily::kLinBp, &beliefs_);
   diagnostics_ = loop.diagnostics;
-  if (loop.diagnostics.spectral_radius_estimate >= 0.0) {
-    spectral_estimate_ = loop.diagnostics.spectral_radius_estimate;
-  }
   converged_ = loop.converged;
   if (loop.failed) {
     last_error_ = loop.error;
@@ -106,54 +186,36 @@ int LinBpState::Solve() {
   return loop.iterations;
 }
 
+double LinBpState::SpectralRadius() {
+  if (spectral_estimate_ >= 0.0) return spectral_estimate_;
+  obs::ScopedSpan span("spectral_estimate");
+  LINBP_OBS_COUNTER_ADD("linbp_spectral_estimates_total", 1);
+  try {
+    spectral_estimate_ = LinBpOperatorSpectralRadius(
+        *backend_, hhat_, options_.variant, 500, 1e-11, options_.exec);
+  } catch (const std::exception&) {
+    return -1.0;  // a streamed backend failed; the cache stays stale
+  }
+  if (span.active()) span.SetAttr("spectral_radius", spectral_estimate_);
+  return spectral_estimate_;
+}
+
 int LinBpState::UpdateExplicitBeliefs(const std::vector<std::int64_t>& nodes,
                                       const DenseMatrix& residuals,
                                       std::string* error) {
-  // Validate up front with error returns, not CHECKs: node ids and
-  // residual rows arrive straight off an update stream, and a hostile
-  // line must never abort the server or touch the state.
-  if (static_cast<std::int64_t>(nodes.size()) != residuals.rows()) {
-    if (error != nullptr) {
-      *error = "belief update names " + std::to_string(nodes.size()) +
-               " nodes but carries " + std::to_string(residuals.rows()) +
-               " residual rows";
-    }
-    RecordRejection();
-    return -1;
-  }
-  if (residuals.cols() != hhat_.rows()) {
-    if (error != nullptr) {
-      *error = "belief update has " + std::to_string(residuals.cols()) +
-               " classes but the coupling has " +
-               std::to_string(hhat_.rows());
-    }
-    RecordRejection();
-    return -1;
-  }
-  const std::int64_t n = backend_->num_nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] < 0 || nodes[i] >= n) {
-      if (error != nullptr) {
-        *error = "belief update names node " + std::to_string(nodes[i]) +
-                 " outside [0, " + std::to_string(n) + ")";
-      }
-      RecordRejection();
-      return -1;
-    }
-    for (std::int64_t c = 0; c < residuals.cols(); ++c) {
-      if (!std::isfinite(residuals.At(static_cast<std::int64_t>(i), c))) {
-        if (error != nullptr) {
-          *error = "belief update for node " + std::to_string(nodes[i]) +
-                   " has a non-finite residual";
-        }
-        RecordRejection();
-        return -1;
-      }
-    }
+  {
+    // Validate up front with error returns, not CHECKs: node ids and
+    // residual rows arrive straight off an update stream, and a hostile
+    // line must never abort the server or touch the state.
+    obs::ScopedSpan span("update_validate");
+    const std::string problem = ValidateBeliefBatch(
+        nodes, residuals, backend_->num_nodes(), hhat_.rows());
+    if (!problem.empty()) return Reject(problem, error);
   }
   // Snapshot for rollback: a streamed backend can fail several sweeps in
   // (shard corruption appearing mid-stream), and a half-advanced warm
   // start would poison every later update. Updates are all-or-nothing.
+  // The operator does not change, so neither does the rho(M) cache.
   const DenseMatrix saved_beliefs = beliefs_;
   DenseMatrix saved_rows(static_cast<std::int64_t>(nodes.size()),
                          hhat_.rows());
@@ -165,6 +227,7 @@ int LinBpState::UpdateExplicitBeliefs(const std::vector<std::int64_t>& nodes,
           residuals.At(static_cast<std::int64_t>(i), c);
     }
   }
+  obs::ScopedSpan span("update_resolve");
   const int sweeps = Solve();
   if (sweeps < 0) {
     // Reverse order: with a duplicate node in the batch, the first
@@ -180,114 +243,72 @@ int LinBpState::UpdateExplicitBeliefs(const std::vector<std::int64_t>& nodes,
     RecordRollback();
     if (error != nullptr) *error = last_error_;
   }
+  if (span.active()) span.SetAttr("sweeps", sweeps);
   return sweeps;
 }
 
-bool LinBpState::RequireMutableGraph(std::string* error) const {
-  if (graph_ != nullptr) return true;
-  if (error != nullptr) {
-    *error = "backend does not own a mutable graph (streamed states "
-             "cannot mutate edges)";
+int LinBpState::EditEdges(
+    const std::vector<Edge>& edges,
+    std::string (*validate)(const Graph&, const std::vector<Edge>&),
+    std::vector<Edge> (*edit)(const Graph&, const std::vector<Edge>&),
+    std::string* error) {
+  {
+    // Validate the whole batch up front with error returns — the Graph
+    // constructor CHECK-aborts on these, which is the wrong failure mode
+    // for edges arriving from user input or an update stream. The state
+    // is only touched once every edge has passed.
+    obs::ScopedSpan span("update_validate");
+    if (graph_ == nullptr) {
+      return Reject("backend does not own a mutable graph (streamed "
+                    "states cannot mutate edges)",
+                    error);
+    }
+    const std::string problem = validate(*graph_, edges);
+    if (!problem.empty()) return Reject(problem, error);
   }
-  RecordRejection();
-  return false;
-}
-
-int LinBpState::RebuildGraphAndResolve(std::vector<Edge> new_edges,
-                                       std::string* error) {
   // Snapshot for rollback: a streamed backend can fail several sweeps
   // in, and the contract is all-or-nothing — on failure the caller must
-  // see the old graph AND the old beliefs, not the new graph with a
-  // half-advanced warm start.
-  Graph saved_graph = *graph_;
-  const DenseMatrix saved_beliefs = beliefs_;
-  // Assign in place: the backend holds a pointer to *graph_.
-  *graph_ = Graph(graph_->num_nodes(), new_edges);
-  // The mutation changed the operator, so any cached rho(M) is stale.
-  // (On rollback this is merely conservative: the next solve re-fits.)
-  spectral_estimate_ = -1.0;
+  // see the old graph, beliefs and rho(M) cache, not the new graph with
+  // a half-advanced warm start or the rejected operator's rho(M).
+  Graph saved_graph;
+  DenseMatrix saved_beliefs;
+  const double saved_estimate = spectral_estimate_;
+  {
+    obs::ScopedSpan span("update_graph_edit");
+    const std::vector<Edge> new_edges = edit(*graph_, edges);
+    saved_graph = *graph_;
+    saved_beliefs = beliefs_;
+    // Assign in place: the backend holds a pointer to *graph_.
+    *graph_ = Graph(graph_->num_nodes(), new_edges);
+    spectral_estimate_ = -1.0;  // a new operator; SpectralRadius() recomputes
+  }
+  obs::ScopedSpan span("update_resolve");
   const int sweeps = Solve();
   if (sweeps < 0) {
     *graph_ = std::move(saved_graph);
-    beliefs_ = saved_beliefs;
+    beliefs_ = std::move(saved_beliefs);
+    spectral_estimate_ = saved_estimate;
     RecordRollback();
     if (error != nullptr) *error = last_error_;
   }
+  if (span.active()) span.SetAttr("sweeps", sweeps);
   return sweeps;
 }
 
 int LinBpState::AddEdges(const std::vector<Edge>& edges,
                          std::string* error) {
-  if (!RequireMutableGraph(error)) return -1;
-  // Validate the whole batch up front with error returns — the Graph
-  // constructor CHECK-aborts on these, which is the wrong failure mode
-  // for edges arriving from user input or an update stream. The state is
-  // only touched once every edge has passed.
-  const std::string problem = ValidateNewEdgeBatch(*graph_, edges);
-  if (!problem.empty()) {
-    if (error != nullptr) *error = problem;
-    RecordRejection();
-    return -1;
-  }
-  std::vector<Edge> combined = graph_->edges();
-  combined.insert(combined.end(), edges.begin(), edges.end());
-  return RebuildGraphAndResolve(std::move(combined), error);
+  return EditEdges(edges, ValidateNewEdgeBatch, WithEdgesAdded, error);
 }
 
 int LinBpState::RemoveEdges(const std::vector<Edge>& edges,
                             std::string* error) {
-  if (!RequireMutableGraph(error)) return -1;
-  const std::string problem = ValidateEdgeRemovalBatch(*graph_, edges);
-  if (!problem.empty()) {
-    if (error != nullptr) *error = problem;
-    RecordRejection();
-    return -1;
-  }
-  std::vector<std::pair<std::int64_t, std::int64_t>> doomed;
-  doomed.reserve(edges.size());
-  for (const Edge& e : edges) {
-    doomed.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  }
-  std::sort(doomed.begin(), doomed.end());
-  std::vector<Edge> kept;
-  kept.reserve(graph_->edges().size() - edges.size());
-  for (const Edge& e : graph_->edges()) {
-    if (!std::binary_search(doomed.begin(), doomed.end(),
-                            std::make_pair(e.u, e.v))) {
-      kept.push_back(e);
-    }
-  }
-  return RebuildGraphAndResolve(std::move(kept), error);
+  return EditEdges(edges, ValidateEdgeRemovalBatch, WithEdgesRemoved, error);
 }
 
 int LinBpState::UpdateEdgeWeights(const std::vector<Edge>& edges,
                                   std::string* error) {
-  if (!RequireMutableGraph(error)) return -1;
-  const std::string problem = ValidateEdgeReweightBatch(*graph_, edges);
-  if (!problem.empty()) {
-    if (error != nullptr) *error = problem;
-    RecordRejection();
-    return -1;
-  }
-  std::vector<std::pair<std::pair<std::int64_t, std::int64_t>, double>>
-      reweights;
-  reweights.reserve(edges.size());
-  for (const Edge& e : edges) {
-    reweights.push_back(
-        {{std::min(e.u, e.v), std::max(e.u, e.v)}, e.weight});
-  }
-  std::sort(reweights.begin(), reweights.end());
-  std::vector<Edge> rebuilt = graph_->edges();
-  for (Edge& e : rebuilt) {
-    const auto it = std::lower_bound(
-        reweights.begin(), reweights.end(),
-        std::make_pair(std::make_pair(e.u, e.v),
-                       -std::numeric_limits<double>::infinity()));
-    if (it != reweights.end() && it->first == std::make_pair(e.u, e.v)) {
-      e.weight = it->second;
-    }
-  }
-  return RebuildGraphAndResolve(std::move(rebuilt), error);
+  return EditEdges(edges, ValidateEdgeReweightBatch, WithEdgesReweighted,
+                   error);
 }
 
 }  // namespace linbp

@@ -120,11 +120,21 @@ class LinBpState {
   const std::string& last_error() const { return last_error_; }
 
   /// Convergence diagnostics of the most recent (re-)solve: fitted
-  /// rho-hat, predicted sweeps to tolerance, and — when
-  /// options.estimate_spectral_radius was set — the rho(M) power-
-  /// iteration estimate (computed once per graph shape and reused across
-  /// warm re-solves).
+  /// rho-hat and predicted sweeps to tolerance. Its rho(M) field is the
+  /// cached SpectralRadius() value the solve started with (-1 while the
+  /// cache is stale), or the estimate a divergence abort computed for
+  /// its message. The state never estimates up front: it ignores
+  /// options.estimate_spectral_radius.
   const ConvergenceDiagnostics& diagnostics() const { return diagnostics_; }
+
+  /// rho(M) of the current operator (Lemma 8's convergence test), by
+  /// LinBpOperatorSpectralRadius at 500 steps and tolerance 1e-11 on the
+  /// state's context: bit-identical to a cold estimate of the current
+  /// graph. Computed on the first call after an edge mutation and cached
+  /// until the next one; belief updates keep the cache, and a rolled-back
+  /// mutation restores it. Returns -1, and leaves the cache stale, when a
+  /// streamed backend fails mid-estimate.
+  double SpectralRadius();
 
   /// Sweeps used by the initial cold solve, for comparison.
   int cold_start_iterations() const { return cold_start_iterations_; }
@@ -135,15 +145,16 @@ class LinBpState {
   // hold the last completed sweep; last_error_ describes the failure).
   int Solve();
 
-  // Shared tail of the edge mutations: rebuilds *graph_ in place from
-  // `new_edges`, re-solves warm-started, and on a backend failure rolls
-  // graph and beliefs back to the pre-call state. Assumes the batch has
-  // already been validated.
-  int RebuildGraphAndResolve(std::vector<Edge> new_edges, std::string* error);
-
-  // Common guard for the edge mutations: fills *error and returns false
-  // when the state has no owned graph (backend-only construction).
-  bool RequireMutableGraph(std::string* error) const;
+  // The three edge mutations: validates the batch, rebuilds *graph_ in
+  // place from edit(graph, batch), re-solves warm-started, and on a
+  // backend failure rolls graph, beliefs and the rho(M) cache back to the
+  // pre-call state.
+  int EditEdges(const std::vector<Edge>& edges,
+                std::string (*validate)(const Graph&,
+                                        const std::vector<Edge>&),
+                std::vector<Edge> (*edit)(const Graph&,
+                                          const std::vector<Edge>&),
+                std::string* error);
 
   // Owned graph for the in-memory construction path (null for
   // backend-constructed states). Held behind a stable pointer so the
@@ -157,9 +168,9 @@ class LinBpState {
   bool converged_ = false;
   std::string last_error_;
   int cold_start_iterations_ = 0;
-  // Cached rho(M) estimate (-1 = not computed). Invalidated by edge
-  // mutations (they change the operator), reused by warm re-solves so
-  // power iteration runs once, not per update.
+  // SpectralRadius()'s cache (-1 = stale). Edge mutations change the
+  // operator and mark it stale; warm re-solves pass it to the sweep loop
+  // as the divergence abort's rho(M).
   double spectral_estimate_ = -1.0;
   ConvergenceDiagnostics diagnostics_;
 };

@@ -34,9 +34,17 @@ SbpState SbpState::FromGraph(const Graph& graph, DenseMatrix hhat,
                              const std::vector<std::int64_t>& explicit_nodes,
                              exec::ExecContext exec) {
   SbpState state(graph.num_nodes(), std::move(hhat), std::move(exec));
-  for (const Edge& e : graph.edges()) {
-    state.adjacency_[e.u].push_back({e.v, e.weight});
-    state.adjacency_[e.v].push_back({e.u, e.weight});
+  // One exact-size list per CSR row, in the row's ascending column order.
+  const SparseMatrix& adjacency = graph.adjacency();
+  const std::vector<std::int64_t>& row_ptr = adjacency.row_ptr();
+  const std::vector<std::int32_t>& col_idx = adjacency.col_idx();
+  const std::vector<double>& values = adjacency.values();
+  for (std::int64_t v = 0; v < graph.num_nodes(); ++v) {
+    std::vector<Neighbor>& neighbors = state.adjacency_[v];
+    neighbors.reserve(static_cast<std::size_t>(row_ptr[v + 1] - row_ptr[v]));
+    for (std::int64_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
+      neighbors.push_back({col_idx[p], values[p]});
+    }
   }
   DenseMatrix rows(static_cast<std::int64_t>(explicit_nodes.size()),
                    state.k());

@@ -95,8 +95,12 @@ std::string OversizedFileError(const std::string& path, std::uint64_t size,
          " bytes, expected " + std::to_string(expected) + ")";
 }
 
-bool ReadFileBytes(const std::string& path, std::vector<char>* out,
-                   std::string* error, std::uint64_t max_bytes) {
+namespace {
+
+// Opens `path` read-only and checks that it is a regular file. Returns
+// the descriptor and fills *size, or returns -1 with *error filled.
+int OpenRegularFile(const std::string& path, std::uint64_t* size,
+                    std::string* error) {
   // O_NONBLOCK: opening a FIFO must not wait for a writer before the
   // regular-file check rejects it (regular-file reads ignore the flag).
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
@@ -104,29 +108,30 @@ bool ReadFileBytes(const std::string& path, std::vector<char>* out,
   if (fd < 0 || ::fstat(fd, &st) != 0) {
     if (fd >= 0) ::close(fd);
     *error = path + ": cannot open";
-    return false;
+    return -1;
   }
   if (!S_ISREG(st.st_mode)) {
     ::close(fd);
     *error = path + ": not a regular file";
-    return false;
+    return -1;
   }
-  if (static_cast<std::uint64_t>(st.st_size) > max_bytes) {
-    ::close(fd);
-    *error = OversizedFileError(path, static_cast<std::uint64_t>(st.st_size),
-                                max_bytes);
-    return false;
-  }
-  // Growing within capacity neither allocates nor faults in new pages,
-  // and shrinking is free, so a reused buffer costs only the read.
-  out->resize(static_cast<std::size_t>(st.st_size));
+  *size = static_cast<std::uint64_t>(st.st_size);
+  return fd;
+}
+
+// Fills *out from `offset` of `fd`, then closes it. Returns false (the
+// file shrank under us, or an I/O error) unless every byte arrived.
+bool ReadAtAndClose(int fd, std::uint64_t offset, const std::string& path,
+                    std::vector<char>* out, std::string* error) {
   std::size_t done = 0;
   while (done < out->size()) {
-    const ssize_t got = ::read(fd, out->data() + done, out->size() - done);
+    const ssize_t got =
+        ::pread(fd, out->data() + done, out->size() - done,
+                static_cast<off_t>(offset + done));
     if (got > 0) {
       done += static_cast<std::size_t>(got);
     } else if (got == 0 || errno != EINTR) {
-      break;  // the file shrank under us, or an I/O error
+      break;
     }
   }
   ::close(fd);
@@ -135,6 +140,36 @@ bool ReadFileBytes(const std::string& path, std::vector<char>* out,
     return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool ReadFileBytes(const std::string& path, std::vector<char>* out,
+                   std::string* error, std::uint64_t max_bytes) {
+  std::uint64_t size = 0;
+  const int fd = OpenRegularFile(path, &size, error);
+  if (fd < 0) return false;
+  if (size > max_bytes) {
+    ::close(fd);
+    *error = OversizedFileError(path, size, max_bytes);
+    return false;
+  }
+  // Growing within capacity neither allocates nor faults in new pages,
+  // and shrinking is free, so a reused buffer costs only the read.
+  out->resize(static_cast<std::size_t>(size));
+  return ReadAtAndClose(fd, 0, path, out, error);
+}
+
+bool ReadFileRange(const std::string& path, std::uint64_t offset,
+                   std::size_t length, std::vector<char>* out,
+                   std::uint64_t* file_bytes, std::string* error) {
+  const int fd = OpenRegularFile(path, file_bytes, error);
+  if (fd < 0) return false;
+  const std::uint64_t available =
+      offset < *file_bytes ? *file_bytes - offset : 0;
+  out->resize(static_cast<std::size_t>(
+      std::min<std::uint64_t>(length, available)));
+  return ReadAtAndClose(fd, offset, path, out, error);
 }
 
 bool WriteFileDurably(const std::string& path, const char* header,

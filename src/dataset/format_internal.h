@@ -116,9 +116,17 @@ bool ReadFileBytes(const std::string& path, std::vector<char>* out,
                    std::string* error,
                    std::uint64_t max_bytes = UINT64_MAX);
 
+/// Reads up to `length` bytes at `offset` of the regular file `path`
+/// into *out (fewer where the file ends first) and its size into
+/// *file_bytes: how a reader takes a file's leading fields without
+/// buffering the rest. Same open and read errors as ReadFileBytes.
+bool ReadFileRange(const std::string& path, std::uint64_t offset,
+                   std::size_t length, std::vector<char>* out,
+                   std::uint64_t* file_bytes, std::string* error);
+
 /// "<path>: oversized file (<size> bytes, expected <expected>)": the one
-/// message for a shard file longer than its manifest entry declares,
-/// whether the bulk loader's preflight or a streamed read finds it.
+/// message for a file longer than its header (a snapshot) or its
+/// manifest entry (a shard) declares, whichever reader finds it.
 std::string OversizedFileError(const std::string& path, std::uint64_t size,
                                std::uint64_t expected);
 

@@ -65,6 +65,67 @@ bool ParseHeader(const std::string& path, const char* data, std::size_t size,
                                      error);
 }
 
+bool TruncatedPayload(const std::string& path, std::string* error) {
+  *error = path + ": truncated snapshot payload";
+  return false;
+}
+
+// The front of a snapshot, read without the rest of the file: the
+// header and the lengths of the name and spec strings right after it.
+struct SnapshotHead {
+  Header header;
+  std::uint32_t name_bytes = 0;
+  std::uint32_t spec_bytes = 0;
+  std::uint64_t file_bytes = 0;  // the exact size the fields above imply
+};
+
+// Reads a snapshot's head and checks the file is exactly the size it
+// implies, before anything sized by the file is allocated: a file that
+// ends early (or inside the strings' length prefixes) is a truncated
+// payload, one that runs past the end is an OversizedFileError.
+bool ReadSnapshotHead(const std::string& path, SnapshotHead* head,
+                      std::string* error) {
+  std::vector<char> bytes;
+  std::uint64_t file_bytes = 0;
+  if (!internal::ReadFileRange(path, 0, kHeaderBytes + 4, &bytes,
+                               &file_bytes, error) ||
+      !ParseHeader(path, bytes.data(), bytes.size(), &head->header, error)) {
+    return false;
+  }
+  if (bytes.size() < kHeaderBytes + 4) {
+    return TruncatedPayload(path, error);
+  }
+  std::memcpy(&head->name_bytes, bytes.data() + kHeaderBytes, 4);
+  if (!internal::ReadFileRange(path, kHeaderBytes + 4 + head->name_bytes, 4,
+                               &bytes, &file_bytes, error)) {
+    return false;
+  }
+  if (bytes.size() < 4) {
+    return TruncatedPayload(path, error);
+  }
+  std::memcpy(&head->spec_bytes, bytes.data(), 4);
+  const Header& h = head->header;
+  // Each adjacency entry takes 12 bytes, so a larger nnz cannot fit (and
+  // bounding it keeps the sum below from overflowing).
+  if (static_cast<std::uint64_t>(h.nnz) > file_bytes / 12) {
+    return TruncatedPayload(path, error);
+  }
+  head->file_bytes =
+      kHeaderBytes + 8 + std::uint64_t{head->name_bytes} + head->spec_bytes +
+      static_cast<std::uint64_t>(h.k * h.k) * 8 +
+      static_cast<std::uint64_t>(internal::ShardPayloadBytes(
+          h.num_nodes, h.nnz, h.num_explicit, h.k,
+          (h.flags & kFlagGroundTruth) != 0));
+  if (file_bytes < head->file_bytes) {
+    return TruncatedPayload(path, error);
+  }
+  if (file_bytes > head->file_bytes) {
+    *error = internal::OversizedFileError(path, file_bytes, head->file_bytes);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool SaveSnapshot(const Scenario& scenario, const std::string& path,
@@ -126,8 +187,14 @@ std::optional<Scenario> LoadSnapshot(const std::string& path,
                                      std::string* error,
                                      const exec::ExecContext& ctx) {
   LINBP_CHECK(error != nullptr);
+  SnapshotHead head;
+  if (!ReadSnapshotHead(path, &head, error)) return std::nullopt;
+  // Capped at the size the head implies, so a file that grew since is an
+  // error, not a larger read; everything below re-checks these bytes.
   std::vector<char> bytes;
-  if (!internal::ReadFileBytes(path, &bytes, error)) return std::nullopt;
+  if (!internal::ReadFileBytes(path, &bytes, error, head.file_bytes)) {
+    return std::nullopt;
+  }
   Header header;
   if (!ParseHeader(path, bytes.data(), bytes.size(), &header, error)) {
     return std::nullopt;
@@ -161,7 +228,7 @@ std::optional<Scenario> LoadSnapshot(const std::string& path,
       (!parts.has_ground_truth ||
        cursor.ReadVector(&parts.ground_truth, static_cast<std::size_t>(n)));
   if (!sections_ok) {
-    *error = path + ": truncated snapshot payload";
+    TruncatedPayload(path, error);
     return std::nullopt;
   }
   if (cursor.remaining() != 0) {
@@ -175,23 +242,28 @@ std::optional<Scenario> LoadSnapshot(const std::string& path,
 std::optional<SnapshotInfo> ReadSnapshotInfo(const std::string& path,
                                              std::string* error) {
   LINBP_CHECK(error != nullptr);
+  SnapshotHead head;
+  if (!ReadSnapshotHead(path, &head, error)) return std::nullopt;
   std::vector<char> bytes;
-  if (!internal::ReadFileBytes(path, &bytes, error)) return std::nullopt;
-  Header header;
-  if (!ParseHeader(path, bytes.data(), bytes.size(), &header, error)) {
+  std::uint64_t file_bytes = 0;
+  if (!internal::ReadFileRange(path, kHeaderBytes,
+                               8 + std::size_t{head.name_bytes} +
+                                   head.spec_bytes,
+                               &bytes, &file_bytes, error)) {
     return std::nullopt;
   }
   SnapshotInfo info;
+  const Header& header = head.header;
   info.version = header.version;
   info.num_nodes = header.num_nodes;
   info.k = header.k;
   info.nnz = header.nnz;
   info.num_explicit = header.num_explicit;
   info.has_ground_truth = (header.flags & kFlagGroundTruth) != 0;
-  info.file_bytes = static_cast<std::int64_t>(bytes.size());
-  Cursor cursor(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes);
+  info.file_bytes = static_cast<std::int64_t>(head.file_bytes);
+  Cursor cursor(bytes.data(), bytes.size());
   if (!cursor.ReadString(&info.name) || !cursor.ReadString(&info.spec)) {
-    *error = path + ": truncated snapshot payload";
+    TruncatedPayload(path, error);
     return std::nullopt;
   }
   return info;

@@ -31,9 +31,14 @@
 //                   f64[num_explicit*k] explicit residual rows
 //                   i32[num_nodes]      ground truth (iff flag bit 0)
 //
-// Load rejects wrong magic/version/endianness, truncated or oversized
-// files, checksum mismatches, and structurally invalid CSR payloads with
-// descriptive errors — it never aborts on bad bytes. For graphs larger
+// The header counts and the two string lengths fix the exact file size,
+// so both readers take those fields first (three short reads) and
+// reject a shorter file ("truncated snapshot payload") or a longer one
+// ("oversized file (N bytes, expected M)") before reading the rest.
+// Load also rejects wrong magic/version/endianness, checksum mismatches,
+// and structurally invalid CSR payloads with descriptive errors — it
+// never aborts on bad bytes, and never buffers more than the header
+// declares. For graphs larger
 // than one comfortably resident file, src/dataset/shard.h splits the same
 // sections by exec::RowPartition row blocks into per-shard files behind a
 // checksummed manifest; both formats share their serialization and
@@ -82,8 +87,9 @@ struct SnapshotInfo {
 };
 
 /// Reads and validates the header (magic, version, endianness, size
-/// bounds) plus the name/spec strings; does not verify the checksum or
-/// deserialize the arrays.
+/// bounds) plus the name/spec strings, and checks the file has exactly
+/// the size they imply; reads nothing past the strings, so it does not
+/// verify the checksum or deserialize the arrays.
 std::optional<SnapshotInfo> ReadSnapshotInfo(const std::string& path,
                                              std::string* error);
 

@@ -6,9 +6,11 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/convergence.h"
 #include "src/core/coupling.h"
 #include "src/graph/beliefs.h"
 #include "src/graph/generators.h"
+#include "src/obs/obs.h"
 #include "tests/testing/test_util.h"
 
 namespace linbp {
@@ -22,6 +24,18 @@ LinBpOptions TightOptions(LinBpVariant variant = LinBpVariant::kLinBp) {
   options.max_iterations = 1000;
   options.tolerance = 1e-13;
   return options;
+}
+
+// Spans named `name` in the tracer's Chrome-trace export.
+int CountSpans(const obs::Tracer& tracer, const std::string& name) {
+  const std::string json = tracer.ChromeTraceJson();
+  const std::string key = "\"name\":\"" + name + "\"";
+  int count = 0;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    ++count;
+  }
+  return count;
 }
 
 TEST(LinBpStateTest, ColdStartMatchesRunLinBp) {
@@ -347,6 +361,151 @@ TEST(LinBpStateTest, DivergentEdgeUpdateRollsBackGraphAndBeliefs) {
   mild.weight = 1.5;
   EXPECT_GT(state.UpdateEdgeWeights({mild}, &error), 0) << error;
   ASSERT_TRUE(state.converged());
+}
+
+// A rolled-back edit restores the rho(M) cache it found. The divergence
+// abort estimates the rejected operator's rho(M) for its message; that
+// value must never describe the restored graph, in the next solve's
+// diagnostics or in SpectralRadius().
+TEST(LinBpStateTest, RolledBackEditRestoresTheSpectralRadiusCache) {
+  const Graph g = RandomConnectedGraph(25, 20, /*seed=*/17);
+  const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.04);
+  const SeededBeliefs seeded = SeedPaperBeliefs(25, 3, 5, /*seed=*/18);
+  const double cold =
+      LinBpOperatorSpectralRadius(g, hhat, LinBpVariant::kLinBp);
+  ASSERT_LT(cold, 1.0);
+  std::vector<Edge> heavy = g.edges();
+  for (Edge& e : heavy) e.weight = 50.0;
+  DenseMatrix row(1, 3);
+  row.At(0, 0) = 0.06;
+  row.At(0, 1) = -0.02;
+  row.At(0, 2) = -0.04;
+
+  for (const bool filled : {false, true}) {
+    SCOPED_TRACE(filled ? "cache filled before the edit"
+                        : "cache stale before the edit");
+    LinBpState state(g, hhat, seeded.residuals, TightOptions());
+    EXPECT_EQ(state.diagnostics().spectral_radius_estimate, -1.0);
+    if (filled) {
+      EXPECT_EQ(state.SpectralRadius(), cold);
+    }
+    EXPECT_EQ(state.UpdateEdgeWeights(heavy), -1);
+    EXPECT_GT(state.diagnostics().spectral_radius_estimate, 1.0);
+
+    EXPECT_GT(state.UpdateExplicitBeliefs({3}, row), 0);
+    ASSERT_TRUE(state.converged());
+    EXPECT_EQ(state.diagnostics().spectral_radius_estimate,
+              filled ? cold : -1.0);
+    EXPECT_EQ(state.SpectralRadius(), cold);
+    EXPECT_GT(state.UpdateExplicitBeliefs({4}, row), 0);
+    EXPECT_EQ(state.diagnostics().spectral_radius_estimate, cold);
+  }
+}
+
+// After every op of a replayed add/reweight/delete/belief trace, and
+// after a rolled-back edit, SpectralRadius() is bit-identical to a cold
+// estimate of the graph the state now holds.
+TEST(LinBpStateTest, SpectralRadiusIsTheColdEstimateAfterEveryOp) {
+  const std::int64_t n = 30;
+  const Graph g = RandomConnectedGraph(n, 25, /*seed=*/23);
+  const DenseMatrix hhat = testing::RandomResidualCoupling(3, 0.03, 24);
+  const SeededBeliefs seeded = SeedPaperBeliefs(n, 3, 6, /*seed=*/25);
+  LinBpState state(g, hhat, seeded.residuals, TightOptions());
+  std::vector<Edge> edges = g.edges();
+  auto cold = [&] {
+    return LinBpOperatorSpectralRadius(Graph(n, edges), hhat,
+                                       LinBpVariant::kLinBp);
+  };
+  Rng rng(26);
+  for (int op = 0; op < 12; ++op) {
+    SCOPED_TRACE(op);
+    int sweeps = 0;
+    const std::size_t picked = rng.NextBounded(edges.size());
+    switch (op % 4) {
+      case 0: {  // add an edge the graph does not have
+        const Graph current(n, edges);
+        Edge added{0, 0, 1.0 + rng.NextDouble()};
+        while (added.u == added.v ||
+               current.adjacency().At(added.u, added.v) != 0.0) {
+          added.u = rng.NextInt(0, n - 1);
+          added.v = rng.NextInt(0, n - 1);
+        }
+        sweeps = state.AddEdges({added});
+        edges.push_back(added);
+        break;
+      }
+      case 1:  // reweight
+        edges[picked].weight = 0.5 + rng.NextDouble();
+        sweeps = state.UpdateEdgeWeights({edges[picked]});
+        break;
+      case 2:  // delete
+        sweeps = state.RemoveEdges({edges[picked]});
+        edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(picked));
+        break;
+      case 3: {  // belief update: the cache survives it
+        const double before = state.SpectralRadius();
+        DenseMatrix row(1, 3);
+        row.At(0, 0) = 0.1 * rng.NextDouble();
+        row.At(0, 1) = -row.At(0, 0);
+        sweeps = state.UpdateExplicitBeliefs({rng.NextInt(0, n - 1)}, row);
+        EXPECT_EQ(state.diagnostics().spectral_radius_estimate, before);
+        break;
+      }
+    }
+    EXPECT_GT(sweeps, 0);
+    ASSERT_TRUE(state.converged());
+    EXPECT_EQ(state.SpectralRadius(), cold());
+  }
+
+  std::vector<Edge> heavy = edges;
+  for (Edge& e : heavy) e.weight = 50.0;
+  EXPECT_EQ(state.UpdateEdgeWeights(heavy), -1);
+  EXPECT_EQ(state.SpectralRadius(), cold());
+}
+
+// The update layer's spans: an edge update opens update_validate,
+// update_graph_edit and update_resolve and no longer estimates rho(M);
+// SpectralRadius() opens a spectral_estimate span only when it
+// computes.
+TEST(LinBpStateTest, UpdateSpansAndOnDemandSpectralEstimate) {
+  const Graph g = RandomConnectedGraph(20, 15, /*seed=*/31);
+  const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.05);
+  const SeededBeliefs seeded = SeedPaperBeliefs(20, 3, 5, /*seed=*/32);
+  LinBpState state(g, hhat, seeded.residuals, TightOptions());
+  Edge added{0, 1, 1.0};
+  while (g.adjacency().At(added.u, added.v) != 0.0) ++added.v;
+  DenseMatrix row(1, 3);
+  row.At(0, 0) = 0.05;
+  row.At(0, 2) = -0.05;
+  obs::Counter& estimates = obs::Registry::Global().GetCounter(
+      "linbp_spectral_estimates_total");
+  const std::int64_t estimates_before = estimates.Value();
+
+  obs::Tracer tracer;
+  obs::SetActiveTracer(&tracer);
+  EXPECT_GT(state.AddEdges({added}), 0);
+  EXPECT_EQ(CountSpans(tracer, "update_validate"), 1);
+  EXPECT_EQ(CountSpans(tracer, "update_graph_edit"), 1);
+  EXPECT_EQ(CountSpans(tracer, "update_resolve"), 1);
+  EXPECT_GT(CountSpans(tracer, "linbp_sweep"), 0);
+  EXPECT_EQ(CountSpans(tracer, "spectral_estimate"), 0);
+  // A belief update edits no graph.
+  EXPECT_GT(state.UpdateExplicitBeliefs({2}, row), 0);
+  EXPECT_EQ(CountSpans(tracer, "update_validate"), 2);
+  EXPECT_EQ(CountSpans(tracer, "update_graph_edit"), 1);
+  EXPECT_EQ(CountSpans(tracer, "update_resolve"), 2);
+  // A rejected batch stops in validation.
+  EXPECT_EQ(state.AddEdges({added}), -1);
+  EXPECT_EQ(CountSpans(tracer, "update_validate"), 3);
+  EXPECT_EQ(CountSpans(tracer, "update_graph_edit"), 1);
+  const double rho = state.SpectralRadius();
+  EXPECT_EQ(CountSpans(tracer, "spectral_estimate"), 1);
+  EXPECT_EQ(state.SpectralRadius(), rho);
+  EXPECT_EQ(CountSpans(tracer, "spectral_estimate"), 1);
+  obs::SetActiveTracer(nullptr);
+  EXPECT_EQ(estimates.Value() - estimates_before, 1);
+  EXPECT_GT(rho, 0.0);
+  EXPECT_LT(rho, 1.0);
 }
 
 TEST(LinBpStateTest, DivergentAddEdgesRollsBackGraph) {

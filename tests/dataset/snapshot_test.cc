@@ -1,6 +1,7 @@
 #include "src/dataset/snapshot.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -150,6 +151,69 @@ TEST(SnapshotTest, RejectsMissingAndTruncatedFiles) {
   EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
   // (either the checksum or the section reads catch it first)
   EXPECT_FALSE(error.empty());
+}
+
+// A snapshot longer than its header and strings imply fails before it
+// is read, in both readers, with the shard loaders' message: a 1 TiB
+// sparse file must never be buffered.
+TEST(SnapshotTest, OversizedFileIsAnErrorBeforeItIsRead) {
+  const Scenario original = TestScenario();
+  const std::string path = SavedSnapshot(original, "oversized.lbps");
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
+    SCOPED_TRACE(grown);
+    std::filesystem::resize_file(path, grown);
+    const std::string expected = path + ": oversized file (" +
+                                 std::to_string(grown) + " bytes, expected " +
+                                 std::to_string(size) + ")";
+    std::string error;
+    EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+    EXPECT_EQ(error, expected);
+    error.clear();
+    EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
+    EXPECT_EQ(error, expected);
+  }
+  std::filesystem::resize_file(path, size);
+  std::string error;
+  const auto info = ReadSnapshotInfo(path, &error);
+  ASSERT_TRUE(info.has_value()) << error;
+  EXPECT_EQ(info->file_bytes, static_cast<std::int64_t>(size));
+  EXPECT_TRUE(LoadSnapshot(path, &error).has_value()) << error;
+}
+
+// The name and spec lengths are read before the rest of the file: a
+// length that points past the end of the file, a file that ends inside a
+// length prefix, or one cut short of the size they imply is a truncated
+// payload in both readers.
+TEST(SnapshotTest, StringLengthPastTheEndIsATruncatedPayload) {
+  const Scenario original = TestScenario();
+  const std::string path = SavedSnapshot(original, "strings.lbps");
+  const std::vector<char> bytes = ReadBytes(path);
+  std::uint32_t name_length = 0;
+  std::memcpy(&name_length, bytes.data() + 64, 4);
+  const std::size_t spec_at = 64 + 4 + name_length;
+  const std::string truncated = path + ": truncated snapshot payload";
+  auto expect_truncated = [&](const std::vector<char>& file) {
+    WriteBytes(path, file);
+    std::string error;
+    EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+    EXPECT_EQ(error, truncated);
+    error.clear();
+    EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
+    EXPECT_EQ(error, truncated);
+  };
+  const std::uint32_t huge = 0xfffffff0u;
+  for (const std::size_t at : {std::size_t{64}, spec_at}) {
+    SCOPED_TRACE(at);
+    std::vector<char> forged = bytes;
+    std::memcpy(forged.data() + at, &huge, 4);
+    expect_truncated(forged);
+  }
+  for (const std::size_t keep :
+       {std::size_t{66}, spec_at + 2, bytes.size() - 1}) {
+    SCOPED_TRACE(keep);
+    expect_truncated(std::vector<char>(bytes.begin(), bytes.begin() + keep));
+  }
 }
 
 TEST(SnapshotTest, RejectsBadMagicVersionAndEndianness) {

@@ -159,12 +159,14 @@ TEST(LinBpStateBackendTest, BackendConstructionMatchesGraphConstruction) {
 // Wraps InMemoryBackend but fails a block visit on demand — the
 // in-memory stand-in for a shard checksum failure mid-solve. The visit
 // is the one primitive the solver's fused sweep runs on, so a test that
-// expects the injected error also proves the sweep went through it.
+// expects the injected error also proves the sweep went through it. It
+// also counts visits: one per sweep or power-iteration step.
 class FlakyBackend final : public engine::PropagationBackend {
  public:
   explicit FlakyBackend(const Graph* graph) : inner_(graph) {}
   // Fails the visit that follows `skip` successful ones.
   void FailNextVisit(int skip = 0) { countdown_ = skip + 1; }
+  int visits() const { return visits_; }
 
   std::int64_t num_nodes() const override { return inner_.num_nodes(); }
   std::int64_t num_stored_entries() const override {
@@ -176,6 +178,7 @@ class FlakyBackend final : public engine::PropagationBackend {
   bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
                       const engine::BlockVisitor& visit,
                       std::string* error) const override {
+    ++visits_;
     if (countdown_ > 0 && --countdown_ == 0) {
       *error = "injected stream failure";
       return false;
@@ -186,6 +189,7 @@ class FlakyBackend final : public engine::PropagationBackend {
  private:
   engine::InMemoryBackend inner_;
   mutable int countdown_ = 0;
+  mutable int visits_ = 0;
 };
 
 // FaBP runs on the LinBP sweep loop, so a visit failing mid-solve leaves
@@ -311,6 +315,67 @@ TEST(LinBpStateBackendTest, FailedEdgeMutationsRollBackGraphAndBeliefs) {
               control.graph().num_undirected_edges());
     EXPECT_EQ(tested.beliefs().MaxAbsDiff(control.beliefs()), 0.0);
   }
+}
+
+// A state that only takes belief updates never runs power iteration on
+// its own: every backend visit is a sweep until SpectralRadius() asks.
+// That call estimates once, later calls and the solves' diagnostics
+// answer from the cache, and a belief update keeps it.
+TEST(LinBpStateBackendTest, BeliefUpdatesRunNoSpectralEstimateUntilAsked) {
+  const Graph graph = TestGraph();
+  const DenseMatrix hhat =
+      KroneckerExperimentCoupling().ScaledResidual(0.001);
+  const DenseMatrix residuals = TestBeliefs(graph, 3, 71);
+  const auto owned = std::make_shared<Graph>(graph);
+  auto counting = std::make_shared<FlakyBackend>(owned.get());
+  LinBpOptions options;
+  options.estimate_spectral_radius = true;  // RunLinBp only: ignored here
+  LinBpState state(owned, counting, hhat, residuals, options);
+  int sweeps = state.cold_start_iterations();
+  EXPECT_EQ(counting->visits(), sweeps);
+  EXPECT_EQ(state.diagnostics().spectral_radius_estimate, -1.0);
+  for (std::int64_t node = 0; node < 3; ++node) {
+    const int used = state.UpdateExplicitBeliefs(
+        {node}, testing::RandomMatrix(1, 3, 0.2, 73 + node));
+    ASSERT_GT(used, 0);
+    sweeps += used;
+    EXPECT_EQ(counting->visits(), sweeps);
+  }
+
+  const double rho = state.SpectralRadius();
+  EXPECT_EQ(rho, LinBpOperatorSpectralRadius(graph, hhat,
+                                             LinBpVariant::kLinBp));
+  const int power_steps = counting->visits() - sweeps;
+  EXPECT_GT(power_steps, 1);
+  EXPECT_EQ(state.SpectralRadius(), rho);
+  const int used =
+      state.UpdateExplicitBeliefs({5}, testing::RandomMatrix(1, 3, 0.2, 79));
+  ASSERT_GT(used, 0);
+  EXPECT_EQ(state.diagnostics().spectral_radius_estimate, rho);
+  EXPECT_EQ(state.SpectralRadius(), rho);
+  EXPECT_EQ(counting->visits(), sweeps + power_steps + used);
+}
+
+// A streamed backend that fails mid-estimate: SpectralRadius() returns
+// -1, the beliefs stay as they were, and the cache stays stale, so the
+// next call estimates again.
+TEST(LinBpStateBackendTest, FailedSpectralEstimateReturnsMinusOne) {
+  const Graph graph = TestGraph();
+  const DenseMatrix hhat =
+      KroneckerExperimentCoupling().ScaledResidual(0.001);
+  const DenseMatrix residuals = TestBeliefs(graph, 3, 81);
+  auto flaky = std::make_shared<FlakyBackend>(&graph);
+  LinBpState state(flaky, hhat, residuals);
+  ASSERT_TRUE(state.converged());
+  const DenseMatrix before = state.beliefs();
+
+  flaky->FailNextVisit(3);
+  EXPECT_EQ(state.SpectralRadius(), -1.0);
+  EXPECT_EQ(state.beliefs().data(), before.data());
+  EXPECT_TRUE(state.converged());
+  EXPECT_TRUE(state.last_error().empty()) << state.last_error();
+  EXPECT_EQ(state.SpectralRadius(),
+            LinBpOperatorSpectralRadius(graph, hhat, LinBpVariant::kLinBp));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "tools/cli_lib.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -8,6 +9,8 @@
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "src/core/convergence.h"
+#include "src/dataset/registry.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/la/matrix_io.h"
@@ -308,6 +311,35 @@ TEST(RunMainTest, OversizedShardFileIsAnErrorNotACrash) {
     SCOPED_TRACE(stream ? "--stream" : "bulk load");
     std::vector<std::string> args = {scenario, "--method=linbp"};
     if (stream) args.push_back("--stream");
+    error.clear();
+    EXPECT_EQ(RunMain(args, &output, &error), 1);
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+  }
+}
+
+// The monolithic twin of the test above: a snapshot grown past the size
+// its header and strings imply fails before it is read, for `info` and
+// for the `snap:` loader.
+TEST(RunMainTest, OversizedSnapshotFileIsAnErrorNotACrash) {
+  const std::string path = TempPath("cli_oversized.lbps");
+  std::string output;
+  std::string error;
+  ASSERT_EQ(RunMain({"convert", "--scenario=sbm:n=200,k=2,seed=5",
+                     "--out=" + path},
+                    &output, &error),
+            0)
+      << error;
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  const std::uintmax_t grown = std::uintmax_t{1} << 40;
+  std::filesystem::resize_file(path, grown);
+  const std::string expected = path + ": oversized file (" +
+                               std::to_string(grown) + " bytes, expected " +
+                               std::to_string(size) + ")";
+  const std::vector<std::vector<std::string>> commands = {
+      {"info", "--snapshot=" + path},
+      {"--scenario=snap:path=" + path, "--method=linbp"}};
+  for (const std::vector<std::string>& args : commands) {
+    SCOPED_TRACE(args.front());
     error.clear();
     EXPECT_EQ(RunMain(args, &output, &error), 1);
     EXPECT_NE(error.find(expected), std::string::npos) << error;
@@ -844,6 +876,55 @@ TEST(RunServeTest, StatsReportsLatencyTelemetry) {
   EXPECT_NE(stats.find("update_p95_ms="), std::string::npos) << stats;
   EXPECT_NE(stats.find("query_p50_ms="), std::string::npos) << stats;
   EXPECT_NE(stats.find("query_p95_ms="), std::string::npos) << stats;
+}
+
+// `stats` prints rho(M) computed when it asks: the cold estimate of the
+// unedited graph, the same after a belief update, and the cold estimate
+// of the edited graph after an edge edit.
+TEST(RunServeTest, StatsSpectralRadiusIsTheColdEstimateOfTheCurrentGraph) {
+  const std::string spec = "sbm:n=60,k=3,deg=5,seed=4";
+  ServeOptions options;
+  options.scenario = spec;
+  options.eps = "0.05";
+  std::istringstream in(
+      "stats\n"
+      "b 3 3 0.1 -0.05 -0.05\n"
+      "stats\n"
+      "a 0 59 1.0\n"
+      "stats\n"
+      "quit\n");
+  std::ostringstream out;
+  std::string error;
+  ASSERT_EQ(RunServe(options, in, out, &error), 0) << error;
+  std::istringstream lines(out.str());
+  std::string line;
+  std::vector<std::string> spectral;
+  while (std::getline(lines, line)) {
+    const std::size_t at = line.find(" spectral_radius=");
+    if (at == std::string::npos) continue;
+    const std::size_t begin = at + std::string(" spectral_radius=").size();
+    spectral.push_back(line.substr(begin, line.find(' ', begin) - begin));
+  }
+  ASSERT_EQ(spectral.size(), 3u) << out.str();
+
+  auto scenario = dataset::MakeScenario(spec, &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  const DenseMatrix hhat = scenario->Coupling().ScaledResidual(0.05);
+  auto printed = [&](const Graph& graph) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.6g",
+                  LinBpOperatorSpectralRadius(graph, hhat,
+                                              LinBpVariant::kLinBp));
+    return std::string(text);
+  };
+  std::vector<Edge> edges = scenario->graph.edges();
+  edges.push_back({0, 59, 1.0});
+  const std::string unedited = printed(scenario->graph);
+  const std::string edited = printed(Graph(60, edges));
+  EXPECT_NE(unedited, edited);
+  EXPECT_EQ(spectral[0], unedited);
+  EXPECT_EQ(spectral[1], unedited);
+  EXPECT_EQ(spectral[2], edited);
 }
 
 // Structural check over a Prometheus text-exposition dump: every line is
