@@ -138,12 +138,13 @@ DenseMatrix ExactMarginals(const Graph& graph, const DenseMatrix& h,
   double total = 0.0;
   DenseMatrix marginals(n, k);
   std::vector<std::int64_t> state(n, 0);
+  const std::vector<Edge> edges = graph.edges();
   while (true) {
     // Unnormalized probability of this joint state.
     double p = 1.0;
     for (std::int64_t s = 0; s < n; ++s) p *= priors.At(s, state[s]);
     if (p != 0.0) {
-      for (const Edge& e : graph.edges()) p *= h.At(state[e.u], state[e.v]);
+      for (const Edge& e : edges) p *= h.At(state[e.u], state[e.v]);
     }
     total += p;
     for (std::int64_t s = 0; s < n; ++s) marginals.At(s, state[s]) += p;

@@ -1,9 +1,7 @@
 #include "src/core/linbp_incremental.h"
 
-#include <algorithm>
 #include <cmath>
 #include <exception>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -52,56 +50,6 @@ std::string ValidateBeliefBatch(const std::vector<std::int64_t>& nodes,
     }
   }
   return std::string();
-}
-
-// The edge list after each edge mutation, for a batch already validated.
-std::vector<Edge> WithEdgesAdded(const Graph& graph,
-                                 const std::vector<Edge>& edges) {
-  std::vector<Edge> combined = graph.edges();
-  combined.insert(combined.end(), edges.begin(), edges.end());
-  return combined;
-}
-
-std::vector<Edge> WithEdgesRemoved(const Graph& graph,
-                                   const std::vector<Edge>& edges) {
-  std::vector<std::pair<std::int64_t, std::int64_t>> doomed;
-  doomed.reserve(edges.size());
-  for (const Edge& e : edges) {
-    doomed.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  }
-  std::sort(doomed.begin(), doomed.end());
-  std::vector<Edge> kept;
-  kept.reserve(graph.edges().size() - edges.size());
-  for (const Edge& e : graph.edges()) {
-    if (!std::binary_search(doomed.begin(), doomed.end(),
-                            std::make_pair(e.u, e.v))) {
-      kept.push_back(e);
-    }
-  }
-  return kept;
-}
-
-std::vector<Edge> WithEdgesReweighted(const Graph& graph,
-                                      const std::vector<Edge>& edges) {
-  std::vector<std::pair<std::pair<std::int64_t, std::int64_t>, double>>
-      reweights;
-  reweights.reserve(edges.size());
-  for (const Edge& e : edges) {
-    reweights.push_back(
-        {{std::min(e.u, e.v), std::max(e.u, e.v)}, e.weight});
-  }
-  std::sort(reweights.begin(), reweights.end());
-  std::vector<Edge> rebuilt = graph.edges();
-  for (Edge& e : rebuilt) {
-    const auto it = std::lower_bound(
-        reweights.begin(), reweights.end(),
-        std::make_pair(std::make_pair(e.u, e.v),
-                       -std::numeric_limits<double>::infinity()));
-    if (it != reweights.end() && it->first == std::make_pair(e.u, e.v)) {
-      e.weight = it->second;
-    }
-  }
-  return rebuilt;
 }
 
 }  // namespace
@@ -250,8 +198,7 @@ int LinBpState::UpdateExplicitBeliefs(const std::vector<std::int64_t>& nodes,
 int LinBpState::EditEdges(
     const std::vector<Edge>& edges,
     std::string (*validate)(const Graph&, const std::vector<Edge>&),
-    std::vector<Edge> (*edit)(const Graph&, const std::vector<Edge>&),
-    std::string* error) {
+    bool remove, std::string* error) {
   {
     // Validate the whole batch up front with error returns — the Graph
     // constructor CHECK-aborts on these, which is the wrong failure mode
@@ -275,11 +222,11 @@ int LinBpState::EditEdges(
   const double saved_estimate = spectral_estimate_;
   {
     obs::ScopedSpan span("update_graph_edit");
-    const std::vector<Edge> new_edges = edit(*graph_, edges);
-    saved_graph = *graph_;
+    // Edit in place, moving the old graph out instead of copying it: the
+    // backend holds a pointer to *graph_.
+    saved_graph = std::exchange(
+        *graph_, EditedGraph(*graph_, edges, remove, options_.exec));
     saved_beliefs = beliefs_;
-    // Assign in place: the backend holds a pointer to *graph_.
-    *graph_ = Graph(graph_->num_nodes(), new_edges);
     spectral_estimate_ = -1.0;  // a new operator; SpectralRadius() recomputes
   }
   obs::ScopedSpan span("update_resolve");
@@ -297,17 +244,17 @@ int LinBpState::EditEdges(
 
 int LinBpState::AddEdges(const std::vector<Edge>& edges,
                          std::string* error) {
-  return EditEdges(edges, ValidateNewEdgeBatch, WithEdgesAdded, error);
+  return EditEdges(edges, ValidateNewEdgeBatch, /*remove=*/false, error);
 }
 
 int LinBpState::RemoveEdges(const std::vector<Edge>& edges,
                             std::string* error) {
-  return EditEdges(edges, ValidateEdgeRemovalBatch, WithEdgesRemoved, error);
+  return EditEdges(edges, ValidateEdgeRemovalBatch, /*remove=*/true, error);
 }
 
 int LinBpState::UpdateEdgeWeights(const std::vector<Edge>& edges,
                                   std::string* error) {
-  return EditEdges(edges, ValidateEdgeReweightBatch, WithEdgesReweighted,
+  return EditEdges(edges, ValidateEdgeReweightBatch, /*remove=*/false,
                    error);
 }
 

@@ -48,8 +48,8 @@ class LinBpState {
 
   /// Solves the initial system on a shared graph viewed through an
   /// externally built backend (tests inject failure-capable backends
-  /// here). The backend must read `graph`'s adjacency: edge mutations
-  /// rebuild *graph in place and assume the backend sees the rebuild.
+  /// here). The backend must read `graph`'s adjacency afresh on every
+  /// visit: edge mutations replace *graph in place.
   LinBpState(std::shared_ptr<Graph> graph,
              std::shared_ptr<const engine::PropagationBackend> backend,
              DenseMatrix hhat, DenseMatrix explicit_residuals,
@@ -78,13 +78,14 @@ class LinBpState {
   LinBpState& operator=(const LinBpState&) = delete;
 
   /// Adds undirected edges and re-solves warm-started. Returns the sweeps
-  /// used. (The graph is rebuilt; the belief warm start is what saves the
-  /// iterations.) An invalid batch — an out-of-range endpoint, self-loop,
-  /// non-finite weight, duplicate within the batch, or an edge already in
-  /// the graph — returns -1 with *error filled (when non-null) and leaves
-  /// the state untouched; it never aborts. Also returns -1 on a state
-  /// without an owned graph (streamed backends cannot mutate edges) and
-  /// on a mid-solve stream failure (graph AND beliefs rolled back).
+  /// used. (The edit is one linear merge into the CSR; the belief warm
+  /// start is what saves the iterations.) An invalid batch — an
+  /// out-of-range endpoint, self-loop, non-finite weight, duplicate within
+  /// the batch, or an edge already in the graph — returns -1 with *error
+  /// filled (when non-null) and leaves the state untouched; it never
+  /// aborts. Also returns -1 on a state without an owned graph (streamed
+  /// backends cannot mutate edges) and on a mid-solve stream failure
+  /// (graph AND beliefs rolled back).
   int AddEdges(const std::vector<Edge>& edges, std::string* error = nullptr);
 
   /// Removes undirected edges (weights ignored — an edge is named by its
@@ -145,16 +146,15 @@ class LinBpState {
   // hold the last completed sweep; last_error_ describes the failure).
   int Solve();
 
-  // The three edge mutations: validates the batch, rebuilds *graph_ in
-  // place from edit(graph, batch), re-solves warm-started, and on a
-  // backend failure rolls graph, beliefs and the rho(M) cache back to the
-  // pre-call state.
+  // The three edge mutations: validates the batch, replaces *graph_ in
+  // place with EditedGraph(*graph_, batch, remove) while keeping the old
+  // graph (moved out, not copied), re-solves warm-started, and on a
+  // backend failure moves the old graph back and restores beliefs and
+  // the rho(M) cache.
   int EditEdges(const std::vector<Edge>& edges,
                 std::string (*validate)(const Graph&,
                                         const std::vector<Edge>&),
-                std::vector<Edge> (*edit)(const Graph&,
-                                          const std::vector<Edge>&),
-                std::string* error);
+                bool remove, std::string* error);
 
   // Owned graph for the in-memory construction path (null for
   // backend-constructed states). Held behind a stable pointer so the

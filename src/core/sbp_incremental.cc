@@ -64,48 +64,14 @@ SbpState SbpState::FromGraph(const Graph& graph, DenseMatrix hhat,
 std::string SbpState::ValidateEdgeBatch(const std::vector<Edge>& edges,
                                         bool require_present,
                                         bool check_weights) const {
-  const std::int64_t n = num_nodes();
-  std::vector<std::pair<std::int64_t, std::int64_t>> keys;
-  keys.reserve(edges.size());
-  for (const Edge& e : edges) {
-    if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
-      return "edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
-             ") has an endpoint outside [0, " + std::to_string(n) + ")";
-    }
-    if (e.u == e.v) {
-      return "self-loop on node " + std::to_string(e.u) +
-             " is not supported";
-    }
-    if (check_weights && !std::isfinite(e.weight)) {
-      return "edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
-             ") has a non-finite weight";
-    }
-    const std::int64_t u = std::min(e.u, e.v);
-    const std::int64_t v = std::max(e.u, e.v);
-    bool present = false;
-    for (const Neighbor& nb : adjacency_[u]) {
-      if (nb.node == v) {
-        present = true;
-        break;
-      }
-    }
-    if (present && !require_present) {
-      return "edge (" + std::to_string(u) + ", " + std::to_string(v) +
-             ") already exists in the graph";
-    }
-    if (!present && require_present) {
-      return "edge (" + std::to_string(u) + ", " + std::to_string(v) +
-             ") does not exist in the graph";
-    }
-    keys.emplace_back(u, v);
-  }
-  std::sort(keys.begin(), keys.end());
-  const auto dup = std::adjacent_find(keys.begin(), keys.end());
-  if (dup != keys.end()) {
-    return "duplicate edge (" + std::to_string(dup->first) + ", " +
-           std::to_string(dup->second) + ") in the batch";
-  }
-  return std::string();
+  return linbp::ValidateEdgeBatch(
+      num_nodes(), edges, require_present, check_weights,
+      [this](std::int64_t u, std::int64_t v) {
+        for (const Neighbor& nb : adjacency_[u]) {
+          if (nb.node == v) return true;
+        }
+        return false;
+      });
 }
 
 void SbpState::RecomputeBeliefs(std::int64_t t) {

@@ -114,8 +114,7 @@ class SbpState {
     double weight;
   };
 
-  // Validates an edge batch against the adjacency lists: endpoints in
-  // range, no self-loops, no duplicate undirected pair in the batch;
+  // linbp::ValidateEdgeBatch against the adjacency lists:
   // `require_present` demands the edge exists (removal/reweight) while
   // its negation demands it does not (addition); `check_weights` demands
   // finite weights. Returns empty for a valid batch, else the first

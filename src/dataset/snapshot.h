@@ -66,7 +66,7 @@ bool SaveSnapshot(const Scenario& scenario, const std::string& path,
                   std::string* error);
 
 /// Reads a snapshot back into a Scenario. CSR validation, symmetry
-/// checking, and edge-list reconstruction run on `ctx`. Returns nullopt
+/// checking, and the weighted degrees run on `ctx`. Returns nullopt
 /// and fills *error on I/O failure or any form of corruption.
 std::optional<Scenario> LoadSnapshot(const std::string& path,
                                      std::string* error,

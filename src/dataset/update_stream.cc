@@ -337,7 +337,7 @@ bool ApplyUpdateOpsToProblem(const std::vector<UpdateOp>& ops,
 UpdateTrace GenerateUpdateTrace(const Scenario& scenario,
                                 const UpdateTraceOptions& options) {
   Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 17);
-  const std::vector<Edge>& all_edges = scenario.graph.edges();
+  const std::vector<Edge> all_edges = scenario.graph.edges();
   const std::int64_t num_ops = std::max<std::int64_t>(options.num_ops, 0);
 
   // Hold out the edges the trace will re-add: at most a quarter of the

@@ -11,27 +11,20 @@ namespace linbp {
 
 Graph::Graph(std::int64_t num_nodes, const std::vector<Edge>& edges)
     : adjacency_(num_nodes, num_nodes) {
-  edges_.reserve(edges.size());
   std::vector<Triplet> triplets;
   triplets.reserve(edges.size() * 2);
   for (const Edge& e : edges) {
     LINBP_CHECK(e.u >= 0 && e.u < num_nodes && e.v >= 0 && e.v < num_nodes);
     LINBP_CHECK_MSG(e.u != e.v, "self-loops are not supported");
-    Edge normalized = e;
-    if (normalized.u > normalized.v) std::swap(normalized.u, normalized.v);
-    edges_.push_back(normalized);
-    triplets.push_back({normalized.u, normalized.v, normalized.weight});
-    triplets.push_back({normalized.v, normalized.u, normalized.weight});
+    triplets.push_back({e.u, e.v, e.weight});
+    triplets.push_back({e.v, e.u, e.weight});
   }
-  // Reject duplicates: FromTriplets would silently sum them.
-  std::vector<std::pair<std::int64_t, std::int64_t>> keys;
-  keys.reserve(edges_.size());
-  for (const Edge& e : edges_) keys.emplace_back(e.u, e.v);
-  std::sort(keys.begin(), keys.end());
-  LINBP_CHECK_MSG(std::adjacent_find(keys.begin(), keys.end()) == keys.end(),
-                  "duplicate undirected edge");
   adjacency_ = SparseMatrix::FromTriplets(num_nodes, num_nodes,
                                           std::move(triplets));
+  // FromTriplets sums a repeated undirected pair into one entry.
+  LINBP_CHECK_MSG(adjacency_.NumNonZeros() ==
+                      2 * static_cast<std::int64_t>(edges.size()),
+                  "duplicate undirected edge");
   weighted_degrees_ = adjacency_.SquaredRowSums();
 }
 
@@ -46,10 +39,9 @@ Graph Graph::FromValidatedAdjacency(SparseMatrix adjacency,
 }
 
 // One parallel sweep optionally validates (no self-loops, symmetric
-// pattern and values via a mirror binary search per entry), computes the
-// weighted degrees, and counts each row's upper-triangle entries for the
-// edge-list reconstruction below. Rows are chunk-owned, so the writes
-// race with nothing.
+// pattern and values via a mirror binary search per entry) and computes
+// the weighted degrees. Rows are chunk-owned, so the writes race with
+// nothing.
 Graph Graph::FromAdjacencyImpl(SparseMatrix adjacency,
                                const exec::ExecContext& ctx, bool validate) {
   LINBP_CHECK_MSG(adjacency.rows() == adjacency.cols(),
@@ -61,15 +53,13 @@ Graph Graph::FromAdjacencyImpl(SparseMatrix adjacency,
 
   Graph graph;
   graph.weighted_degrees_.assign(n, 0.0);
-  std::vector<std::int64_t> upper_count(n, 0);
   ctx.ParallelFor(0, n, /*min_grain=*/512, [&](std::int64_t row_begin,
                                                std::int64_t row_end) {
     for (std::int64_t r = row_begin; r < row_end; ++r) {
       double degree = 0.0;
-      std::int64_t upper = 0;
       for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        const std::int64_t c = col_idx[e];
         if (validate) {
+          const std::int64_t c = col_idx[e];
           LINBP_CHECK_MSG(c != r, "self-loops are not supported");
           const auto begin = col_idx.begin() + row_ptr[c];
           const auto end = col_idx.begin() + row_ptr[c + 1];
@@ -80,28 +70,8 @@ Graph Graph::FromAdjacencyImpl(SparseMatrix adjacency,
                           "adjacency matrix is not symmetric");
         }
         degree += values[e] * values[e];
-        if (c > r) ++upper;
       }
       graph.weighted_degrees_[r] = degree;
-      upper_count[r] = upper;
-    }
-  });
-
-  // Exclusive prefix over the per-row counts, then a parallel fill: every
-  // undirected edge appears exactly once as its upper-triangle entry.
-  std::vector<std::int64_t> edge_offset(n + 1, 0);
-  for (std::int64_t r = 0; r < n; ++r) {
-    edge_offset[r + 1] = edge_offset[r] + upper_count[r];
-  }
-  graph.edges_.resize(edge_offset[n]);
-  ctx.ParallelFor(0, n, /*min_grain=*/512, [&](std::int64_t row_begin,
-                                               std::int64_t row_end) {
-    for (std::int64_t r = row_begin; r < row_end; ++r) {
-      std::int64_t pos = edge_offset[r];
-      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        const std::int64_t c = col_idx[e];
-        if (c > r) graph.edges_[pos++] = Edge{r, c, values[e]};
-      }
     }
   });
   graph.adjacency_ = std::move(adjacency);
@@ -113,61 +83,84 @@ std::int64_t Graph::Degree(std::int64_t node) const {
   return adjacency_.row_ptr()[node + 1] - adjacency_.row_ptr()[node];
 }
 
-std::string ValidateNewEdgeBatch(const Graph& graph,
-                                 const std::vector<Edge>& edges) {
-  const std::int64_t n = graph.num_nodes();
-  const auto& row_ptr = graph.adjacency().row_ptr();
-  const auto& col_idx = graph.adjacency().col_idx();
-  std::vector<std::pair<std::int64_t, std::int64_t>> keys;
-  keys.reserve(edges.size());
-  for (const Edge& e : edges) {
-    if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
-      return "edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
-             ") has an endpoint outside [0, " + std::to_string(n) + ")";
+std::vector<Edge> Graph::edges() const {
+  const auto& row_ptr = adjacency_.row_ptr();
+  const auto& col_idx = adjacency_.col_idx();
+  const auto& values = adjacency_.values();
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(num_undirected_edges()));
+  for (std::int64_t r = 0; r < num_nodes(); ++r) {
+    for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      if (col_idx[e] > r) edges.push_back({r, col_idx[e], values[e]});
     }
-    if (e.u == e.v) {
-      return "self-loop on node " + std::to_string(e.u) +
-             " is not supported";
-    }
-    if (!std::isfinite(e.weight)) {
-      return "edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
-             ") has a non-finite weight";
-    }
-    const std::int64_t u = std::min(e.u, e.v);
-    const std::int64_t v = std::max(e.u, e.v);
-    const auto begin = col_idx.begin() + row_ptr[u];
-    const auto end = col_idx.begin() + row_ptr[u + 1];
-    if (std::binary_search(begin, end, static_cast<std::int32_t>(v))) {
-      return "edge (" + std::to_string(u) + ", " + std::to_string(v) +
-             ") already exists in the graph";
-    }
-    keys.emplace_back(u, v);
   }
-  std::sort(keys.begin(), keys.end());
-  const auto dup = std::adjacent_find(keys.begin(), keys.end());
-  if (dup != keys.end()) {
-    return "duplicate edge (" + std::to_string(dup->first) + ", " +
-           std::to_string(dup->second) + ") in the batch";
-  }
-  return std::string();
+  return edges;
 }
 
-namespace {
+Graph EditedGraph(const Graph& graph, const std::vector<Edge>& batch,
+                  bool remove, const exec::ExecContext& ctx) {
+  // Both directed entries of every edit, in CSR order.
+  std::vector<Triplet> edits;
+  edits.reserve(batch.size() * 2);
+  for (const Edge& e : batch) {
+    edits.push_back({e.u, e.v, e.weight});
+    edits.push_back({e.v, e.u, e.weight});
+  }
+  std::sort(edits.begin(), edits.end(),
+            [](const Triplet& a, const Triplet& b) {
+              return a.row != b.row ? a.row < b.row : a.col < b.col;
+            });
 
-// Shared core of the removal/reweight validators: both name edges that
-// must already be stored, differ only in whether the weight matters.
-std::string ValidateExistingEdgeBatch(const Graph& graph,
-                                      const std::vector<Edge>& edges,
-                                      bool check_weights) {
   const std::int64_t n = graph.num_nodes();
-  const auto& row_ptr = graph.adjacency().row_ptr();
-  const auto& col_idx = graph.adjacency().col_idx();
+  const auto& old_row_ptr = graph.adjacency().row_ptr();
+  const auto& old_col_idx = graph.adjacency().col_idx();
+  const auto& old_values = graph.adjacency().values();
+  const std::size_t capacity =
+      old_col_idx.size() + (remove ? 0 : edits.size());
+  std::vector<std::int64_t> row_ptr(n + 1, 0);
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(capacity);
+  values.reserve(capacity);
+  auto edit = edits.begin();
+  for (std::int64_t r = 0; r < n; ++r) {
+    std::int64_t p = old_row_ptr[r];
+    const std::int64_t end = old_row_ptr[r + 1];
+    for (; edit != edits.end() && edit->row == r; ++edit) {
+      for (; p < end && old_col_idx[p] < edit->col; ++p) {
+        col_idx.push_back(old_col_idx[p]);
+        values.push_back(old_values[p]);
+      }
+      // The edit replaces the stored entry at its column, if any.
+      if (p < end && old_col_idx[p] == edit->col) ++p;
+      if (!remove) {
+        col_idx.push_back(static_cast<std::int32_t>(edit->col));
+        values.push_back(edit->value);
+      }
+    }
+    col_idx.insert(col_idx.end(), old_col_idx.begin() + p,
+                   old_col_idx.begin() + end);
+    values.insert(values.end(), old_values.begin() + p,
+                  old_values.begin() + end);
+    row_ptr[r + 1] = static_cast<std::int64_t>(col_idx.size());
+  }
+  return Graph::FromValidatedAdjacency(
+      SparseMatrix::FromValidatedCsr(n, n, std::move(row_ptr),
+                                     std::move(col_idx), std::move(values)),
+      ctx);
+}
+
+std::string ValidateEdgeBatch(
+    std::int64_t num_nodes, const std::vector<Edge>& edges,
+    bool require_present, bool check_weights,
+    const std::function<bool(std::int64_t u, std::int64_t v)>& stored) {
   std::vector<std::pair<std::int64_t, std::int64_t>> keys;
   keys.reserve(edges.size());
   for (const Edge& e : edges) {
-    if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
+    if (e.u < 0 || e.u >= num_nodes || e.v < 0 || e.v >= num_nodes) {
       return "edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
-             ") has an endpoint outside [0, " + std::to_string(n) + ")";
+             ") has an endpoint outside [0, " + std::to_string(num_nodes) +
+             ")";
     }
     if (e.u == e.v) {
       return "self-loop on node " + std::to_string(e.u) +
@@ -179,9 +172,12 @@ std::string ValidateExistingEdgeBatch(const Graph& graph,
     }
     const std::int64_t u = std::min(e.u, e.v);
     const std::int64_t v = std::max(e.u, e.v);
-    const auto begin = col_idx.begin() + row_ptr[u];
-    const auto end = col_idx.begin() + row_ptr[u + 1];
-    if (!std::binary_search(begin, end, static_cast<std::int32_t>(v))) {
+    const bool present = stored(u, v);
+    if (present && !require_present) {
+      return "edge (" + std::to_string(u) + ", " + std::to_string(v) +
+             ") already exists in the graph";
+    }
+    if (!present && require_present) {
       return "edge (" + std::to_string(u) + ", " + std::to_string(v) +
              ") does not exist in the graph";
     }
@@ -196,16 +192,41 @@ std::string ValidateExistingEdgeBatch(const Graph& graph,
   return std::string();
 }
 
+namespace {
+
+// The Graph validators: ValidateEdgeBatch with a binary search of row u.
+std::string ValidateGraphEdgeBatch(const Graph& graph,
+                                   const std::vector<Edge>& edges,
+                                   bool require_present, bool check_weights) {
+  const auto& row_ptr = graph.adjacency().row_ptr();
+  const auto& col_idx = graph.adjacency().col_idx();
+  return ValidateEdgeBatch(
+      graph.num_nodes(), edges, require_present, check_weights,
+      [&](std::int64_t u, std::int64_t v) {
+        return std::binary_search(col_idx.begin() + row_ptr[u],
+                                  col_idx.begin() + row_ptr[u + 1],
+                                  static_cast<std::int32_t>(v));
+      });
+}
+
 }  // namespace
+
+std::string ValidateNewEdgeBatch(const Graph& graph,
+                                 const std::vector<Edge>& edges) {
+  return ValidateGraphEdgeBatch(graph, edges, /*require_present=*/false,
+                                /*check_weights=*/true);
+}
 
 std::string ValidateEdgeRemovalBatch(const Graph& graph,
                                      const std::vector<Edge>& edges) {
-  return ValidateExistingEdgeBatch(graph, edges, /*check_weights=*/false);
+  return ValidateGraphEdgeBatch(graph, edges, /*require_present=*/true,
+                                /*check_weights=*/false);
 }
 
 std::string ValidateEdgeReweightBatch(const Graph& graph,
                                       const std::vector<Edge>& edges) {
-  return ValidateExistingEdgeBatch(graph, edges, /*check_weights=*/true);
+  return ValidateGraphEdgeBatch(graph, edges, /*require_present=*/true,
+                                /*check_weights=*/true);
 }
 
 std::vector<std::int64_t> ReverseEdgeIndex(const SparseMatrix& adjacency) {

@@ -1,14 +1,16 @@
 // Undirected weighted graphs.
 //
-// A Graph is built incrementally from undirected edges and then frozen into
-// a symmetric CSR adjacency matrix. Per Sect. 5.2 of the paper, the degree
-// of a node in a weighted graph is the sum of the *squared* weights of its
-// incident edges (the echo travels across each edge twice).
+// A Graph is its symmetric CSR adjacency matrix plus the per-node weighted
+// degrees; the CSR is the only adjacency store. Per Sect. 5.2 of the
+// paper, the degree of a node in a weighted graph is the sum of the
+// *squared* weights of its incident edges (the echo travels across each
+// edge twice). Edge edits (EditedGraph) merge a batch into the CSR rows.
 
 #ifndef LINBP_GRAPH_GRAPH_H_
 #define LINBP_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,8 @@ struct Edge {
   double weight = 1.0;
 };
 
-/// Immutable undirected weighted graph with a CSR adjacency view.
+/// Immutable undirected weighted graph: a symmetric CSR adjacency matrix
+/// and its weighted degrees.
 class Graph {
  public:
   /// Creates an empty graph with no nodes.
@@ -35,21 +38,19 @@ class Graph {
   Graph(std::int64_t num_nodes, const std::vector<Edge>& edges);
 
   /// Adopts an already-symmetric CSR adjacency matrix (the snapshot
-  /// deserialization path: the matrix comes from SparseMatrix::FromCsr, so
-  /// the edge list and weighted degrees are *derived* instead of re-built
-  /// from triplets). Aborts if the matrix is not square, has diagonal
-  /// entries, or is not symmetric in pattern and values. The symmetry
-  /// sweep, edge-list reconstruction, and degree computation fan out on
-  /// `ctx`; the derived edge list is sorted by (u, v), which is also the
-  /// order the original constructor produces for sorted input.
+  /// deserialization path: the matrix comes from SparseMatrix::FromCsr and
+  /// is kept as is; only the weighted degrees are computed). Aborts if
+  /// the matrix is not square, has diagonal entries, or is not symmetric
+  /// in pattern and values. The symmetry sweep and the degree computation
+  /// are one parallel pass on `ctx`.
   static Graph FromAdjacency(SparseMatrix adjacency,
                              const exec::ExecContext& ctx =
                                  exec::ExecContext::Default());
 
-  /// FromAdjacency without the symmetry/self-loop sweep, for callers that
+  /// FromAdjacency without the symmetry/self-loop checks, for callers that
   /// have ALREADY verified both (the snapshot loader's error-returning
-  /// validation pass) — the derived edge list and degrees are computed
-  /// either way. Adopting an unverified matrix is undefined behavior.
+  /// validation pass, EditedGraph's merge): the pass computes the degrees
+  /// only. Adopting an unverified matrix is undefined behavior.
   static Graph FromValidatedAdjacency(SparseMatrix adjacency,
                                       const exec::ExecContext& ctx =
                                           exec::ExecContext::Default());
@@ -77,8 +78,10 @@ class Graph {
   /// Number of neighbors of `node`.
   std::int64_t Degree(std::int64_t node) const;
 
-  /// The original undirected edge list (u < v normalized).
-  const std::vector<Edge>& edges() const { return edges_; }
+  /// The undirected edge list, read off the CSR's upper triangle: u < v,
+  /// sorted by (u, v). Materializes O(m) on every call, so callers hoist
+  /// it out of loops.
+  std::vector<Edge> edges() const;
 
  private:
   static Graph FromAdjacencyImpl(SparseMatrix adjacency,
@@ -86,22 +89,46 @@ class Graph {
 
   SparseMatrix adjacency_;
   std::vector<double> weighted_degrees_;
-  std::vector<Edge> edges_;
 };
+
+/// `graph` with a validated edge batch applied, as one linear merge of the
+/// batch's sorted directed entries into the CSR rows. With `remove` false
+/// each edge is an upsert: it adds a new edge (a batch that passed
+/// ValidateNewEdgeBatch) or overwrites a stored weight (one that passed
+/// ValidateEdgeReweightBatch); with `remove` true the named edges are
+/// dropped (ValidateEdgeRemovalBatch). The result equals Graph(n, edited
+/// edge list) bit for bit: weights are copied, never summed, so -0.0 and
+/// stored zeros survive. Degrees are recomputed on `ctx`. An unvalidated
+/// batch is undefined behavior.
+Graph EditedGraph(const Graph& graph, const std::vector<Edge>& batch,
+                  bool remove, const exec::ExecContext& ctx =
+                                   exec::ExecContext::Default());
 
 /// For a structurally symmetric CSR matrix, returns for every stored entry
 /// e = (s -> t) the index of its mirror entry (t -> s). Message-passing BP
 /// and the directed edge matrix of Appendix G both need this mapping.
 std::vector<std::int64_t> ReverseEdgeIndex(const SparseMatrix& adjacency);
 
+/// Validates an edge batch against a graph on `num_nodes` nodes whose
+/// stored undirected pairs `stored(u, v)` reports (called with u < v):
+/// endpoints in range, no self-loops, finite weights when
+/// `check_weights`, every edge stored when `require_present` and none
+/// stored otherwise, and no duplicate undirected pair within the batch.
+/// Returns an empty string for a valid batch, else a description of the
+/// first problem. This is the error-returning complement of the
+/// CHECK-aborting Graph constructor, for the incremental solvers' edge
+/// streams arriving from user input.
+std::string ValidateEdgeBatch(
+    std::int64_t num_nodes, const std::vector<Edge>& edges,
+    bool require_present, bool check_weights,
+    const std::function<bool(std::int64_t u, std::int64_t v)>& stored);
+
 /// Validates a batch of edges to be ADDED to `graph`: endpoints in
 /// range, no self-loops, finite weights, no duplicate undirected pair
 /// within the batch, and no edge already stored in the adjacency (the
 /// stored pattern decides — a zero weight is still a stored entry).
 /// Returns an empty string for a valid batch, else a description of the
-/// first problem. This is the error-returning complement of the
-/// CHECK-aborting Graph constructor, for the incremental solvers' edge
-/// streams arriving from user input.
+/// first problem.
 std::string ValidateNewEdgeBatch(const Graph& graph,
                                  const std::vector<Edge>& edges);
 

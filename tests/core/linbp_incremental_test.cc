@@ -17,6 +17,7 @@ namespace linbp {
 namespace {
 
 using testing::ExpectMatrixNear;
+using testing::ExpectSameGraph;
 
 LinBpOptions TightOptions(LinBpVariant variant = LinBpVariant::kLinBp) {
   LinBpOptions options;
@@ -348,9 +349,7 @@ TEST(LinBpStateTest, DivergentEdgeUpdateRollsBackGraphAndBeliefs) {
   EXPECT_NE(error.find("diverging"), std::string::npos) << error;
   EXPECT_NE(error.find("rho_hat="), std::string::npos) << error;
   EXPECT_FALSE(state.converged());
-  for (const Edge& e : state.graph().edges()) {
-    EXPECT_EQ(e.weight, 1.0);
-  }
+  ExpectSameGraph(state.graph(), g);
   ExpectMatrixNear(state.beliefs(), before, 0.0);
   // The abort's diagnostics survive on the state for inspection.
   EXPECT_GT(state.diagnostics().empirical_contraction, 1.0);
@@ -526,7 +525,35 @@ TEST(LinBpStateTest, DivergentAddEdgesRollsBackGraph) {
   std::string error;
   EXPECT_EQ(state.AddEdges(dense_batch, &error), -1);
   EXPECT_NE(error.find("diverging"), std::string::npos) << error;
-  EXPECT_EQ(state.graph().num_undirected_edges(), g.num_undirected_edges());
+  ExpectSameGraph(state.graph(), g);
+  ExpectMatrixNear(state.beliefs(), before, 0.0);
+}
+
+// A removal can push rho(M) past 1 too. Under LinBP*, rho(M) is
+// rho(A) * rho(Hhat): the 4-cycle with one negative edge has rho(A) =
+// sqrt(2), and dropping that edge leaves the path P4 with rho(A) = the
+// golden ratio. The diverging re-solve rolls the removal back.
+TEST(LinBpStateTest, DivergentRemoveEdgesRollsBackGraph) {
+  const Graph g(4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 0, -1.0}});
+  const Graph path(4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}});
+  const LinBpVariant star = LinBpVariant::kLinBpStar;
+  const double unit_rho = LinBpOperatorSpectralRadius(
+      g, AuctionCoupling().ScaledResidual(1.0), star);
+  const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.95 / unit_rho);
+  ASSERT_LT(LinBpOperatorSpectralRadius(g, hhat, star), 1.0);
+  ASSERT_GT(LinBpOperatorSpectralRadius(path, hhat, star), 1.0);
+  DenseMatrix residuals(4, 3);
+  residuals.At(0, 0) = 0.06;
+  residuals.At(0, 1) = -0.02;
+  residuals.At(0, 2) = -0.04;
+  LinBpState state(g, hhat, residuals, TightOptions(star));
+  ASSERT_TRUE(state.converged());
+  const DenseMatrix before = state.beliefs();
+
+  std::string error;
+  EXPECT_EQ(state.RemoveEdges({{0, 3, 1.0}}, &error), -1);
+  EXPECT_NE(error.find("diverging"), std::string::npos) << error;
+  ExpectSameGraph(state.graph(), g);
   ExpectMatrixNear(state.beliefs(), before, 0.0);
 }
 

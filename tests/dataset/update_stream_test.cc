@@ -6,6 +6,7 @@
 
 #include "gtest/gtest.h"
 #include "src/dataset/registry.h"
+#include "src/dataset/snapshot.h"
 #include "src/graph/graph.h"
 #include "src/la/dense_matrix.h"
 
@@ -212,6 +213,40 @@ TEST(UpdateStreamTraceTest, DeterministicForAFixedSeed) {
   for (const UpdateOp& op : first.ops) a += FormatUpdateOp(op) + "\n";
   for (const UpdateOp& op : other.ops) b += FormatUpdateOp(op) + "\n";
   EXPECT_NE(a, b);
+}
+
+// A trace depends only on the scenario's graph and the seed, not on how
+// the graph was built: a generated scenario and its snapshot round trip
+// give the same start edges and the same ops.
+TEST(UpdateStreamTraceTest, GeneratedSpecAndItsSnapshotGiveTheSameTrace) {
+  for (const char* spec :
+       {"sbm:n=120,k=3,deg=6,seed=9", "fraud:users=300,products=150,seed=3"}) {
+    SCOPED_TRACE(spec);
+    std::string error;
+    const auto generated = MakeScenario(spec, &error);
+    ASSERT_TRUE(generated.has_value()) << error;
+    const std::string path = TempPath("trace_source.lbps");
+    ASSERT_TRUE(SaveSnapshot(*generated, path, &error)) << error;
+    const auto loaded = LoadSnapshot(path, &error);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.has_value()) << error;
+
+    UpdateTraceOptions options;
+    options.num_ops = 24;
+    options.seed = 11;
+    const UpdateTrace a = GenerateUpdateTrace(*generated, options);
+    const UpdateTrace b = GenerateUpdateTrace(*loaded, options);
+    ASSERT_EQ(a.start_edges.size(), b.start_edges.size());
+    for (std::size_t i = 0; i < a.start_edges.size(); ++i) {
+      EXPECT_EQ(a.start_edges[i].u, b.start_edges[i].u) << i;
+      EXPECT_EQ(a.start_edges[i].v, b.start_edges[i].v) << i;
+      EXPECT_EQ(a.start_edges[i].weight, b.start_edges[i].weight) << i;
+    }
+    ASSERT_EQ(a.ops.size(), b.ops.size());
+    for (std::size_t i = 0; i < a.ops.size(); ++i) {
+      EXPECT_EQ(FormatUpdateOp(a.ops[i]), FormatUpdateOp(b.ops[i])) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -133,10 +133,12 @@ TEST(ErdosRenyiGraphTest, EdgeCountAndDeterminism) {
   const Graph g1 = ErdosRenyiGraph(30, 50, /*seed=*/11);
   const Graph g2 = ErdosRenyiGraph(30, 50, /*seed=*/11);
   EXPECT_EQ(g1.num_undirected_edges(), 50);
-  ASSERT_EQ(g1.edges().size(), g2.edges().size());
-  for (std::size_t i = 0; i < g1.edges().size(); ++i) {
-    EXPECT_EQ(g1.edges()[i].u, g2.edges()[i].u);
-    EXPECT_EQ(g1.edges()[i].v, g2.edges()[i].v);
+  const std::vector<Edge> e1 = g1.edges();
+  const std::vector<Edge> e2 = g2.edges();
+  ASSERT_EQ(e1.size(), e2.size());
+  for (std::size_t i = 0; i < e1.size(); ++i) {
+    EXPECT_EQ(e1[i].u, e2[i].u);
+    EXPECT_EQ(e1[i].v, e2[i].v);
   }
 }
 

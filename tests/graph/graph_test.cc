@@ -1,6 +1,10 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/graph/generators.h"
@@ -9,6 +13,7 @@
 namespace linbp {
 namespace {
 
+using testing::ExpectSameGraph;
 using testing::ExpectVectorNear;
 
 TEST(GraphTest, EmptyGraph) {
@@ -103,25 +108,45 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReverseEdgeIndexRandomTest,
 TEST(GraphFromAdjacencyTest, ReconstructsEdgesAndDegrees) {
   const Graph original = RandomWeightedConnectedGraph(60, 80, 0.5, 2.0,
                                                       /*seed=*/21);
-  const Graph rebuilt = Graph::FromAdjacency(original.adjacency());
+  // The same edges in a shuffled order, half of them reversed: the graph
+  // is its CSR, so neither the order nor the orientation shows.
+  std::vector<Edge> shuffled = original.edges();
+  Rng rng(5);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+  }
+  for (std::size_t i = 0; i < shuffled.size(); i += 2) {
+    std::swap(shuffled[i].u, shuffled[i].v);
+  }
+  const Graph built(original.num_nodes(), shuffled);
+  const Graph rebuilt = Graph::FromAdjacency(built.adjacency());
   EXPECT_EQ(rebuilt.num_nodes(), original.num_nodes());
   EXPECT_EQ(rebuilt.num_undirected_edges(), original.num_undirected_edges());
-  EXPECT_EQ(rebuilt.adjacency().row_ptr(), original.adjacency().row_ptr());
-  EXPECT_EQ(rebuilt.adjacency().col_idx(), original.adjacency().col_idx());
-  EXPECT_EQ(rebuilt.adjacency().values(), original.adjacency().values());
-  EXPECT_EQ(rebuilt.weighted_degrees(), original.weighted_degrees());
-  // The derived edge list is sorted by (u, v) with u < v and carries the
-  // original weights.
-  std::vector<Edge> expected = original.edges();
-  std::sort(expected.begin(), expected.end(), [](const Edge& a,
-                                                 const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  ASSERT_EQ(rebuilt.edges().size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(rebuilt.edges()[i].u, expected[i].u);
-    EXPECT_EQ(rebuilt.edges()[i].v, expected[i].v);
-    EXPECT_EQ(rebuilt.edges()[i].weight, expected[i].weight);
+  ExpectSameGraph(built, original);
+  ExpectSameGraph(rebuilt, original);
+
+  // The edge list is the upper triangle, sorted by (u, v) with u < v and
+  // carrying the stored weights, whichever way the graph was built.
+  const std::vector<Edge> edges = original.edges();
+  ASSERT_EQ(static_cast<std::int64_t>(edges.size()),
+            original.num_undirected_edges());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_LT(edges[i].u, edges[i].v);
+    if (i > 0) {
+      EXPECT_LT(std::make_pair(edges[i - 1].u, edges[i - 1].v),
+                std::make_pair(edges[i].u, edges[i].v));
+    }
+    EXPECT_EQ(edges[i].weight,
+              original.adjacency().At(edges[i].u, edges[i].v));
+  }
+  for (const Graph* other : {&built, &rebuilt}) {
+    const std::vector<Edge> other_edges = other->edges();
+    ASSERT_EQ(other_edges.size(), edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      EXPECT_EQ(other_edges[i].u, edges[i].u);
+      EXPECT_EQ(other_edges[i].v, edges[i].v);
+      EXPECT_EQ(other_edges[i].weight, edges[i].weight);
+    }
   }
 }
 
@@ -132,13 +157,7 @@ TEST(GraphFromAdjacencyTest, ParallelReconstructionIsIdentical) {
                                             exec::ExecContext::Serial());
   const Graph threaded = Graph::FromAdjacency(
       original.adjacency(), exec::ExecContext::WithThreads(4));
-  EXPECT_EQ(serial.weighted_degrees(), threaded.weighted_degrees());
-  ASSERT_EQ(serial.edges().size(), threaded.edges().size());
-  for (std::size_t i = 0; i < serial.edges().size(); ++i) {
-    EXPECT_EQ(serial.edges()[i].u, threaded.edges()[i].u);
-    EXPECT_EQ(serial.edges()[i].v, threaded.edges()[i].v);
-    EXPECT_EQ(serial.edges()[i].weight, threaded.edges()[i].weight);
-  }
+  ExpectSameGraph(threaded, serial);
 }
 
 TEST(GraphFromAdjacencyDeathTest, RejectsAsymmetryAndSelfLoops) {
@@ -153,6 +172,116 @@ TEST(GraphFromAdjacencyDeathTest, RejectsAsymmetryAndSelfLoops) {
   // Non-square.
   EXPECT_DEATH(Graph::FromAdjacency(SparseMatrix(2, 3)), "square");
 }
+
+// A reference for the three edits: the edge list as a (u, v) -> weight
+// map with u < v.
+using EdgeMap = std::map<std::pair<std::int64_t, std::int64_t>, double>;
+
+std::pair<std::int64_t, std::int64_t> Key(const Edge& e) {
+  return {std::min(e.u, e.v), std::max(e.u, e.v)};
+}
+
+class EditedGraphTest : public ::testing::TestWithParam<int> {};
+
+// After every batch of a random add / reweight / remove sequence, the
+// merged graph's CSR arrays and degrees are memcmp-equal to Graph(n, the
+// edited edge list). Weights include 0.0 and -0.0, edits hit rows 0 and
+// n - 1 several at a time, and node n - 1 starts isolated and is
+// isolated again after round 2.
+TEST_P(EditedGraphTest, MergeEqualsGraphOfTheEditedEdgeList) {
+  const std::int64_t n = 30;
+  const std::int64_t last = n - 1;
+  Graph graph(n, RandomWeightedConnectedGraph(n - 1, 25, 0.5, 2.0,
+                                              GetParam())
+                     .edges());
+  EdgeMap reference;
+  for (const Edge& e : graph.edges()) reference[Key(e)] = e.weight;
+  Rng rng(100 + GetParam());
+  const auto weight = [&] {
+    switch (rng.NextBounded(4)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return -0.0;
+      default:
+        return 4.0 * rng.NextDouble() - 2.0;
+    }
+  };
+  const auto hot_node = [&] {
+    return rng.NextBernoulli(0.5) ? (rng.NextBernoulli(0.5) ? 0 : last)
+                                  : rng.NextInt(0, last);
+  };
+
+  enum Kind { kAdd, kReweight, kRemove };
+  for (int round = 0; round < 24; ++round) {
+    SCOPED_TRACE(round);
+    const Kind kind = round < 3 ? static_cast<Kind>(round)
+                                : static_cast<Kind>(rng.NextBounded(3));
+    std::vector<Edge> batch;
+    std::set<std::pair<std::int64_t, std::int64_t>> named;  // no repeats
+    const auto take = [&](const Edge& e) {
+      if (named.insert(Key(e)).second) batch.push_back(e);
+    };
+    if (round == 0) {
+      take({last, 0, -0.0});
+      take({1, last, 0.0});
+      take({last, 2, 1.25});
+    } else if (round == 1) {
+      take({0, last, 0.0});
+      take({last, 1, -0.0});
+      take({2, last, -1.5});
+    } else if (round == 2) {
+      for (const auto& [key, w] : reference) {
+        if (key.second == last) take({key.second, key.first, w});
+      }
+    }
+    const std::int64_t extra = rng.NextInt(1, 6);
+    if (kind == kAdd) {
+      const std::size_t target = batch.size() + extra;
+      for (int attempt = 0; attempt < 1000 && batch.size() < target;
+           ++attempt) {
+        const Edge e{hot_node(), rng.NextInt(0, last), weight()};
+        if (e.u != e.v && reference.count(Key(e)) == 0) take(e);
+      }
+    } else {
+      std::vector<Edge> stored;
+      for (const auto& [key, w] : reference) {
+        stored.push_back({key.first, key.second, w});
+      }
+      for (std::int64_t i = 0; i < extra && !stored.empty(); ++i) {
+        Edge e = stored[rng.NextBounded(stored.size())];
+        if (rng.NextBernoulli(0.5)) std::swap(e.u, e.v);
+        e.weight = weight();
+        take(e);
+      }
+    }
+    const std::string problem =
+        kind == kAdd      ? ValidateNewEdgeBatch(graph, batch)
+        : kind == kRemove ? ValidateEdgeRemovalBatch(graph, batch)
+                          : ValidateEdgeReweightBatch(graph, batch);
+    ASSERT_EQ(problem, "");
+
+    for (const Edge& e : batch) {
+      if (kind == kRemove) {
+        reference.erase(Key(e));
+      } else {
+        reference[Key(e)] = e.weight;
+      }
+    }
+    std::vector<Edge> edited_list;
+    for (const auto& [key, w] : reference) {
+      edited_list.push_back({key.first, key.second, w});
+    }
+    const Graph edited = EditedGraph(graph, batch, kind == kRemove);
+    ExpectSameGraph(edited, Graph(n, edited_list));
+    if (round == 2) {
+      EXPECT_EQ(edited.Degree(last), 0);
+    }
+    graph = edited;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EditedGraphTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace linbp

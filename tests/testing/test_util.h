@@ -4,6 +4,7 @@
 #define LINBP_TESTS_TESTING_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -130,6 +131,24 @@ inline DenseMatrix RandomResidualCoupling(std::int64_t k, double scale,
     }
   }
   return out;
+}
+
+/// EXPECTs two graphs to hold the same CSR arrays and weighted degrees.
+/// Values and degrees are compared with memcmp, so -0.0 and 0.0 differ.
+inline void ExpectSameGraph(const Graph& actual, const Graph& expected) {
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+  };
+  EXPECT_EQ(actual.num_nodes(), expected.num_nodes());
+  EXPECT_EQ(actual.adjacency().row_ptr(), expected.adjacency().row_ptr());
+  EXPECT_EQ(actual.adjacency().col_idx(), expected.adjacency().col_idx());
+  EXPECT_TRUE(same_bits(actual.adjacency().values(),
+                        expected.adjacency().values()));
+  EXPECT_TRUE(
+      same_bits(actual.weighted_degrees(), expected.weighted_degrees()));
 }
 
 /// Samples `count` distinct unit-weight edges absent from `existing`
