@@ -39,17 +39,19 @@ RowPartition RowPartition::NnzBalanced(const std::int64_t* row_ptr,
 
   // Cut block b at the first row whose cumulative nnz reaches the ideal
   // prefix (b+1) * total / blocks, always advancing at least one row so no
-  // block is empty.
+  // block is empty. row_ptr is monotone, so a binary search finds the
+  // same cut a row-by-row walk would.
   std::vector<std::int64_t> bounds;
   bounds.reserve(blocks + 1);
   bounds.push_back(0);
   std::int64_t row = 0;
   for (std::int64_t b = 0; b < blocks && row < num_rows; ++b) {
     const std::int64_t target = base + (b + 1) * total / blocks;
-    std::int64_t cut = row + 1;
     // Rows left must stay >= blocks remaining after this one.
     const std::int64_t max_cut = num_rows - (blocks - 1 - b);
-    while (cut < max_cut && row_ptr[cut] < target) ++cut;
+    const std::int64_t cut =
+        std::lower_bound(row_ptr + row + 1, row_ptr + max_cut, target) -
+        row_ptr;
     bounds.push_back(cut);
     row = cut;
   }

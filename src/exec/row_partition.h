@@ -2,8 +2,9 @@
 //
 // Parallel sparse kernels split rows, not entries, so a balanced split
 // must account for the nonzeros per row: on skewed graphs a uniform row
-// split leaves one thread with most of the work. NnzBalanced() sweeps the
-// CSR row_ptr once and cuts blocks of approximately equal nonzero count.
+// split leaves one thread with most of the work. NnzBalanced() cuts
+// blocks of approximately equal nonzero count, finding each cut by binary
+// search over the CSR row_ptr.
 // The partition is a pure function of (row_ptr, max_blocks), which keeps
 // parallel runs deterministic — and is the seam future sharded / out-of-
 // core backends will reuse to assign row ranges to shards.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "src/exec/row_partition.h"
@@ -34,29 +35,88 @@ void ForEachRowBlock(const exec::ExecContext& ctx,
 // while a row's entries stream by.
 constexpr std::int64_t kColTile = 8;
 
-// LinBpRowsT for one k: kK in [1, kColTile] fixes k at compile time (the
-// row scratch then lives in registers and every k-loop unrolls); kK == 0
-// reads args.k at run time.
+// LinBpRowsT's row tile: the SpMM rows of a whole tile are gathered
+// before any of their dense tails run.
+constexpr std::int64_t kRowTile = 64;
+
+// The one SpMM row loop: out[c] = sum over e in [row_ptr[r],
+// row_ptr[r+1]) of vals[e] * b[cols[e]*k + c], per k-tile with the
+// entries in order into zeroed accumulators. kK in [1, kColTile] fixes
+// k at compile time (one tile, unrolled); kK == 0 uses the runtime k.
+//
+// The operand pointers are restrict-qualified and the per-entry tile
+// update carries an `omp simd` hint (the build adds -fopenmp-simd, no
+// OpenMP runtime): the acc[c] lanes are independent, so vectorizing
+// across c changes no accumulation order. gcc 12.2 -O3 -fopt-info-vec
+// reports "loop vectorized using 16 byte vectors" for both scalar types
+// (verified 2026-10; rerun with
+//   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -I. -c
+//   src/la/sparse_matrix.cc
+// when touching this kernel).
+template <typename Scalar, int kK>
+void SpmmRowT(const std::int64_t* row_ptr,
+              const std::int32_t* __restrict__ cols,
+              const Scalar* __restrict__ vals, std::int64_t r,
+              const Scalar* b, std::int64_t k, Scalar* __restrict__ out) {
+  static_assert(kK >= 0 && kK <= kColTile, "one tile per row");
+  if constexpr (kK > 0) k = kK;
+  const std::int64_t e_begin = row_ptr[r];
+  const std::int64_t e_end = row_ptr[r + 1];
+  for (std::int64_t c0 = 0; c0 < k; c0 += kColTile) {
+    const std::int64_t tile = std::min(kColTile, k - c0);
+    Scalar acc[kColTile] = {};
+    for (std::int64_t e = e_begin; e < e_end; ++e) {
+      const Scalar w = vals[e];
+      const Scalar* __restrict__ b_row =
+          b + static_cast<std::int64_t>(cols[e]) * k + c0;
+#pragma omp simd
+      for (std::int64_t c = 0; c < tile; ++c) acc[c] += w * b_row[c];
+    }
+    for (std::int64_t c = 0; c < tile; ++c) out[c0 + c] = acc[c];
+  }
+}
+
+// The k switch of SpmmRowsT and LinBpRowsT: calls
+// fn(std::integral_constant<int, kK>()) with kK = k for k in
+// [1, kColTile] (row scratch in registers, unrolled k loops) and
+// kK = 0, the runtime-k instantiation, for any other k.
+template <typename Fn>
+auto DispatchK(std::int64_t k, Fn&& fn) {
+  switch (k) {
+    case 1: return fn(std::integral_constant<int, 1>());
+    case 2: return fn(std::integral_constant<int, 2>());
+    case 3: return fn(std::integral_constant<int, 3>());
+    case 4: return fn(std::integral_constant<int, 4>());
+    case 5: return fn(std::integral_constant<int, 5>());
+    case 6: return fn(std::integral_constant<int, 6>());
+    case 7: return fn(std::integral_constant<int, 7>());
+    case 8: return fn(std::integral_constant<int, 8>());
+    default: return fn(std::integral_constant<int, 0>());
+  }
+}
+
+// LinBpRowsT for one k (see DispatchK), a row tile at a time. Phase 1
+// gathers (A*B)_s of every row of the tile into the tile scratch; phase
+// 2 runs each row's dense tail in row order. Every element sees the
+// same operations in the same order as a row-at-a-time pass, and the
+// statistics fold in row order, so the tile changes no bit.
 template <typename Scalar, int kK>
 LinBpRowStats LinBpRowsForK(const LinBpRowsArgs<Scalar>& args) {
-  static_assert(kK >= 0 && kK <= kColTile, "one tile per row");
   const std::int64_t k = kK > 0 ? kK : args.k;
   const std::int64_t* row_ptr = args.row_ptr;
-  const Scalar* __restrict__ vals = args.values;
-  const std::int32_t* __restrict__ cols = args.col_idx;
   const Scalar* b = args.beliefs;
   const bool echo = args.hhat2 != nullptr;
   const bool apply = args.explicit_residuals != nullptr;
 
-  // Row scratch: the SpMM row, the two dense products, and the coupling
-  // matrices copied next to them.
+  // Scratch: the tile's SpMM rows, one row's two dense products, and the
+  // coupling matrices copied next to them.
   constexpr std::int64_t kSlots = kK > 0 ? kK : 1;
-  Scalar ab_fixed[kSlots] = {};
+  Scalar ab_fixed[kRowTile * kSlots] = {};
   double prop_fixed[kSlots] = {};
   double echo_fixed[kSlots] = {};
   double h_fixed[kSlots * kSlots] = {};
   double h2_fixed[kSlots * kSlots] = {};
-  Scalar* ab = ab_fixed;
+  Scalar* ab_tile = ab_fixed;
   double* prop = prop_fixed;
   double* echo_row = echo_fixed;
   const double* h = args.hhat;
@@ -71,72 +131,70 @@ LinBpRowStats LinBpRowsForK(const LinBpRowsArgs<Scalar>& args) {
       h2 = h2_fixed;
     }
   } else {
-    ab_heap.resize(k);
+    ab_heap.resize(kRowTile * k);
     dense_heap.resize(2 * k);
-    ab = ab_heap.data();
+    ab_tile = ab_heap.data();
     prop = dense_heap.data();
     echo_row = dense_heap.data() + k;
   }
 
   LinBpRowStats stats;
-  for (std::int64_t r = args.row_begin; r < args.row_end; ++r) {
-    const std::int64_t s = args.row_offset + r;
-    const Scalar* own = b + s * k;
-    // (A*B)_s exactly as SpmmRowsT forms it: per k-tile, entries in
-    // order into zeroed accumulators.
-    const std::int64_t e_begin = row_ptr[r];
-    const std::int64_t e_end = row_ptr[r + 1];
-    for (std::int64_t c0 = 0; c0 < k; c0 += kColTile) {
-      const std::int64_t tile = std::min(kColTile, k - c0);
-      Scalar acc[kColTile] = {};
-      for (std::int64_t e = e_begin; e < e_end; ++e) {
-        const Scalar w = vals[e];
-        const Scalar* __restrict__ b_row =
-            b + static_cast<std::int64_t>(cols[e]) * k + c0;
-#pragma omp simd
-        for (std::int64_t c = 0; c < tile; ++c) acc[c] += w * b_row[c];
-      }
-      for (std::int64_t c = 0; c < tile; ++c) ab[c0 + c] = acc[c];
+  for (std::int64_t tile_begin = args.row_begin; tile_begin < args.row_end;
+       tile_begin += kRowTile) {
+    const std::int64_t tile_end =
+        std::min(tile_begin + kRowTile, args.row_end);
+    // Phase 1: (A*B)_s for every row of the tile.
+    for (std::int64_t r = tile_begin; r < tile_end; ++r) {
+      SpmmRowT<Scalar, kK>(row_ptr, args.col_idx, args.values, r, b, k,
+                           ab_tile + (r - tile_begin) * k);
     }
-    // (A*B)_s * hhat and B_s * hhat2 in DenseMatrix::Multiply's order,
-    // zero entries of the left operand skipped.
-    for (std::int64_t j = 0; j < k; ++j) prop[j] = 0.0;
-    for (std::int64_t l = 0; l < k; ++l) {
-      const double a = static_cast<double>(ab[l]);
-      if (a == 0.0) continue;
-      for (std::int64_t j = 0; j < k; ++j) prop[j] += a * h[l * k + j];
-    }
-    if (echo) {
-      for (std::int64_t j = 0; j < k; ++j) echo_row[j] = 0.0;
+    // Phase 2: each row's dense tail, in row order.
+    for (std::int64_t r = tile_begin; r < tile_end; ++r) {
+      const std::int64_t s = args.row_offset + r;
+      const Scalar* own = b + s * k;
+      const Scalar* ab = ab_tile + (r - tile_begin) * k;
+      // (A*B)_s * hhat and B_s * hhat2 in DenseMatrix::Multiply's order,
+      // zero entries of the left operand skipped.
+      for (std::int64_t j = 0; j < k; ++j) prop[j] = 0.0;
       for (std::int64_t l = 0; l < k; ++l) {
-        const double a = static_cast<double>(own[l]);
+        const double a = static_cast<double>(ab[l]);
         if (a == 0.0) continue;
-        for (std::int64_t j = 0; j < k; ++j) echo_row[j] += a * h2[l * k + j];
+        for (std::int64_t j = 0; j < k; ++j) prop[j] += a * h[l * k + j];
       }
-    }
-    const double d = echo ? args.degrees[s] : 0.0;
-    Scalar* out = args.out + s * k;
-    const Scalar* e_row = apply ? args.explicit_residuals + s * k : nullptr;
-    for (std::int64_t j = 0; j < k; ++j) {
-      // Each stored product rounds once (a no-op for double).
-      Scalar p = static_cast<Scalar>(prop[j]);
       if (echo) {
-        p = static_cast<Scalar>(
-            static_cast<double>(p) -
-            d * static_cast<double>(static_cast<Scalar>(echo_row[j])));
+        for (std::int64_t j = 0; j < k; ++j) echo_row[j] = 0.0;
+        for (std::int64_t l = 0; l < k; ++l) {
+          const double a = static_cast<double>(own[l]);
+          if (a == 0.0) continue;
+          for (std::int64_t j = 0; j < k; ++j) {
+            echo_row[j] += a * h2[l * k + j];
+          }
+        }
       }
-      if (!apply) {
-        out[j] = p;
-        continue;
+      const double d = echo ? args.degrees[s] : 0.0;
+      Scalar* out = args.out + s * k;
+      const Scalar* e_row = apply ? args.explicit_residuals + s * k : nullptr;
+      for (std::int64_t j = 0; j < k; ++j) {
+        // Each stored product rounds once (a no-op for double).
+        Scalar p = static_cast<Scalar>(prop[j]);
+        if (echo) {
+          p = static_cast<Scalar>(
+              static_cast<double>(p) -
+              d * static_cast<double>(static_cast<Scalar>(echo_row[j])));
+        }
+        if (!apply) {
+          out[j] = p;
+          continue;
+        }
+        const Scalar value = e_row[j] + p;
+        const double change =
+            static_cast<double>(value) - static_cast<double>(own[j]);
+        stats.delta = std::max(stats.delta, std::abs(change));
+        stats.delta_sq += change * change;
+        stats.magnitude =
+            std::max(stats.magnitude, std::abs(static_cast<double>(value)));
+        out[j] = value;
       }
-      const Scalar value = e_row[j] + p;
-      const double change =
-          static_cast<double>(value) - static_cast<double>(own[j]);
-      stats.delta = std::max(stats.delta, std::abs(change));
-      stats.delta_sq += change * change;
-      stats.magnitude =
-          std::max(stats.magnitude, std::abs(static_cast<double>(value)));
-      out[j] = value;
     }
   }
   return stats;
@@ -149,38 +207,15 @@ void SpmmRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
                const Scalar* values, std::int64_t row_begin,
                std::int64_t row_end, const Scalar* b, std::int64_t k,
                Scalar* out) {
-  // Cache-blocked inner loop: the k dimension is tiled so each tile's
-  // accumulators stay in registers while the row's entries stream by. For
-  // a fixed output element the entry order is unchanged, so the result is
-  // bit-identical to the untiled scalar kernel of the same Scalar. The
-  // operand pointers are restrict-qualified and the per-entry tile update
-  // carries an `omp simd` hint (the build adds -fopenmp-simd, no OpenMP
-  // runtime): the acc[c] lanes are independent, so vectorizing across c
-  // changes no accumulation order. gcc 12.2 -O3 -fopt-info-vec reports
-  // "loop vectorized using 16 byte vectors" for both instantiations
-  // (verified 2026-08; rerun with
-  //   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -I. -c
-  //   src/la/sparse_matrix.cc
-  // when touching this kernel).
-  const Scalar* __restrict__ vals = values;
-  const std::int32_t* __restrict__ cols = col_idx;
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    Scalar* __restrict__ out_row = out + r * k;
-    const std::int64_t e_begin = row_ptr[r];
-    const std::int64_t e_end = row_ptr[r + 1];
-    for (std::int64_t c0 = 0; c0 < k; c0 += kColTile) {
-      const std::int64_t tile = std::min(kColTile, k - c0);
-      Scalar acc[kColTile] = {};
-      for (std::int64_t e = e_begin; e < e_end; ++e) {
-        const Scalar w = vals[e];
-        const Scalar* __restrict__ b_row =
-            b + static_cast<std::int64_t>(cols[e]) * k + c0;
-#pragma omp simd
-        for (std::int64_t c = 0; c < tile; ++c) acc[c] += w * b_row[c];
-      }
-      for (std::int64_t c = 0; c < tile; ++c) out_row[c0 + c] = acc[c];
+  // For a fixed output element the entry order is that of an untiled
+  // scalar loop, so the result is bit-identical to it for the same
+  // Scalar, at every k and every row range.
+  DispatchK(k, [&](auto fixed_k) {
+    constexpr int kK = decltype(fixed_k)::value;
+    for (std::int64_t r = row_begin; r < row_end; ++r) {
+      SpmmRowT<Scalar, kK>(row_ptr, col_idx, values, r, b, k, out + r * k);
     }
-  }
+  });
 }
 
 template <typename Scalar>
@@ -238,17 +273,9 @@ template void SpmtvRowsT<float>(const std::int64_t*, const std::int32_t*,
 
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args) {
-  switch (args.k) {
-    case 1: return LinBpRowsForK<Scalar, 1>(args);
-    case 2: return LinBpRowsForK<Scalar, 2>(args);
-    case 3: return LinBpRowsForK<Scalar, 3>(args);
-    case 4: return LinBpRowsForK<Scalar, 4>(args);
-    case 5: return LinBpRowsForK<Scalar, 5>(args);
-    case 6: return LinBpRowsForK<Scalar, 6>(args);
-    case 7: return LinBpRowsForK<Scalar, 7>(args);
-    case 8: return LinBpRowsForK<Scalar, 8>(args);
-    default: return LinBpRowsForK<Scalar, 0>(args);
-  }
+  return DispatchK(args.k, [&](auto fixed_k) {
+    return LinBpRowsForK<Scalar, decltype(fixed_k)::value>(args);
+  });
 }
 
 template LinBpRowStats LinBpRowsT<double>(const LinBpRowsArgs<double>&);

@@ -49,7 +49,10 @@ struct Triplet {
 /// There is exactly one implementation per scalar type: the double-named
 /// entry points below and the SparseMatrix::Multiply* methods all land
 /// on these templates, so the row-range and whole-matrix paths cannot
-/// drift. Instantiated for float and double only.
+/// drift. Its row loop is also the one LinBpRowsT gathers with, and k in
+/// [1, 8] runs it with k fixed at compile time (one unrolled k-tile,
+/// through the same k switch as LinBpRowsT); any other k runs the same
+/// loop with a runtime k. Instantiated for float and double only.
 template <typename Scalar>
 void SpmmRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
                const Scalar* values, std::int64_t row_begin,
@@ -143,9 +146,16 @@ struct LinBpRowsArgs {
 /// (zero entries skipped), then SubtractDegreeScaledEcho, then the
 /// apply step; a float range accumulates SpmmRowsT<float> in float and
 /// every dense product in fp64, rounding each stored element once as
-/// the f32 pipeline always has. k in [1, 8] runs a compile-time-k
-/// instantiation (k = 1 is FaBP's scalar sweep), any other k the same
-/// template with a runtime k. Instantiated for float and double only.
+/// the f32 pipeline always has. The range runs in tiles of 64 rows:
+/// SpmmRowsT's row loop gathers (A*B)_s for every row of a tile, then
+/// each row's dense tail runs in row order. Rows are written and the
+/// statistics folded in row order (within a row, column order), as a
+/// row-at-a-time pass does: splitting rows into ranges changes no output
+/// bit, and a range's statistics are the row-order fold of its rows
+/// wherever its tiles fall. k in [1, 8] runs a
+/// compile-time-k instantiation (k = 1 is FaBP's scalar sweep), any
+/// other k the same template with a runtime k. Instantiated for float
+/// and double only.
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args);
 

@@ -1,9 +1,12 @@
 #include "src/exec/row_partition.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/util/random.h"
 
 namespace linbp {
 namespace exec {
@@ -131,6 +134,82 @@ TEST(RowPartitionTest, NnzBalancedEqualRowsSplitEvenly) {
   ASSERT_EQ(p.num_blocks(), 4);
   for (std::int64_t b = 0; b < 4; ++b) {
     EXPECT_EQ(p.end(b) - p.begin(b), 16) << "block " << b;
+  }
+}
+
+// NnzBalanced's bounds as the row-by-row walk computed them before the
+// binary search; shard.cc cuts shards with NnzBalanced, so the on-disk
+// shard layout depends on these exact bounds.
+std::vector<std::int64_t> WalkedBounds(const std::int64_t* row_ptr,
+                                       std::int64_t num_rows,
+                                       std::int64_t max_blocks) {
+  const std::int64_t base = row_ptr[0];
+  const std::int64_t total = row_ptr[num_rows] - base;
+  if (total == 0) return RowPartition::Uniform(num_rows, max_blocks).bounds();
+  const std::int64_t blocks = std::max<std::int64_t>(
+      1, std::min(max_blocks, num_rows));
+  std::vector<std::int64_t> bounds = {0};
+  std::int64_t row = 0;
+  for (std::int64_t b = 0; b < blocks && row < num_rows; ++b) {
+    const std::int64_t target = base + (b + 1) * total / blocks;
+    std::int64_t cut = row + 1;
+    const std::int64_t max_cut = num_rows - (blocks - 1 - b);
+    while (cut < max_cut && row_ptr[cut] < target) ++cut;
+    bounds.push_back(cut);
+    row = cut;
+  }
+  bounds.back() = num_rows;
+  return bounds;
+}
+
+void ExpectWalkedBounds(const std::vector<std::int64_t>& row_ptr,
+                        const std::string& label) {
+  const std::int64_t num_rows = static_cast<std::int64_t>(row_ptr.size()) - 1;
+  for (const std::int64_t blocks : {1, 2, 3, 4, 7, 8, 16, 64, 1000}) {
+    EXPECT_EQ(RowPartition::NnzBalanced(row_ptr, blocks).bounds(),
+              WalkedBounds(row_ptr.data(), num_rows, blocks))
+        << label << ", " << blocks << " blocks";
+  }
+}
+
+TEST(RowPartitionTest, NnzBalancedBoundsEqualTheRowWalk) {
+  Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::int64_t> nnz(rng.NextInt(1, 300));
+    for (std::int64_t& count : nnz) {
+      // Mostly light rows, some empty, a few heavy ones.
+      count = rng.NextBernoulli(0.05) ? rng.NextInt(50, 500)
+                                      : rng.NextInt(0, 12);
+    }
+    ExpectWalkedBounds(RowPtr(nnz), "random rows, trial " +
+                                        std::to_string(trial));
+  }
+
+  std::vector<std::int64_t> dense_row(200, 2);
+  dense_row[117] = 100000;
+  ExpectWalkedBounds(RowPtr(dense_row), "one very dense row");
+
+  std::vector<std::int64_t> one_row(150, 0);
+  one_row[42] = 9;
+  ExpectWalkedBounds(RowPtr(one_row), "all rows empty but one");
+
+  ExpectWalkedBounds(RowPtr({3, 0, 5}), "more blocks than rows");
+  ExpectWalkedBounds(RowPtr({4}), "a single row");
+
+  // A sub-range of a larger CSR, addressed in place: offsets start at
+  // row_ptr[37] != 0.
+  std::vector<std::int64_t> nnz(400);
+  for (std::int64_t& count : nnz) count = rng.NextInt(0, 20);
+  const std::vector<std::int64_t> row_ptr = RowPtr(nnz);
+  const std::int64_t first = 37;
+  const std::int64_t rows = 250;
+  ASSERT_NE(row_ptr[first], 0);
+  for (const std::int64_t blocks : {1, 2, 3, 4, 8, 300}) {
+    EXPECT_EQ(
+        RowPartition::NnzBalanced(row_ptr.data() + first, rows, blocks)
+            .bounds(),
+        WalkedBounds(row_ptr.data() + first, rows, blocks))
+        << "sub-range, " << blocks << " blocks";
   }
 }
 

@@ -1,5 +1,10 @@
 #include "src/la/sparse_matrix.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/util/random.h"
 #include "tests/testing/test_util.h"
@@ -202,6 +207,167 @@ TEST(BlockApplyKernelsTest, SpmvRowsMatchesMultiplyVectorBlockwise) {
              y.data() + row_begin);
   }
   EXPECT_EQ(y, expected);
+}
+
+// A symmetric random CSR whose rows [140, 215) and every row s with
+// s % 7 == 3 are empty (isolated nodes), so whole row tiles and single
+// rows of LinBpRowsT see a zero SpMM row.
+SparseMatrix CsrWithEmptyRows(std::int64_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  auto isolated = [](std::int64_t s) {
+    return s % 7 == 3 || (s >= 140 && s < 215);
+  };
+  std::vector<Triplet> triplets;
+  for (std::int64_t i = 0; i < 6 * n; ++i) {
+    const std::int64_t u = rng.NextInt(0, n - 1);
+    const std::int64_t v = rng.NextInt(0, n - 1);
+    if (u == v || isolated(u) || isolated(v)) continue;
+    const double w = 2.0 * rng.NextDouble() - 1.0;
+    triplets.push_back({u, v, w});
+    triplets.push_back({v, u, w});
+  }
+  return SparseMatrix::FromTriplets(n, n, std::move(triplets));
+}
+
+// A range's statistics folded as LinBpRowsT folds them: rows in order,
+// and a row's columns in order.
+template <typename Scalar>
+LinBpRowStats RowOrderStats(const std::vector<Scalar>& out,
+                            const std::vector<Scalar>& beliefs,
+                            std::int64_t row_begin, std::int64_t row_end,
+                            std::int64_t k) {
+  LinBpRowStats stats;
+  for (std::int64_t i = row_begin * k; i < row_end * k; ++i) {
+    const double change =
+        static_cast<double>(out[i]) - static_cast<double>(beliefs[i]);
+    stats.delta = std::max(stats.delta, std::abs(change));
+    stats.delta_sq += change * change;
+    stats.magnitude =
+        std::max(stats.magnitude, std::abs(static_cast<double>(out[i])));
+  }
+  return stats;
+}
+
+template <typename Scalar>
+bool SameBytes(const std::vector<Scalar>& a, const std::vector<Scalar>& b,
+               std::int64_t first, std::int64_t count) {
+  return std::memcmp(a.data() + first, b.data() + first,
+                     count * sizeof(Scalar)) == 0;
+}
+
+// LinBpRowsT over [0, n) in one call against the same rows split at and
+// around the 64-row tile edges (an empty range included), and against a
+// rebased sub-CSR addressed through row_offset, as the stream backend
+// calls it.
+template <typename Scalar>
+void ExpectSplitRowsMatchOneCall(const SparseMatrix& m, std::int64_t k,
+                                 bool echo, bool apply) {
+  SCOPED_TRACE(::testing::Message()
+               << (sizeof(Scalar) == 4 ? "f32" : "f64") << " k=" << k
+               << (echo ? " echo" : " no echo")
+               << (apply ? " apply" : " propagate"));
+  const std::int64_t n = m.rows();
+  Rng rng(100 + k);
+  std::vector<Scalar> values(m.values().begin(), m.values().end());
+  std::vector<Scalar> beliefs(n * k);
+  std::vector<Scalar> residuals(n * k);
+  for (std::int64_t i = 0; i < n * k; ++i) {
+    // Every fifth belief is zero: the echo product skips it.
+    beliefs[i] = i % 5 == 0 ? Scalar(0)
+                            : static_cast<Scalar>(2.0 * rng.NextDouble() - 1);
+    residuals[i] = static_cast<Scalar>(rng.NextDouble() - 0.5);
+  }
+  std::vector<double> hhat(k * k);
+  std::vector<double> hhat2(k * k);
+  for (double& h : hhat) h = 0.4 * rng.NextDouble() - 0.2;
+  for (double& h : hhat2) h = 0.1 * rng.NextDouble();
+  const std::vector<double> degrees = m.SquaredRowSums();
+
+  LinBpRowsArgs<Scalar> args;
+  args.row_ptr = m.row_ptr().data();
+  args.col_idx = m.col_idx().data();
+  args.values = values.data();
+  args.k = k;
+  args.beliefs = beliefs.data();
+  args.hhat = hhat.data();
+  args.hhat2 = echo ? hhat2.data() : nullptr;
+  args.degrees = degrees.data();
+  args.explicit_residuals = apply ? residuals.data() : nullptr;
+  auto expect_stats = [&](const LinBpRowStats& got,
+                          const std::vector<Scalar>& out,
+                          std::int64_t row_begin, std::int64_t row_end) {
+    const LinBpRowStats want =
+        apply ? RowOrderStats(out, beliefs, row_begin, row_end, k)
+              : LinBpRowStats();
+    EXPECT_EQ(got.delta, want.delta) << row_begin << ".." << row_end;
+    EXPECT_EQ(got.delta_sq, want.delta_sq) << row_begin << ".." << row_end;
+    EXPECT_EQ(got.magnitude, want.magnitude) << row_begin << ".." << row_end;
+  };
+
+  const Scalar sentinel = static_cast<Scalar>(-7.25);
+  std::vector<Scalar> whole(n * k, sentinel);
+  args.row_begin = 0;
+  args.row_end = n;
+  args.out = whole.data();
+  const LinBpRowStats whole_stats = LinBpRowsT<Scalar>(args);
+  expect_stats(whole_stats, whole, 0, n);
+
+  // Cuts at and around the tile edges (64..64 is an empty range), then
+  // random ones.
+  std::vector<std::int64_t> cuts = {0, 1, 63, 64, 64, 65, 127, 128, 129};
+  for (int i = 0; i < 6; ++i) cuts.push_back(rng.NextInt(130, n - 1));
+  std::sort(cuts.begin() + 9, cuts.end());
+  cuts.push_back(n);
+  std::vector<Scalar> split(n * k, sentinel);
+  args.out = split.data();
+  LinBpRowStats folded;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    args.row_begin = cuts[i];
+    args.row_end = cuts[i + 1];
+    const LinBpRowStats part = LinBpRowsT<Scalar>(args);
+    expect_stats(part, split, cuts[i], cuts[i + 1]);
+    folded.delta = std::max(folded.delta, part.delta);
+    folded.magnitude = std::max(folded.magnitude, part.magnitude);
+  }
+  EXPECT_TRUE(SameBytes(split, whole, 0, n * k));
+  EXPECT_EQ(folded.delta, whole_stats.delta);
+  EXPECT_EQ(folded.magnitude, whole_stats.magnitude);
+
+  // Rows [first, first + rows) as a rebased block: local row_ptr from 0,
+  // column ids global, local row r is global row first + r.
+  const std::int64_t first = 61;
+  const std::int64_t rows = 200;
+  const std::int64_t nnz_begin = m.row_ptr()[first];
+  std::vector<std::int64_t> local_row_ptr(rows + 1);
+  for (std::int64_t r = 0; r <= rows; ++r) {
+    local_row_ptr[r] = m.row_ptr()[first + r] - nnz_begin;
+  }
+  std::vector<Scalar> rebased(n * k, sentinel);
+  args.row_ptr = local_row_ptr.data();
+  args.col_idx = m.col_idx().data() + nnz_begin;
+  args.values = values.data() + nnz_begin;
+  args.row_offset = first;
+  args.out = rebased.data();
+  const std::vector<std::int64_t> local_cuts = {0, 3, 3, 67, 68, 131, rows};
+  for (std::size_t i = 0; i + 1 < local_cuts.size(); ++i) {
+    args.row_begin = local_cuts[i];
+    args.row_end = local_cuts[i + 1];
+    expect_stats(LinBpRowsT<Scalar>(args), rebased, first + local_cuts[i],
+                 first + local_cuts[i + 1]);
+  }
+  EXPECT_TRUE(SameBytes(rebased, whole, first * k, rows * k));
+}
+
+TEST(BlockApplyKernelsTest, LinBpRowsMatchesOneCallAcrossTileEdges) {
+  const SparseMatrix m = CsrWithEmptyRows(300, /*seed=*/31);
+  for (const std::int64_t k : {1, 3, 4, 8, 9}) {
+    for (const bool echo : {false, true}) {
+      for (const bool apply : {false, true}) {
+        ExpectSplitRowsMatchOneCall<double>(m, k, echo, apply);
+        ExpectSplitRowsMatchOneCall<float>(m, k, echo, apply);
+      }
+    }
+  }
 }
 
 TEST(SparseMatrixFromCsrDeathTest, RejectsBrokenInvariants) {
