@@ -14,19 +14,18 @@
 //                     spec against suite entry IDX's goldens instead —
 //                     the CI shard round-trip loads a sharded manifest
 //                     of a suite scenario and asserts identical quality.
-//   --io-bench        compare text edge-list parsing vs binary snapshot
-//                     loading vs parallel sharded-snapshot loading on
-//                     one scenario and print a JSON record (the source
-//                     of BENCH_dataset.json); --shards=N bounds the
-//                     shard count (default: max(2, threads))
+//   --io-bench        compare text edge-list parsing vs snapshot loading
+//                     (one inline shard) vs loading N shard files of the
+//                     same layout on one scenario and print a JSON record
+//                     (the source of BENCH_dataset.json); --shards=N
+//                     bounds the shard count (default: max(2, threads))
 //   --stream          shard one scenario, run LinBP in memory and
 //                     out-of-core (ShardStreamBackend), assert the
 //                     beliefs are bit-identical, and print a JSON record
 //                     with wall-clock and peak-RSS columns (also lands
 //                     in BENCH_dataset.json).
-//                     --compress=none|f64|f32 picks the shard payload
-//                     encoding (v1 raw, v2 delta+varint, v2 + f32
-//                     values); --cache-budget=BYTES enables the decoded-
+//                     --compress=f64|f32 picks the shards' value width
+//                     (default f64); --cache-budget=BYTES enables the decoded-
 //                     block LRU cache for the streamed solve. The record
 //                     carries both as identity fields plus the solve's
 //                     stream bytes per sweep and cache hit rate.
@@ -406,18 +405,14 @@ int RunStreamBench(const std::string& spec, const exec::ExecContext& ctx,
   }
   const std::string shards_dir = "/tmp/linbp_streambench_shards";
   if (shards <= 0) shards = std::max<std::int64_t>(4, ctx.threads());
-  dataset::ShardCompression compression = dataset::ShardCompression::kNone;
-  const char* compression_name = "none";
-  if (compress == "f64") {
-    compression = dataset::ShardCompression::kF64;
-    compression_name = "varint-f64";
-  } else if (compress == "f32") {
-    compression = dataset::ShardCompression::kF32;
-    compression_name = "varint-f32";
-  } else if (compress != "none") {
-    std::fprintf(stderr, "error: --compress must be none, f64, or f32\n");
+  if (compress != "f64" && compress != "f32") {
+    std::fprintf(stderr, "error: --compress must be f64 or f32\n");
     return 1;
   }
+  const dataset::ShardCompression compression =
+      compress == "f32" ? dataset::ShardCompression::kF32
+                        : dataset::ShardCompression::kF64;
+  const std::string compression_name = "varint-" + compress;
   const auto sharded = dataset::ShardSnapshot(*scenario, shards, shards_dir,
                                               &error, compression);
   if (!sharded.has_value()) {
@@ -533,8 +528,8 @@ int RunStreamBench(const std::string& spec, const exec::ExecContext& ctx,
       "}\n",
       spec.c_str(), static_cast<long long>(scenario->graph.num_nodes()),
       static_cast<long long>(scenario->graph.num_undirected_edges()),
-      ctx.threads(), iterations, PrecisionName(precision), compression_name,
-      static_cast<long long>(cache_budget),
+      ctx.threads(), iterations, PrecisionName(precision),
+      compression_name.c_str(), static_cast<long long>(cache_budget),
       static_cast<long long>(sharded->num_shards), memory_seconds,
       open_seconds, stream_seconds, stream_seconds / memory_seconds,
       static_cast<long long>(solve_bytes_read),
@@ -582,7 +577,7 @@ int main(int argc, char** argv) {
         args.Str("scenario", "sbm:n=200000,k=4,deg=10,seed=5"), ctx,
         args.Int("shards", 0),
         static_cast<int>(args.Int("iterations", 10)), precision,
-        args.Str("compress", "none"), args.Int("cache-budget", 0));
+        args.Str("compress", "f64"), args.Int("cache-budget", 0));
   }
   const std::string spec = args.Str("scenario", "");
   std::printf("== scenario sweep (LinBP vs SBP, %s beliefs) ==\n\n",

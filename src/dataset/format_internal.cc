@@ -11,9 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <utility>
 
-#include "src/dataset/shard.h"  // kMaxShards, the shard format versions
 #include "src/util/check.h"
 
 namespace linbp {
@@ -119,10 +117,24 @@ int OpenRegularFile(const std::string& path, std::uint64_t* size,
   return fd;
 }
 
-// Fills *out from `offset` of `fd`, then closes it. Returns false (the
-// file shrank under us, or an I/O error) unless every byte arrived.
-bool ReadAtAndClose(int fd, std::uint64_t offset, const std::string& path,
-                    std::vector<char>* out, std::string* error) {
+}  // namespace
+
+bool ReadFileRange(const std::string& path, std::uint64_t offset,
+                   std::uint64_t length, std::uint64_t max_file_bytes,
+                   std::vector<char>* out, std::uint64_t* file_bytes,
+                   std::string* error) {
+  const int fd = OpenRegularFile(path, file_bytes, error);
+  if (fd < 0) return false;
+  if (*file_bytes > max_file_bytes) {
+    ::close(fd);
+    *error = OversizedFileError(path, *file_bytes, max_file_bytes);
+    return false;
+  }
+  const std::uint64_t available =
+      offset < *file_bytes ? *file_bytes - offset : 0;
+  // Growing within capacity neither allocates nor faults in new pages,
+  // and shrinking is free, so a reused buffer costs only the read.
+  out->resize(static_cast<std::size_t>(std::min(length, available)));
   std::size_t done = 0;
   while (done < out->size()) {
     const ssize_t got =
@@ -135,6 +147,8 @@ bool ReadAtAndClose(int fd, std::uint64_t offset, const std::string& path,
     }
   }
   ::close(fd);
+  // Fewer bytes than the size promised: the file shrank under us, or an
+  // I/O error.
   if (done != out->size()) {
     *error = path + ": read failed";
     return false;
@@ -142,46 +156,14 @@ bool ReadAtAndClose(int fd, std::uint64_t offset, const std::string& path,
   return true;
 }
 
-}  // namespace
-
-bool ReadFileBytes(const std::string& path, std::vector<char>* out,
-                   std::string* error, std::uint64_t max_bytes) {
-  std::uint64_t size = 0;
-  const int fd = OpenRegularFile(path, &size, error);
-  if (fd < 0) return false;
-  if (size > max_bytes) {
-    ::close(fd);
-    *error = OversizedFileError(path, size, max_bytes);
-    return false;
-  }
-  // Growing within capacity neither allocates nor faults in new pages,
-  // and shrinking is free, so a reused buffer costs only the read.
-  out->resize(static_cast<std::size_t>(size));
-  return ReadAtAndClose(fd, 0, path, out, error);
-}
-
-bool ReadFileRange(const std::string& path, std::uint64_t offset,
-                   std::size_t length, std::vector<char>* out,
-                   std::uint64_t* file_bytes, std::string* error) {
-  const int fd = OpenRegularFile(path, file_bytes, error);
-  if (fd < 0) return false;
-  const std::uint64_t available =
-      offset < *file_bytes ? *file_bytes - offset : 0;
-  out->resize(static_cast<std::size_t>(
-      std::min<std::uint64_t>(length, available)));
-  return ReadAtAndClose(fd, offset, path, out, error);
-}
-
-bool WriteFileDurably(const std::string& path, const char* header,
-                      std::size_t header_bytes,
-                      const std::vector<char>& payload, std::string* error) {
+bool WriteFileDurably(const std::string& path, const std::vector<char>& bytes,
+                      std::string* error) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     *error = path + ": cannot write";
     return false;
   }
-  out.write(header, static_cast<std::streamsize>(header_bytes));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // ofstream buffers: a disk-full failure may only surface when the
   // buffer drains, so flush and re-check before declaring success.
   out.flush();
@@ -195,52 +177,6 @@ bool WriteFileDurably(const std::string& path, const char* header,
     return false;
   }
   return true;
-}
-
-bool CheckMagicVersionEndianIn(const std::string& path, const char* data,
-                               std::size_t size, const char* magic,
-                               std::initializer_list<std::uint32_t> versions,
-                               const char* what, std::uint32_t* version,
-                               std::string* error) {
-  if (size < kHeaderBytes) {
-    *error = path + ": truncated " + what + " (shorter than the header)";
-    return false;
-  }
-  if (std::memcmp(data, magic, 8) != 0) {
-    *error = path + ": not a LinBP " + what + " (bad magic)";
-    return false;
-  }
-  std::uint32_t endian = 0;
-  std::memcpy(&endian, data + 12, 4);
-  if (endian == kEndianTagSwapped) {
-    *error = path + ": big-endian " + what + " is not supported";
-    return false;
-  }
-  if (endian != kEndianTag) {
-    *error = path + ": corrupted header (bad endian tag)";
-    return false;
-  }
-  std::memcpy(version, data + 8, 4);
-  if (std::find(versions.begin(), versions.end(), *version) ==
-      versions.end()) {
-    std::string expected;
-    for (const std::uint32_t v : versions) {
-      expected += (expected.empty() ? "" : " or ") + std::to_string(v);
-    }
-    *error = path + ": unsupported " + what + " version " +
-             std::to_string(*version) + " (expected " + expected + ")";
-    return false;
-  }
-  return true;
-}
-
-bool CheckMagicVersionEndian(const std::string& path, const char* data,
-                             std::size_t size, const char* magic,
-                             std::uint32_t expected_version, const char* what,
-                             std::string* error) {
-  std::uint32_t version = 0;
-  return CheckMagicVersionEndianIn(path, data, size, magic,
-                                   {expected_version}, what, &version, error);
 }
 
 bool CheckCouplingResidual(const std::string& path,
@@ -265,60 +201,12 @@ bool CheckCouplingResidual(const std::string& path,
   return true;
 }
 
-bool CheckHeaderCounts(const std::string& path, std::int64_t num_nodes,
-                       std::int64_t k, std::int64_t nnz,
-                       std::int64_t num_explicit, std::uint32_t flags,
-                       std::uint32_t allowed_flags, const char* what,
-                       std::string* error) {
-  if (num_nodes < 0 ||
-      num_nodes > std::numeric_limits<std::int32_t>::max() || k < 1 ||
-      k > kMaxClasses || nnz < 0 || num_explicit < 0 ||
-      num_explicit > num_nodes) {
-    *error = path + ": corrupted " + what + " (counts out of range)";
-    return false;
-  }
-  if ((flags & ~allowed_flags) != 0) {
-    *error = path + ": corrupted " + what + " (unknown flags)";
-    return false;
-  }
-  return true;
-}
-
-std::string ShardSiblingPath(const std::string& manifest_path,
-                             const std::string& file) {
-  const std::filesystem::path parent =
-      std::filesystem::path(manifest_path).parent_path();
-  return (parent / file).string();
-}
-
-std::int64_t ShardPayloadBytes(std::int64_t rows, std::int64_t nnz,
-                               std::int64_t num_explicit, std::int64_t k,
-                               bool has_ground_truth) {
-  return (rows + 1) * 8 +            // local row_ptr
-         nnz * (4 + 8) +             // col_idx + values
-         num_explicit * 8 * (1 + k)  // explicit ids + residual rows
-         + (has_ground_truth ? rows * 4 : 0);
-}
-
 std::int64_t ShardDecodedPayloadBytes(std::int64_t rows, std::int64_t nnz,
                                       std::int64_t num_explicit,
                                       std::int64_t k, bool has_ground_truth,
                                       bool values_f32) {
   return (rows + 1) * 8 + nnz * (4 + (values_f32 ? 4 : 8)) +
          num_explicit * 8 * (1 + k) + (has_ground_truth ? rows * 4 : 0);
-}
-
-std::int64_t CompressedShardPayloadBytesMin(std::int64_t rows,
-                                            std::int64_t nnz,
-                                            std::int64_t num_explicit,
-                                            std::int64_t k,
-                                            bool has_ground_truth,
-                                            bool values_f32) {
-  return 8 +                         // u64 varint byte count
-         16 * RowGroupCount(rows) +    // row-group table
-         rows + nnz +                  // >= 1 byte per varint
-         nnz * (values_f32 ? 4 : 8) + num_explicit * 8 * (1 + k) +
-         (has_ground_truth ? rows * 4 : 0);
 }
 
 void AppendVarint(std::uint64_t value, std::vector<char>* out) {
@@ -614,42 +502,129 @@ template bool DecodeCompressedCsr<float>(const std::string&,
                                          std::int64_t*, std::int32_t*,
                                          float*, std::string*);
 
-bool ParseShardManifest(const std::string& path,
-                        const std::vector<char>& bytes, ShardManifest* m,
-                        std::string* error) {
-  if (!CheckMagicVersionEndianIn(
-          path, bytes.data(), bytes.size(), kShardManifestMagic,
-          {kShardFormatVersionRaw, kShardFormatVersionCompressed},
-          "shard manifest", &m->version, error)) {
+
+namespace {
+
+// Smallest possible payload of a shard with the given counts: the u64
+// varint byte count, the row-group table, at least one varint byte per
+// row and per column id, the exact value section, and the explicit and
+// ground-truth sections. A manifest entry declaring less is rejected, so
+// a hostile manifest cannot claim huge decoded counts backed by a tiny
+// file and trigger a multi-terabyte resize. Cannot overflow: rows <=
+// 2^31, nnz <= 2^48 (the entry cap), k <= kMaxClasses.
+std::int64_t ShardPayloadBytesMin(std::int64_t rows, std::int64_t nnz,
+                                  std::int64_t num_explicit, std::int64_t k,
+                                  bool has_ground_truth, bool values_f32) {
+  return 8 +                         // u64 varint byte count
+         16 * RowGroupCount(rows) +  // row-group table
+         rows + nnz +                // >= 1 byte per varint
+         nnz * (values_f32 ? 4 : 8) + num_explicit * 8 * (1 + k) +
+         (has_ground_truth ? rows * 4 : 0);
+}
+
+// The magic of the retired raw snapshot layout (versions 1 and 2), named
+// in its error so an old file is not mistaken for random bytes.
+constexpr char kRetiredSnapshotMagic[8] = {'L', 'I', 'N', 'B',
+                                           'P', 'S', 'N', 'P'};
+
+// Validates the magic / version / endianness prefix of a header. `what`
+// names the file in errors ("shard manifest", "snapshot shard").
+bool CheckMagicVersionEndian(const std::string& path,
+                             const std::vector<char>& bytes,
+                             const char* magic, const char* what,
+                             std::string* error) {
+  if (bytes.size() < kHeaderBytes) {
+    *error = path + ": truncated " + what + " (shorter than the header)";
     return false;
   }
-  const bool compressed = IsCompressedShardVersion(m->version);
+  const char* data = bytes.data();
+  std::uint32_t version = 0;
+  std::memcpy(&version, data + 8, 4);
+  if (std::memcmp(data, magic, 8) != 0) {
+    *error = std::memcmp(data, kRetiredSnapshotMagic, 8) == 0
+                 ? path + ": retired raw snapshot layout (version " +
+                       std::to_string(version) +
+                       "); regenerate it with `linbp_cli convert`"
+                 : path + ": not a LinBP " + what + " (bad magic)";
+    return false;
+  }
+  std::uint32_t endian = 0;
+  std::memcpy(&endian, data + 12, 4);
+  if (endian == kEndianTagSwapped) {
+    *error = path + ": big-endian " + what + " is not supported";
+    return false;
+  }
+  if (endian != kEndianTag) {
+    *error = path + ": corrupted header (bad endian tag)";
+    return false;
+  }
+  if (version != kShardFormatVersion) {
+    *error = path + ": unsupported " + what + " version " +
+             std::to_string(version) + " (expected " +
+             std::to_string(kShardFormatVersion) + ")";
+    return false;
+  }
+  return true;
+}
+
+// Parses and range-checks a manifest header: counts, flags, and a shard
+// count in [1, min(kMaxShards, num_nodes)].
+bool ParseManifestHeader(const std::string& path,
+                         const std::vector<char>& bytes, ShardManifest* m,
+                         std::uint32_t* num_shards, std::uint64_t* checksum,
+                         std::string* error) {
+  if (!CheckMagicVersionEndian(path, bytes, kShardManifestMagic,
+                               "shard manifest", error)) {
+    return false;
+  }
   const char* data = bytes.data();
   std::uint32_t flags = 0;
-  std::uint32_t num_shards = 0;
-  std::uint64_t checksum = 0;
   std::memcpy(&m->num_nodes, data + 16, 8);
   std::memcpy(&m->k, data + 24, 8);
   std::memcpy(&m->nnz, data + 32, 8);
   std::memcpy(&m->num_explicit, data + 40, 8);
   std::memcpy(&flags, data + 48, 4);
-  std::memcpy(&num_shards, data + 52, 4);
-  std::memcpy(&checksum, data + 56, 8);
-  const std::uint32_t allowed_flags =
-      compressed ? kFlagGroundTruth | kFlagF32Values : kFlagGroundTruth;
-  if (!CheckHeaderCounts(path, m->num_nodes, m->k, m->nnz, m->num_explicit,
-                         flags, allowed_flags, "manifest header", error)) {
+  std::memcpy(num_shards, data + 52, 4);
+  std::memcpy(checksum, data + 56, 8);
+  if (m->num_nodes < 0 ||
+      m->num_nodes > std::numeric_limits<std::int32_t>::max() || m->k < 1 ||
+      m->k > kMaxClasses || m->nnz < 0 || m->num_explicit < 0 ||
+      m->num_explicit > m->num_nodes) {
+    *error = path + ": corrupted manifest header (counts out of range)";
+    return false;
+  }
+  if ((flags & ~(kFlagGroundTruth | kFlagF32Values | kFlagShardsInline)) !=
+      0) {
+    *error = path + ": corrupted manifest header (unknown flags)";
     return false;
   }
   m->has_ground_truth = (flags & kFlagGroundTruth) != 0;
   m->values_f32 = (flags & kFlagF32Values) != 0;
-  if (num_shards < 1 ||
-      static_cast<std::int64_t>(num_shards) > kMaxShards ||
-      static_cast<std::int64_t>(num_shards) > m->num_nodes) {
+  m->shards_inline = (flags & kFlagShardsInline) != 0;
+  if (*num_shards < 1 ||
+      static_cast<std::int64_t>(*num_shards) > kMaxShards ||
+      static_cast<std::int64_t>(*num_shards) > m->num_nodes) {
     *error = path + ": corrupted manifest header (shard count out of range)";
     return false;
   }
-  const char* payload = data + kHeaderBytes;
+  return true;
+}
+
+bool TruncatedManifest(const std::string& path, std::string* error) {
+  *error = path + ": truncated manifest payload";
+  return false;
+}
+
+// Parses and validates a whole manifest (`bytes` is exactly its size):
+// the header again, the payload checksum, and the shard table.
+bool ParseManifest(const std::string& path, const std::vector<char>& bytes,
+                   ShardManifest* m, std::string* error) {
+  std::uint32_t num_shards = 0;
+  std::uint64_t checksum = 0;
+  if (!ParseManifestHeader(path, bytes, m, &num_shards, &checksum, error)) {
+    return false;
+  }
+  const char* payload = bytes.data() + kHeaderBytes;
   const std::size_t payload_size = bytes.size() - kHeaderBytes;
   if (PayloadChecksum(payload, payload_size) != checksum) {
     *error = path + ": checksum mismatch (corrupted manifest)";
@@ -660,9 +635,10 @@ bool ParseShardManifest(const std::string& path,
   m->coupling.resize(static_cast<std::size_t>(m->k * m->k));
   if (!cursor.ReadString(&m->name) || !cursor.ReadString(&m->spec) ||
       !cursor.Read(m->coupling.data(), m->coupling.size())) {
-    *error = path + ": truncated manifest payload";
-    return false;
+    return TruncatedManifest(path, error);
   }
+  // The head read sized the file by num_shards, so this many entries are
+  // backed by real bytes.
   m->entries.resize(num_shards);
   std::int64_t nnz_sum = 0;
   std::int64_t explicit_sum = 0;
@@ -670,10 +646,9 @@ bool ParseShardManifest(const std::string& path,
     ShardManifestEntry& entry = m->entries[s];
     if (!cursor.Read(&entry.row_begin, 1) || !cursor.Read(&entry.row_end, 1) ||
         !cursor.Read(&entry.nnz, 1) || !cursor.Read(&entry.num_explicit, 1) ||
-        (compressed && !cursor.Read(&entry.payload_bytes, 1)) ||
-        !cursor.Read(&entry.checksum, 1) || !cursor.ReadString(&entry.file)) {
-      *error = path + ": truncated manifest payload";
-      return false;
+        !cursor.Read(&entry.payload_bytes, 1) ||
+        !cursor.Read(&entry.checksum, 1)) {
+      return TruncatedManifest(path, error);
     }
     // The shard table must tile [0, num_nodes) exactly: shard 0 starts at
     // row 0, every shard is non-empty and abuts its predecessor (no gap,
@@ -700,28 +675,18 @@ bool ParseShardManifest(const std::string& path,
                " counts out of range";
       return false;
     }
-    if (entry.file.empty()) {
-      *error = path + ": shard " + std::to_string(s) + " has no file name";
-      return false;
-    }
+    // The declared payload size must lie between what the counts need at
+    // one varint byte per row count and column id (the floor that ties
+    // every decoded allocation to real bytes) and the 5-byte ceiling.
     const std::int64_t rows = entry.row_end - entry.row_begin;
-    if (compressed) {
-      // The encoded size is a declared field, so bound it both ways: at
-      // least one varint byte per row count and column id (the floor the
-      // preflight trusts against hostile decoded counts) and at most the
-      // 5-byte varint ceiling.
-      const std::int64_t floor = CompressedShardPayloadBytesMin(
-          rows, entry.nnz, entry.num_explicit, m->k, m->has_ground_truth,
-          m->values_f32);
-      const std::int64_t ceiling = floor + 4 * (rows + entry.nnz);
-      if (entry.payload_bytes < floor || entry.payload_bytes > ceiling) {
-        *error = path + ": shard " + std::to_string(s) +
-                 " payload size is inconsistent with its counts";
-        return false;
-      }
-    } else {
-      entry.payload_bytes = ShardPayloadBytes(
-          rows, entry.nnz, entry.num_explicit, m->k, m->has_ground_truth);
+    const std::int64_t floor = ShardPayloadBytesMin(
+        rows, entry.nnz, entry.num_explicit, m->k, m->has_ground_truth,
+        m->values_f32);
+    if (entry.payload_bytes < floor ||
+        entry.payload_bytes > floor + 4 * (rows + entry.nnz)) {
+      *error = path + ": shard " + std::to_string(s) +
+               " payload size is inconsistent with its counts";
+      return false;
     }
     // Incremental bound before accumulating: per-entry values are only
     // capped at 2^48, so a crafted 2^20-entry table could wrap a naive
@@ -752,8 +717,95 @@ bool ParseShardManifest(const std::string& path,
              ": shard explicit counts do not sum to the manifest total";
     return false;
   }
-  m->file_bytes = static_cast<std::int64_t>(bytes.size());
   return true;
+}
+
+}  // namespace
+
+bool ReadShardManifest(const std::string& path, ShardManifest* m,
+                       std::string* error) {
+  LINBP_CHECK(error != nullptr);
+  // The head: the header with the name length, then the spec length.
+  std::vector<char> bytes;
+  std::uint64_t file_bytes = 0;
+  std::uint32_t num_shards = 0;
+  std::uint64_t checksum = 0;
+  if (!ReadFileRange(path, 0, kHeaderBytes + 4, UINT64_MAX, &bytes,
+                     &file_bytes, error) ||
+      !ParseManifestHeader(path, bytes, m, &num_shards, &checksum, error)) {
+    return false;
+  }
+  if (bytes.size() < kHeaderBytes + 4) return TruncatedManifest(path, error);
+  std::uint32_t name_bytes = 0;
+  std::uint32_t spec_bytes = 0;
+  std::memcpy(&name_bytes, bytes.data() + kHeaderBytes, 4);
+  if (!ReadFileRange(path, kHeaderBytes + 4 + std::uint64_t{name_bytes}, 4,
+                     UINT64_MAX, &bytes, &file_bytes, error)) {
+    return false;
+  }
+  if (bytes.size() < 4) return TruncatedManifest(path, error);
+  std::memcpy(&spec_bytes, bytes.data(), 4);
+  // Every term is bounded (u32 strings, k <= kMaxClasses, num_shards <=
+  // kMaxShards), so the sum cannot overflow.
+  const std::uint64_t manifest_bytes =
+      kHeaderBytes + 8 + std::uint64_t{name_bytes} + spec_bytes +
+      8 * static_cast<std::uint64_t>(m->k * m->k) +
+      kManifestEntryBytes * num_shards;
+  if (file_bytes < manifest_bytes) return TruncatedManifest(path, error);
+  if (!m->shards_inline && file_bytes > manifest_bytes) {
+    *error = OversizedFileError(path, file_bytes, manifest_bytes);
+    return false;
+  }
+  if (!ReadFileRange(path, 0, manifest_bytes,
+                     m->shards_inline ? UINT64_MAX : manifest_bytes, &bytes,
+                     &file_bytes, error) ||
+      !ParseManifest(path, bytes, m, error)) {
+    return false;
+  }
+  // Inline shards follow in index order, and the file ends exactly after
+  // the last. Each shard is compared with what is left of the file before
+  // it is added, so the running end never passes the file size.
+  std::uint64_t end = manifest_bytes;
+  if (m->shards_inline) {
+    for (ShardManifestEntry& entry : m->entries) {
+      const std::uint64_t shard_bytes =
+          kHeaderBytes + static_cast<std::uint64_t>(entry.payload_bytes);
+      if (shard_bytes > file_bytes - end) {
+        *error = path + ": truncated shard payload";
+        return false;
+      }
+      entry.offset = end;
+      end += shard_bytes;
+    }
+  }
+  if (end != file_bytes) {
+    *error = OversizedFileError(path, file_bytes, end);
+    return false;
+  }
+  m->file_bytes = static_cast<std::int64_t>(file_bytes);
+  return true;
+}
+
+std::string ShardPath(const std::string& manifest_path,
+                      const ShardManifest& manifest, std::int64_t shard) {
+  if (manifest.shards_inline) return manifest_path;
+  return (std::filesystem::path(manifest_path).parent_path() /
+          ShardFileName(shard))
+      .string();
+}
+
+bool ReadShardBytes(const std::string& path, const ShardManifest& manifest,
+                    std::int64_t shard, std::vector<char>* out,
+                    std::string* error) {
+  const ShardManifestEntry& entry = manifest.entries[shard];
+  const std::uint64_t shard_bytes =
+      kHeaderBytes + static_cast<std::uint64_t>(entry.payload_bytes);
+  std::uint64_t file_bytes = 0;
+  return ReadFileRange(
+      path, entry.offset, shard_bytes,
+      manifest.shards_inline ? static_cast<std::uint64_t>(manifest.file_bytes)
+                             : shard_bytes,
+      out, &file_bytes, error);
 }
 
 bool CheckShardAgainstManifest(const std::string& path,
@@ -762,9 +814,8 @@ bool CheckShardAgainstManifest(const std::string& path,
                                std::int64_t shard, ShardFileHeader* h,
                                std::string* error) {
   const ShardManifestEntry& entry = manifest.entries[shard];
-  if (!CheckMagicVersionEndian(path, bytes.data(), bytes.size(),
-                               kShardFileMagic, manifest.version,
-                               "snapshot shard", error)) {
+  if (!CheckMagicVersionEndian(path, bytes, kShardFileMagic, "snapshot shard",
+                               error)) {
     return false;
   }
   std::memcpy(&h->row_begin, bytes.data() + 16, 8);
@@ -784,159 +835,23 @@ bool CheckShardAgainstManifest(const std::string& path,
     *error = path + ": shard header disagrees with its manifest entry";
     return false;
   }
+  // The declared payload size is at least what the header counts need
+  // on disk, so holding the bytes to it bounds every count-sized buffer a
+  // decoder allocates by real bytes, even under forged checksums. The
+  // readers never read past it (ReadShardBytes), so only a short read
+  // can miss it.
   const char* payload = bytes.data() + kHeaderBytes;
   const std::size_t payload_size = bytes.size() - kHeaderBytes;
+  if (payload_size != static_cast<std::size_t>(entry.payload_bytes)) {
+    *error = path + ": truncated shard payload";
+    return false;
+  }
   if (h->checksum != entry.checksum ||
       PayloadChecksum(payload, payload_size) != h->checksum) {
     *error = path + ": checksum mismatch (corrupted shard)";
     return false;
   }
-  // The declared payload size is at least what the header counts need
-  // on disk, so holding the file to it bounds every count-sized buffer
-  // a decoder allocates by real bytes, even under forged checksums (the
-  // bulk loader's preflight checks the same size up front, and readers
-  // that pass it to ReadFileBytes never buffer a longer file).
-  const std::size_t expected = static_cast<std::size_t>(entry.payload_bytes);
-  if (payload_size < expected) {
-    *error = path + ": truncated shard payload";
-    return false;
-  }
-  if (payload_size > expected) {
-    *error = OversizedFileError(path, bytes.size(), kHeaderBytes + expected);
-    return false;
-  }
   return true;
-}
-
-std::optional<Scenario> ValidateAndAssembleScenario(
-    const std::string& path, ScenarioParts parts,
-    const exec::ExecContext& ctx, std::string* error) {
-  LINBP_CHECK(error != nullptr);
-  const std::int64_t n = parts.num_nodes;
-  const std::int64_t k = parts.k;
-  const std::int64_t nnz = static_cast<std::int64_t>(parts.col_idx.size());
-  LINBP_CHECK(n >= 0 && k >= 1 && k <= kMaxClasses);
-  LINBP_CHECK(static_cast<std::int64_t>(parts.row_ptr.size()) == n + 1);
-  LINBP_CHECK(parts.values.size() == parts.col_idx.size());
-  LINBP_CHECK(parts.coupling.size() == static_cast<std::size_t>(k * k));
-  LINBP_CHECK(parts.explicit_rows.size() ==
-              parts.explicit_nodes.size() * static_cast<std::size_t>(k));
-  LINBP_CHECK(!parts.has_ground_truth ||
-              static_cast<std::int64_t>(parts.ground_truth.size()) == n);
-
-  const std::vector<std::int64_t>& row_ptr = parts.row_ptr;
-  const std::vector<std::int32_t>& col_idx = parts.col_idx;
-  const std::vector<double>& values = parts.values;
-
-  // Monotonicity of the WHOLE row_ptr array must hold before any entry
-  // loop below runs — together with back() == nnz it bounds every
-  // [row_ptr[r], row_ptr[r+1]) range, including the mirror lookups into
-  // other rows.
-  std::atomic<bool> valid(true);
-  if (row_ptr.front() != 0 || row_ptr.back() != nnz) {
-    valid.store(false);
-  } else {
-    ctx.ParallelFor(0, n, /*min_grain=*/8192,
-                    [&](std::int64_t row_begin, std::int64_t row_end) {
-                      for (std::int64_t r = row_begin; r < row_end; ++r) {
-                        if (row_ptr[r] > row_ptr[r + 1]) {
-                          valid.store(false, std::memory_order_relaxed);
-                          return;
-                        }
-                      }
-                    });
-  }
-  if (!valid.load()) {
-    *error = path + ": invalid CSR row pointers";
-    return std::nullopt;
-  }
-  // Per-row entry sweep: CSR ordering, range, symmetry, finite weights.
-  // Symmetry is checked globally — a mirror entry may live in a different
-  // shard's row slice, so this sweep is also the cross-shard consistency
-  // check of the sharded format.
-  ctx.ParallelFor(0, n, /*min_grain=*/2048, [&](std::int64_t row_begin,
-                                                std::int64_t row_end) {
-    bool ok = true;
-    for (std::int64_t r = row_begin; r < row_end && ok; ++r) {
-      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        const std::int64_t c = col_idx[e];
-        if (c < 0 || c >= n || c == r || !std::isfinite(values[e]) ||
-            (e > row_ptr[r] && col_idx[e - 1] >= c)) {
-          ok = false;
-          break;
-        }
-        // Mirror entry (c, r) must exist with an identical value.
-        const auto begin = col_idx.begin() + row_ptr[c];
-        const auto end = col_idx.begin() + row_ptr[c + 1];
-        const auto it =
-            std::lower_bound(begin, end, static_cast<std::int32_t>(r));
-        if (it == end || *it != r ||
-            values[it - col_idx.begin()] != values[e]) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (!ok) valid.store(false, std::memory_order_relaxed);
-  });
-  if (!valid.load()) {
-    *error = path + ": invalid adjacency payload (CSR structure, symmetry, "
-                    "or non-finite weights)";
-    return std::nullopt;
-  }
-
-  if (!CheckCouplingResidual(path, parts.coupling, k, error)) {
-    return std::nullopt;
-  }
-  Scenario scenario;
-  scenario.name = std::move(parts.name);
-  scenario.spec = std::move(parts.spec);
-  scenario.k = k;
-  scenario.coupling_residual = DenseMatrix(k, k);
-  std::copy(parts.coupling.begin(), parts.coupling.end(),
-            scenario.coupling_residual.mutable_data().begin());
-
-  scenario.explicit_nodes = std::move(parts.explicit_nodes);
-  scenario.explicit_residuals = DenseMatrix(n, k);
-  for (std::size_t i = 0; i < scenario.explicit_nodes.size(); ++i) {
-    const std::int64_t v = scenario.explicit_nodes[i];
-    if (v < 0 || v >= n ||
-        (i > 0 && scenario.explicit_nodes[i - 1] >= v)) {
-      *error = path + ": invalid explicit node list";
-      return std::nullopt;
-    }
-    for (std::int64_t c = 0; c < k; ++c) {
-      const double b = parts.explicit_rows[i * k + c];
-      if (!std::isfinite(b)) {
-        *error = path + ": non-finite explicit belief";
-        return std::nullopt;
-      }
-      scenario.explicit_residuals.At(v, c) = b;
-    }
-  }
-
-  if (parts.has_ground_truth) {
-    scenario.ground_truth.resize(n);
-    for (std::int64_t v = 0; v < n; ++v) {
-      const std::int32_t cls = parts.ground_truth[v];
-      if (cls < -1 || cls >= k) {
-        *error = path + ": ground-truth class out of range";
-        return std::nullopt;
-      }
-      scenario.ground_truth[v] = cls;
-    }
-  }
-
-  // The payload passed full validation above, so the trusted adopt paths
-  // apply — re-running the CHECKed sweeps would just double the cost of
-  // the format's reason to exist. Edge-list and degree reconstruction
-  // still fan out on ctx.
-  scenario.graph = Graph::FromValidatedAdjacency(
-      SparseMatrix::FromValidatedCsr(n, n, std::move(parts.row_ptr),
-                                     std::move(parts.col_idx),
-                                     std::move(parts.values)),
-      ctx);
-  return scenario;
 }
 
 }  // namespace internal

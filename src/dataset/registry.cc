@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "src/dataset/shard.h"
 #include "src/dataset/snapshot.h"
 #include "src/dataset/workloads.h"
 #include "src/graph/beliefs.h"
@@ -344,11 +343,7 @@ std::optional<Scenario> MakeSnap(ScenarioParams& params,
     *error = "snap: requires path=FILE";
     return std::nullopt;
   }
-  // Monolithic snapshots and shard manifests share the spec: the file's
-  // magic decides which loader runs (sharded loads fan out over ctx).
-  if (LooksLikeShardManifest(path)) {
-    return LoadShardedSnapshot(path, error, ctx);
-  }
+  // A `.lbps` and a shard directory's manifest are one layout.
   return LoadSnapshot(path, error, ctx);
 }
 

@@ -1,127 +1,133 @@
 #include "src/dataset/shard.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 #include <vector>
 
 #include "src/dataset/format_internal.h"
 #include "src/exec/row_partition.h"
+#include "src/obs/obs.h"
 #include "src/util/check.h"
 
 namespace linbp {
 namespace dataset {
 namespace {
 
-using internal::AppendPod;
-using internal::AppendString;
-using internal::CheckShardAgainstManifest;
-using internal::Cursor;
-using internal::EncodeColumnSection;
-using internal::kFlagF32Values;
-using internal::kFlagGroundTruth;
 using internal::kHeaderBytes;
-using internal::kMaxClasses;
-using internal::kShardFileMagic;
-using internal::kShardManifestMagic;
-using internal::ParseShardManifest;
-using internal::PayloadChecksum;
 using internal::ShardFileHeader;
 using internal::ShardManifest;
 using internal::ShardManifestEntry;
-using internal::ShardPayloadBytes;
-using internal::ShardSiblingPath;
 
-void WriteShardHeader(const ShardFileHeader& h, std::uint32_t version,
-                      char* out) {
-  std::memcpy(out, kShardFileMagic, 8);
-  std::memcpy(out + 8, &version, 4);
+// Writes a 64-byte header in the shape manifests and shards share: magic,
+// version, endian tag, four i64 fields, the flags, a u32 count (shards in
+// a manifest, the index in a shard) and the payload checksum.
+void WriteHeader(const char* magic, const std::int64_t (&fields)[4],
+                 std::uint32_t flags, std::uint32_t count,
+                 std::uint64_t checksum, char* out) {
+  std::memcpy(out, magic, 8);
+  std::memcpy(out + 8, &kShardFormatVersion, 4);
   std::memcpy(out + 12, &internal::kEndianTag, 4);
-  std::memcpy(out + 16, &h.row_begin, 8);
-  std::memcpy(out + 24, &h.row_end, 8);
-  std::memcpy(out + 32, &h.nnz, 8);
-  std::memcpy(out + 40, &h.num_explicit, 8);
-  std::memcpy(out + 48, &h.flags, 4);
-  std::memcpy(out + 52, &h.shard_index, 4);
-  std::memcpy(out + 56, &h.checksum, 8);
+  std::memcpy(out + 16, fields, 32);
+  std::memcpy(out + 48, &flags, 4);
+  std::memcpy(out + 52, &count, 4);
+  std::memcpy(out + 56, &checksum, 8);
 }
 
-// Reads, checks, and copies ONE shard file into its slices of the
-// global arrays. `nnz_offset` / `explicit_offset` locate the shard's
-// slice; the row_ptr entries it owns are [row_begin, row_end) (the
-// terminating global entry row_ptr[n] is set once by the caller, so no
-// two shards ever write the same element).
+// The decoded arrays of a Scenario, assembled from per-shard slices.
+struct ScenarioParts {
+  std::vector<std::int64_t> row_ptr;       // num_nodes + 1
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+  std::vector<std::int64_t> explicit_nodes;
+  std::vector<double> explicit_rows;       // explicit_nodes.size() * k
+  std::vector<std::int32_t> ground_truth;  // num_nodes iff has_ground_truth
+};
+
+// Shards beside the manifest must be exactly as large as their entries
+// declare, checked for every shard before any is read: not shorter, so
+// the arrays sized from the manifest are backed by real bytes, and not
+// longer, so a grown file fails before it is buffered. (Inline shards
+// get the same check from ReadShardManifest.)
+bool CheckShardFileSizes(const std::string& manifest_path,
+                         const ShardManifest& manifest, std::string* error) {
+  for (std::size_t s = 0; s < manifest.entries.size(); ++s) {
+    const std::string path = internal::ShardPath(manifest_path, manifest, s);
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec) {
+      *error = path + ": cannot open";
+      return false;
+    }
+    const std::uintmax_t expected =
+        kHeaderBytes +
+        static_cast<std::uintmax_t>(manifest.entries[s].payload_bytes);
+    if (size < expected) {
+      *error = path + ": truncated shard payload";
+      return false;
+    }
+    if (size > expected) {
+      *error = internal::OversizedFileError(path, size, expected);
+      return false;
+    }
+  }
+  return true;
+}
+
+// Reads, checks, and decodes ONE shard into its slices of the global
+// arrays. `nnz_offset` / `explicit_offset` locate the shard's slice; the
+// row_ptr entries it owns are [row_begin, row_end) (the terminating
+// global entry row_ptr[n] is set once by the caller, so no two shards
+// ever write the same element).
 bool LoadOneShard(const std::string& manifest_path,
                   const ShardManifest& manifest, std::int64_t shard,
                   std::int64_t nnz_offset, std::int64_t explicit_offset,
-                  const exec::ExecContext& ctx,
-                  internal::ScenarioParts* parts, std::string* error) {
-  const ShardManifestEntry& entry = manifest.entries[shard];
-  const std::string path = ShardSiblingPath(manifest_path, entry.file);
+                  const exec::ExecContext& ctx, ScenarioParts* parts,
+                  std::string* error) {
+  const std::string path = internal::ShardPath(manifest_path, manifest, shard);
   std::vector<char> bytes;
-  if (!internal::ReadFileBytes(path, &bytes, error,
-                               kHeaderBytes + entry.payload_bytes)) {
-    return false;
+  {
+    obs::ScopedSpan span("load_read");
+    if (span.active()) span.SetAttr("shard", shard);
+    if (!internal::ReadShardBytes(path, manifest, shard, &bytes, error)) {
+      return false;
+    }
   }
   ShardFileHeader h;
-  if (!CheckShardAgainstManifest(path, bytes, manifest, shard, &h, error)) {
-    return false;
+  {
+    obs::ScopedSpan span("load_checksum");
+    if (span.active()) span.SetAttr("shard", shard);
+    if (!internal::CheckShardAgainstManifest(path, bytes, manifest, shard, &h,
+                                             error)) {
+      return false;
+    }
   }
-
+  obs::ScopedSpan span("load_decode");
+  if (span.active()) span.SetAttr("shard", shard);
   const std::int64_t rows = h.row_end - h.row_begin;
   const std::int64_t k = manifest.k;
   const char* payload = bytes.data() + kHeaderBytes;
   std::size_t payload_size = bytes.size() - kHeaderBytes;
-  if (IsCompressedShardVersion(manifest.version)) {
-    // The decoder writes straight into this shard's col_idx and values
-    // slices (f32 values widen exactly); only the row pointers need the
-    // slice offset added. Its row groups fan out on `ctx` when this
-    // shard is the only task (inside a multi-shard fan-out they run
-    // inline, as every nested pool call does).
-    std::vector<std::int64_t> local_row_ptr(rows + 1);
-    if (!internal::DecodeCompressedCsr(
-            path, manifest, h, ctx, &payload, &payload_size,
-            local_row_ptr.data(),
-            parts->col_idx.data() + nnz_offset,
-            parts->values.data() + nnz_offset, error)) {
-      return false;
-    }
-    for (std::int64_t r = 0; r < rows; ++r) {
-      parts->row_ptr[h.row_begin + r] = nnz_offset + local_row_ptr[r];
-    }
-  } else {
-    Cursor cursor(payload, payload_size);
-    std::vector<std::int64_t> local_row_ptr;
-    if (!cursor.ReadVector(&local_row_ptr,
-                           static_cast<std::size_t>(rows + 1))) {
-      *error = path + ": truncated shard payload";
-      return false;
-    }
-    if (local_row_ptr.front() != 0 || local_row_ptr.back() != h.nnz) {
-      *error = path + ": invalid shard row pointers";
-      return false;
-    }
-    for (std::int64_t r = 0; r < rows; ++r) {
-      if (local_row_ptr[r] > local_row_ptr[r + 1]) {
-        *error = path + ": invalid shard row pointers";
-        return false;
-      }
-      parts->row_ptr[h.row_begin + r] = nnz_offset + local_row_ptr[r];
-    }
-    if (!cursor.Read(parts->col_idx.data() + nnz_offset,
-                     static_cast<std::size_t>(h.nnz)) ||
-        !cursor.Read(parts->values.data() + nnz_offset,
-                     static_cast<std::size_t>(h.nnz))) {
-      *error = path + ": truncated shard payload";
-      return false;
-    }
-    payload += payload_size - cursor.remaining();
-    payload_size = cursor.remaining();
+  // The decoder writes straight into this shard's col_idx and values
+  // slices (f32 values widen exactly); only the row pointers need the
+  // slice offset added. Its row groups fan out on `ctx` when this shard
+  // is the only task (inside a multi-shard fan-out they run inline, as
+  // every nested pool call does).
+  std::vector<std::int64_t> local_row_ptr(rows + 1);
+  if (!internal::DecodeCompressedCsr(
+          path, manifest, h, ctx, &payload, &payload_size,
+          local_row_ptr.data(), parts->col_idx.data() + nnz_offset,
+          parts->values.data() + nnz_offset, error)) {
+    return false;
   }
-  Cursor cursor(payload, payload_size);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    parts->row_ptr[h.row_begin + r] = nnz_offset + local_row_ptr[r];
+  }
+  internal::Cursor cursor(payload, payload_size);
   const bool arrays_ok =
       cursor.Read(parts->explicit_nodes.data() + explicit_offset,
                   static_cast<std::size_t>(h.num_explicit)) &&
@@ -151,6 +157,116 @@ bool LoadOneShard(const std::string& manifest_path,
   return true;
 }
 
+// Runs the checks no single shard's decode can make, then assembles the
+// Scenario through the trusted FromValidatedCsr / FromValidatedAdjacency
+// adopt paths, so validation runs exactly once. `path` prefixes every
+// error message.
+std::optional<Scenario> ValidateAndAssembleScenario(
+    const std::string& path, ShardManifest manifest, ScenarioParts parts,
+    const exec::ExecContext& ctx, std::string* error) {
+  const std::int64_t n = manifest.num_nodes;
+  const std::int64_t k = manifest.k;
+  Scenario scenario;
+  {
+    obs::ScopedSpan span("load_validate");
+    const std::vector<std::int64_t>& row_ptr = parts.row_ptr;
+    const std::vector<std::int32_t>& col_idx = parts.col_idx;
+    const std::vector<double>& values = parts.values;
+    // Every row came out of DecodeCompressedCsr, which rejected
+    // non-monotone rows, out-of-range or unsorted columns, self-loops and
+    // non-finite weights, and the shards tile the rows, so every row range
+    // is sound. What a row-local decode cannot see is an entry's mirror,
+    // which may live in another shard's rows: (r, c) needs (c, r) with an
+    // equal weight. Only entries above the diagonal are looked up. Their
+    // mirrors are distinct entries below it, so when the entries above are
+    // exactly half of all (none lie on it), the mirrors are every entry
+    // below, and each of those has its mirror too.
+    LINBP_CHECK(row_ptr.front() == 0 &&
+                row_ptr.back() == static_cast<std::int64_t>(col_idx.size()));
+    std::atomic<bool> symmetric(true);
+    std::atomic<std::int64_t> above(0);
+    ctx.ParallelFor(0, n, /*min_grain=*/2048, [&](std::int64_t row_begin,
+                                                  std::int64_t row_end) {
+      std::int64_t count = 0;
+      for (std::int64_t r = row_begin; r < row_end; ++r) {
+        const auto row_end_it = col_idx.begin() + row_ptr[r + 1];
+        const auto first_above = std::upper_bound(
+            col_idx.begin() + row_ptr[r], row_end_it,
+            static_cast<std::int32_t>(r));
+        count += row_end_it - first_above;
+        for (auto col = first_above; col != row_end_it; ++col) {
+          const auto begin = col_idx.begin() + row_ptr[*col];
+          const auto end = col_idx.begin() + row_ptr[*col + 1];
+          const auto it =
+              std::lower_bound(begin, end, static_cast<std::int32_t>(r));
+          if (it == end || *it != r ||
+              values[it - col_idx.begin()] !=
+                  values[col - col_idx.begin()]) {
+            symmetric.store(false, std::memory_order_relaxed);
+            return;
+          }
+        }
+      }
+      above.fetch_add(count, std::memory_order_relaxed);
+    });
+    if (!symmetric.load() ||
+        2 * above.load() != static_cast<std::int64_t>(col_idx.size())) {
+      *error = path + ": invalid adjacency payload (an entry's mirror is "
+                      "missing or has another weight)";
+      return std::nullopt;
+    }
+
+    if (!internal::CheckCouplingResidual(path, manifest.coupling, k,
+                                         error)) {
+      return std::nullopt;
+    }
+    scenario.name = std::move(manifest.name);
+    scenario.spec = std::move(manifest.spec);
+    scenario.k = k;
+    scenario.coupling_residual = DenseMatrix(k, k);
+    std::copy(manifest.coupling.begin(), manifest.coupling.end(),
+              scenario.coupling_residual.mutable_data().begin());
+
+    scenario.explicit_nodes = std::move(parts.explicit_nodes);
+    scenario.explicit_residuals = DenseMatrix(n, k);
+    for (std::size_t i = 0; i < scenario.explicit_nodes.size(); ++i) {
+      const std::int64_t v = scenario.explicit_nodes[i];
+      if (v < 0 || v >= n ||
+          (i > 0 && scenario.explicit_nodes[i - 1] >= v)) {
+        *error = path + ": invalid explicit node list";
+        return std::nullopt;
+      }
+      for (std::int64_t c = 0; c < k; ++c) {
+        const double b = parts.explicit_rows[i * k + c];
+        if (!std::isfinite(b)) {
+          *error = path + ": non-finite explicit belief";
+          return std::nullopt;
+        }
+        scenario.explicit_residuals.At(v, c) = b;
+      }
+    }
+
+    for (const std::int32_t cls : parts.ground_truth) {
+      if (cls < -1 || cls >= k) {
+        *error = path + ": ground-truth class out of range";
+        return std::nullopt;
+      }
+    }
+    scenario.ground_truth = std::move(parts.ground_truth);
+  }
+
+  // The arrays passed full validation above, so the trusted adopt paths
+  // apply — re-running the CHECKed sweeps would just double the cost of
+  // the load. Degree reconstruction still fans out on ctx.
+  obs::ScopedSpan span("load_adopt");
+  scenario.graph = Graph::FromValidatedAdjacency(
+      SparseMatrix::FromValidatedCsr(n, n, std::move(parts.row_ptr),
+                                     std::move(parts.col_idx),
+                                     std::move(parts.values)),
+      ctx);
+  return scenario;
+}
+
 }  // namespace
 
 std::string ShardManifestFileName() { return "manifest.lbpm"; }
@@ -162,11 +278,14 @@ std::string ShardFileName(std::int64_t shard) {
   return buf;
 }
 
-std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
+namespace internal {
+
+std::optional<ShardWriteResult> WriteShardSet(const Scenario& scenario,
                                               std::int64_t max_shards,
-                                              const std::string& dir,
-                                              std::string* error,
-                                              ShardCompression compression) {
+                                              ShardCompression compression,
+                                              bool shards_inline,
+                                              const std::string& path,
+                                              std::string* error) {
   LINBP_CHECK(error != nullptr);
   LINBP_CHECK(scenario.k >= 1 && scenario.k <= kMaxClasses);
   LINBP_CHECK(scenario.coupling_residual.rows() == scenario.k &&
@@ -179,39 +298,46 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
               static_cast<std::int64_t>(scenario.ground_truth.size()) ==
                   graph.num_nodes());
   if (max_shards < 1 || max_shards > kMaxShards) {
-    *error = dir + ": shard count must be in [1, " +
+    *error = path + ": shard count must be in [1, " +
              std::to_string(kMaxShards) + "]";
     return std::nullopt;
   }
   const std::int64_t n = graph.num_nodes();
   if (n == 0) {
-    *error = dir + ": cannot shard an empty scenario";
+    *error = path + ": cannot store an empty scenario";
     return std::nullopt;
   }
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    *error = dir + ": cannot create directory (" + ec.message() + ")";
-    return std::nullopt;
+  const std::filesystem::path dir(path);
+  if (!shards_inline) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      *error = path + ": cannot create directory (" + ec.message() + ")";
+      return std::nullopt;
+    }
   }
 
   const exec::RowPartition partition =
       exec::RowPartition::NnzBalanced(adjacency.row_ptr(), max_shards);
   const std::int64_t num_shards = partition.num_blocks();
-  const std::uint32_t version = compression == ShardCompression::kNone
-                                    ? kShardFormatVersionRaw
-                                    : kShardFormatVersionCompressed;
-  const bool compressed = IsCompressedShardVersion(version);
-  const bool values_f32 = compression == ShardCompression::kF32;
-  const std::uint32_t flags =
-      (scenario.HasGroundTruth() ? kFlagGroundTruth : 0) |
-      (values_f32 ? kFlagF32Values : 0);
+  const std::int64_t k = scenario.k;
   const bool has_ground_truth = scenario.HasGroundTruth();
+  const bool values_f32 = compression == ShardCompression::kF32;
+  const std::uint32_t flags = (has_ground_truth ? kFlagGroundTruth : 0) |
+                              (values_f32 ? kFlagF32Values : 0);
   const auto& row_ptr = adjacency.row_ptr();
   const auto& col_idx = adjacency.col_idx();
   const auto& values = adjacency.values();
   const auto& explicit_nodes = scenario.explicit_nodes;
+  const std::size_t manifest_bytes =
+      kHeaderBytes + 8 + scenario.name.size() + scenario.spec.size() +
+      8 * static_cast<std::size_t>(k * k) +
+      kManifestEntryBytes * static_cast<std::size_t>(num_shards);
 
+  // Inline, `file` is the whole output: room for the manifest, filled in
+  // once the shard table is known, then every shard. Beside the
+  // manifest, `file` holds one shard at a time.
+  std::vector<char> file(shards_inline ? manifest_bytes : 0);
   std::vector<ShardManifestEntry> entries(num_shards);
   for (std::int64_t s = 0; s < num_shards; ++s) {
     const std::int64_t row_begin = partition.begin(s);
@@ -226,167 +352,121 @@ std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
         explicit_begin, explicit_nodes.end(), row_end);
     const std::int64_t num_explicit = explicit_end - explicit_begin;
 
-    std::vector<char> payload;
-    payload.reserve(static_cast<std::size_t>(ShardPayloadBytes(
-        rows, nnz, num_explicit, scenario.k, has_ground_truth)));
+    if (!shards_inline) file.clear();
+    const std::size_t header_at = file.size();
+    file.reserve(header_at + kHeaderBytes +
+                 static_cast<std::size_t>(ShardDecodedPayloadBytes(
+                     rows, nnz, num_explicit, k, has_ground_truth,
+                     values_f32)));
+    file.resize(header_at + kHeaderBytes);
     std::vector<std::int64_t> local_row_ptr(rows + 1);
     for (std::int64_t r = 0; r <= rows; ++r) {
       local_row_ptr[r] = row_ptr[row_begin + r] - nnz_begin;
     }
-    if (compressed) {
-      EncodeColumnSection(local_row_ptr.data(), rows,
-                          col_idx.data() + nnz_begin, &payload);
-      if (values_f32) {
-        std::vector<float> narrow(values.begin() + nnz_begin,
-                                  values.begin() + nnz_begin + nnz);
-        AppendPod(narrow.data(), narrow.size(), &payload);
-      } else {
-        AppendPod(values.data() + nnz_begin, static_cast<std::size_t>(nnz),
-                  &payload);
-      }
+    EncodeColumnSection(local_row_ptr.data(), rows,
+                        col_idx.data() + nnz_begin, &file);
+    if (values_f32) {
+      const std::vector<float> narrow(values.begin() + nnz_begin,
+                                      values.begin() + nnz_begin + nnz);
+      AppendPod(narrow.data(), narrow.size(), &file);
     } else {
-      AppendPod(local_row_ptr.data(), local_row_ptr.size(), &payload);
-      AppendPod(col_idx.data() + nnz_begin, static_cast<std::size_t>(nnz),
-                &payload);
       AppendPod(values.data() + nnz_begin, static_cast<std::size_t>(nnz),
-                &payload);
+                &file);
     }
-    AppendPod(explicit_nodes.data() + (explicit_begin -
-                                       explicit_nodes.begin()),
-              static_cast<std::size_t>(num_explicit), &payload);
-    std::vector<double> rows_buf;
-    rows_buf.reserve(static_cast<std::size_t>(num_explicit * scenario.k));
+    AppendPod(explicit_nodes.data() + (explicit_begin - explicit_nodes.begin()),
+              static_cast<std::size_t>(num_explicit), &file);
+    // Only the labeled rows of the (mostly zero) belief matrix are stored.
     for (auto it = explicit_begin; it != explicit_end; ++it) {
       LINBP_CHECK(*it >= 0 && *it < n);
-      for (std::int64_t c = 0; c < scenario.k; ++c) {
-        rows_buf.push_back(scenario.explicit_residuals.At(*it, c));
-      }
+      AppendPod(scenario.explicit_residuals.data().data() + *it * k,
+                static_cast<std::size_t>(k), &file);
     }
-    AppendPod(rows_buf.data(), rows_buf.size(), &payload);
     if (has_ground_truth) {
       AppendPod(scenario.ground_truth.data() + row_begin,
-                static_cast<std::size_t>(rows), &payload);
+                static_cast<std::size_t>(rows), &file);
     }
 
-    ShardFileHeader header;
-    header.row_begin = row_begin;
-    header.row_end = row_end;
-    header.nnz = nnz;
-    header.num_explicit = num_explicit;
-    header.flags = flags;
-    header.shard_index = static_cast<std::uint32_t>(s);
-    header.checksum = PayloadChecksum(payload.data(), payload.size());
-    char header_bytes[kHeaderBytes];
-    WriteShardHeader(header, version, header_bytes);
-    const std::string file = ShardFileName(s);
-    if (!internal::WriteFileDurably((std::filesystem::path(dir) / file)
-                                        .string(),
-                                    header_bytes, kHeaderBytes, payload,
-                                    error)) {
-      return std::nullopt;
-    }
+    const std::size_t payload_at = header_at + kHeaderBytes;
+    const std::uint64_t checksum = PayloadChecksum(
+        file.data() + payload_at, file.size() - payload_at);
+    WriteHeader(kShardFileMagic, {row_begin, row_end, nnz, num_explicit},
+                flags, static_cast<std::uint32_t>(s), checksum,
+                file.data() + header_at);
     entries[s] = ShardManifestEntry{
         row_begin, row_end, nnz, num_explicit,
-        static_cast<std::int64_t>(payload.size()), header.checksum, file};
+        static_cast<std::int64_t>(file.size() - payload_at), checksum};
+    if (!shards_inline &&
+        !WriteFileDurably((dir / ShardFileName(s)).string(), file, error)) {
+      return std::nullopt;
+    }
   }
 
-  // Manifest last: a crashed writer leaves shard files but no loadable
-  // manifest, so partial output can never be mistaken for a snapshot.
-  std::vector<char> payload;
-  AppendString(scenario.name, &payload);
-  AppendString(scenario.spec, &payload);
+  std::vector<char> manifest(kHeaderBytes);
+  AppendString(scenario.name, &manifest);
+  AppendString(scenario.spec, &manifest);
   AppendPod(scenario.coupling_residual.data().data(),
-            static_cast<std::size_t>(scenario.k * scenario.k), &payload);
+            static_cast<std::size_t>(k * k), &manifest);
   for (const ShardManifestEntry& entry : entries) {
-    AppendPod(&entry.row_begin, 1, &payload);
-    AppendPod(&entry.row_end, 1, &payload);
-    AppendPod(&entry.nnz, 1, &payload);
-    AppendPod(&entry.num_explicit, 1, &payload);
-    if (compressed) AppendPod(&entry.payload_bytes, 1, &payload);
-    AppendPod(&entry.checksum, 1, &payload);
-    AppendString(entry.file, &payload);
+    const std::int64_t fields[5] = {entry.row_begin, entry.row_end,
+                                    entry.nnz, entry.num_explicit,
+                                    entry.payload_bytes};
+    AppendPod(fields, 5, &manifest);
+    AppendPod(&entry.checksum, 1, &manifest);
   }
-  char header_bytes[kHeaderBytes];
-  std::memcpy(header_bytes, kShardManifestMagic, 8);
-  std::memcpy(header_bytes + 8, &version, 4);
-  std::memcpy(header_bytes + 12, &internal::kEndianTag, 4);
-  const std::int64_t nnz_total = adjacency.NumNonZeros();
-  const std::int64_t num_explicit_total =
-      static_cast<std::int64_t>(explicit_nodes.size());
-  std::memcpy(header_bytes + 16, &n, 8);
-  std::memcpy(header_bytes + 24, &scenario.k, 8);
-  std::memcpy(header_bytes + 32, &nnz_total, 8);
-  std::memcpy(header_bytes + 40, &num_explicit_total, 8);
-  std::memcpy(header_bytes + 48, &flags, 4);
-  const std::uint32_t shard_count = static_cast<std::uint32_t>(num_shards);
-  std::memcpy(header_bytes + 52, &shard_count, 4);
-  const std::uint64_t checksum =
-      PayloadChecksum(payload.data(), payload.size());
-  std::memcpy(header_bytes + 56, &checksum, 8);
+  LINBP_CHECK(manifest.size() == manifest_bytes);
+  WriteHeader(kShardManifestMagic,
+              {n, k, adjacency.NumNonZeros(),
+               static_cast<std::int64_t>(explicit_nodes.size())},
+              flags | (shards_inline ? kFlagShardsInline : 0),
+              static_cast<std::uint32_t>(num_shards),
+              PayloadChecksum(manifest.data() + kHeaderBytes,
+                              manifest_bytes - kHeaderBytes),
+              manifest.data());
 
   ShardWriteResult result;
-  result.manifest_path =
-      (std::filesystem::path(dir) / ShardManifestFileName()).string();
   result.num_shards = num_shards;
-  if (!internal::WriteFileDurably(result.manifest_path, header_bytes,
-                                  kHeaderBytes, payload, error)) {
+  if (shards_inline) {
+    result.manifest_path = path;
+    std::memcpy(file.data(), manifest.data(), manifest_bytes);
+    manifest = std::move(file);
+  } else {
+    // Manifest last: a crashed writer leaves shard files but no loadable
+    // manifest, so partial output can never be mistaken for a snapshot.
+    result.manifest_path = (dir / ShardManifestFileName()).string();
+  }
+  if (!WriteFileDurably(result.manifest_path, manifest, error)) {
     return std::nullopt;
   }
   return result;
+}
+
+}  // namespace internal
+
+std::optional<ShardWriteResult> ShardSnapshot(const Scenario& scenario,
+                                              std::int64_t max_shards,
+                                              const std::string& dir,
+                                              std::string* error,
+                                              ShardCompression compression) {
+  return internal::WriteShardSet(scenario, max_shards, compression,
+                                 /*shards_inline=*/false, dir, error);
 }
 
 std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
                                             std::string* error,
                                             const exec::ExecContext& ctx) {
   LINBP_CHECK(error != nullptr);
-  std::vector<char> bytes;
-  if (!internal::ReadFileBytes(manifest_path, &bytes, error)) {
-    return std::nullopt;
-  }
   ShardManifest manifest;
-  if (!ParseShardManifest(manifest_path, bytes, &manifest, error)) {
-    return std::nullopt;
-  }
-  bytes.clear();
-  bytes.shrink_to_fit();
-
-  const std::int64_t num_shards =
-      static_cast<std::int64_t>(manifest.entries.size());
-  // Preflight: every shard file must be exactly as large as its manifest
-  // entry declares. Not shorter: that bounds the global allocations below
-  // by actual on-disk bytes, so a checksum-consistent but hostile manifest
-  // cannot drive the loader into a multi-terabyte resize (the same
-  // guarantee the monolithic loader gets from its bounds-checked Cursor).
-  // Not longer: a grown file fails here, before any shard is read whole.
-  for (std::int64_t s = 0; s < num_shards; ++s) {
-    const ShardManifestEntry& entry = manifest.entries[s];
-    const std::string shard_path =
-        ShardSiblingPath(manifest_path, entry.file);
-    std::error_code ec;
-    const std::uintmax_t file_size =
-        std::filesystem::file_size(shard_path, ec);
-    if (ec) {
-      *error = shard_path + ": cannot open";
-      return std::nullopt;
-    }
-    // entry.payload_bytes is either computed from the counts (raw) or
-    // declared but bounds-checked against them during parse
-    // (compressed), so either way it ties the decoded allocation to real
-    // file bytes.
-    const std::int64_t needed =
-        static_cast<std::int64_t>(internal::kHeaderBytes) +
-        entry.payload_bytes;
-    if (file_size < static_cast<std::uintmax_t>(needed)) {
-      *error = shard_path + ": truncated shard payload";
-      return std::nullopt;
-    }
-    if (file_size > static_cast<std::uintmax_t>(needed)) {
-      *error = internal::OversizedFileError(
-          shard_path, file_size, static_cast<std::uint64_t>(needed));
+  {
+    obs::ScopedSpan span("load_read");
+    if (!internal::ReadShardManifest(manifest_path, &manifest, error) ||
+        (!manifest.shards_inline &&
+         !CheckShardFileSizes(manifest_path, manifest, error))) {
       return std::nullopt;
     }
   }
   // Per-shard slice offsets (exclusive prefix sums over the manifest).
+  const std::int64_t num_shards =
+      static_cast<std::int64_t>(manifest.entries.size());
   std::vector<std::int64_t> nnz_offset(num_shards + 1, 0);
   std::vector<std::int64_t> explicit_offset(num_shards + 1, 0);
   for (std::int64_t s = 0; s < num_shards; ++s) {
@@ -395,24 +475,22 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
         explicit_offset[s] + manifest.entries[s].num_explicit;
   }
 
-  internal::ScenarioParts parts;
-  parts.name = manifest.name;
-  parts.spec = manifest.spec;
-  parts.num_nodes = manifest.num_nodes;
-  parts.k = manifest.k;
-  parts.has_ground_truth = manifest.has_ground_truth;
-  parts.coupling = std::move(manifest.coupling);
-  parts.row_ptr.resize(manifest.num_nodes + 1);
-  parts.col_idx.resize(manifest.nnz);
-  parts.values.resize(manifest.nnz);
-  parts.explicit_nodes.resize(manifest.num_explicit);
-  parts.explicit_rows.resize(manifest.num_explicit * manifest.k);
-  if (manifest.has_ground_truth) {
-    parts.ground_truth.resize(manifest.num_nodes);
+  // The file sizes are checked, so these counts are backed by real bytes.
+  ScenarioParts parts;
+  {
+    obs::ScopedSpan span("load_decode");
+    parts.row_ptr.resize(manifest.num_nodes + 1);
+    parts.col_idx.resize(manifest.nnz);
+    parts.values.resize(manifest.nnz);
+    parts.explicit_nodes.resize(manifest.num_explicit);
+    parts.explicit_rows.resize(manifest.num_explicit * manifest.k);
+    if (manifest.has_ground_truth) {
+      parts.ground_truth.resize(manifest.num_nodes);
+    }
+    parts.row_ptr[manifest.num_nodes] = manifest.nnz;
   }
-  parts.row_ptr[manifest.num_nodes] = manifest.nnz;
 
-  // One task per shard: each reads its file and writes disjoint slices
+  // One task per shard: each reads its bytes and writes disjoint slices
   // of the global arrays, so the fan-out is race-free by construction.
   std::vector<std::string> shard_errors(num_shards);
   ctx.RunBlocks(num_shards, [&](std::int64_t s) {
@@ -425,41 +503,32 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
       return std::nullopt;
     }
   }
-
-  // Global validation (structure, cross-shard symmetry, coupling,
-  // beliefs, truth) runs once, in parallel, then the trusted adopt
-  // paths take over — the same code path the monolithic loader uses, so
-  // a sharded load is bit-identical to the monolithic one.
-  return internal::ValidateAndAssembleScenario(manifest_path,
-                                               std::move(parts), ctx, error);
+  return ValidateAndAssembleScenario(manifest_path, std::move(manifest),
+                                     std::move(parts), ctx, error);
 }
 
 std::optional<ShardManifestInfo> ReadShardManifestInfo(
     const std::string& path, std::string* error) {
   LINBP_CHECK(error != nullptr);
-  std::vector<char> bytes;
-  if (!internal::ReadFileBytes(path, &bytes, error)) return std::nullopt;
   ShardManifest manifest;
-  if (!ParseShardManifest(path, bytes, &manifest, error)) {
+  if (!internal::ReadShardManifest(path, &manifest, error)) {
     return std::nullopt;
   }
   ShardManifestInfo info;
-  info.version = manifest.version;
   info.num_nodes = manifest.num_nodes;
   info.k = manifest.k;
   info.nnz = manifest.nnz;
   info.num_explicit = manifest.num_explicit;
   info.has_ground_truth = manifest.has_ground_truth;
   info.values_f32 = manifest.values_f32;
+  info.shards_inline = manifest.shards_inline;
   info.file_bytes = manifest.file_bytes;
   info.name = manifest.name;
   info.spec = manifest.spec;
   info.shards.reserve(manifest.entries.size());
   for (const ShardManifestEntry& entry : manifest.entries) {
-    // Declared payload sizes, not on-disk file sizes: the info call
-    // stays manifest-only (no shard I/O). The decoded bytes are what a
-    // full load would have to hold resident; for raw shards they equal the
-    // on-disk payload.
+    // Declared payload sizes: the info call reads no shard. The decoded
+    // bytes are what a full load would have to hold resident.
     const std::int64_t decoded_bytes = internal::ShardDecodedPayloadBytes(
         entry.row_end - entry.row_begin, entry.nnz, entry.num_explicit,
         manifest.k, manifest.has_ground_truth, manifest.values_f32);
@@ -467,17 +536,9 @@ std::optional<ShardManifestInfo> ReadShardManifestInfo(
     info.total_encoded_payload_bytes += entry.payload_bytes;
     info.shards.push_back(ShardRangeInfo{entry.row_begin, entry.row_end,
                                          entry.nnz, entry.num_explicit,
-                                         entry.payload_bytes, decoded_bytes,
-                                         entry.file});
+                                         entry.payload_bytes, decoded_bytes});
   }
   return info;
-}
-
-bool LooksLikeShardManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[8] = {};
-  if (!in.read(magic, 8)) return false;
-  return std::memcmp(magic, kShardManifestMagic, 8) == 0;
 }
 
 }  // namespace dataset

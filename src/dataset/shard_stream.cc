@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/dataset/format_internal.h"
-#include "src/dataset/shard.h"
 #include "src/obs/obs.h"
 #include "src/util/check.h"
 
@@ -66,13 +65,8 @@ ShardStreamReader::ShardStreamReader()
 std::optional<ShardStreamReader> ShardStreamReader::Open(
     const std::string& manifest_path, std::string* error) {
   LINBP_CHECK(error != nullptr);
-  std::vector<char> bytes;
-  if (!internal::ReadFileBytes(manifest_path, &bytes, error)) {
-    return std::nullopt;
-  }
   auto manifest = std::make_shared<internal::ShardManifest>();
-  if (!internal::ParseShardManifest(manifest_path, bytes, manifest.get(),
-                                    error)) {
+  if (!internal::ReadShardManifest(manifest_path, manifest.get(), error)) {
     return std::nullopt;
   }
   // Same coupling gate the bulk loader applies, so a manifest the
@@ -82,9 +76,9 @@ std::optional<ShardStreamReader> ShardStreamReader::Open(
     return std::nullopt;
   }
   ShardStreamReader reader;
-  for (const internal::ShardManifestEntry& entry : manifest->entries) {
+  for (std::size_t s = 0; s < manifest->entries.size(); ++s) {
     reader.shard_paths_.push_back(
-        internal::ShardSiblingPath(manifest_path, entry.file));
+        internal::ShardPath(manifest_path, *manifest, s));
   }
   reader.manifest_ = std::move(manifest);
   return reader;
@@ -103,9 +97,6 @@ std::int64_t ShardStreamReader::num_explicit() const {
 }
 bool ShardStreamReader::has_ground_truth() const {
   return manifest_->has_ground_truth;
-}
-std::uint32_t ShardStreamReader::version() const {
-  return manifest_->version;
 }
 bool ShardStreamReader::values_f32() const { return manifest_->values_f32; }
 const std::string& ShardStreamReader::name() const {
@@ -167,21 +158,16 @@ bool ShardStreamReader::FetchBlock(std::int64_t shard,
                                    std::string* error) const {
   LINBP_CHECK(file_bytes != nullptr && error != nullptr);
   LINBP_CHECK(shard >= 0 && shard < num_shards());
-  const internal::ShardManifest& manifest = *manifest_;
   const std::string& path = shard_paths_[shard];
-  // The manifest fixes the file's exact size, so a longer file fails
-  // before it is buffered.
-  const std::uint64_t expected_size =
-      internal::kHeaderBytes +
-      static_cast<std::uint64_t>(manifest.entries[shard].payload_bytes);
   const auto read = [&] {
     obs::ScopedSpan span("stream_read");
-    return internal::ReadFileBytes(path, file_bytes, error, expected_size);
+    return internal::ReadShardBytes(path, *manifest_, shard, file_bytes,
+                                    error);
   };
   const auto check = [&] {
     obs::ScopedSpan span("stream_checksum");
     internal::ShardFileHeader h;
-    return internal::CheckShardAgainstManifest(path, *file_bytes, manifest,
+    return internal::CheckShardAgainstManifest(path, *file_bytes, *manifest_,
                                                shard, &h, error);
   };
   if (!read()) return false;
@@ -255,62 +241,22 @@ bool ShardStreamReader::DecodeBlock(std::int64_t shard,
   block->counted_bytes_ = block_csr_bytes(shard);
   accounting_->Add(block->counted_bytes_);
 
+  // The decode enforces the CSR structure as it unpacks and checks each
+  // value finite as it is copied: no second pass. Its row groups fan out
+  // on ctx.
   const char* payload = bytes.data() + internal::kHeaderBytes;
   std::size_t payload_size = bytes.size() - internal::kHeaderBytes;
-  const bool compressed = IsCompressedShardVersion(manifest.version);
-  if (compressed) {
-    // The decode enforces the CSR structure as it unpacks and checks
-    // each value finite as it is copied: no second pass. Its row groups
-    // fan out on ctx.
-    const bool decoded =
-        manifest.values_f32
-            ? internal::DecodeCompressedCsr(
-                  path, manifest, h, ctx, &payload, &payload_size,
-                  block->row_ptr.data(), block->col_idx.data(),
-                  block->values_f32.data(), error)
-            : internal::DecodeCompressedCsr(
-                  path, manifest, h, ctx, &payload, &payload_size,
-                  block->row_ptr.data(), block->col_idx.data(),
-                  block->values.data(), error);
-    if (!decoded) return fail();
-  } else {
-    internal::Cursor cursor(payload, payload_size);
-    if (!cursor.Read(block->row_ptr.data(), block->row_ptr.size()) ||
-        !cursor.Read(block->col_idx.data(), nnz) ||
-        !cursor.Read(block->values.data(), nnz)) {
-      *error = path + ": truncated shard payload";
-      return fail();
-    }
-    payload += payload_size - cursor.remaining();
-    payload_size = cursor.remaining();
-    // Raw sections are copied verbatim, so everything the SpMM/SpMV
-    // kernels rely on is checked here (the checksum only proves the
-    // bytes match what was written). The whole row_ptr must be monotone
-    // before the entry sweep trusts any of its ranges.
-    const std::vector<std::int64_t>& row_ptr = block->row_ptr;
-    bool rows_ok = row_ptr.front() == 0 && row_ptr.back() == h.nnz;
-    for (std::int64_t r = 0; r < rows && rows_ok; ++r) {
-      rows_ok = row_ptr[r] <= row_ptr[r + 1];
-    }
-    if (!rows_ok) {
-      *error = path + ": invalid shard row pointers";
-      return fail();
-    }
-    const std::int64_t n = manifest.num_nodes;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        const std::int64_t c = block->col_idx[e];
-        if (c < 0 || c >= n || c == h.row_begin + r ||
-            !std::isfinite(block->values[e]) ||
-            (e > row_ptr[r] && block->col_idx[e - 1] >= c)) {
-          *error = path +
-                   ": invalid shard payload (CSR structure, self-loop, or "
-                   "non-finite weights)";
-          return fail();
-        }
-      }
-    }
-  }
+  const bool decoded =
+      manifest.values_f32
+          ? internal::DecodeCompressedCsr(
+                path, manifest, h, ctx, &payload, &payload_size,
+                block->row_ptr.data(), block->col_idx.data(),
+                block->values_f32.data(), error)
+          : internal::DecodeCompressedCsr(
+                path, manifest, h, ctx, &payload, &payload_size,
+                block->row_ptr.data(), block->col_idx.data(),
+                block->values.data(), error);
+  if (!decoded) return fail();
 
   internal::Cursor cursor(payload, payload_size);
   if (!manifest.has_ground_truth) block->ground_truth.clear();
@@ -359,13 +305,11 @@ bool ShardStreamReader::DecodeBlock(std::int64_t shard,
   LINBP_OBS_COUNTER_ADD("shard_stream_bytes_read_total", file_bytes_read);
   LINBP_OBS_COUNTER_ADD("shard_stream_csr_bytes_total",
                         block->counted_bytes_);
-  if (compressed) {
-    const std::int64_t encoded =
-        file_bytes_read - static_cast<std::int64_t>(internal::kHeaderBytes);
-    accounting_->encoded_bytes_read.fetch_add(encoded,
-                                              std::memory_order_relaxed);
-    LINBP_OBS_COUNTER_ADD("shard_stream_encoded_bytes_total", encoded);
-  }
+  const std::int64_t encoded =
+      file_bytes_read - static_cast<std::int64_t>(internal::kHeaderBytes);
+  accounting_->encoded_bytes_read.fetch_add(encoded,
+                                            std::memory_order_relaxed);
+  LINBP_OBS_COUNTER_ADD("shard_stream_encoded_bytes_total", encoded);
   return true;
 }
 

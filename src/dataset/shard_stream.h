@@ -1,33 +1,33 @@
 // Streaming access to sharded snapshots, one row block at a time.
 //
 // LoadShardedSnapshot (src/dataset/shard.h) materializes the whole CSR;
-// this reader is the out-of-core alternative: Open() parses and fully
-// validates only the manifest, and each ReadBlock(s) call reads,
-// checksum-verifies, and deserializes exactly ONE shard's row block into
-// a self-contained ShardStreamBlock. Blocks release their memory on
-// destruction, so a caller that walks the shards with a bounded window
-// (e.g. the double-buffered pipeline in src/exec/pipeline.h) keeps the
-// peak resident CSR at O(window * max shard) instead of O(nnz). A caller
-// that refills the same blocks (see ReadBlock) also stops allocating.
+// this reader is the out-of-core alternative: Open() reads and fully
+// validates only the manifest — a directory's `manifest.lbpm` or a
+// `.lbps` with its shards inline, through the same head read the bulk
+// loader uses — and each ReadBlock(s) call reads, checksum-verifies, and
+// decodes exactly ONE shard's row block into a self-contained
+// ShardStreamBlock. Blocks release their memory on destruction, so a
+// caller that walks the shards with a bounded window (e.g. the
+// double-buffered pipeline in src/exec/pipeline.h) keeps the peak
+// resident CSR at O(window * max shard) instead of O(nnz). A caller that
+// refills the same blocks (see ReadBlock) also stops allocating.
 // ReadBlock is two halves a caller may run on different threads:
-// FetchBlock (read the file, check header and checksum — I/O and one
-// fast pass) and DecodeBlock (deserialize and validate, with a
-// compressed shard's row groups fanned out on an ExecContext).
+// FetchBlock (read the shard's bytes, check header and checksum — I/O
+// and one fast pass) and DecodeBlock (decode and validate, with the
+// shard's row groups fanned out on an ExecContext).
 //
 // Every ReadBlock re-validates its shard from the bytes on disk — the
 // header against the manifest entry, the word-at-a-time payload checksum
-// (internal::PayloadChecksum), local row-pointer structure, column-id
-// bounds and ordering, self-loops, finite weights, and the explicit-node
-// slice — so corruption that appears mid-stream (between sweeps of an
-// iterative solve) surfaces as an error return on the sweep that hits
-// it, never as a crash or a silent wrong product. For compressed shards
-// the row-group table is checked whole, then each group's varint decode
-// enforces the CSR structure as it unpacks and its values are checked
-// finite as they are copied, so the bytes are walked once; raw shards
-// get a separate structural pass.
+// (internal::PayloadChecksum), then the decode: the row-group table is
+// checked whole, each group's varint decode enforces the CSR structure
+// (column-id bounds and ordering, no self-loops) as it unpacks, and its
+// values are checked finite as they are copied, so the bytes are walked
+// once; then the explicit-node slice. Corruption that appears mid-stream
+// (between sweeps of an iterative solve) surfaces as an error return on
+// the sweep that hits it, never as a crash or a silent wrong product.
 // What the streaming path does NOT check is cross-shard symmetry of the
 // assembled matrix (that requires the mirror entry's shard); symmetric-
-// by-construction holds for every manifest ShardSnapshot writes.
+// by-construction holds for every manifest the writers produce.
 //
 // Byte accounting: the reader counts the CSR bytes (row_ptr + col_idx +
 // values) of every live block, with a high-water mark, so tests and
@@ -67,9 +67,8 @@ struct ShardByteAccounting {
   std::atomic<std::int64_t> file_bytes_read{0};
   std::atomic<std::int64_t> csr_bytes_read{0};
   std::atomic<std::int64_t> checksum_retries{0};
-  // On-disk payload bytes of compressed blocks read — the wire size the
-  // varint encoding is shrinking, vs csr_bytes_read's decoded size. Zero
-  // for raw manifests.
+  // On-disk payload bytes of the blocks read — the wire size the varint
+  // encoding is shrinking, vs csr_bytes_read's decoded size.
   std::atomic<std::int64_t> encoded_bytes_read{0};
 
   void Add(std::int64_t bytes) {
@@ -103,8 +102,8 @@ class ShardStreamBlock {
   std::int64_t row_end = 0;
   std::vector<std::int64_t> row_ptr;  // local (rebased to 0), rows + 1
   std::vector<std::int32_t> col_idx;  // GLOBAL column ids
-  /// Exactly one of `values` / `values_f32` is populated: f64 for raw and
-  /// compressed f64 manifests, f32 for compressed f32 ones. Keeping the
+  /// Exactly one of `values` / `values_f32` is populated: f64 for f64
+  /// manifests, f32 for f32 ones. Keeping the
   /// narrow section narrow is the point — an f32 shard's values really
   /// are half the resident bytes, and the f32 kernels consume them with
   /// no second narrowing pass. f64 consumers widen per block.
@@ -140,9 +139,9 @@ class ShardStreamReader {
   ShardStreamReader(ShardStreamReader&&) = default;
   ShardStreamReader& operator=(ShardStreamReader&&) = default;
 
-  /// Parses and fully validates the manifest (header, checksum, shard
-  /// table); opens no shard file. Returns nullopt and fills *error on
-  /// any corruption.
+  /// Reads and fully validates the manifest (size, header, checksum,
+  /// shard table, coupling); reads no shard. Returns nullopt and fills
+  /// *error on any corruption.
   static std::optional<ShardStreamReader> Open(
       const std::string& manifest_path, std::string* error);
 
@@ -152,11 +151,7 @@ class ShardStreamReader {
   std::int64_t nnz() const;
   std::int64_t num_explicit() const;
   bool has_ground_truth() const;
-  /// Manifest format version (kShardFormatVersionRaw or
-  /// kShardFormatVersionCompressed, src/dataset/shard.h).
-  std::uint32_t version() const;
-  /// True when blocks carry f32 value sections (compressed f32
-  /// manifests).
+  /// True when blocks carry f32 value sections.
   bool values_f32() const;
   const std::string& name() const;
   const std::string& spec() const;
@@ -190,19 +185,20 @@ class ShardStreamReader {
                  std::string* error,
                  std::vector<char>* file_bytes = nullptr) const;
 
-  /// ReadBlock's first half: reads shard `shard`'s file into *file_bytes
-  /// (capacity reused as in ReadBlock) and checks it against the
-  /// manifest — size (a file longer than its entry declares fails
-  /// before it is read), header, and payload checksum, with one re-read
-  /// after a failed check. Returns false and fills *error otherwise.
+  /// ReadBlock's first half: reads shard `shard`'s bytes (its header and
+  /// payload, from its own file or its range of an inline one) into
+  /// *file_bytes (capacity reused as in ReadBlock) and checks them
+  /// against the manifest — size (a file longer than the manifest says
+  /// fails before it is read), header, and payload checksum, with one
+  /// re-read after a failed check. Returns false and fills *error otherwise.
   /// Touches no block and no residency count.
   bool FetchBlock(std::int64_t shard, std::vector<char>* file_bytes,
                   std::string* error) const;
 
   /// ReadBlock's second half: deserializes and validates `file_bytes`,
   /// which a successful FetchBlock(shard) filled, into *block (refilled
-  /// and emptied on failure as in ReadBlock). A compressed shard's row
-  /// groups, and their value slices, decode as parallel tasks on `ctx`;
+  /// and emptied on failure as in ReadBlock). The shard's row groups,
+  /// and their value slices, decode as parallel tasks on `ctx`;
   /// the block and any error message are the same at every thread
   /// count. Allocates nothing once the block has held a shard this
   /// large. Call it from a thread that may use ctx's pool: a pool
@@ -226,7 +222,7 @@ class ShardStreamReader {
   std::int64_t blocks_read_total() const;
   std::int64_t file_bytes_read_total() const;
   std::int64_t csr_bytes_read_total() const;
-  /// On-disk payload bytes of compressed blocks read; 0 for raw ones.
+  /// On-disk payload bytes of the blocks read.
   std::int64_t encoded_bytes_read_total() const;
   /// Times a shard failed manifest/checksum verification and the one
   /// re-read attempt was taken (transient-read protection; a second
@@ -236,7 +232,7 @@ class ShardStreamReader {
  private:
   ShardStreamReader();
 
-  std::vector<std::string> shard_paths_;  // per shard, joined once
+  std::vector<std::string> shard_paths_;  // per shard, ShardPath once
   std::shared_ptr<internal::ShardManifest> manifest_;
   std::shared_ptr<internal::ShardByteAccounting> accounting_;
 };

@@ -18,14 +18,26 @@
 #include "src/dataset/format_internal.h"
 #include "src/dataset/registry.h"
 #include "src/dataset/shard.h"
+#include "src/dataset/snapshot.h"
+#include "tests/testing/shard_bytes.h"
 #include "tests/testing/test_util.h"
 
 namespace linbp {
 namespace dataset {
 namespace {
 
+using linbp::testing::FirstRowWithEntries;
+using linbp::testing::GroupEnd;
+using linbp::testing::LayoutOf;
 using linbp::testing::ReadBytes;
+using linbp::testing::ReadShard;
+using linbp::testing::ReadTestVarint;
+using linbp::testing::SetGroupEnd;
+using linbp::testing::SetVarintBytes;
+using linbp::testing::ShardLayout;
 using linbp::testing::WriteBytes;
+using linbp::testing::WriteField;
+using linbp::testing::WriteForgedShard;
 
 constexpr char kSpec[] = "sbm:n=600,k=3,deg=6,seed=11";
 constexpr std::int64_t kShards = 4;
@@ -45,7 +57,7 @@ Scenario TestScenario() { return MakeTestScenario(kSpec); }
 
 std::string ShardScenario(const Scenario& scenario, const std::string& name,
                           ShardCompression compression =
-                              ShardCompression::kNone,
+                              ShardCompression::kF64,
                           std::int64_t shards = kShards) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
@@ -205,136 +217,7 @@ TEST(ShardStreamReaderTest, OpenValidatesTheManifest) {
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
 }
 
-// ---- Compressed streams --------------------------------------------------
-
-// Re-forges the payload checksum in a header, so the corruption tests
-// can build checksum-valid hostile bytes that only the structural decode
-// can reject.
-void FixChecksum(std::vector<char>* bytes) {
-  const std::uint64_t checksum =
-      internal::PayloadChecksum(bytes->data() + 64, bytes->size() - 64);
-  std::memcpy(bytes->data() + 56, &checksum, 8);
-}
-
-// Byte offset of shard `index`'s manifest entry; compressed entries carry
-// an extra i64 payload_bytes before the checksum.
-std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
-                                std::int64_t index) {
-  std::uint32_t version = 0;
-  std::memcpy(&version, manifest.data() + 8, 4);
-  std::int64_t k = 0;
-  std::memcpy(&k, manifest.data() + 24, 8);
-  std::size_t off = 64;
-  auto skip_string = [&] {
-    std::uint32_t length = 0;
-    std::memcpy(&length, manifest.data() + off, 4);
-    off += 4 + length;
-  };
-  skip_string();  // name
-  skip_string();  // spec
-  off += static_cast<std::size_t>(k * k) * 8;  // coupling residual
-  for (std::int64_t s = 0; s < index; ++s) {
-    off += (IsCompressedShardVersion(version) ? 8 * 5 : 8 * 4) + 8;
-    skip_string();  // file name
-  }
-  return off;
-}
-
-// Byte offset of the checksum inside shard `index`'s manifest entry.
-std::size_t ManifestEntryChecksumOffset(const std::vector<char>& manifest,
-                                        std::int64_t index) {
-  std::uint32_t version = 0;
-  std::memcpy(&version, manifest.data() + 8, 4);
-  return ManifestEntryOffset(manifest, index) +
-         (IsCompressedShardVersion(version) ? 8 * 5 : 8 * 4);
-}
-
-// Writes `shard` as shard `index`'s file and re-forges every checksum on
-// the path to it (shard header, manifest entry, manifest header), so only
-// the structural decode can reject the bytes.
-void WriteForgedShard(const std::string& manifest, std::int64_t index,
-                      std::vector<char> shard) {
-  FixChecksum(&shard);
-  WriteBytes(std::filesystem::path(manifest).parent_path() /
-                 ShardFileName(index),
-             shard);
-  std::vector<char> man = ReadBytes(manifest);
-  std::memcpy(man.data() + ManifestEntryChecksumOffset(man, index),
-              shard.data() + 56, 8);
-  FixChecksum(&man);
-  WriteBytes(manifest, man);
-}
-
-// Reads one LEB128 varint from pristine test bytes (trusted input).
-std::uint64_t ReadTestVarint(const std::vector<char>& bytes,
-                             std::size_t* off) {
-  std::uint64_t value = 0;
-  int shift = 0;
-  while (true) {
-    const unsigned char byte = static_cast<unsigned char>(bytes[*off]);
-    ++*off;
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-}
-
-// Where the sections of a compressed shard file start: the u64 varint
-// byte count right after the 64-byte header, then one 16-byte (byte end,
-// entry end) pair per row group, the varints, and the values.
-struct CompressedLayout {
-  std::int64_t row_begin = 0;
-  std::int64_t groups = 0;
-  std::size_t varints = 0;
-  std::uint64_t varint_bytes = 0;
-  std::size_t values = 0;
-};
-
-CompressedLayout LayoutOf(const std::vector<char>& shard) {
-  CompressedLayout layout;
-  std::int64_t row_end = 0;
-  std::memcpy(&layout.row_begin, shard.data() + 16, 8);
-  std::memcpy(&row_end, shard.data() + 24, 8);
-  layout.groups = internal::RowGroupCount(row_end - layout.row_begin);
-  layout.varints = 72 + 16 * static_cast<std::size_t>(layout.groups);
-  std::memcpy(&layout.varint_bytes, shard.data() + 64, 8);
-  layout.values = layout.varints + layout.varint_bytes;
-  return layout;
-}
-
-// Field 0 (varint-byte end) or 1 (entry end) of row group g's pair.
-std::uint64_t GroupEnd(const std::vector<char>& shard, std::int64_t g,
-                       int field) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, shard.data() + 72 + 16 * g + 8 * field, 8);
-  return value;
-}
-
-void SetGroupEnd(std::vector<char>* shard, std::int64_t g, int field,
-                 std::uint64_t value) {
-  std::memcpy(shard->data() + 72 + 16 * g + 8 * field, &value, 8);
-}
-
-// Sets the varint byte count and the last group's byte end together, so
-// the table stays consistent and only the varints can be at fault.
-void SetVarintBytes(std::vector<char>* shard, std::uint64_t bytes) {
-  std::memcpy(shard->data() + 64, &bytes, 8);
-  SetGroupEnd(shard, LayoutOf(*shard).groups - 1, 0, bytes);
-}
-
-// Offset of the first row in group g with at least `min_entries`
-// entries, just past its entry count.
-std::size_t FirstRowWithEntries(const std::vector<char>& shard,
-                                std::int64_t g, std::uint64_t min_entries) {
-  const CompressedLayout layout = LayoutOf(shard);
-  std::size_t off =
-      layout.varints + (g == 0 ? 0 : GroupEnd(shard, g - 1, 0));
-  while (true) {
-    const std::uint64_t entries = ReadTestVarint(shard, &off);
-    if (entries >= min_entries) return off;
-    for (std::uint64_t e = 0; e < entries; ++e) ReadTestVarint(shard, &off);
-  }
-}
+// ---- Decode corruption ----------------------------------------------------
 
 // Applies `mutate` to shard `index` of `manifest`, re-forges every
 // checksum on the path to it, then expects the streamed and the bulk
@@ -344,10 +227,7 @@ void ExpectRejected(const std::string& manifest, std::int64_t index,
                     const std::string& what,
                     const std::function<void(std::vector<char>*)>& mutate) {
   SCOPED_TRACE(what);
-  const std::string path =
-      std::filesystem::path(manifest).parent_path() / ShardFileName(index);
-  const std::vector<char> shard_pristine = ReadBytes(path);
-  const std::vector<char> manifest_pristine = ReadBytes(manifest);
+  const std::vector<char> shard_pristine = ReadShard(manifest, index);
   std::vector<char> shard = shard_pristine;
   mutate(&shard);
   WriteForgedShard(manifest, index, std::move(shard));
@@ -361,8 +241,7 @@ void ExpectRejected(const std::string& manifest, std::int64_t index,
   EXPECT_EQ(reader->resident_csr_bytes(), 0);
   EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
   EXPECT_NE(error.find(what), std::string::npos) << error;
-  WriteBytes(path, shard_pristine);
-  WriteBytes(manifest, manifest_pristine);
+  WriteForgedShard(manifest, index, shard_pristine);
 }
 
 TEST(ShardStreamReaderTest, CompressedBlocksMatchTheMonolithicCsr) {
@@ -372,7 +251,6 @@ TEST(ShardStreamReaderTest, CompressedBlocksMatchTheMonolithicCsr) {
         scenario, f32 ? "v2_blocks_f32" : "v2_blocks_f64",
         f32 ? ShardCompression::kF32 : ShardCompression::kF64);
     const ShardStreamReader reader = OpenReader(manifest);
-    EXPECT_EQ(reader.version(), kShardFormatVersionCompressed);
     EXPECT_EQ(reader.values_f32(), f32);
     const auto& row_ptr = scenario.graph.adjacency().row_ptr();
     const auto& col_idx = scenario.graph.adjacency().col_idx();
@@ -427,18 +305,6 @@ TEST(ShardStreamReaderTest, CompressedReadsCountEncodedBytes) {
             reader.csr_bytes_read_total());
 }
 
-TEST(ShardStreamReaderTest, UncompressedReadsCountNoEncodedBytes) {
-  const Scenario scenario = TestScenario();
-  const std::string manifest = ShardScenario(scenario, "v1_encoded");
-  const ShardStreamReader reader = OpenReader(manifest);
-  ShardStreamBlock block;
-  std::string error;
-  ASSERT_TRUE(reader.ReadBlock(0, &block, &error)) << error;
-  EXPECT_EQ(reader.version(), kShardFormatVersionRaw);
-  EXPECT_GT(reader.file_bytes_read_total(), 0);
-  EXPECT_EQ(reader.encoded_bytes_read_total(), 0);
-}
-
 // The compressed corruption matrix: every malformed column section is an
 // error return naming the defect — never a crash — even when every
 // checksum on the path to it has been re-forged to match the hostile
@@ -447,10 +313,7 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   const Scenario scenario = TestScenario();
   const std::string manifest =
       ShardScenario(scenario, "v2_corrupt", ShardCompression::kF64);
-  const std::string shard1 =
-      std::filesystem::path(manifest).parent_path() / ShardFileName(1);
-  const std::vector<char> shard_pristine = ReadBytes(shard1);
-  const std::vector<char> manifest_pristine = ReadBytes(manifest);
+  const std::vector<char> shard_pristine = ReadShard(manifest, 1);
   ASSERT_EQ(LayoutOf(shard_pristine).groups, 1);
 
   // Row 1's entry-count varint leads the varints, after the table.
@@ -497,7 +360,7 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   // (possibly clobbering the byte after it): the decode stops right
   // there, so nothing behind it is read.
   ExpectRejected(manifest, 1, "self-loop", [](std::vector<char>* shard) {
-    const CompressedLayout layout = LayoutOf(*shard);
+    const ShardLayout layout = LayoutOf(*shard);
     std::size_t off = layout.varints;
     ASSERT_GE(ReadTestVarint(*shard, &off), 1u);
     std::vector<char> self;
@@ -537,55 +400,22 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   }
 
   // Restored pristine bytes stream cleanly again.
-  WriteBytes(shard1, shard_pristine);
-  WriteBytes(manifest, manifest_pristine);
+  WriteForgedShard(manifest, 1, shard_pristine);
   const ShardStreamReader reader = OpenReader(manifest);
   ShardStreamBlock block;
   std::string error;
   EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
 }
 
-// Raw shards are copied verbatim and checked afterwards: the whole
-// row_ptr must be monotone before any entry range in it is trusted.
-TEST(ShardStreamReaderTest, RawRejectsNonMonotoneRowPointers) {
-  const Scenario scenario = TestScenario();
-  const std::string manifest = ShardScenario(scenario, "raw_row_ptr");
-  std::vector<char> shard = ReadBytes(
-      std::filesystem::path(manifest).parent_path() / ShardFileName(1));
-  // row_ptr[1] far past nnz while row_ptr[0] <= row_ptr[1] holds: an
-  // entry sweep trusting row 0's range would read far out of bounds.
-  const std::int64_t huge = 1000000;
-  std::memcpy(shard.data() + 64 + 8, &huge, 8);
-  WriteForgedShard(manifest, 1, std::move(shard));
-  const ShardStreamReader reader = OpenReader(manifest);
-  ShardStreamBlock block;
-  std::string error;
-  EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
-  EXPECT_NE(error.find("invalid shard row pointers"), std::string::npos)
-      << error;
-  EXPECT_EQ(reader.resident_csr_bytes(), 0);
-  EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
-  EXPECT_NE(error.find("invalid shard row pointers"), std::string::npos)
-      << error;
-}
-
-// A manifest entry naming a directory: the read is an error, never an
+// A shard file that is a directory: the read is an error, never an
 // allocation sized by whatever the OS reports for a directory.
-TEST(ShardStreamReaderTest, ShardEntryNamingADirectoryIsAnError) {
+TEST(ShardStreamReaderTest, ShardFileThatIsADirectoryIsAnError) {
   const Scenario scenario = TestScenario();
-  const std::string manifest =
-      ShardScenario(scenario, "reader_dir_entry", ShardCompression::kF64);
-  std::vector<char> man = ReadBytes(manifest);
-  // The u32 file-name length follows the entry's u64 checksum.
-  const std::size_t name_at = ManifestEntryChecksumOffset(man, 1) + 8;
-  std::uint32_t length = 0;
-  std::memcpy(&length, man.data() + name_at, 4);
-  const std::uint32_t one = 1;
-  std::memcpy(man.data() + name_at, &one, 4);
-  man.erase(man.begin() + name_at + 4, man.begin() + name_at + 4 + length);
-  man.insert(man.begin() + name_at + 4, '.');
-  FixChecksum(&man);
-  WriteBytes(manifest, man);
+  const std::string manifest = ShardScenario(scenario, "reader_dir_entry");
+  const std::string shard1 =
+      std::filesystem::path(manifest).parent_path() / ShardFileName(1);
+  std::filesystem::remove(shard1);
+  std::filesystem::create_directory(shard1);
 
   const ShardStreamReader reader = OpenReader(manifest);
   ShardStreamBlock block;
@@ -626,6 +456,39 @@ void ExpectEmptyBlock(const ShardStreamBlock& block) {
   EXPECT_EQ(block.resident_csr_bytes(), 0);
 }
 
+// A `.lbps` streams like any manifest: its one inline shard is the whole
+// CSR, read from its range of the file.
+TEST(ShardStreamReaderTest, InlineShardStreamsTheWholeScenario) {
+  const Scenario scenario = TestScenario();
+  const std::string path = ::testing::TempDir() + "/reader_inline.lbps";
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(scenario, path, &error)) << error;
+  const ShardStreamReader reader = OpenReader(path);
+  ASSERT_EQ(reader.num_shards(), 1);
+  ShardStreamBlock block;
+  ASSERT_TRUE(reader.ReadBlock(0, &block, &error)) << error;
+  EXPECT_EQ(block.row_ptr, scenario.graph.adjacency().row_ptr());
+  EXPECT_EQ(block.col_idx, scenario.graph.adjacency().col_idx());
+  EXPECT_EQ(block.values, scenario.graph.adjacency().values());
+  EXPECT_EQ(block.explicit_nodes, scenario.explicit_nodes);
+  EXPECT_EQ(block.ground_truth, scenario.ground_truth);
+  EXPECT_EQ(reader.file_bytes_read_total(),
+            static_cast<std::int64_t>(std::filesystem::file_size(path)) -
+                static_cast<std::int64_t>(
+                    linbp::testing::ManifestBytes(ReadBytes(path))));
+
+  // The file grown after Open: the next read fails before buffering it.
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, std::uintmax_t{1} << 40);
+  EXPECT_FALSE(reader.ReadBlock(0, &block, &error));
+  EXPECT_EQ(error, path + ": oversized file (" +
+                       std::to_string(std::uintmax_t{1} << 40) +
+                       " bytes, expected " + std::to_string(size) + ")");
+  ExpectEmptyBlock(block);
+  std::filesystem::resize_file(path, size);
+  EXPECT_TRUE(reader.ReadBlock(0, &block, &error)) << error;
+}
+
 // A refilled block equals a fresh read, member by member, whatever it
 // held before: a larger shard with explicit nodes, ground truth and f32
 // values from another manifest, or the previous shard of the same one.
@@ -651,9 +514,7 @@ TEST(ShardStreamReaderTest, RefilledBlockEqualsAFreshRead) {
     ShardCompression compression;
     const char* name;
   } targets[] = {
-      {&with_truth, ShardCompression::kNone, "reuse_raw"},
       {&with_truth, ShardCompression::kF64, "reuse_f64"},
-      {&*without_truth, ShardCompression::kNone, "reuse_plain_raw"},
       {&*without_truth, ShardCompression::kF64, "reuse_plain_f64"},
   };
   for (const auto& target : targets) {
@@ -690,9 +551,9 @@ TEST(ShardStreamReaderTest, FailedRefillLeavesTheBlockEmpty) {
       ShardScenario(scenario, "refill_fail", ShardCompression::kF64);
   const std::string shard1 =
       std::filesystem::path(manifest).parent_path() / ShardFileName(1);
-  std::vector<char> shard = ReadBytes(shard1);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::memcpy(shard.data() + LayoutOf(shard).values, &nan, 8);
+  std::vector<char> shard = ReadShard(manifest, 1);
+  WriteField(&shard, LayoutOf(shard).values,
+             std::numeric_limits<double>::quiet_NaN());
   WriteForgedShard(manifest, 1, std::move(shard));
   const ShardStreamReader reader = OpenReader(manifest);
 
@@ -727,9 +588,8 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryRowGroupTableCorruption) {
   const std::string manifest =
       ShardScenario(MakeTestScenario(kMultiGroupSpec), "table_corrupt",
                     ShardCompression::kF64, kMultiGroupShards);
-  const std::vector<char> pristine = ReadBytes(
-      std::filesystem::path(manifest).parent_path() / ShardFileName(1));
-  const CompressedLayout layout = LayoutOf(pristine);
+  const std::vector<char> pristine = ReadShard(manifest, 1);
+  const ShardLayout layout = LayoutOf(pristine);
   ASSERT_GE(layout.groups, 4);
   const std::int64_t last = layout.groups - 1;
   std::uint64_t nnz = 0;
@@ -864,8 +724,7 @@ TEST(ShardStreamReaderTest, MultiGroupErrorIsTheSameAtEveryThreadCount) {
   const std::string manifest = ShardScenario(
       MakeTestScenario("sbm:n=10240,k=3,deg=40,seed=11"),
       "multi_group_error", ShardCompression::kF64, 1);
-  std::vector<char> shard = ReadBytes(
-      std::filesystem::path(manifest).parent_path() / ShardFileName(0));
+  std::vector<char> shard = ReadShard(manifest, 0);
   ASSERT_EQ(LayoutOf(shard).groups, 5);
   for (const std::int64_t g : {3, 4}) {
     std::size_t off = FirstRowWithEntries(shard, g, 2);
@@ -911,54 +770,72 @@ TEST(ShardStreamReaderTest, MultiGroupErrorIsTheSameAtEveryThreadCount) {
 // beyond memory) is never buffered, on the streamed and the bulk path.
 TEST(ShardStreamReaderTest, OversizedShardFileFailsBeforeItIsRead) {
   const Scenario scenario = TestScenario();
-  for (const ShardCompression compression :
-       {ShardCompression::kNone, ShardCompression::kF64}) {
-    const bool raw = compression == ShardCompression::kNone;
-    SCOPED_TRACE(raw ? "raw" : "compressed");
-    const std::string manifest = ShardScenario(
-        scenario, raw ? "oversized_raw" : "oversized_compressed",
-        compression);
-    const std::string shard1 =
-        std::filesystem::path(manifest).parent_path() / ShardFileName(1);
-    const std::uintmax_t size = std::filesystem::file_size(shard1);
-    const ShardStreamReader reader = OpenReader(manifest);
-    for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
-      std::filesystem::resize_file(shard1, grown);
-      const std::string expected = shard1 + ": oversized file (" +
-                                   std::to_string(grown) + " bytes, expected " +
-                                   std::to_string(size) + ")";
-      ShardStreamBlock block;
-      std::string error;
-      EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
-      EXPECT_EQ(error, expected);
-      ExpectEmptyBlock(block);
-      EXPECT_EQ(reader.resident_csr_bytes(), 0);
-      std::vector<char> bytes;
-      EXPECT_FALSE(reader.FetchBlock(1, &bytes, &error));
-      EXPECT_EQ(error, expected);
-      EXPECT_TRUE(bytes.empty());
-      EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
-      EXPECT_EQ(error, expected);
-    }
-    // The bulk loader's preflight checks every size before it reads any
-    // shard, so a corrupt shard 0 does not get to report first.
-    const std::string shard0 =
-        std::filesystem::path(manifest).parent_path() / ShardFileName(0);
-    const std::vector<char> pristine0 = ReadBytes(shard0);
-    std::vector<char> corrupt0 = pristine0;
-    corrupt0[64 + 3] ^= 0x10;
-    WriteBytes(shard0, corrupt0);
-    std::string error;
-    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
-    EXPECT_NE(error.find(shard1 + ": oversized file"), std::string::npos)
-        << error;
-    WriteBytes(shard0, pristine0);
-
-    // Cut back to size, the shard reads cleanly again.
-    std::filesystem::resize_file(shard1, size);
+  const std::string manifest = ShardScenario(scenario, "oversized_shard");
+  const std::string shard1 =
+      std::filesystem::path(manifest).parent_path() / ShardFileName(1);
+  const std::uintmax_t size = std::filesystem::file_size(shard1);
+  const ShardStreamReader reader = OpenReader(manifest);
+  for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
+    std::filesystem::resize_file(shard1, grown);
+    const std::string expected = shard1 + ": oversized file (" +
+                                 std::to_string(grown) + " bytes, expected " +
+                                 std::to_string(size) + ")";
     ShardStreamBlock block;
-    EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
-    EXPECT_TRUE(LoadShardedSnapshot(manifest, &error).has_value()) << error;
+    std::string error;
+    EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
+    EXPECT_EQ(error, expected);
+    ExpectEmptyBlock(block);
+    EXPECT_EQ(reader.resident_csr_bytes(), 0);
+    std::vector<char> bytes;
+    EXPECT_FALSE(reader.FetchBlock(1, &bytes, &error));
+    EXPECT_EQ(error, expected);
+    EXPECT_TRUE(bytes.empty());
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_EQ(error, expected);
+  }
+  // The bulk loader's preflight checks every size before it reads any
+  // shard, so a corrupt shard 0 does not get to report first.
+  const std::string shard0 =
+      std::filesystem::path(manifest).parent_path() / ShardFileName(0);
+  const std::vector<char> pristine0 = ReadBytes(shard0);
+  std::vector<char> corrupt0 = pristine0;
+  corrupt0[64 + 3] ^= 0x10;
+  WriteBytes(shard0, corrupt0);
+  std::string error;
+  EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+  EXPECT_NE(error.find(shard1 + ": oversized file"), std::string::npos)
+      << error;
+  WriteBytes(shard0, pristine0);
+
+  // Cut back to size, the shard reads cleanly again.
+  std::filesystem::resize_file(shard1, size);
+  ShardStreamBlock block;
+  EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
+  EXPECT_TRUE(LoadShardedSnapshot(manifest, &error).has_value()) << error;
+}
+
+// Open reads a manifest through the one head read: one grown by a byte,
+// or to 1 TiB (sparse), fails before it is buffered — beside its shards
+// and with them inline.
+TEST(ShardStreamReaderTest, OversizedManifestFailsOpen) {
+  const Scenario scenario = TestScenario();
+  const std::string inline_path = ::testing::TempDir() + "/open_big.lbps";
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(scenario, inline_path, &error)) << error;
+  for (const std::string& manifest :
+       {ShardScenario(scenario, "oversized_manifest"), inline_path}) {
+    SCOPED_TRACE(manifest);
+    const std::uintmax_t size = std::filesystem::file_size(manifest);
+    for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
+      std::filesystem::resize_file(manifest, grown);
+      EXPECT_FALSE(ShardStreamReader::Open(manifest, &error).has_value());
+      EXPECT_EQ(error, manifest + ": oversized file (" +
+                           std::to_string(grown) + " bytes, expected " +
+                           std::to_string(size) + ")");
+    }
+    std::filesystem::resize_file(manifest, size);
+    EXPECT_TRUE(ShardStreamReader::Open(manifest, &error).has_value())
+        << error;
   }
 }
 
@@ -1048,13 +925,14 @@ TEST(ShardManifestInfoTest, ReportsTotalShardPayloadBytes) {
   std::int64_t total = 0;
   const std::filesystem::path dir =
       std::filesystem::path(manifest).parent_path();
-  for (const ShardRangeInfo& shard : info->shards) {
+  for (std::size_t s = 0; s < info->shards.size(); ++s) {
+    const ShardRangeInfo& shard = info->shards[s];
     EXPECT_GT(shard.payload_bytes, 0);
     EXPECT_EQ(static_cast<std::uintmax_t>(shard.payload_bytes + 64),
-              std::filesystem::file_size(dir / shard.file));
+              std::filesystem::file_size(dir / ShardFileName(s)));
     total += shard.payload_bytes;
   }
-  EXPECT_EQ(info->total_shard_payload_bytes, total);
+  EXPECT_EQ(info->total_encoded_payload_bytes, total);
   EXPECT_GT(info->total_shard_payload_bytes, info->file_bytes);
 }
 

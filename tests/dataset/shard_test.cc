@@ -13,14 +13,22 @@
 #include "src/dataset/format_internal.h"
 #include "src/dataset/registry.h"
 #include "src/dataset/snapshot.h"
+#include "tests/testing/shard_bytes.h"
 #include "tests/testing/test_util.h"
 
 namespace linbp {
 namespace dataset {
 namespace {
 
+using linbp::testing::ForgeManifest;
+using linbp::testing::LayoutOf;
+using linbp::testing::ManifestEntryOffset;
 using linbp::testing::ReadBytes;
+using linbp::testing::ReadField;
+using linbp::testing::ReadShard;
 using linbp::testing::WriteBytes;
+using linbp::testing::WriteField;
+using linbp::testing::WriteForgedShard;
 
 std::string TempDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -81,69 +89,6 @@ void ExpectScenariosIdentical(const Scenario& a, const Scenario& b) {
   EXPECT_EQ(a.ground_truth, b.ground_truth);
 }
 
-// Re-forges the payload checksum in a header, so the corruption tests can
-// build "checksum-valid" hostile bytes.
-void FixChecksum(std::vector<char>* bytes) {
-  const std::uint64_t checksum =
-      internal::PayloadChecksum(bytes->data() + 64, bytes->size() - 64);
-  std::memcpy(bytes->data() + 56, &checksum, 8);
-}
-
-// Byte offset of shard `index`'s manifest entry (the i64 row_begin).
-// Reads the header version: compressed entries carry an extra i64
-// payload_bytes.
-std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
-                                std::int64_t index) {
-  std::uint32_t version = 0;
-  std::memcpy(&version, manifest.data() + 8, 4);
-  std::int64_t k = 0;
-  std::memcpy(&k, manifest.data() + 24, 8);
-  std::size_t off = 64;
-  auto skip_string = [&] {
-    std::uint32_t length = 0;
-    std::memcpy(&length, manifest.data() + off, 4);
-    off += 4 + length;
-  };
-  skip_string();  // name
-  skip_string();  // spec
-  off += static_cast<std::size_t>(k * k) * 8;  // coupling residual
-  for (std::int64_t s = 0; s < index; ++s) {
-    // row_begin, row_end, nnz, num_explicit, [payload_bytes,] checksum
-    off += (IsCompressedShardVersion(version) ? 8 * 5 : 8 * 4) + 8;
-    skip_string();  // file name
-  }
-  return off;
-}
-
-// Rewrites one shard file's payload byte and re-forges every checksum on
-// the path to it (shard header, manifest entry, manifest header), so only
-// the structural validation can catch the change.
-void TamperShardValueAndForgeChecksums(const std::string& manifest_path,
-                                       const std::string& shard_path) {
-  std::vector<char> shard = ReadBytes(shard_path);
-  std::int64_t row_begin = 0, row_end = 0, nnz = 0;
-  std::memcpy(&row_begin, shard.data() + 16, 8);
-  std::memcpy(&row_end, shard.data() + 24, 8);
-  std::memcpy(&nnz, shard.data() + 32, 8);
-  ASSERT_GT(nnz, 0);
-  // First stored value of the shard: after the local row_ptr and col_idx.
-  const std::size_t values_offset =
-      64 + static_cast<std::size_t>(row_end - row_begin + 1) * 8 +
-      static_cast<std::size_t>(nnz) * 4;
-  const double tweaked = 7.5;
-  std::memcpy(shard.data() + values_offset, &tweaked, 8);
-  FixChecksum(&shard);
-  std::uint64_t forged = 0;
-  std::memcpy(&forged, shard.data() + 56, 8);
-  WriteBytes(shard_path, shard);
-
-  std::vector<char> manifest = ReadBytes(manifest_path);
-  const std::size_t entry = ManifestEntryOffset(manifest, 0);
-  std::memcpy(manifest.data() + entry + 32, &forged, 8);
-  FixChecksum(&manifest);
-  WriteBytes(manifest_path, manifest);
-}
-
 TEST(ShardTest, RoundTripsBitIdenticallyToMonolithicSnapshot) {
   const Scenario original = TestScenario();
   const std::string manifest = ShardedScenario(original, "roundtrip", 4);
@@ -201,16 +146,14 @@ TEST(ShardTest, ParallelLoadIsBitIdenticalToSerial) {
 TEST(ShardTest, SnapScenarioAcceptsManifestTransparently) {
   const Scenario original = TestScenario();
   const std::string manifest = ShardedScenario(original, "registry", 3);
-  EXPECT_TRUE(LooksLikeShardManifest(manifest));
   std::string error;
   const auto loaded = MakeScenario("snap:path=" + manifest, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   ExpectScenariosIdentical(original, *loaded);
 
-  // A monolithic snapshot is NOT mistaken for a manifest.
+  // A `.lbps` is the same layout with its shard inline.
   const std::string mono = ::testing::TempDir() + "/registry_mono.lbps";
   ASSERT_TRUE(SaveSnapshot(original, mono, &error)) << error;
-  EXPECT_FALSE(LooksLikeShardManifest(mono));
   const auto mono_loaded = MakeScenario("snap:path=" + mono, &error);
   ASSERT_TRUE(mono_loaded.has_value()) << error;
   ExpectScenariosIdentical(original, *mono_loaded);
@@ -222,7 +165,8 @@ TEST(ShardTest, ManifestInfoReportsTheShardTable) {
   std::string error;
   const auto info = ReadShardManifestInfo(manifest, &error);
   ASSERT_TRUE(info.has_value()) << error;
-  EXPECT_EQ(info->version, kShardFormatVersionRaw);
+  EXPECT_FALSE(info->shards_inline);
+  EXPECT_FALSE(info->values_f32);
   EXPECT_EQ(info->num_nodes, original.graph.num_nodes());
   EXPECT_EQ(info->k, original.k);
   EXPECT_EQ(info->nnz, original.graph.num_directed_edges());
@@ -243,9 +187,9 @@ TEST(ShardTest, ManifestInfoReportsTheShardTable) {
   EXPECT_EQ(nnz_sum, info->nnz);
 }
 
-// ---- Compressed (v2) shards ----------------------------------------------
+// ---- Value widths ----------------------------------------------------------
 
-// Shards with an explicit compression choice; returns the manifest path.
+// Shards with an explicit value width; returns the manifest path.
 std::string ShardedCompressed(const Scenario& scenario,
                               const std::string& name, std::int64_t shards,
                               ShardCompression compression) {
@@ -260,17 +204,7 @@ std::string ShardedCompressed(const Scenario& scenario,
   return result->manifest_path;
 }
 
-TEST(ShardTest, CompressedF64RoundTripsBitIdentically) {
-  const Scenario original = TestScenario();
-  const std::string manifest = ShardedCompressed(
-      original, "v2_f64", 4, ShardCompression::kF64);
-  std::string error;
-  const auto loaded = LoadShardedSnapshot(manifest, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ExpectScenariosIdentical(original, *loaded);
-}
-
-TEST(ShardTest, CompressedF32RoundTripWidensStoredFloatsExactly) {
+TEST(ShardTest, F32RoundTripWidensStoredFloatsExactly) {
   const Scenario original = TestScenario();
   const std::string manifest = ShardedCompressed(
       original, "v2_f32", 4, ShardCompression::kF32);
@@ -304,21 +238,7 @@ TEST(ShardTest, CompressedF32RoundTripWidensStoredFloatsExactly) {
   ExpectScenariosIdentical(*loaded, *reloaded);
 }
 
-TEST(ShardTest, CompressedParallelLoadIsBitIdenticalToSerial) {
-  const Scenario original = TestScenario();
-  const std::string manifest = ShardedCompressed(
-      original, "v2_parallel", 4, ShardCompression::kF64);
-  std::string error;
-  const auto serial =
-      LoadShardedSnapshot(manifest, &error, exec::ExecContext::Serial());
-  ASSERT_TRUE(serial.has_value()) << error;
-  const auto threaded = LoadShardedSnapshot(
-      manifest, &error, exec::ExecContext::WithThreads(4));
-  ASSERT_TRUE(threaded.has_value()) << error;
-  ExpectScenariosIdentical(*serial, *threaded);
-}
-
-TEST(ShardTest, ManifestInfoReportsV2CompressionAndBothSizes) {
+TEST(ShardTest, ManifestInfoReportsValueWidthAndBothSizes) {
   const Scenario original = TestScenario();
   for (const bool f32 : {false, true}) {
     const std::string manifest = ShardedCompressed(
@@ -327,17 +247,17 @@ TEST(ShardTest, ManifestInfoReportsV2CompressionAndBothSizes) {
     std::string error;
     const auto info = ReadShardManifestInfo(manifest, &error);
     ASSERT_TRUE(info.has_value()) << error;
-    EXPECT_EQ(info->version, kShardFormatVersionCompressed);
     EXPECT_EQ(info->values_f32, f32);
     const std::filesystem::path dir =
         std::filesystem::path(manifest).parent_path();
     std::int64_t encoded_total = 0;
     std::int64_t decoded_total = 0;
-    for (const ShardRangeInfo& shard : info->shards) {
+    for (std::size_t s = 0; s < info->shards.size(); ++s) {
+      const ShardRangeInfo& shard = info->shards[s];
       // Declared on-disk payload equals the file size minus the header;
       // the decoded side is what the resident CSR blocks will cost.
       EXPECT_EQ(static_cast<std::uintmax_t>(shard.payload_bytes + 64),
-                std::filesystem::file_size(dir / shard.file));
+                std::filesystem::file_size(dir / ShardFileName(s)));
       EXPECT_GT(shard.decoded_bytes, shard.payload_bytes);
       encoded_total += shard.payload_bytes;
       decoded_total += shard.decoded_bytes;
@@ -350,21 +270,18 @@ TEST(ShardTest, ManifestInfoReportsV2CompressionAndBothSizes) {
   }
 }
 
-// A compressed manifest entry declares its payload size, and the parser
+// A manifest entry declares its payload size, and the parser
 // bounds it below by what the counts need on disk — the u64 varint byte
 // count, 16 bytes per 2048-row group, a varint byte per row and per
 // entry, the values and the raw sections — so the preflight ties every
 // decoded allocation to real bytes. One byte under that floor is
 // rejected; the floor itself parses.
-TEST(ShardTest, CompressedPayloadFloorCountsTheRowGroupTable) {
+TEST(ShardTest, PayloadFloorCountsTheRowGroupTable) {
   const Scenario original = TestScenario();
-  const std::string manifest = ShardedCompressed(
-      original, "payload_floor", 3, ShardCompression::kF64);
+  const std::string manifest = ShardedScenario(original, "payload_floor", 3);
   const std::vector<char> pristine = ReadBytes(manifest);
-  std::int64_t k = 0;
-  std::uint32_t flags = 0;
-  std::memcpy(&k, pristine.data() + 24, 8);
-  std::memcpy(&flags, pristine.data() + 48, 4);
+  const std::int64_t k = ReadField<std::int64_t>(pristine, 24);
+  const std::uint32_t flags = ReadField<std::uint32_t>(pristine, 48);
   const std::size_t entry = ManifestEntryOffset(pristine, 1);
   std::int64_t counts[4] = {};  // row_begin, row_end, nnz, num_explicit
   std::memcpy(counts, pristine.data() + entry, sizeof(counts));
@@ -374,10 +291,10 @@ TEST(ShardTest, CompressedPayloadFloorCountsTheRowGroupTable) {
                              8 * nnz + 8 * counts[3] * (1 + k) +
                              ((flags & 1) != 0 ? 4 * rows : 0);
   for (const std::int64_t declared : {floor - 1, floor}) {
-    std::vector<char> bytes = pristine;
-    std::memcpy(bytes.data() + entry + 32, &declared, 8);
-    FixChecksum(&bytes);
-    WriteBytes(manifest, bytes);
+    WriteBytes(manifest, pristine);
+    ForgeManifest(manifest, [&](std::vector<char>* bytes) {
+      WriteField(bytes, entry + 32, declared);
+    });
     std::string error;
     EXPECT_EQ(ReadShardManifestInfo(manifest, &error).has_value(),
               declared == floor)
@@ -445,52 +362,68 @@ TEST(ShardTest, RejectsBadMagicVersionAndEndianness) {
   EXPECT_NE(error.find("big-endian"), std::string::npos) << error;
 }
 
-// Versions 1 (raw) and 2 (compressed) are the same layouts checksummed
-// with FNV-1a, and version 4 is the compressed layout without the
-// row-group table: a file still carrying one must fail as an unsupported
-// version, never reach the checksum comparison or be parsed as another
-// layout. Version 4 sits between the two live versions, so it is tried
-// on a raw manifest too.
+// Earlier versions (1 and 3 raw shards; 2, 4 and 5 compressed ones) must
+// fail as unsupported versions, never reach the checksum comparison or be
+// parsed as the current layout — as a manifest, and as a shard file a
+// current manifest points at.
 TEST(ShardTest, RejectsThePreviousFormatVersions) {
   const Scenario original = TestScenario();
-  for (const ShardCompression compression :
-       {ShardCompression::kNone, ShardCompression::kF64}) {
-    const bool raw = compression == ShardCompression::kNone;
-    const std::string manifest = ShardedCompressed(
-        original, raw ? "previous_raw" : "previous_compressed", 3,
-        compression);
-    const std::vector<char> pristine = ReadBytes(manifest);
-    const std::string shard =
-        (std::filesystem::path(manifest).parent_path() / ShardFileName(1))
-            .string();
-    const std::vector<char> pristine_shard = ReadBytes(shard);
-    for (const std::uint32_t previous : {1u, 2u, 4u}) {
-      SCOPED_TRACE(::testing::Message() << (raw ? "raw" : "compressed")
-                                        << " relabelled " << previous);
-      std::string error;
-      std::vector<char> old_manifest = pristine;
-      std::memcpy(old_manifest.data() + 8, &previous, 4);
-      WriteBytes(manifest, old_manifest);
-      EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
-      EXPECT_NE(error.find("unsupported shard manifest version " +
-                           std::to_string(previous) + " (expected 3 or 5)"),
-                std::string::npos)
-          << error;
-      EXPECT_FALSE(ReadShardManifestInfo(manifest, &error).has_value());
-      WriteBytes(manifest, pristine);
+  const std::string manifest = ShardedScenario(original, "previous", 3);
+  const std::vector<char> pristine = ReadBytes(manifest);
+  const std::string shard =
+      (std::filesystem::path(manifest).parent_path() / ShardFileName(1))
+          .string();
+  const std::vector<char> pristine_shard = ReadBytes(shard);
+  for (const std::uint32_t previous : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(previous);
+    std::string error;
+    std::vector<char> old_manifest = pristine;
+    WriteField(&old_manifest, 8, previous);
+    WriteBytes(manifest, old_manifest);
+    const std::string expected = manifest +
+                                 ": unsupported shard manifest version " +
+                                 std::to_string(previous) + " (expected 6)";
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_EQ(error, expected);
+    EXPECT_FALSE(ReadShardManifestInfo(manifest, &error).has_value());
+    EXPECT_EQ(error, expected);
+    WriteBytes(manifest, pristine);
 
-      // A current manifest pointing at a shard file of the old version.
-      std::vector<char> old_shard = pristine_shard;
-      std::memcpy(old_shard.data() + 8, &previous, 4);
-      WriteBytes(shard, old_shard);
-      EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
-      EXPECT_NE(error.find("unsupported snapshot shard version " +
-                           std::to_string(previous)),
-                std::string::npos)
-          << error;
-      WriteBytes(shard, pristine_shard);
-    }
+    std::vector<char> old_shard = pristine_shard;
+    WriteField(&old_shard, 8, previous);
+    WriteBytes(shard, old_shard);
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_EQ(error, shard + ": unsupported snapshot shard version " +
+                         std::to_string(previous) + " (expected 6)");
+    WriteBytes(shard, pristine_shard);
   }
+}
+
+// A manifest longer than its header, strings and shard table imply fails
+// before it is read (the 1 TiB file is sparse); one cut short of that
+// size is a truncated manifest.
+TEST(ShardTest, OversizedOrTruncatedManifestFailsBeforeItIsRead) {
+  const Scenario original = TestScenario();
+  const std::string manifest = ShardedScenario(original, "man_size", 3);
+  const std::uintmax_t size = std::filesystem::file_size(manifest);
+  for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
+    SCOPED_TRACE(grown);
+    std::filesystem::resize_file(manifest, grown);
+    const std::string expected = manifest + ": oversized file (" +
+                                 std::to_string(grown) + " bytes, expected " +
+                                 std::to_string(size) + ")";
+    std::string error;
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_EQ(error, expected);
+    EXPECT_FALSE(ReadShardManifestInfo(manifest, &error).has_value());
+    EXPECT_EQ(error, expected);
+  }
+  std::filesystem::resize_file(manifest, size - 1);
+  std::string error;
+  EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+  EXPECT_EQ(error, manifest + ": truncated manifest payload");
+  EXPECT_FALSE(ReadShardManifestInfo(manifest, &error).has_value());
+  EXPECT_EQ(error, manifest + ": truncated manifest payload");
 }
 
 TEST(ShardTest, RejectsRowRangeGapAndOverlap) {
@@ -498,15 +431,11 @@ TEST(ShardTest, RejectsRowRangeGapAndOverlap) {
   for (const std::int64_t delta : {std::int64_t{1}, std::int64_t{-1}}) {
     const std::string manifest = ShardedScenario(
         original, delta > 0 ? "gap" : "overlap", 3);
-    std::vector<char> bytes = ReadBytes(manifest);
     // Shift shard 1's row_begin: +1 opens a gap, -1 overlaps shard 0.
-    const std::size_t entry = ManifestEntryOffset(bytes, 1);
-    std::int64_t row_begin = 0;
-    std::memcpy(&row_begin, bytes.data() + entry, 8);
-    row_begin += delta;
-    std::memcpy(bytes.data() + entry, &row_begin, 8);
-    FixChecksum(&bytes);
-    WriteBytes(manifest, bytes);
+    ForgeManifest(manifest, [&](std::vector<char>* bytes) {
+      const std::size_t entry = ManifestEntryOffset(*bytes, 1);
+      WriteField(bytes, entry, ReadField<std::int64_t>(*bytes, entry) + delta);
+    });
     std::string error;
     EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
     EXPECT_NE(error.find("gap or overlap"), std::string::npos) << error;
@@ -562,36 +491,48 @@ TEST(ShardTest, RejectsTruncatedShardFile) {
 TEST(ShardTest, RejectsCrossShardAsymmetryWithForgedChecksums) {
   const Scenario original = TestScenario();
   const std::string manifest = ShardedScenario(original, "asymmetry", 3);
-  const std::string victim =
-      (std::filesystem::path(manifest).parent_path() / ShardFileName(0))
-          .string();
   // Overwrite one stored value inside shard 0 and re-forge every
   // checksum: the mirror entry (in shard 0 or a later shard) keeps the
   // old weight, so only the global cross-shard symmetry sweep can catch
   // the corruption — with an error, never a crash.
-  TamperShardValueAndForgeChecksums(manifest, victim);
+  std::vector<char> shard = ReadShard(manifest, 0);
+  WriteField(&shard, LayoutOf(shard).values, 7.5);
+  WriteForgedShard(manifest, 0, shard);
   std::string error;
   EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
   EXPECT_NE(error.find("invalid adjacency payload"), std::string::npos)
       << error;
 }
 
+// The floor of ParseManifest's payload-size check for `nnz` entries over
+// `rows` rows, with `num_explicit` explicit nodes.
+std::int64_t PayloadFloor(const std::vector<char>& manifest, std::int64_t rows,
+                          std::int64_t nnz, std::int64_t num_explicit) {
+  const std::int64_t k = ReadField<std::int64_t>(manifest, 24);
+  const bool truth = (ReadField<std::uint32_t>(manifest, 48) & 1) != 0;
+  return 8 + 16 * ((rows + 2047) / 2048) + rows + nnz + 8 * nnz +
+         8 * num_explicit * (1 + k) + (truth ? 4 * rows : 0);
+}
+
 TEST(ShardTest, RejectsHugeShardCountsWithoutAllocating) {
   const Scenario original = TestScenario();
   const std::string manifest = ShardedScenario(original, "huge", 2);
-  std::vector<char> bytes = ReadBytes(manifest);
-  // Declare an absurd global and shard-0 nnz with a fixed-up manifest
-  // checksum: the preflight against actual shard file sizes must reject
-  // it before any multi-terabyte resize.
-  const std::int64_t huge = std::int64_t{1} << 40;
-  std::memcpy(bytes.data() + 32, &huge, 8);
-  const std::size_t entry = ManifestEntryOffset(bytes, 0);
-  std::int64_t nnz1 = 0;
-  std::memcpy(&nnz1, bytes.data() + ManifestEntryOffset(bytes, 1) + 16, 8);
-  const std::int64_t huge0 = huge - nnz1;
-  std::memcpy(bytes.data() + entry + 16, &huge0, 8);
-  FixChecksum(&bytes);
-  WriteBytes(manifest, bytes);
+  // Declare an absurd global and shard-0 nnz, with a payload size that
+  // matches it and a fixed-up manifest checksum: the preflight against
+  // actual shard file sizes must reject it before any multi-terabyte
+  // resize.
+  ForgeManifest(manifest, [](std::vector<char>* bytes) {
+    const std::int64_t huge = std::int64_t{1} << 40;
+    const std::size_t entry = ManifestEntryOffset(*bytes, 0);
+    const std::int64_t nnz1 =
+        ReadField<std::int64_t>(*bytes, ManifestEntryOffset(*bytes, 1) + 16);
+    const std::int64_t rows = ReadField<std::int64_t>(*bytes, entry + 8);
+    WriteField(bytes, 32, huge);
+    WriteField(bytes, entry + 16, huge - nnz1);
+    WriteField(bytes, entry + 32,
+               PayloadFloor(*bytes, rows, huge - nnz1,
+                            ReadField<std::int64_t>(*bytes, entry + 24)));
+  });
   std::string error;
   EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
   EXPECT_NE(error.find("truncated shard payload"), std::string::npos)
@@ -601,15 +542,22 @@ TEST(ShardTest, RejectsHugeShardCountsWithoutAllocating) {
 TEST(ShardTest, RejectsOverflowingShardCountSums) {
   const Scenario original = TestScenario();
   const std::string manifest = ShardedScenario(original, "overflow", 2);
-  std::vector<char> bytes = ReadBytes(manifest);
-  // Two entries at the per-shard 2^48 cap: a naive int64 accumulation
-  // across a 2^20-entry table could wrap, so the parser must bound each
-  // entry against the remaining manifest total instead.
-  const std::int64_t huge = std::int64_t{1} << 48;
-  std::memcpy(bytes.data() + ManifestEntryOffset(bytes, 0) + 16, &huge, 8);
-  std::memcpy(bytes.data() + ManifestEntryOffset(bytes, 1) + 16, &huge, 8);
-  FixChecksum(&bytes);
-  WriteBytes(manifest, bytes);
+  // Two entries at the per-shard 2^48 cap, each with a payload size its
+  // counts can explain: a naive int64 accumulation across a 2^20-entry
+  // table could wrap, so the parser must bound each entry against the
+  // remaining manifest total instead.
+  ForgeManifest(manifest, [](std::vector<char>* bytes) {
+    const std::int64_t huge = std::int64_t{1} << 48;
+    for (const std::int64_t s : {0, 1}) {
+      const std::size_t entry = ManifestEntryOffset(*bytes, s);
+      const std::int64_t rows = ReadField<std::int64_t>(*bytes, entry + 8) -
+                                ReadField<std::int64_t>(*bytes, entry);
+      WriteField(bytes, entry + 16, huge);
+      WriteField(bytes, entry + 32,
+                 PayloadFloor(*bytes, rows, huge,
+                              ReadField<std::int64_t>(*bytes, entry + 24)));
+    }
+  });
   std::string error;
   EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
   EXPECT_NE(error.find("exceed the manifest totals"), std::string::npos)
@@ -619,32 +567,16 @@ TEST(ShardTest, RejectsOverflowingShardCountSums) {
 TEST(ShardTest, RejectsExplicitNodeOutsideItsShard) {
   const Scenario original = TestScenario();
   const std::string manifest = ShardedScenario(original, "expl_range", 3);
-  const std::string victim =
-      (std::filesystem::path(manifest).parent_path() / ShardFileName(0))
-          .string();
-  std::vector<char> shard = ReadBytes(victim);
-  std::int64_t row_begin = 0, row_end = 0, nnz = 0, num_explicit = 0;
-  std::memcpy(&row_begin, shard.data() + 16, 8);
-  std::memcpy(&row_end, shard.data() + 24, 8);
-  std::memcpy(&nnz, shard.data() + 32, 8);
-  std::memcpy(&num_explicit, shard.data() + 40, 8);
-  ASSERT_GT(num_explicit, 0);
-  const std::size_t explicit_offset =
-      64 + static_cast<std::size_t>(row_end - row_begin + 1) * 8 +
-      static_cast<std::size_t>(nnz) * 12;
-  // Point the first explicit id past the shard's row range and forge the
-  // checksums; the per-shard range check must reject it.
-  std::memcpy(shard.data() + explicit_offset, &row_end, 8);
-  FixChecksum(&shard);
-  std::uint64_t forged = 0;
-  std::memcpy(&forged, shard.data() + 56, 8);
-  WriteBytes(victim, shard);
-  std::vector<char> manifest_bytes = ReadBytes(manifest);
-  std::memcpy(manifest_bytes.data() + ManifestEntryOffset(manifest_bytes, 0) +
-                  32,
-              &forged, 8);
-  FixChecksum(&manifest_bytes);
-  WriteBytes(manifest, manifest_bytes);
+  std::vector<char> shard = ReadShard(manifest, 0);
+  const std::int64_t row_end = ReadField<std::int64_t>(shard, 24);
+  const std::int64_t nnz = ReadField<std::int64_t>(shard, 32);
+  ASSERT_GT(ReadField<std::int64_t>(shard, 40), 0);
+  // Point the first explicit id, right after the values, past the shard's
+  // row range and forge the checksums; the per-shard range check must
+  // reject it.
+  WriteField(&shard, LayoutOf(shard).values + 8 * static_cast<std::size_t>(nnz),
+             row_end);
+  WriteForgedShard(manifest, 0, shard);
   std::string error;
   EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
   EXPECT_NE(error.find("outside the shard's row range"), std::string::npos)

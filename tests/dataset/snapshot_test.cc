@@ -1,8 +1,14 @@
+// Snapshots: a `.lbps` is a shard manifest with its one shard inline.
+// Round trips, the corruption matrix on that file, the retired layouts,
+// and parity with shard sets written from the same scenario.
+
 #include "src/dataset/snapshot.h"
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,25 +16,41 @@
 #include "gtest/gtest.h"
 #include "src/dataset/format_internal.h"
 #include "src/dataset/registry.h"
+#include "src/dataset/shard.h"
+#include "src/dataset/shard_stream.h"
+#include "src/obs/trace.h"
+#include "tests/testing/shard_bytes.h"
 #include "tests/testing/test_util.h"
 
 namespace linbp {
 namespace dataset {
 namespace {
 
+using linbp::testing::FixChecksum;
+using linbp::testing::ForgeManifest;
+using linbp::testing::GroupEnd;
+using linbp::testing::LayoutOf;
+using linbp::testing::ManifestBytes;
+using linbp::testing::ManifestEntryOffset;
 using linbp::testing::ReadBytes;
+using linbp::testing::ReadShard;
 using linbp::testing::WriteBytes;
+using linbp::testing::WriteField;
+using linbp::testing::WriteForgedShard;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-Scenario TestScenario() {
+Scenario MakeTestScenario(const std::string& spec) {
   std::string error;
-  auto scenario =
-      MakeScenario("fraud:users=80,products=40,seed=13", &error);
+  auto scenario = MakeScenario(spec, &error);
   EXPECT_TRUE(scenario.has_value()) << error;
   return std::move(*scenario);
+}
+
+Scenario TestScenario() {
+  return MakeTestScenario("fraud:users=80,products=40,seed=13");
 }
 
 std::string SavedSnapshot(const Scenario& scenario, const std::string& name) {
@@ -38,19 +60,37 @@ std::string SavedSnapshot(const Scenario& scenario, const std::string& name) {
   return path;
 }
 
+// Names, CSR, degrees, explicit rows and truth, the doubles compared with
+// memcmp.
 void ExpectScenariosIdentical(const Scenario& a, const Scenario& b) {
   EXPECT_EQ(a.name, b.name);
   EXPECT_EQ(a.spec, b.spec);
   EXPECT_EQ(a.k, b.k);
-  // CSR arrays must match bit for bit.
-  EXPECT_EQ(a.graph.adjacency().row_ptr(), b.graph.adjacency().row_ptr());
-  EXPECT_EQ(a.graph.adjacency().col_idx(), b.graph.adjacency().col_idx());
-  EXPECT_EQ(a.graph.adjacency().values(), b.graph.adjacency().values());
-  EXPECT_EQ(a.graph.weighted_degrees(), b.graph.weighted_degrees());
+  linbp::testing::ExpectSameGraph(b.graph, a.graph);
+  ASSERT_EQ(a.explicit_residuals.data().size(),
+            b.explicit_residuals.data().size());
+  EXPECT_EQ(std::memcmp(a.explicit_residuals.data().data(),
+                        b.explicit_residuals.data().data(),
+                        a.explicit_residuals.data().size() * sizeof(double)),
+            0);
   EXPECT_EQ(a.coupling_residual.data(), b.coupling_residual.data());
-  EXPECT_EQ(a.explicit_residuals.data(), b.explicit_residuals.data());
   EXPECT_EQ(a.explicit_nodes, b.explicit_nodes);
   EXPECT_EQ(a.ground_truth, b.ground_truth);
+}
+
+// Every reader of a file — the bulk load, `info` and the streaming reader
+// — must fail on it with exactly `expected`.
+void ExpectEveryReaderFails(const std::string& path,
+                            const std::string& expected) {
+  std::string error;
+  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+  EXPECT_EQ(error, expected);
+  error.clear();
+  EXPECT_FALSE(ReadShardManifestInfo(path, &error).has_value());
+  EXPECT_EQ(error, expected);
+  error.clear();
+  EXPECT_FALSE(ShardStreamReader::Open(path, &error).has_value());
+  EXPECT_EQ(error, expected);
 }
 
 TEST(SnapshotTest, RoundTripsBitIdentically) {
@@ -60,10 +100,6 @@ TEST(SnapshotTest, RoundTripsBitIdentically) {
   const auto loaded = LoadSnapshot(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   ExpectScenariosIdentical(original, *loaded);
-
-  // The derived edge list is the canonical (u < v, sorted) ordering the
-  // generators produce, with identical weights.
-  ASSERT_EQ(loaded->graph.edges().size(), original.graph.edges().size());
   EXPECT_EQ(loaded->graph.num_undirected_edges(),
             original.graph.num_undirected_edges());
 
@@ -73,36 +109,89 @@ TEST(SnapshotTest, RoundTripsBitIdentically) {
 }
 
 TEST(SnapshotTest, RoundTripsWithoutGroundTruth) {
+  const Scenario original = MakeTestScenario("kronecker:g=1,seed=4");
+  ASSERT_FALSE(original.HasGroundTruth());
+  const std::string path = SavedSnapshot(original, "no_truth.lbps");
   std::string error;
-  auto original = MakeScenario("kronecker:g=1,seed=4", &error);
-  ASSERT_TRUE(original.has_value()) << error;
-  ASSERT_FALSE(original->HasGroundTruth());
-  const std::string path = SavedSnapshot(*original, "no_truth.lbps");
   const auto loaded = LoadSnapshot(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
-  ExpectScenariosIdentical(*original, *loaded);
+  ExpectScenariosIdentical(original, *loaded);
 }
 
 TEST(SnapshotTest, ParallelLoadIsBitIdenticalToSerial) {
-  const Scenario original = TestScenario();
+  // 5000 rows: one inline shard of three row groups, decoded on every lane.
+  const Scenario original =
+      MakeTestScenario("sbm:n=5000,k=3,deg=6,labeled=0.1,seed=3");
   const std::string path = SavedSnapshot(original, "parallel.lbps");
   std::string error;
-  const auto serial =
-      LoadSnapshot(path, &error, exec::ExecContext::Serial());
+  const auto serial = LoadSnapshot(path, &error, exec::ExecContext::Serial());
   ASSERT_TRUE(serial.has_value()) << error;
-  const auto threaded =
-      LoadSnapshot(path, &error, exec::ExecContext::WithThreads(4));
-  ASSERT_TRUE(threaded.has_value()) << error;
-  ExpectScenariosIdentical(*serial, *threaded);
+  ExpectScenariosIdentical(original, *serial);
+  for (const int threads : {2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const auto threaded =
+        LoadSnapshot(path, &error, exec::ExecContext::WithThreads(threads));
+    ASSERT_TRUE(threaded.has_value()) << error;
+    ExpectScenariosIdentical(*serial, *threaded);
+  }
 }
 
-TEST(SnapshotTest, InfoReadsHeaderWithoutDeserializing) {
+// The same scenario written by SaveSnapshot (one inline shard) and by
+// ShardSnapshot (four shard files) loads memcmp-equal.
+TEST(SnapshotTest, LoadsEqualTheSameScenariosShardSet) {
+  for (const char* spec : {"fraud:users=80,products=40,seed=13",
+                           "sbm:n=5000,k=3,deg=6,seed=3",
+                           "kronecker:g=1,seed=4"}) {
+    SCOPED_TRACE(spec);
+    const Scenario original = MakeTestScenario(spec);
+    const std::string path = SavedSnapshot(original, "parity.lbps");
+    const std::string dir = TempPath("parity_shards");
+    std::filesystem::remove_all(dir);
+    std::string error;
+    const auto written = ShardSnapshot(original, 4, dir, &error);
+    ASSERT_TRUE(written.has_value()) << error;
+    ASSERT_EQ(written->num_shards, 4);
+    const auto from_file = LoadSnapshot(path, &error);
+    ASSERT_TRUE(from_file.has_value()) << error;
+    const auto from_shards = LoadShardedSnapshot(written->manifest_path,
+                                                 &error);
+    ASSERT_TRUE(from_shards.has_value()) << error;
+    ExpectScenariosIdentical(*from_file, *from_shards);
+    ExpectScenariosIdentical(original, *from_file);
+  }
+}
+
+// A traced load shows the load layer's five spans and is memcmp-equal to
+// an untraced one.
+TEST(SnapshotTest, TracedLoadShowsTheLoadSpansAndEqualsAnUntracedOne) {
+  const Scenario original = TestScenario();
+  const std::string path = SavedSnapshot(original, "traced.lbps");
+  std::string error;
+  const auto untraced = LoadSnapshot(path, &error);
+  ASSERT_TRUE(untraced.has_value()) << error;
+  obs::Tracer tracer;
+  obs::SetActiveTracer(&tracer);
+  const auto traced = LoadSnapshot(path, &error);
+  obs::SetActiveTracer(nullptr);
+  ASSERT_TRUE(traced.has_value()) << error;
+  ExpectScenariosIdentical(*untraced, *traced);
+  const std::string json = tracer.Json();
+  for (const char* span : {"load_read", "load_checksum", "load_decode",
+                           "load_validate", "load_adopt"}) {
+    EXPECT_NE(json.find("\"name\":\"" + std::string(span) + "\""),
+              std::string::npos)
+        << span << " in " << json;
+  }
+}
+
+TEST(SnapshotTest, InfoReadsTheManifestWithoutTheShard) {
   const Scenario original = TestScenario();
   const std::string path = SavedSnapshot(original, "info.lbps");
   std::string error;
-  const auto info = ReadSnapshotInfo(path, &error);
+  const auto info = ReadShardManifestInfo(path, &error);
   ASSERT_TRUE(info.has_value()) << error;
-  EXPECT_EQ(info->version, kSnapshotVersion);
+  EXPECT_TRUE(info->shards_inline);
+  EXPECT_FALSE(info->values_f32);
   EXPECT_EQ(info->num_nodes, original.graph.num_nodes());
   EXPECT_EQ(info->k, original.k);
   EXPECT_EQ(info->nnz, original.graph.num_directed_edges());
@@ -111,6 +200,13 @@ TEST(SnapshotTest, InfoReadsHeaderWithoutDeserializing) {
   EXPECT_TRUE(info->has_ground_truth);
   EXPECT_EQ(info->name, "fraud");
   EXPECT_EQ(info->spec, "fraud:users=80,products=40,seed=13");
+  ASSERT_EQ(info->shards.size(), 1u);
+  EXPECT_EQ(info->shards[0].row_end, original.graph.num_nodes());
+  const std::vector<char> file = ReadBytes(path);
+  EXPECT_EQ(info->file_bytes, static_cast<std::int64_t>(file.size()));
+  EXPECT_EQ(info->file_bytes,
+            static_cast<std::int64_t>(ManifestBytes(file)) + 64 +
+                info->total_encoded_payload_bytes);
 }
 
 TEST(SnapshotTest, SaveReportsBufferedWriteFailures) {
@@ -126,12 +222,21 @@ TEST(SnapshotTest, SaveReportsBufferedWriteFailures) {
   EXPECT_NE(error.find("failed"), std::string::npos) << error;
 }
 
-TEST(SnapshotTest, SaveReportsUnwritablePaths) {
+TEST(SnapshotTest, SaveReportsUnwritablePathsAndEmptyScenarios) {
   const Scenario scenario = TestScenario();
   std::string error;
   EXPECT_FALSE(SaveSnapshot(scenario, ::testing::TempDir(), &error));
   EXPECT_NE(error.find("cannot write"), std::string::npos) << error;
+
+  Scenario empty;
+  empty.k = 2;
+  empty.coupling_residual = DenseMatrix(2, 2);
+  empty.explicit_residuals = DenseMatrix(0, 2);
+  EXPECT_FALSE(SaveSnapshot(empty, TempPath("empty.lbps"), &error));
+  EXPECT_NE(error.find("empty scenario"), std::string::npos) << error;
 }
+
+// ---- Corruption matrix ---------------------------------------------------
 
 TEST(SnapshotTest, RejectsMissingAndTruncatedFiles) {
   std::string error;
@@ -141,21 +246,26 @@ TEST(SnapshotTest, RejectsMissingAndTruncatedFiles) {
   const Scenario original = TestScenario();
   const std::string path = SavedSnapshot(original, "truncate.lbps");
   const std::vector<char> bytes = ReadBytes(path);
-  // Shorter than the header.
-  WriteBytes(path, std::vector<char>(bytes.begin(), bytes.begin() + 40));
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-  // Header intact, payload cut.
-  WriteBytes(path,
-             std::vector<char>(bytes.begin(), bytes.end() - 100));
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  // (either the checksum or the section reads catch it first)
-  EXPECT_FALSE(error.empty());
+  const std::size_t manifest_bytes = ManifestBytes(bytes);
+  const struct {
+    std::size_t keep;
+    std::string expected;
+  } cuts[] = {
+      {40, ": truncated shard manifest (shorter than the header)"},
+      {manifest_bytes - 1, ": truncated manifest payload"},
+      {manifest_bytes + 10, ": truncated shard payload"},
+      {bytes.size() - 1, ": truncated shard payload"},
+  };
+  for (const auto& cut : cuts) {
+    SCOPED_TRACE(cut.keep);
+    WriteBytes(path, std::vector<char>(bytes.begin(),
+                                       bytes.begin() + cut.keep));
+    ExpectEveryReaderFails(path, path + cut.expected);
+  }
 }
 
-// A snapshot longer than its header and strings imply fails before it
-// is read, in both readers, with the shard loaders' message: a 1 TiB
-// sparse file must never be buffered.
+// A file longer than its manifest and shard imply fails before it is
+// read, in every reader: a 1 TiB sparse file must never be buffered.
 TEST(SnapshotTest, OversizedFileIsAnErrorBeforeItIsRead) {
   const Scenario original = TestScenario();
   const std::string path = SavedSnapshot(original, "oversized.lbps");
@@ -163,56 +273,39 @@ TEST(SnapshotTest, OversizedFileIsAnErrorBeforeItIsRead) {
   for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
     SCOPED_TRACE(grown);
     std::filesystem::resize_file(path, grown);
-    const std::string expected = path + ": oversized file (" +
-                                 std::to_string(grown) + " bytes, expected " +
-                                 std::to_string(size) + ")";
-    std::string error;
-    EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-    EXPECT_EQ(error, expected);
-    error.clear();
-    EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
-    EXPECT_EQ(error, expected);
+    ExpectEveryReaderFails(path, path + ": oversized file (" +
+                                     std::to_string(grown) +
+                                     " bytes, expected " +
+                                     std::to_string(size) + ")");
   }
   std::filesystem::resize_file(path, size);
   std::string error;
-  const auto info = ReadSnapshotInfo(path, &error);
-  ASSERT_TRUE(info.has_value()) << error;
-  EXPECT_EQ(info->file_bytes, static_cast<std::int64_t>(size));
   EXPECT_TRUE(LoadSnapshot(path, &error).has_value()) << error;
 }
 
 // The name and spec lengths are read before the rest of the file: a
-// length that points past the end of the file, a file that ends inside a
-// length prefix, or one cut short of the size they imply is a truncated
-// payload in both readers.
-TEST(SnapshotTest, StringLengthPastTheEndIsATruncatedPayload) {
+// length that points past the end of the file, or a file that ends inside
+// a length prefix, is a truncated manifest in every reader.
+TEST(SnapshotTest, StringLengthPastTheEndIsATruncatedManifest) {
   const Scenario original = TestScenario();
   const std::string path = SavedSnapshot(original, "strings.lbps");
   const std::vector<char> bytes = ReadBytes(path);
   std::uint32_t name_length = 0;
   std::memcpy(&name_length, bytes.data() + 64, 4);
   const std::size_t spec_at = 64 + 4 + name_length;
-  const std::string truncated = path + ": truncated snapshot payload";
-  auto expect_truncated = [&](const std::vector<char>& file) {
-    WriteBytes(path, file);
-    std::string error;
-    EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-    EXPECT_EQ(error, truncated);
-    error.clear();
-    EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
-    EXPECT_EQ(error, truncated);
-  };
+  const std::string truncated = path + ": truncated manifest payload";
   const std::uint32_t huge = 0xfffffff0u;
   for (const std::size_t at : {std::size_t{64}, spec_at}) {
     SCOPED_TRACE(at);
     std::vector<char> forged = bytes;
     std::memcpy(forged.data() + at, &huge, 4);
-    expect_truncated(forged);
+    WriteBytes(path, forged);
+    ExpectEveryReaderFails(path, truncated);
   }
-  for (const std::size_t keep :
-       {std::size_t{66}, spec_at + 2, bytes.size() - 1}) {
+  for (const std::size_t keep : {std::size_t{66}, spec_at + 2}) {
     SCOPED_TRACE(keep);
-    expect_truncated(std::vector<char>(bytes.begin(), bytes.begin() + keep));
+    WriteBytes(path, std::vector<char>(bytes.begin(), bytes.begin() + keep));
+    ExpectEveryReaderFails(path, truncated);
   }
 }
 
@@ -220,153 +313,316 @@ TEST(SnapshotTest, RejectsBadMagicVersionAndEndianness) {
   const Scenario original = TestScenario();
   const std::string path = SavedSnapshot(original, "header.lbps");
   const std::vector<char> bytes = ReadBytes(path);
-  std::string error;
+  const std::size_t shard_at = ManifestBytes(bytes);
 
   std::vector<char> bad_magic = bytes;
   bad_magic[0] = 'X';
   WriteBytes(path, bad_magic);
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  ExpectEveryReaderFails(path,
+                         path + ": not a LinBP shard manifest (bad magic)");
 
   std::vector<char> bad_version = bytes;
-  const std::uint32_t version = 99;
-  std::memcpy(bad_version.data() + 8, &version, 4);
+  WriteField<std::uint32_t>(&bad_version, 8, 99);
   WriteBytes(path, bad_version);
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("unsupported snapshot version 99"),
-            std::string::npos)
-      << error;
+  ExpectEveryReaderFails(
+      path, path + ": unsupported shard manifest version 99 (expected 6)");
 
   // A big-endian writer would emit the tag byte-swapped.
   std::vector<char> swapped = bytes;
   std::swap(swapped[12], swapped[15]);
   std::swap(swapped[13], swapped[14]);
   WriteBytes(path, swapped);
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("big-endian"), std::string::npos) << error;
+  ExpectEveryReaderFails(path,
+                         path + ": big-endian shard manifest is not supported");
 
-  EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
-}
-
-// Version 1 is the same layout checksummed with FNV-1a: it must fail as
-// an unsupported version, never reach the checksum comparison.
-TEST(SnapshotTest, RejectsThePreviousFormatVersion) {
-  const Scenario original = TestScenario();
-  const std::string path = SavedSnapshot(original, "previous.lbps");
-  std::vector<char> bytes = ReadBytes(path);
-  const std::uint32_t previous = kSnapshotVersion - 1;
-  std::memcpy(bytes.data() + 8, &previous, 4);
-  WriteBytes(path, bytes);
+  // The inline shard's own header is checked the same way.
+  std::vector<char> shard_version = bytes;
+  WriteField<std::uint32_t>(&shard_version, shard_at + 8, 5);
+  WriteBytes(path, shard_version);
   std::string error;
   EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("unsupported snapshot version 1"), std::string::npos)
-      << error;
-  EXPECT_FALSE(ReadSnapshotInfo(path, &error).has_value());
-  EXPECT_NE(error.find("unsupported snapshot version 1"), std::string::npos)
-      << error;
+  EXPECT_EQ(error,
+            path + ": unsupported snapshot shard version 5 (expected 6)");
+  std::vector<char> shard_magic = bytes;
+  shard_magic[shard_at] = 'X';
+  WriteBytes(path, shard_magic);
+  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+  EXPECT_EQ(error, path + ": not a LinBP snapshot shard (bad magic)");
 }
 
-TEST(SnapshotTest, RejectsCorruptedPayloadAndHeaderCounts) {
+TEST(SnapshotTest, RejectsBitFlipsAndBadHeaderCounts) {
   const Scenario original = TestScenario();
   const std::string path = SavedSnapshot(original, "corrupt.lbps");
   const std::vector<char> bytes = ReadBytes(path);
-  std::string error;
 
-  // Flip one payload byte: the checksum must catch it.
+  // One flipped bit in the manifest payload, then in the shard payload.
   std::vector<char> flipped = bytes;
+  flipped[ManifestBytes(bytes) - 3] ^= 0x20;
+  WriteBytes(path, flipped);
+  ExpectEveryReaderFails(path,
+                         path + ": checksum mismatch (corrupted manifest)");
+  flipped = bytes;
   flipped[flipped.size() - 7] ^= 0x20;
   WriteBytes(path, flipped);
+  std::string error;
   EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+  EXPECT_EQ(error, path + ": checksum mismatch (corrupted shard)");
 
   // num_explicit > num_nodes in the header.
   std::vector<char> bad_counts = bytes;
-  const std::int64_t huge = original.graph.num_nodes() + 1;
-  std::memcpy(bad_counts.data() + 40, &huge, 8);
+  WriteField<std::int64_t>(&bad_counts, 40, original.graph.num_nodes() + 1);
   WriteBytes(path, bad_counts);
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("counts out of range"), std::string::npos) << error;
+  ExpectEveryReaderFails(
+      path, path + ": corrupted manifest header (counts out of range)");
 
-  // Appended trailing garbage changes the payload, so it cannot pass.
-  std::vector<char> padded = bytes;
-  padded.insert(padded.end(), 16, '\0');
-  WriteBytes(path, padded);
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+  // An unknown flag bit.
+  std::vector<char> bad_flags = bytes;
+  WriteField<std::uint32_t>(&bad_flags, 48, 1u | 4u | 64u);
+  WriteBytes(path, bad_flags);
+  ExpectEveryReaderFails(path,
+                         path + ": corrupted manifest header (unknown flags)");
 }
 
-// Helpers for crafting checksum-valid but structurally hostile payloads:
-// the loader must reject them with errors, never crash or abort.
-void FixChecksum(std::vector<char>* bytes) {
-  const std::uint64_t checksum =
-      internal::PayloadChecksum(bytes->data() + 64, bytes->size() - 64);
-  std::memcpy(bytes->data() + 56, &checksum, 8);
-}
-
-// Byte offset of the CSR row_ptr section inside the payload.
-std::size_t RowPtrOffset(const std::vector<char>& bytes) {
-  std::int64_t k = 0;
-  std::memcpy(&k, bytes.data() + 24, 8);
-  std::size_t off = 64;
-  auto skip_string = [&] {
-    std::uint32_t length = 0;
-    std::memcpy(&length, bytes.data() + off, 4);
-    off += 4 + length;
-  };
-  skip_string();  // name
-  skip_string();  // spec
-  off += static_cast<std::size_t>(k * k) * 8;  // coupling residual
-  return off;
-}
-
-TEST(SnapshotTest, RejectsChecksumValidRowPtrCorruption) {
+// Hostile payloads behind re-forged checksums: only the decode and the
+// mirror sweep can reject them, with errors, never a crash.
+TEST(SnapshotTest, RejectsChecksumValidVarintCorruptionAndAsymmetry) {
   const Scenario original = TestScenario();
-  const std::string path = SavedSnapshot(original, "hostile_rowptr.lbps");
-  std::vector<char> bytes = ReadBytes(path);
-  // row_ptr[1] = 1000000 with nnz far smaller: without the up-front
-  // whole-array monotonicity check the entry sweep would read col_idx a
-  // million entries out of bounds.
-  const std::int64_t huge = 1000000;
-  std::memcpy(bytes.data() + RowPtrOffset(bytes) + 8, &huge, 8);
-  FixChecksum(&bytes);
-  WriteBytes(path, bytes);
+  const std::string path = SavedSnapshot(original, "hostile.lbps");
+  const std::vector<char> pristine = ReadBytes(path);
+
+  std::vector<char> shard = ReadShard(path, 0);
+  std::size_t off = linbp::testing::FirstRowWithEntries(shard, 0, 2);
+  linbp::testing::ReadTestVarint(shard, &off);  // the first column id
+  shard[off] = 0x00;                            // delta 0: not rising
+  WriteForgedShard(path, 0, shard);
   std::string error;
   EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("invalid CSR row pointers"), std::string::npos)
-      << error;
-}
+  EXPECT_EQ(error, path +
+                       ": invalid shard column section (row group 0: "
+                       "non-monotone delta (columns not strictly "
+                       "increasing))");
 
-TEST(SnapshotTest, RejectsChecksumValidAsymmetry) {
-  const Scenario original = TestScenario();
-  const std::string path = SavedSnapshot(original, "hostile_values.lbps");
-  std::vector<char> bytes = ReadBytes(path);
-  // Overwrite the first stored value only: its mirror keeps the old
-  // weight, so the symmetry sweep must reject the payload.
-  const std::size_t values_offset =
-      RowPtrOffset(bytes) +
-      static_cast<std::size_t>(original.graph.num_nodes() + 1) * 8 +
-      static_cast<std::size_t>(original.graph.num_directed_edges()) * 4;
-  const double tweaked = 7.5;
-  std::memcpy(bytes.data() + values_offset, &tweaked, 8);
-  FixChecksum(&bytes);
-  WriteBytes(path, bytes);
-  std::string error;
+  // The first stored weight changes, its mirror keeps the old one.
+  WriteBytes(path, pristine);
+  shard = ReadShard(path, 0);
+  WriteField(&shard, LayoutOf(shard).values, 7.5);
+  WriteForgedShard(path, 0, shard);
   EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
   EXPECT_NE(error.find("invalid adjacency payload"), std::string::npos)
       << error;
 }
 
-TEST(SnapshotTest, RejectsHugeNnzWithoutAllocating) {
+// The loader looks up the mirror of every entry above the diagonal and
+// counts them: an entry below the diagonal without its mirror, one above
+// without its mirror, and a mirror with another weight all fail, from an
+// inline file and from a shard set; the symmetric twin loads.
+TEST(SnapshotTest, RejectsAnEntryWithoutItsMirrorOnEitherSide) {
+  struct Csr {
+    const char* what;
+    std::vector<std::int64_t> row_ptr;
+    std::vector<std::int32_t> col_idx;
+    std::vector<double> values;
+    bool symmetric;
+  };
+  const Csr cases[] = {
+      {"symmetric", {0, 1, 3, 4}, {1, 0, 2, 1}, {1, 1, 2, 2}, true},
+      {"below without mirror", {0, 1, 2, 3}, {1, 0, 0}, {1, 1, 1}, false},
+      {"above without mirror", {0, 1, 3, 3}, {1, 0, 2}, {1, 1, 1}, false},
+      {"another weight", {0, 1, 3, 4}, {1, 0, 2, 1}, {1, 1, 2, 3}, false},
+  };
+  for (const Csr& csr : cases) {
+    SCOPED_TRACE(csr.what);
+    Scenario scenario;
+    scenario.k = 2;
+    scenario.coupling_residual = DenseMatrix(2, 2);
+    scenario.explicit_residuals = DenseMatrix(3, 2);
+    scenario.graph = Graph::FromValidatedAdjacency(
+        SparseMatrix::FromValidatedCsr(3, 3, csr.row_ptr, csr.col_idx,
+                                       csr.values));
+    const std::string file = SavedSnapshot(scenario, "mirror.lbps");
+    const std::string dir = TempPath("mirror_shards");
+    std::filesystem::remove_all(dir);
+    std::string error;
+    const auto written = ShardSnapshot(scenario, 2, dir, &error);
+    ASSERT_TRUE(written.has_value()) << error;
+    ASSERT_EQ(written->num_shards, 2);
+    for (const std::string& manifest : {file, written->manifest_path}) {
+      const auto loaded = LoadShardedSnapshot(manifest, &error);
+      EXPECT_EQ(loaded.has_value(), csr.symmetric) << manifest;
+      if (!csr.symmetric) {
+        EXPECT_EQ(error, manifest +
+                             ": invalid adjacency payload (an entry's "
+                             "mirror is missing or has another weight)");
+      }
+    }
+  }
+}
+
+// Counts far beyond the file behind consistent checksums are rejected
+// before anything is sized by them: an allocation of 2^40 entries would
+// abort the test.
+TEST(SnapshotTest, RejectsHugeCountsWithoutAllocating) {
   const Scenario original = TestScenario();
-  const std::string path = SavedSnapshot(original, "hostile_nnz.lbps");
-  std::vector<char> bytes = ReadBytes(path);
-  // An nnz so large that count * sizeof(T) wraps size_t: the bounds
-  // check must reject it before any resize, not abort on length_error.
-  const std::int64_t nnz = std::int64_t{1} << 62;
-  std::memcpy(bytes.data() + 32, &nnz, 8);
+  const std::string path = SavedSnapshot(original, "huge.lbps");
+  const std::vector<char> bytes = ReadBytes(path);
+  const std::int64_t huge = std::int64_t{1} << 40;
+
+  // The header alone (outside the manifest checksum).
+  std::vector<char> forged = bytes;
+  WriteField<std::int64_t>(&forged, 32, huge);
+  WriteBytes(path, forged);
+  ExpectEveryReaderFails(
+      path, path + ": shard nnz counts do not sum to the manifest total");
+
+  // Header and entry agree, and the entry's payload size matches its
+  // counts: the file is far too short for it.
   WriteBytes(path, bytes);
+  ForgeManifest(path, [&](std::vector<char>* file) {
+    const std::size_t entry = ManifestEntryOffset(*file, 0);
+    const std::int64_t rows = original.graph.num_nodes();
+    WriteField<std::int64_t>(file, 32, huge);
+    WriteField<std::int64_t>(file, entry + 16, huge);
+    WriteField<std::int64_t>(
+        file, entry + 32,
+        8 + 16 + rows + huge + 8 * huge +
+            8 * static_cast<std::int64_t>(original.explicit_nodes.size()) *
+                (1 + original.k) +
+            4 * rows);
+  });
+  ExpectEveryReaderFails(path, path + ": truncated shard payload");
+}
+
+// Every defect class the load no longer re-checks after the decode —
+// non-monotone rows, an out-of-range or unsorted column, a self-loop, a
+// NaN weight — still fails, through the decode, on the bulk path: in an
+// inline file and in a shard set.
+TEST(SnapshotTest, DefectsTheDecodeRejectsFailTheBulkLoad) {
+  // Multi-group shards, so the row-group table can go non-monotone.
+  const Scenario original = MakeTestScenario("sbm:n=5000,k=3,deg=4,seed=2");
+  const auto& row_ptr = original.graph.adjacency().row_ptr();
+  std::int64_t first_row = 0;  // the first row with an entry
+  while (row_ptr[first_row + 1] == row_ptr[first_row]) ++first_row;
+
+  const struct {
+    const char* what;
+    std::function<void(std::vector<char>*)> mutate;
+  } defects[] = {
+      {"row-group table: entry ends decrease",
+       [](std::vector<char>* shard) {
+         linbp::testing::SetGroupEnd(shard, 1, 1, GroupEnd(*shard, 0, 1) - 1);
+       }},
+      {"row group 0: column id out of range",
+       [](std::vector<char>* shard) {
+         // The first column id becomes 2^32 - 1, far past any node.
+         const unsigned char id[5] = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F};
+         std::memcpy(shard->data() +
+                         linbp::testing::FirstRowWithEntries(*shard, 0, 1),
+                     id, 5);
+       }},
+      {"row group 0: non-monotone delta",
+       [](std::vector<char>* shard) {
+         std::size_t off = linbp::testing::FirstRowWithEntries(*shard, 0, 2);
+         linbp::testing::ReadTestVarint(*shard, &off);
+         (*shard)[off] = 0x00;
+       }},
+      {"row group 0: self-loop",
+       [&](std::vector<char>* shard) {
+         // The decode stops at the self-loop, so a longer varint may
+         // clobber what follows it.
+         std::vector<char> self;
+         internal::AppendVarint(static_cast<std::uint64_t>(first_row), &self);
+         std::memcpy(shard->data() +
+                         linbp::testing::FirstRowWithEntries(*shard, 0, 1),
+                     self.data(), self.size());
+       }},
+      {"row group 0: non-finite weight",
+       [](std::vector<char>* shard) {
+         WriteField(shard, LayoutOf(*shard).values,
+                    std::numeric_limits<double>::quiet_NaN());
+       }},
+  };
+
+  const std::string file = SavedSnapshot(original, "defects.lbps");
+  const std::string dir = TempPath("defects_shards");
+  std::filesystem::remove_all(dir);
   std::string error;
-  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  const auto written = ShardSnapshot(original, 2, dir, &error);
+  ASSERT_TRUE(written.has_value()) << error;
+  for (const std::string& manifest : {file, written->manifest_path}) {
+    const std::vector<char> manifest_pristine = ReadBytes(manifest);
+    const std::vector<char> shard_pristine = ReadShard(manifest, 0);
+    ASSERT_GE(LayoutOf(shard_pristine).groups, 2);
+    for (const auto& defect : defects) {
+      SCOPED_TRACE(manifest + ": " + defect.what);
+      std::vector<char> shard = shard_pristine;
+      defect.mutate(&shard);
+      WriteForgedShard(manifest, 0, shard);
+      EXPECT_FALSE(LoadShardedSnapshot(manifest, &error,
+                                       exec::ExecContext::WithThreads(4))
+                       .has_value());
+      EXPECT_NE(error.find(defect.what), std::string::npos) << error;
+      WriteForgedShard(manifest, 0, shard_pristine);
+      EXPECT_EQ(ReadBytes(manifest), manifest_pristine);
+    }
+    EXPECT_TRUE(LoadShardedSnapshot(manifest, &error).has_value()) << error;
+  }
+}
+
+// ---- Retired layouts -----------------------------------------------------
+
+// A 64-byte header of the shape every layout has used: magic, version,
+// endian tag, four i64 counts, u32 flags, a u32 count and a checksum,
+// followed by `payload`.
+std::vector<char> HandMadeFile(const char* magic, std::uint32_t version,
+                               const std::vector<char>& payload) {
+  std::vector<char> bytes(64 + payload.size());
+  std::memcpy(bytes.data(), magic, 8);
+  WriteField(&bytes, 8, version);
+  WriteField(&bytes, 12, internal::kEndianTag);
+  WriteField<std::int64_t>(&bytes, 16, 2);  // nodes (or row_begin 0..2)
+  WriteField<std::int64_t>(&bytes, 24, 2);  // k
+  WriteField<std::int64_t>(&bytes, 32, 2);  // nnz
+  WriteField<std::uint32_t>(&bytes, 52, 1);  // shards
+  std::memcpy(bytes.data() + 64, payload.data(), payload.size());
+  FixChecksum(&bytes);
+  return bytes;
+}
+
+// Files of the retired layouts, built by hand since no writer makes them
+// any more, fail with an error that names what they are.
+TEST(SnapshotTest, RetiredLayoutsFailWithAPreciseError) {
+  // A version-2 raw snapshot: strings, coupling, then raw CSR arrays.
+  std::vector<char> raw_payload;
+  internal::AppendString("sbm", &raw_payload);
+  internal::AppendString("sbm:n=2", &raw_payload);
+  raw_payload.resize(raw_payload.size() + 4 * 8 + 3 * 8 + 2 * 4 + 2 * 8, 0);
+  const std::string snapshot = TempPath("retired_v2.lbps");
+  WriteBytes(snapshot, HandMadeFile("LINBPSNP", 2, raw_payload));
+  ExpectEveryReaderFails(snapshot,
+                         snapshot + ": retired raw snapshot layout (version "
+                                    "2); regenerate it with `linbp_cli "
+                                    "convert`");
+
+  // Version-3 (raw shards) and version-5 (compressed shards) manifests,
+  // each with its shard file beside it.
+  for (const std::uint32_t version : {3u, 5u}) {
+    SCOPED_TRACE(version);
+    const std::string dir = TempPath("retired_v" + std::to_string(version));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<char> entry_payload;
+    internal::AppendString("sbm", &entry_payload);
+    internal::AppendString("sbm:n=2", &entry_payload);
+    entry_payload.resize(entry_payload.size() + 4 * 8 + 6 * 8, 0);
+    internal::AppendString(ShardFileName(0), &entry_payload);
+    const std::string manifest = dir + "/" + ShardManifestFileName();
+    WriteBytes(manifest, HandMadeFile("LINBPSHM", version, entry_payload));
+    WriteBytes(dir + "/" + ShardFileName(0),
+               HandMadeFile("LINBPSHD", version, std::vector<char>(40, 0)));
+    ExpectEveryReaderFails(manifest,
+                           manifest + ": unsupported shard manifest version " +
+                               std::to_string(version) + " (expected 6)");
+  }
 }
 
 TEST(SnapshotTest, LoadedScenarioRunsEndToEnd) {

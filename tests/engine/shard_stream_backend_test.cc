@@ -48,7 +48,7 @@ dataset::Scenario TestScenario() {
 std::string ShardScenario(const dataset::Scenario& scenario,
                           const std::string& name,
                           dataset::ShardCompression compression =
-                              dataset::ShardCompression::kNone) {
+                              dataset::ShardCompression::kF64) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   std::string error;
@@ -184,7 +184,14 @@ TEST(ShardStreamBackendTest, ByteAccountingSumsConsistently) {
     expected_csr += reader.block_csr_bytes(s);
   }
   EXPECT_EQ(reader.csr_bytes_read_total(), expected_csr);
-  EXPECT_GE(reader.file_bytes_read_total(), expected_csr);
+  // The file bytes are the shard files, header and varint-packed payload.
+  std::int64_t expected_file = 0;
+  for (std::int64_t s = 0; s < kShards; ++s) {
+    expected_file += static_cast<std::int64_t>(std::filesystem::file_size(
+        std::filesystem::path(manifest).parent_path() /
+        dataset::ShardFileName(s)));
+  }
+  EXPECT_EQ(reader.file_bytes_read_total(), expected_file);
   EXPECT_EQ(reader.checksum_retries_total(), 0);
 
   // One more full pass adds exactly one more round of every total.
@@ -297,9 +304,9 @@ TEST(ShardStreamBackendTest, ChecksumCorruptionMidStreamKeepsStateIntact) {
   EXPECT_EQ(backend->reader().resident_csr_bytes(), 0);
 }
 
-// Compressed (v2) shards feed the exact same solves: streamed LinBP over
-// delta+varint shards is bit-identical to the in-memory run at 1 and 4
-// threads, with the decoded-block cache on and off.
+// Streamed LinBP over delta+varint f64 shards is bit-identical to the
+// in-memory run at 1 and 4 threads, with the decoded-block cache on and
+// off.
 TEST(ShardStreamBackendTest, CompressedStreamBitIdenticalCacheOnAndOff) {
   const dataset::Scenario scenario = TestScenario();
   const std::string manifest = ShardScenario(

@@ -27,6 +27,7 @@
 #include "src/core/sbp.h"
 #include "src/dataset/registry.h"
 #include "src/dataset/shard.h"
+#include "src/dataset/snapshot.h"
 #include "src/engine/in_memory_backend.h"
 #include "src/engine/shard_stream_backend.h"
 #include "src/exec/exec_context.h"
@@ -482,23 +483,24 @@ void ExpectSameTrace(const SweepTrace& fused, const SweepTrace& reference) {
             0);
 }
 
-// The stream configurations of the fused-sweep matrix.
+// The stream configurations of the fused-sweep matrix. An inline stream
+// reads a `.lbps` written by SaveSnapshot (one f64 shard) instead of a
+// shard directory.
 struct Stream {
   const char* name;
   dataset::ShardCompression compression;
   std::int64_t cache_budget;
+  bool inline_file = false;
 };
 const std::vector<Stream> kStreams = {
-    {"v1", dataset::ShardCompression::kNone, 0},
-    {"v1 cached", dataset::ShardCompression::kNone, std::int64_t{1} << 30},
-    {"v2/f64", dataset::ShardCompression::kF64, 0},
-    {"v2/f64 cached", dataset::ShardCompression::kF64, std::int64_t{1} << 30},
-    {"v2/f32", dataset::ShardCompression::kF32, 0},
-    {"v2/f32 cached", dataset::ShardCompression::kF32, std::int64_t{1} << 30},
+    {"f64", dataset::ShardCompression::kF64, 0},
+    {"f64 cached", dataset::ShardCompression::kF64, std::int64_t{1} << 30},
+    {"f32", dataset::ShardCompression::kF32, 0},
+    {"f32 cached", dataset::ShardCompression::kF32, std::int64_t{1} << 30},
 };
 
 // Opens one backend per configuration in `streams` over `scenario` cut
-// into `shards` shards. v2/f32 shards hold narrowed values, so *narrowed
+// into `shards` shards. f32 shards hold narrowed values, so *narrowed
 // receives the bulk load of those files: the reference of the streams
 // that read them.
 void OpenStreams(const dataset::Scenario& scenario, const std::string& tag,
@@ -507,21 +509,25 @@ void OpenStreams(const dataset::Scenario& scenario, const std::string& tag,
                  std::optional<Graph>* narrowed) {
   std::string error;
   for (const Stream& stream : streams) {
-    const std::string dir = ::testing::TempDir() + "/fused_" + tag + "_" +
-                            std::to_string(streamed->size());
-    std::filesystem::remove_all(dir);
-    const auto written = dataset::ShardSnapshot(scenario, shards, dir, &error,
-                                                stream.compression);
-    ASSERT_TRUE(written.has_value()) << error;
+    const std::string path = ::testing::TempDir() + "/fused_" + tag + "_" +
+                             std::to_string(streamed->size());
+    std::filesystem::remove_all(path);
+    std::string manifest = path;
+    if (stream.inline_file) {
+      ASSERT_TRUE(dataset::SaveSnapshot(scenario, path, &error)) << error;
+    } else {
+      const auto written = dataset::ShardSnapshot(scenario, shards, path,
+                                                  &error, stream.compression);
+      ASSERT_TRUE(written.has_value()) << error;
+      manifest = written->manifest_path;
+    }
     auto backend = engine::ShardStreamBackend::Open(
-        written->manifest_path, &error, ExecContext::Serial(),
-        stream.cache_budget);
+        manifest, &error, ExecContext::Serial(), stream.cache_budget);
     ASSERT_TRUE(backend.has_value()) << error;
     streamed->push_back(std::move(*backend));
     if (stream.compression == dataset::ShardCompression::kF32 &&
         !narrowed->has_value()) {
-      auto loaded =
-          dataset::LoadShardedSnapshot(written->manifest_path, &error);
+      auto loaded = dataset::LoadShardedSnapshot(manifest, &error);
       ASSERT_TRUE(loaded.has_value()) << error;
       *narrowed = std::move(loaded->graph);
     }
@@ -558,9 +564,9 @@ void ExpectFusedEverywhere(
 
 // Every k the kernel dispatches on (compile-time 1..8, runtime 9; k = 1
 // is FaBP), every variant, both precisions, threads {1, 2, 4, 8}, in
-// memory and streamed from v1, v2/f64 and v2/f32 shards with the block
-// cache off and on: beliefs, sweep count and every sweep's delta equal
-// the unfused loop's.
+// memory and streamed from f64 and f32 shards with the block cache off
+// and on: beliefs, sweep count and every sweep's delta equal the unfused
+// loop's.
 TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
   std::vector<ExecContext> contexts;
   for (const int threads : kThreadCounts) {
@@ -671,16 +677,18 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
   }
 }
 
-// The same pin on compressed shards of several row groups each (one
-// 5,000-row shard: three groups), so every streamed sweep decodes its
-// shard across the context's lanes: f64 and f32 values, cache off and
-// on, both precisions, threads {1, 2, 4, 8}.
+// The same pin on shards of several row groups each (one 5,000-row
+// shard: three groups), so every streamed sweep decodes its shard across
+// the context's lanes: f64 and f32 values, cache off and on, the shard in
+// its own file and inline in a `.lbps`, both precisions, threads
+// {1, 2, 4, 8}.
 TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedOnMultiGroupShards) {
   const std::vector<Stream> streams = {
-      {"v2/f64 multi-group", dataset::ShardCompression::kF64, 0},
-      {"v2/f64 multi-group cached", dataset::ShardCompression::kF64,
+      {"f64 multi-group", dataset::ShardCompression::kF64, 0},
+      {"f64 multi-group cached", dataset::ShardCompression::kF64,
        std::int64_t{1} << 30},
-      {"v2/f32 multi-group", dataset::ShardCompression::kF32, 0},
+      {"f32 multi-group", dataset::ShardCompression::kF32, 0},
+      {"f64 multi-group inline", dataset::ShardCompression::kF64, 0, true},
   };
   std::vector<ExecContext> contexts;
   for (const int threads : kThreadCounts) {

@@ -275,7 +275,9 @@ TEST(RunMainTest, ConvertInfoAndSnapRoundTrip) {
 
   ASSERT_EQ(RunMain({"info", "--snapshot=" + snapshot}, &output, &error), 0)
       << error;
-  EXPECT_NE(output.find("version:       2"), std::string::npos) << output;
+  EXPECT_NE(output.find("version:       6"), std::string::npos) << output;
+  EXPECT_NE(output.find("shards:        1 (inline)"), std::string::npos)
+      << output;
   EXPECT_NE(output.find("ground truth:  yes"), std::string::npos) << output;
 
   ASSERT_EQ(RunMain({"--scenario=snap:path=" + snapshot, "--method=sbp"},
@@ -317,32 +319,45 @@ TEST(RunMainTest, OversizedShardFileIsAnErrorNotACrash) {
   }
 }
 
-// The monolithic twin of the test above: a snapshot grown past the size
-// its header and strings imply fails before it is read, for `info` and
-// for the `snap:` loader.
-TEST(RunMainTest, OversizedSnapshotFileIsAnErrorNotACrash) {
-  const std::string path = TempPath("cli_oversized.lbps");
+// A manifest grown past the size its header, strings and shard table
+// imply — by one byte, or to 1 TiB (sparse) — fails before it is read,
+// for `info`, the bulk `snap:` load and the streamed solve. A `.lbps`
+// (a manifest with its shard inline) likewise.
+TEST(RunMainTest, OversizedManifestOrSnapshotIsAnErrorNotACrash) {
+  const std::string dir = TempPath("cli_oversized_manifest");
+  std::filesystem::remove_all(dir);
+  const std::string snapshot = TempPath("cli_oversized.lbps");
   std::string output;
   std::string error;
-  ASSERT_EQ(RunMain({"convert", "--scenario=sbm:n=200,k=2,seed=5",
-                     "--out=" + path},
+  ASSERT_EQ(RunMain({"shard", "--scenario=sbm:n=200,k=2,seed=5",
+                     "--out-dir=" + dir, "--shards=2"},
                     &output, &error),
             0)
       << error;
-  const std::uintmax_t size = std::filesystem::file_size(path);
-  const std::uintmax_t grown = std::uintmax_t{1} << 40;
-  std::filesystem::resize_file(path, grown);
-  const std::string expected = path + ": oversized file (" +
-                               std::to_string(grown) + " bytes, expected " +
-                               std::to_string(size) + ")";
-  const std::vector<std::vector<std::string>> commands = {
-      {"info", "--snapshot=" + path},
-      {"--scenario=snap:path=" + path, "--method=linbp"}};
-  for (const std::vector<std::string>& args : commands) {
-    SCOPED_TRACE(args.front());
-    error.clear();
-    EXPECT_EQ(RunMain(args, &output, &error), 1);
-    EXPECT_NE(error.find(expected), std::string::npos) << error;
+  ASSERT_EQ(RunMain({"convert", "--scenario=sbm:n=200,k=2,seed=5",
+                     "--out=" + snapshot},
+                    &output, &error),
+            0)
+      << error;
+  for (const std::string& path : {dir + "/manifest.lbpm", snapshot}) {
+    const std::uintmax_t size = std::filesystem::file_size(path);
+    for (const std::uintmax_t grown : {size + 1, std::uintmax_t{1} << 40}) {
+      std::filesystem::resize_file(path, grown);
+      const std::string expected = path + ": oversized file (" +
+                                   std::to_string(grown) +
+                                   " bytes, expected " +
+                                   std::to_string(size) + ")";
+      const std::vector<std::vector<std::string>> commands = {
+          {"info", "--snapshot=" + path},
+          {"--scenario=snap:path=" + path, "--method=linbp"},
+          {"--stream", "--scenario=snap:path=" + path, "--method=linbp"}};
+      for (const std::vector<std::string>& args : commands) {
+        SCOPED_TRACE(path + " " + std::to_string(grown) + " " + args.front());
+        error.clear();
+        EXPECT_EQ(RunMain(args, &output, &error), 1);
+        EXPECT_NE(error.find(expected), std::string::npos) << error;
+      }
+    }
   }
 }
 
@@ -397,12 +412,13 @@ TEST(RunMainTest, ShardSubcommandRoundTripsThroughSnap) {
   EXPECT_NE(output.find("3 shard(s)"), std::string::npos) << output;
   EXPECT_NE(output.find("manifest"), std::string::npos) << output;
 
-  // `info` detects the manifest magic and prints the shard table.
+  // `info` prints the shard table.
   const std::string manifest = dir + "/manifest.lbpm";
   ASSERT_EQ(RunMain({"info", "--snapshot=" + manifest}, &output, &error), 0)
       << error;
-  EXPECT_NE(output.find("sharded snapshot"), std::string::npos) << output;
-  EXPECT_NE(output.find("shards:        3"), std::string::npos) << output;
+  EXPECT_NE(output.find("shards:        3 (beside the manifest)"),
+            std::string::npos)
+      << output;
   EXPECT_NE(output.find("shard 2: rows ["), std::string::npos) << output;
 
   // The manifest is a runnable snap: scenario producing the same labels
@@ -491,22 +507,47 @@ TEST(RunMainTest, StreamRejectsBadInputs) {
                     &output, &error),
             1);
   EXPECT_NE(error.find("--stream supports"), std::string::npos) << error;
-  // ...and an actual shard manifest, not a monolithic snapshot.
-  const std::string snapshot = TempPath("cli_stream_mono.lbps");
-  ASSERT_EQ(RunMain({"convert", "--scenario=sbm:n=60,k=2,seed=4",
-                     "--out=" + snapshot},
-                    &output, &error),
-            0)
-      << error;
-  EXPECT_EQ(RunMain({"--stream", "--scenario=snap:path=" + snapshot},
-                    &output, &error),
+  // ...and a file of the snapshot layout.
+  const std::string text = TempPath("cli_stream_text.txt");
+  WriteFile(text, std::string(100, '\n'));
+  EXPECT_EQ(RunMain({"--stream", "--scenario=snap:path=" + text}, &output,
+                    &error),
             1);
-  EXPECT_NE(error.find("not a shard manifest"), std::string::npos) << error;
+  EXPECT_NE(error.find("not a LinBP shard manifest (bad magic)"),
+            std::string::npos)
+      << error;
   // Non-snap scenarios cannot stream.
   EXPECT_EQ(RunMain({"--stream", "--scenario=sbm:n=60,k=2"}, &output,
                     &error),
             1);
   EXPECT_NE(error.find("snap:path="), std::string::npos) << error;
+}
+
+// A `.lbps` written by `convert --out` streams: its shard is inline, and
+// the labels equal the in-memory solve's at every thread count.
+TEST(RunMainTest, StreamSolvesAnInlineSnapshot) {
+  const std::string snapshot = TempPath("cli_stream_inline.lbps");
+  std::string output;
+  std::string error;
+  ASSERT_EQ(RunMain({"convert", "--scenario=sbm:n=500,k=4,deg=8,seed=9",
+                     "--out=" + snapshot},
+                    &output, &error),
+            0)
+      << error;
+  std::string in_memory;
+  ASSERT_EQ(RunMain({"--scenario=snap:path=" + snapshot}, &in_memory,
+                    &error),
+            0)
+      << error;
+  for (const std::string threads : {"1", "4"}) {
+    std::string streamed;
+    ASSERT_EQ(RunMain({"--stream", "--scenario=snap:path=" + snapshot,
+                       "--threads=" + threads},
+                      &streamed, &error),
+              0)
+        << error;
+    EXPECT_EQ(streamed, in_memory) << "threads=" << threads;
+  }
 }
 
 TEST(RunMainTest, CompressedShardsStreamBitIdenticalLabels) {
@@ -606,7 +647,7 @@ TEST(RunMainTest, CacheBudgetValidation) {
       << error;
 }
 
-TEST(RunMainTest, InfoReportsV2CompressionAndRatio) {
+TEST(RunMainTest, InfoReportsValueWidthAndRatio) {
   const std::string dir = TempPath("cli_v2_info");
   std::string output;
   std::string error;
@@ -619,9 +660,8 @@ TEST(RunMainTest, InfoReportsV2CompressionAndRatio) {
                     &output, &error),
             0)
       << error;
-  EXPECT_NE(output.find("version:       5"), std::string::npos) << output;
-  EXPECT_NE(output.find("compression:   varint-f64"), std::string::npos)
-      << output;
+  EXPECT_NE(output.find("version:       6"), std::string::npos) << output;
+  EXPECT_NE(output.find("values:        f64"), std::string::npos) << output;
   EXPECT_NE(output.find("decoded;"), std::string::npos) << output;
   EXPECT_NE(output.find("encoded on disk, ratio"), std::string::npos)
       << output;
@@ -637,8 +677,7 @@ TEST(RunMainTest, InfoReportsV2CompressionAndRatio) {
                     &output, &error),
             0)
       << error;
-  EXPECT_NE(output.find("compression:   varint-f32"), std::string::npos)
-      << output;
+  EXPECT_NE(output.find("values:        f32"), std::string::npos) << output;
 }
 
 TEST(RunMainTest, InfoReportsShardPayloadBytes) {
@@ -655,7 +694,8 @@ TEST(RunMainTest, InfoReportsShardPayloadBytes) {
             0)
       << error;
   EXPECT_NE(output.find("payload bytes"), std::string::npos) << output;
-  EXPECT_NE(output.find("(all shards)"), std::string::npos) << output;
+  EXPECT_NE(output.find("(all shards, decoded;"), std::string::npos)
+      << output;
 }
 
 TEST(RunMainTest, SubcommandErrors) {

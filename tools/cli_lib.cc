@@ -117,7 +117,7 @@ std::optional<dataset::Scenario> BuildProblem(const Options& options,
 }
 
 // Strict "--compress[=f64|f32]" parse shared by convert and shard; the
-// bare flag means f64 (lossless).
+// bare flag means f64 (lossless), the default.
 bool ParseCompressFlag(const std::string& value, std::string* compress,
                        std::string* error) {
   if (value != "f64" && value != "f32") {
@@ -129,9 +129,8 @@ bool ParseCompressFlag(const std::string& value, std::string* compress,
 }
 
 dataset::ShardCompression CompressionFromFlag(const std::string& compress) {
-  if (compress == "f64") return dataset::ShardCompression::kF64;
-  if (compress == "f32") return dataset::ShardCompression::kF32;
-  return dataset::ShardCompression::kNone;
+  return compress == "f32" ? dataset::ShardCompression::kF32
+                           : dataset::ShardCompression::kF64;
 }
 
 // Strict "--shards=N" parse shared by convert and shard.
@@ -294,23 +293,23 @@ int RunShard(const ShardOptions& options, std::string* output,
   return 0;
 }
 
-int RunShardManifestInfo(const InfoOptions& options, std::string* output,
-                         std::string* error) {
+int RunInfo(const InfoOptions& options, std::string* output,
+            std::string* error) {
   const auto info =
       dataset::ReadShardManifestInfo(options.snapshot_path, error);
   if (!info.has_value()) return 1;
-  const bool compressed = dataset::IsCompressedShardVersion(info->version);
-  const char* compression_name =
-      !compressed ? "none" : (info->values_f32 ? "varint-f32" : "varint-f64");
   const auto ratio = [](std::int64_t encoded, std::int64_t decoded) {
-    return decoded > 0 ? static_cast<double>(encoded) /
-                             static_cast<double>(decoded)
-                       : 1.0;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2f",
+                  decoded > 0 ? static_cast<double>(encoded) /
+                                    static_cast<double>(decoded)
+                              : 1.0);
+    return std::string(buf);
   };
   std::ostringstream lines;
-  lines << "sharded snapshot: " << options.snapshot_path << "\n"
-        << "version:       " << info->version << "\n"
-        << "compression:   " << compression_name << "\n"
+  lines << "snapshot:      " << options.snapshot_path << "\n"
+        << "version:       " << dataset::kShardFormatVersion << "\n"
+        << "values:        " << (info->values_f32 ? "f32" : "f64") << "\n"
         << "nodes:         " << info->num_nodes << "\n"
         << "classes k:     " << info->k << "\n"
         << "stored entries " << info->nnz << " (" << info->nnz / 2
@@ -320,33 +319,25 @@ int RunShardManifestInfo(const InfoOptions& options, std::string* output,
         << "\n"
         << "scenario:      " << info->name << "\n"
         << "spec:          " << info->spec << "\n"
-        << "manifest bytes " << info->file_bytes << "\n"
+        << "file bytes:    " << info->file_bytes << "\n"
         << "payload bytes  " << info->total_shard_payload_bytes
-        << " (all shards";
-  if (compressed) {
-    char ratio_buf[32];
-    std::snprintf(ratio_buf, sizeof(ratio_buf), "%.2f",
-                  ratio(info->total_encoded_payload_bytes,
-                        info->total_shard_payload_bytes));
-    lines << ", decoded; " << info->total_encoded_payload_bytes
-          << " encoded on disk, ratio " << ratio_buf;
-  }
-  lines << ")\n"
-        << "shards:        " << info->shards.size() << "\n";
+        << " (all shards, decoded; " << info->total_encoded_payload_bytes
+        << " encoded on disk, ratio "
+        << ratio(info->total_encoded_payload_bytes,
+                 info->total_shard_payload_bytes)
+        << ")\n"
+        << "shards:        " << info->shards.size()
+        << (info->shards_inline ? " (inline)" : " (beside the manifest)")
+        << "\n";
   for (std::size_t s = 0; s < info->shards.size(); ++s) {
     const dataset::ShardRangeInfo& shard = info->shards[s];
     lines << "  shard " << s << ": rows [" << shard.row_begin << ", "
           << shard.row_end << "), " << shard.nnz << " entries, "
           << shard.num_explicit << " explicit, " << shard.payload_bytes
-          << " bytes";
-    if (compressed) {
-      char ratio_buf[32];
-      std::snprintf(ratio_buf, sizeof(ratio_buf), "%.2f",
-                    ratio(shard.payload_bytes, shard.decoded_bytes));
-      lines << " encoded (" << shard.decoded_bytes << " decoded, ratio "
-            << ratio_buf << ")";
-    }
-    lines << ", " << shard.file << "\n";
+          << " bytes encoded (" << shard.decoded_bytes << " decoded, ratio "
+          << ratio(shard.payload_bytes, shard.decoded_bytes) << ")";
+    if (!info->shards_inline) lines << ", " << dataset::ShardFileName(s);
+    lines << "\n";
   }
   // A full (non-streamed) load must hold every shard's payload resident
   // at once; warn when that exceeds what the machine can offer so the
@@ -355,33 +346,9 @@ int RunShardManifestInfo(const InfoOptions& options, std::string* output,
   if (LowRamWarning(info->total_shard_payload_bytes, available)) {
     lines << "warning: total shard payload (" << info->total_shard_payload_bytes
           << " bytes) exceeds available RAM (" << available
-          << " bytes); solve with --stream on this manifest instead of "
+          << " bytes); solve with --stream on this file instead of "
              "loading it whole\n";
   }
-  *output = lines.str();
-  return 0;
-}
-
-int RunInfo(const InfoOptions& options, std::string* output,
-            std::string* error) {
-  if (dataset::LooksLikeShardManifest(options.snapshot_path)) {
-    return RunShardManifestInfo(options, output, error);
-  }
-  const auto info = dataset::ReadSnapshotInfo(options.snapshot_path, error);
-  if (!info.has_value()) return 1;
-  std::ostringstream lines;
-  lines << "snapshot:      " << options.snapshot_path << "\n"
-        << "version:       " << info->version << "\n"
-        << "nodes:         " << info->num_nodes << "\n"
-        << "classes k:     " << info->k << "\n"
-        << "stored entries " << info->nnz << " (" << info->nnz / 2
-        << " undirected edges)\n"
-        << "explicit:      " << info->num_explicit << "\n"
-        << "ground truth:  " << (info->has_ground_truth ? "yes" : "no")
-        << "\n"
-        << "scenario:      " << info->name << "\n"
-        << "spec:          " << info->spec << "\n"
-        << "file bytes:    " << info->file_bytes << "\n";
   *output = lines.str();
   return 0;
 }
@@ -555,8 +522,8 @@ std::string Usage() {
       "           --quiet silences diagnostic notes on stderr\n"
       "  EDGES:   'u v [w]' per line;  BELIEFS: 'v c b' per line\n"
       "  SPEC:    e.g. sbm:n=10000,k=4,mode=heterophily | snap:path=g.lbps\n"
-      "           (snap: also accepts a shard manifest; see "
-      "`linbp_cli list`)\n"
+      "           (snap: also accepts a shard directory's manifest.lbpm;\n"
+      "           see `linbp_cli list`)\n"
       "  presets: homophily2 heterophily2 auction dblp4 kronecker3\n"
       "  shards:  nnz-balanced row blocks (exec::RowPartition); default 4\n"
       "  threads: 0 = all hardware threads; default: LINBP_THREADS or 1\n"
@@ -565,16 +532,18 @@ std::string Usage() {
       "           sweep; delta norms and diagnostics stay fp64; labels\n"
       "           can flip on a small fraction of borderline nodes;\n"
       "           linbp/linbp* only)\n"
-      "  stream:  out-of-core solve over a snap:path=MANIFEST spec; the\n"
-      "           shards stream with prefetch (peak CSR = 2 blocks) and\n"
-      "           labels match the in-memory run bit for bit;\n"
+      "  stream:  out-of-core solve over a snap:path=FILE spec (a .lbps\n"
+      "           or a manifest.lbpm); the shards stream with prefetch\n"
+      "           (peak CSR = 2 blocks) and labels match the in-memory run\n"
+      "           bit for bit;\n"
       "           --cache-budget=BYTES keeps decoded blocks in an LRU\n"
       "           cache so sweeps after the first skip disk when the\n"
       "           working set fits (0 = off, the default)\n"
-      "  compress: write compressed shards — delta+varint column ids\n"
-      "           (lossless, labels unchanged) and, with =f32, float32 value\n"
-      "           sections (half the value bytes; beliefs then match the\n"
-      "           f32 solve of the same shards)\n"
+      "  compress: the shards' value width: f64 (the default, and what a\n"
+      "           bare --compress means; lossless, labels unchanged) or f32\n"
+      "           (half the value bytes; beliefs then match the f32 solve\n"
+      "           of the same shards). Column ids are always delta+varint\n"
+      "           encoded\n"
       "  serve:   REPL on stdin; per line: a u v w | d u v | w u v w |\n"
       "           b node k r_1..r_k | q v [v...] | labels | stats |\n"
       "           metrics | quit. Updates reply 'ok sweeps=N' or\n"
@@ -748,12 +717,6 @@ int RunStreamPipeline(const Options& options, std::string* output,
   const std::vector<std::string> unconsumed = params.UnconsumedKeys();
   if (!unconsumed.empty()) {
     *error = "snap: unknown parameter '" + unconsumed.front() + "'";
-    return 1;
-  }
-  if (!dataset::LooksLikeShardManifest(manifest_path)) {
-    *error = manifest_path +
-             ": not a shard manifest (--stream needs `linbp_cli shard` "
-             "output; monolithic snapshots load in memory)";
     return 1;
   }
   auto backend = engine::ShardStreamBackend::Open(manifest_path, error, ctx,

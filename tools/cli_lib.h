@@ -86,9 +86,8 @@ struct ConvertOptions {
   /// nnz-balanced row-block count used when it is set.
   std::string shards_dir;
   std::int64_t shards = 4;
-  /// Shard payload encoding: "" = raw v1, "f64" / "f32" = compressed v2
-  /// (delta+varint columns; f32 also narrows the value sections).
-  std::string compress;
+  /// Value width of the shard payloads: "f64" (lossless) or "f32".
+  std::string compress = "f64";
   /// Text export paths (each optional).
   std::string graph_path;
   std::string beliefs_path;
@@ -105,13 +104,13 @@ struct ShardOptions {
   /// Maximum shard count (nnz-balanced row blocks; fewer when rows run
   /// out).
   std::int64_t shards = 4;
-  /// Shard payload encoding, as in ConvertOptions::compress.
-  std::string compress;
+  /// Value width of the shard payloads, as in ConvertOptions::compress.
+  std::string compress = "f64";
   int threads = -1;
 };
 
-/// Parsed `info` options (`snapshot_path` may name a monolithic snapshot
-/// or a shard manifest; the file's magic decides).
+/// Parsed `info` options (`snapshot_path` names a `.lbps` or a shard
+/// directory's manifest).
 struct InfoOptions {
   std::string snapshot_path;
 };
