@@ -72,7 +72,7 @@ int RunCheck() {
   }
   const auto& row_ptr = graph.adjacency().row_ptr();
   const auto& col_idx = graph.adjacency().col_idx();
-  const auto& values = graph.adjacency().values();
+  const SparseMatrix& adjacency = graph.adjacency();
   for (std::int64_t level = 1; level <= max_level; ++level) {
     for (std::int64_t t = 0; t < graph.num_nodes(); ++t) {
       if (geodesic[t] != level) continue;
@@ -80,7 +80,8 @@ int RunCheck() {
       for (std::int64_t e = row_ptr[t]; e < row_ptr[t + 1]; ++e) {
         const std::int64_t s = col_idx[e];
         if (geodesic[s] != level - 1) continue;
-        for (int c = 0; c < 3; ++c) agg[c] += values[e] * b.At(s, c);
+        const double w = adjacency.weight(e);
+        for (int c = 0; c < 3; ++c) agg[c] += w * b.At(s, c);
       }
       for (int c = 0; c < 3; ++c) {
         double value = 0.0;
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
     }
     const auto& row_ptr = graph.adjacency().row_ptr();
     const auto& col_idx = graph.adjacency().col_idx();
-    const auto& values = graph.adjacency().values();
+    const SparseMatrix& adjacency = graph.adjacency();
     std::vector<std::vector<std::int64_t>> levels(max_level + 1);
     for (std::int64_t v = 0; v < graph.num_nodes(); ++v) {
       if (geodesic[v] > 0) levels[geodesic[v]].push_back(v);
@@ -166,7 +167,8 @@ int main(int argc, char** argv) {
         for (std::int64_t e = row_ptr[t]; e < row_ptr[t + 1]; ++e) {
           const std::int64_t s = col_idx[e];
           if (geodesic[s] != level - 1) continue;
-          for (int c = 0; c < 3; ++c) agg[c] += values[e] * b.At(s, c);
+          const double w = adjacency.weight(e);
+          for (int c = 0; c < 3; ++c) agg[c] += w * b.At(s, c);
         }
         for (int c = 0; c < 3; ++c) {
           double value = 0.0;

@@ -85,9 +85,9 @@ SbpResult RunSbp(const Graph& graph, const DenseMatrix& hhat,
     if (result.geodesic[s] > 0) levels[result.geodesic[s]].push_back(s);
   }
 
-  const auto& row_ptr = graph.adjacency().row_ptr();
-  const auto& col_idx = graph.adjacency().col_idx();
-  const auto& values = graph.adjacency().values();
+  const SparseMatrix& adjacency = graph.adjacency();
+  const auto& row_ptr = adjacency.row_ptr();
+  const auto& col_idx = adjacency.col_idx();
   for (std::int64_t level = 1; level <= max_geodesic; ++level) {
     // Every node of this level reads only level - 1 beliefs and writes its
     // own row, so the level is embarrassingly parallel.
@@ -105,7 +105,7 @@ SbpResult RunSbp(const Graph& graph, const DenseMatrix& hhat,
             for (std::int64_t e = row_ptr[t]; e < row_ptr[t + 1]; ++e) {
               const std::int64_t s = col_idx[e];
               if (result.geodesic[s] != level - 1) continue;
-              const double w = values[e];
+              const double w = adjacency.weight(e);
               for (std::int64_t c = 0; c < k; ++c) {
                 aggregated[c] += w * result.beliefs.At(s, c);
               }

@@ -38,12 +38,11 @@ SbpState SbpState::FromGraph(const Graph& graph, DenseMatrix hhat,
   const SparseMatrix& adjacency = graph.adjacency();
   const std::vector<std::int64_t>& row_ptr = adjacency.row_ptr();
   const std::vector<std::int32_t>& col_idx = adjacency.col_idx();
-  const std::vector<double>& values = adjacency.values();
   for (std::int64_t v = 0; v < graph.num_nodes(); ++v) {
     std::vector<Neighbor>& neighbors = state.adjacency_[v];
     neighbors.reserve(static_cast<std::size_t>(row_ptr[v + 1] - row_ptr[v]));
     for (std::int64_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
-      neighbors.push_back({col_idx[p], values[p]});
+      neighbors.push_back({col_idx[p], adjacency.weight(p)});
     }
   }
   DenseMatrix rows(static_cast<std::int64_t>(explicit_nodes.size()),

@@ -204,8 +204,8 @@ bool CheckCouplingResidual(const std::string& path,
 std::int64_t ShardDecodedPayloadBytes(std::int64_t rows, std::int64_t nnz,
                                       std::int64_t num_explicit,
                                       std::int64_t k, bool has_ground_truth,
-                                      bool values_f32) {
-  return (rows + 1) * 8 + nnz * (4 + (values_f32 ? 4 : 8)) +
+                                      std::int64_t value_bytes) {
+  return (rows + 1) * 8 + nnz * (4 + value_bytes) +
          num_explicit * 8 * (1 + k) + (has_ground_truth ? rows * 4 : 0);
 }
 
@@ -372,8 +372,9 @@ template <typename Value>
 struct RowGroupDecoder {
   const char* table;
   const char* varints;
-  const char* stored;  // the value section
+  const char* stored;  // the value section; unused for unit weights
   bool values_f32;
+  bool unit_weights;  // no value section, `values` null
   std::int64_t rows;
   std::int64_t first_row;  // global id of local row 0
   std::int64_t num_nodes;
@@ -394,6 +395,7 @@ struct RowGroupDecoder {
             entry_begin, entry_end, num_nodes, local_row_ptr, col_idx)) {
       return what;
     }
+    if (unit_weights) return nullptr;
     const std::size_t count = static_cast<std::size_t>(entry_end - entry_begin);
     const bool finite =
         values_f32 ? CopyFiniteValues<float>(
@@ -429,13 +431,12 @@ bool DecodeCompressedCsr(const std::string& path,
   const char* table = *payload + 8;
   const std::size_t after_table = *payload_size - 8 - table_bytes;
   const std::size_t count = static_cast<std::size_t>(h.nnz);
-  const std::size_t width = manifest.values_f32 ? sizeof(float)
-                                                : sizeof(double);
+  const std::size_t width = static_cast<std::size_t>(manifest.value_bytes());
   // Division, not multiplication, so a hostile count cannot wrap. Both
   // sections are bounded before any group runs, so no group can read
-  // past the payload.
+  // past the payload. A unit-weight shard has no value section to bound.
   if (varint_bytes > after_table ||
-      count > (after_table - varint_bytes) / width) {
+      (width > 0 && count > (after_table - varint_bytes) / width)) {
     *error = path + ": truncated shard payload";
     return false;
   }
@@ -451,6 +452,7 @@ bool DecodeCompressedCsr(const std::string& path,
                                        varints,
                                        varints + varint_bytes,
                                        manifest.values_f32,
+                                       manifest.unit_weights,
                                        rows,
                                        h.row_begin,
                                        manifest.num_nodes,
@@ -507,18 +509,20 @@ namespace {
 
 // Smallest possible payload of a shard with the given counts: the u64
 // varint byte count, the row-group table, at least one varint byte per
-// row and per column id, the exact value section, and the explicit and
-// ground-truth sections. A manifest entry declaring less is rejected, so
-// a hostile manifest cannot claim huge decoded counts backed by a tiny
-// file and trigger a multi-terabyte resize. Cannot overflow: rows <=
-// 2^31, nnz <= 2^48 (the entry cap), k <= kMaxClasses.
+// row and per column id, the exact value section (`value_bytes` per
+// value, none for unit weights), and the explicit and ground-truth
+// sections. A manifest entry declaring less is rejected, so a hostile
+// manifest cannot claim huge decoded counts backed by a tiny file and
+// trigger a multi-terabyte resize. Cannot overflow: rows <= 2^31, nnz <=
+// 2^48 (the entry cap), k <= kMaxClasses.
 std::int64_t ShardPayloadBytesMin(std::int64_t rows, std::int64_t nnz,
                                   std::int64_t num_explicit, std::int64_t k,
-                                  bool has_ground_truth, bool values_f32) {
+                                  bool has_ground_truth,
+                                  std::int64_t value_bytes) {
   return 8 +                         // u64 varint byte count
          16 * RowGroupCount(rows) +  // row-group table
          rows + nnz +                // >= 1 byte per varint
-         nnz * (values_f32 ? 4 : 8) + num_explicit * 8 * (1 + k) +
+         nnz * value_bytes + num_explicit * 8 * (1 + k) +
          (has_ground_truth ? rows * 4 : 0);
 }
 
@@ -593,14 +597,20 @@ bool ParseManifestHeader(const std::string& path,
     *error = path + ": corrupted manifest header (counts out of range)";
     return false;
   }
-  if ((flags & ~(kFlagGroundTruth | kFlagF32Values | kFlagShardsInline)) !=
-      0) {
+  if ((flags & ~(kFlagGroundTruth | kFlagF32Values | kFlagShardsInline |
+                 kFlagUnitWeights)) != 0) {
     *error = path + ": corrupted manifest header (unknown flags)";
     return false;
   }
   m->has_ground_truth = (flags & kFlagGroundTruth) != 0;
   m->values_f32 = (flags & kFlagF32Values) != 0;
   m->shards_inline = (flags & kFlagShardsInline) != 0;
+  m->unit_weights = (flags & kFlagUnitWeights) != 0;
+  if (m->unit_weights && m->values_f32) {
+    *error = path +
+             ": corrupted manifest header (unit weights with f32 values)";
+    return false;
+  }
   if (*num_shards < 1 ||
       static_cast<std::int64_t>(*num_shards) > kMaxShards ||
       static_cast<std::int64_t>(*num_shards) > m->num_nodes) {
@@ -681,7 +691,7 @@ bool ParseManifest(const std::string& path, const std::vector<char>& bytes,
     const std::int64_t rows = entry.row_end - entry.row_begin;
     const std::int64_t floor = ShardPayloadBytesMin(
         rows, entry.nnz, entry.num_explicit, m->k, m->has_ground_truth,
-        m->values_f32);
+        m->value_bytes());
     if (entry.payload_bytes < floor ||
         entry.payload_bytes > floor + 4 * (rows + entry.nnz)) {
       *error = path + ": shard " + std::to_string(s) +
@@ -827,7 +837,8 @@ bool CheckShardAgainstManifest(const std::string& path,
   std::memcpy(&h->checksum, bytes.data() + 56, 8);
   const std::uint32_t expected_flags =
       (manifest.has_ground_truth ? kFlagGroundTruth : 0) |
-      (manifest.values_f32 ? kFlagF32Values : 0);
+      (manifest.values_f32 ? kFlagF32Values : 0) |
+      (manifest.unit_weights ? kFlagUnitWeights : 0);
   if (h->row_begin != entry.row_begin || h->row_end != entry.row_end ||
       h->nnz != entry.nnz || h->num_explicit != entry.num_explicit ||
       h->flags != expected_flags ||

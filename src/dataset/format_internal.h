@@ -31,11 +31,16 @@ namespace internal {
 /// magic, a u32 version, and the u32 endian tag at offset 12.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 inline constexpr std::uint32_t kEndianTagSwapped = 0x04030201u;
+// Header flag bits (src/dataset/shard.h has the table): manifests carry
+// all four, shards all but kFlagShardsInline.
 inline constexpr std::uint32_t kFlagGroundTruth = 1u;
 // The value sections store f32 instead of f64.
 inline constexpr std::uint32_t kFlagF32Values = 2u;
 // Manifests only: the shards follow the manifest in the same file.
 inline constexpr std::uint32_t kFlagShardsInline = 4u;
+// Every stored weight is 1.0, and the shards have no value section.
+// Never together with kFlagF32Values.
+inline constexpr std::uint32_t kFlagUnitWeights = 8u;
 inline constexpr std::size_t kHeaderBytes = 64;
 // Bytes of one manifest shard entry: six 8-byte fields.
 inline constexpr std::size_t kManifestEntryBytes = 48;
@@ -174,6 +179,9 @@ struct ShardManifest {
   bool has_ground_truth = false;
   bool values_f32 = false;
   bool shards_inline = false;
+  /// Unit weights: the shards carry no value section (never with
+  /// values_f32).
+  bool unit_weights = false;
   std::string name;
   std::string spec;
   std::vector<double> coupling;  // k*k
@@ -181,6 +189,12 @@ struct ShardManifest {
   /// Size of the file that holds the manifest: the manifest alone, or,
   /// with inline shards, the manifest plus every shard.
   std::int64_t file_bytes = 0;
+
+  /// Bytes per stored value, on disk and decoded: 0 (unit weights), 4
+  /// (f32) or 8.
+  std::int64_t value_bytes() const {
+    return unit_weights ? 0 : values_f32 ? 4 : 8;
+  }
 };
 
 /// The one manifest read of every reader. It reads the header and the
@@ -215,12 +229,13 @@ bool ReadShardBytes(const std::string& path, const ShardManifest& manifest,
                     std::string* error);
 
 /// Decoded (resident) payload byte count of one shard: the CSR sections
-/// as arrays, values as f32 or f64, plus the explicit and ground-truth
-/// sections. It is what RAM warnings and `info` report as "decoded".
+/// as arrays, `value_bytes` per value (ShardManifest::value_bytes(): none
+/// for unit weights), plus the explicit and ground-truth sections. It is
+/// what RAM warnings and `info` report as "decoded".
 std::int64_t ShardDecodedPayloadBytes(std::int64_t rows, std::int64_t nnz,
                                       std::int64_t num_explicit,
                                       std::int64_t k, bool has_ground_truth,
-                                      bool values_f32);
+                                      std::int64_t value_bytes);
 
 // ---------------------------------------------------------------------
 // Column section: a u64 count of the varint bytes, the row-group table,
@@ -272,10 +287,11 @@ struct ShardFileHeader {
 
 /// Validates one shard's bytes (header and payload) against its manifest
 /// entry: magic / version / endianness, a header agreeing with the
-/// manifest (row range, counts, flags — including the f32-values bit —
-/// and index), the payload checksum matching both the header and the
-/// manifest, and a payload exactly entry.payload_bytes long (which bounds
-/// every count-sized allocation a decoder makes). Fills *h on success.
+/// manifest (row range, counts, flags — including the f32-values and
+/// unit-weight bits — and index), the payload checksum matching both the
+/// header and the manifest, and a payload exactly entry.payload_bytes
+/// long (which bounds every count-sized allocation a decoder makes).
+/// Fills *h on success.
 /// The payload itself (bytes after the 64-byte header) is NOT decoded
 /// here.
 bool CheckShardAgainstManifest(const std::string& path,
@@ -289,8 +305,10 @@ bool CheckShardAgainstManifest(const std::string& path,
 /// entries, rebased to 0) and h.nnz column ids, and the h.nnz stored
 /// values (f32 or f64, per the manifest) into `values` as `Value`, each
 /// checked finite as it is copied. `Value` is double (widening f32
-/// exactly) or, for f32 manifests only, float. On success advances
-/// *payload / *payload_size past both sections.
+/// exactly) or, for f32 manifests only, float. A unit-weight manifest
+/// has no value section, and nothing is written to `values` (callers
+/// pass nullptr). On success advances *payload / *payload_size past both
+/// sections.
 ///
 /// The whole row-group table is checked first: byte and entry ends never
 /// decrease, stay inside the section and h.nnz, and the last pair ends

@@ -42,7 +42,7 @@ void WriteHeader(const char* magic, const std::int64_t (&fields)[4],
 struct ScenarioParts {
   std::vector<std::int64_t> row_ptr;       // num_nodes + 1
   std::vector<std::int32_t> col_idx;
-  std::vector<double> values;
+  std::vector<double> values;              // empty for unit weights
   std::vector<std::int64_t> explicit_nodes;
   std::vector<double> explicit_rows;       // explicit_nodes.size() * k
   std::vector<std::int32_t> ground_truth;  // num_nodes iff has_ground_truth
@@ -92,9 +92,12 @@ bool LoadOneShard(const std::string& manifest_path,
   std::vector<char> bytes;
   {
     obs::ScopedSpan span("load_read");
-    if (span.active()) span.SetAttr("shard", shard);
     if (!internal::ReadShardBytes(path, manifest, shard, &bytes, error)) {
       return false;
+    }
+    if (span.active()) {
+      span.SetAttr("shard", shard);
+      span.SetAttr("bytes", static_cast<std::int64_t>(bytes.size()));
     }
   }
   ShardFileHeader h;
@@ -113,15 +116,17 @@ bool LoadOneShard(const std::string& manifest_path,
   const char* payload = bytes.data() + kHeaderBytes;
   std::size_t payload_size = bytes.size() - kHeaderBytes;
   // The decoder writes straight into this shard's col_idx and values
-  // slices (f32 values widen exactly); only the row pointers need the
-  // slice offset added. Its row groups fan out on `ctx` when this shard
-  // is the only task (inside a multi-shard fan-out they run inline, as
-  // every nested pool call does).
+  // slices (f32 values widen exactly; unit weights have none); only the
+  // row pointers need the slice offset added. Its row groups fan out on
+  // `ctx` when this shard is the only task (inside a multi-shard fan-out
+  // they run inline, as every nested pool call does).
   std::vector<std::int64_t> local_row_ptr(rows + 1);
   if (!internal::DecodeCompressedCsr(
           path, manifest, h, ctx, &payload, &payload_size,
           local_row_ptr.data(), parts->col_idx.data() + nnz_offset,
-          parts->values.data() + nnz_offset, error)) {
+          manifest.unit_weights ? nullptr
+                                : parts->values.data() + nnz_offset,
+          error)) {
     return false;
   }
   for (std::int64_t r = 0; r < rows; ++r) {
@@ -171,7 +176,9 @@ std::optional<Scenario> ValidateAndAssembleScenario(
     obs::ScopedSpan span("load_validate");
     const std::vector<std::int64_t>& row_ptr = parts.row_ptr;
     const std::vector<std::int32_t>& col_idx = parts.col_idx;
-    const std::vector<double>& values = parts.values;
+    // Null for unit weights: the sweep then checks the pattern only.
+    const double* values =
+        manifest.unit_weights ? nullptr : parts.values.data();
     // Every row came out of DecodeCompressedCsr, which rejected
     // non-monotone rows, out-of-range or unsorted columns, self-loops and
     // non-finite weights, and the shards tile the rows, so every row range
@@ -200,8 +207,8 @@ std::optional<Scenario> ValidateAndAssembleScenario(
           const auto it =
               std::lower_bound(begin, end, static_cast<std::int32_t>(r));
           if (it == end || *it != r ||
-              values[it - col_idx.begin()] !=
-                  values[col - col_idx.begin()]) {
+              (values != nullptr && values[it - col_idx.begin()] !=
+                                        values[col - col_idx.begin()])) {
             symmetric.store(false, std::memory_order_relaxed);
             return;
           }
@@ -257,13 +264,20 @@ std::optional<Scenario> ValidateAndAssembleScenario(
 
   // The arrays passed full validation above, so the trusted adopt paths
   // apply — re-running the CHECKed sweeps would just double the cost of
-  // the load. Degree reconstruction still fans out on ctx.
+  // the load. Degree reconstruction still fans out on ctx (row counts for
+  // unit weights). A value section that is all 1.0 (a file written
+  // before the unit-weight flag) is dropped here, so the graph takes the
+  // unit form either way.
   obs::ScopedSpan span("load_adopt");
   scenario.graph = Graph::FromValidatedAdjacency(
       SparseMatrix::FromValidatedCsr(n, n, std::move(parts.row_ptr),
                                      std::move(parts.col_idx),
                                      std::move(parts.values)),
       ctx);
+  if (span.active()) {
+    const bool unit = scenario.graph.adjacency().unit_weights();
+    span.SetAttr("unit_weights", static_cast<std::int64_t>(unit ? 1 : 0));
+  }
   return scenario;
 }
 
@@ -322,9 +336,15 @@ std::optional<ShardWriteResult> WriteShardSet(const Scenario& scenario,
   const std::int64_t num_shards = partition.num_blocks();
   const std::int64_t k = scenario.k;
   const bool has_ground_truth = scenario.HasGroundTruth();
-  const bool values_f32 = compression == ShardCompression::kF32;
+  // A unit-weight adjacency writes no value section, whatever
+  // `compression` asks for.
+  const bool unit_weights = adjacency.unit_weights();
+  const bool values_f32 =
+      !unit_weights && compression == ShardCompression::kF32;
+  const std::int64_t value_bytes = unit_weights ? 0 : values_f32 ? 4 : 8;
   const std::uint32_t flags = (has_ground_truth ? kFlagGroundTruth : 0) |
-                              (values_f32 ? kFlagF32Values : 0);
+                              (values_f32 ? kFlagF32Values : 0) |
+                              (unit_weights ? kFlagUnitWeights : 0);
   const auto& row_ptr = adjacency.row_ptr();
   const auto& col_idx = adjacency.col_idx();
   const auto& values = adjacency.values();
@@ -357,7 +377,7 @@ std::optional<ShardWriteResult> WriteShardSet(const Scenario& scenario,
     file.reserve(header_at + kHeaderBytes +
                  static_cast<std::size_t>(ShardDecodedPayloadBytes(
                      rows, nnz, num_explicit, k, has_ground_truth,
-                     values_f32)));
+                     value_bytes)));
     file.resize(header_at + kHeaderBytes);
     std::vector<std::int64_t> local_row_ptr(rows + 1);
     for (std::int64_t r = 0; r <= rows; ++r) {
@@ -369,7 +389,7 @@ std::optional<ShardWriteResult> WriteShardSet(const Scenario& scenario,
       const std::vector<float> narrow(values.begin() + nnz_begin,
                                       values.begin() + nnz_begin + nnz);
       AppendPod(narrow.data(), narrow.size(), &file);
-    } else {
+    } else if (!unit_weights) {
       AppendPod(values.data() + nnz_begin, static_cast<std::size_t>(nnz),
                 &file);
     }
@@ -463,6 +483,13 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
          !CheckShardFileSizes(manifest_path, manifest, error))) {
       return std::nullopt;
     }
+    if (span.active()) {
+      // The manifest alone: inline shards start right after it.
+      span.SetAttr("bytes", manifest.shards_inline
+                                ? static_cast<std::int64_t>(
+                                      manifest.entries.front().offset)
+                                : manifest.file_bytes);
+    }
   }
   // Per-shard slice offsets (exclusive prefix sums over the manifest).
   const std::int64_t num_shards =
@@ -481,7 +508,7 @@ std::optional<Scenario> LoadShardedSnapshot(const std::string& manifest_path,
     obs::ScopedSpan span("load_decode");
     parts.row_ptr.resize(manifest.num_nodes + 1);
     parts.col_idx.resize(manifest.nnz);
-    parts.values.resize(manifest.nnz);
+    if (!manifest.unit_weights) parts.values.resize(manifest.nnz);
     parts.explicit_nodes.resize(manifest.num_explicit);
     parts.explicit_rows.resize(manifest.num_explicit * manifest.k);
     if (manifest.has_ground_truth) {
@@ -521,6 +548,7 @@ std::optional<ShardManifestInfo> ReadShardManifestInfo(
   info.num_explicit = manifest.num_explicit;
   info.has_ground_truth = manifest.has_ground_truth;
   info.values_f32 = manifest.values_f32;
+  info.unit_weights = manifest.unit_weights;
   info.shards_inline = manifest.shards_inline;
   info.file_bytes = manifest.file_bytes;
   info.name = manifest.name;
@@ -531,7 +559,7 @@ std::optional<ShardManifestInfo> ReadShardManifestInfo(
     // bytes are what a full load would have to hold resident.
     const std::int64_t decoded_bytes = internal::ShardDecodedPayloadBytes(
         entry.row_end - entry.row_begin, entry.nnz, entry.num_explicit,
-        manifest.k, manifest.has_ground_truth, manifest.values_f32);
+        manifest.k, manifest.has_ground_truth, manifest.value_bytes());
     info.total_shard_payload_bytes += decoded_bytes;
     info.total_encoded_payload_bytes += entry.payload_bytes;
     info.shards.push_back(ShardRangeInfo{entry.row_begin, entry.row_end,

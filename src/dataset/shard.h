@@ -36,8 +36,7 @@
 //   24      8     i64 k (classes)
 //   32      8     i64 nnz (global stored adjacency entries)
 //   40      8     i64 num_explicit (global)
-//   48      4     u32 flags (bit 0: ground truth present; bit 1: f32
-//                 value sections; bit 2: shards inline)
+//   48      4     u32 flags (see the flag table below)
 //   52      4     u32 num_shards
 //   56      8     u64 PayloadChecksum of the manifest payload
 //   64      ...   payload:
@@ -68,8 +67,7 @@
 //   24      8     i64 row_end
 //   32      8     i64 nnz (this shard's stored entries)
 //   40      8     i64 num_explicit (this shard's explicit nodes)
-//   48      4     u32 flags (bit 0: ground-truth slice present;
-//                            bit 1: f32 value section)
+//   48      4     u32 flags (the manifest's, without bit 2)
 //   52      4     u32 shard index
 //   56      8     u64 PayloadChecksum of the shard payload
 //   64      ...   payload:
@@ -84,11 +82,30 @@
 //                   f64[nnz]|f32[nnz]   values (f32 iff flag bit 1; the
 //                                       writer narrows once, so decoded
 //                                       blocks feed the f32 kernels with
-//                                       no second narrowing pass)
+//                                       no second narrowing pass; absent
+//                                       iff flag bit 3)
 //                   i64[num_explicit]   explicit node ids (global, sorted,
 //                                       inside [row_begin, row_end))
 //                   f64[num_explicit*k] explicit residual rows
 //                   i32[rows]           ground truth slice (iff flag)
+//
+// Flags (manifest and shard headers; a shard's must equal its
+// manifest's without bit 2):
+//
+//   bit  value  meaning
+//   0    1      ground truth present (a slice per shard)
+//   1    2      f32 value sections
+//   2    4      manifest only: the shards follow it in the same file
+//   3    8      unit weights: every stored weight is 1.0 and the shards
+//               have no value section
+//
+// Any other bit is an error ("unknown flags"), and so are bits 1 and 3
+// together. The writers set bit 3 exactly when the adjacency is unit
+// (SparseMatrix::unit_weights(); every generated graph is), and then
+// never bit 1: a unit graph written with ShardCompression::kF32 gets the
+// same bytes as with kF64. Bit 3 came after the first version-6 files,
+// which store a value section of 1.0s instead; they still load, and
+// their graph takes the unit form when it is adopted.
 //
 // Sorted columns make the deltas small — most ids encode in 1-2 bytes
 // instead of 4 — which cuts the bytes a load or an out-of-core sweep
@@ -147,7 +164,8 @@ namespace dataset {
 inline constexpr std::uint32_t kShardFormatVersion = 6;
 
 /// How shard payloads store their values; column ids are always
-/// delta+varint encoded.
+/// delta+varint encoded. A unit-weight scenario stores no values, so
+/// the choice changes nothing for it.
 enum class ShardCompression {
   kF64,  // f64 values (lossless)
   kF32,  // values narrowed to f32
@@ -216,6 +234,8 @@ struct ShardManifestInfo {
   bool has_ground_truth = false;
   /// Value sections are stored as f32.
   bool values_f32 = false;
+  /// Every weight is 1.0 and the shards have no value section.
+  bool unit_weights = false;
   /// The shards follow the manifest in its own file (a `.lbps`).
   bool shards_inline = false;
   /// Size of the file that holds the manifest (with inline shards, the

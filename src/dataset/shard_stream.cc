@@ -99,6 +99,9 @@ bool ShardStreamReader::has_ground_truth() const {
   return manifest_->has_ground_truth;
 }
 bool ShardStreamReader::values_f32() const { return manifest_->values_f32; }
+bool ShardStreamReader::unit_weights() const {
+  return manifest_->unit_weights;
+}
 const std::string& ShardStreamReader::name() const {
   return manifest_->name;
 }
@@ -119,8 +122,7 @@ std::int64_t ShardStreamReader::row_end(std::int64_t shard) const {
 std::int64_t ShardStreamReader::block_csr_bytes(std::int64_t shard) const {
   const internal::ShardManifestEntry& entry = manifest_->entries[shard];
   const std::int64_t rows = entry.row_end - entry.row_begin;
-  return (rows + 1) * 8 +
-         entry.nnz * (4 + (manifest_->values_f32 ? 4 : 8));
+  return (rows + 1) * 8 + entry.nnz * (4 + manifest_->value_bytes());
 }
 
 std::int64_t ShardStreamReader::max_block_csr_bytes() const {
@@ -161,8 +163,13 @@ bool ShardStreamReader::FetchBlock(std::int64_t shard,
   const std::string& path = shard_paths_[shard];
   const auto read = [&] {
     obs::ScopedSpan span("stream_read");
-    return internal::ReadShardBytes(path, *manifest_, shard, file_bytes,
-                                    error);
+    const bool ok = internal::ReadShardBytes(path, *manifest_, shard,
+                                             file_bytes, error);
+    if (span.active()) {
+      span.SetAttr("shard", shard);
+      span.SetAttr("bytes", static_cast<std::int64_t>(file_bytes->size()));
+    }
+    return ok;
   };
   const auto check = [&] {
     obs::ScopedSpan span("stream_checksum");
@@ -233,8 +240,8 @@ bool ShardStreamReader::DecodeBlock(std::int64_t shard,
   block->row_end = h.row_end;
   block->row_ptr.resize(static_cast<std::size_t>(rows + 1));
   block->col_idx.resize(nnz);
-  block->values.resize(manifest.values_f32 ? 0 : nnz);
-  block->values_f32.resize(manifest.values_f32 ? nnz : 0);
+  block->values.resize(manifest.value_bytes() == 8 ? nnz : 0);
+  block->values_f32.resize(manifest.value_bytes() == 4 ? nnz : 0);
   // The CSR memory is live from here on: count it before decoding so the
   // residency instrumentation never under-reports.
   block->accounting_ = accounting_;
@@ -255,7 +262,8 @@ bool ShardStreamReader::DecodeBlock(std::int64_t shard,
           : internal::DecodeCompressedCsr(
                 path, manifest, h, ctx, &payload, &payload_size,
                 block->row_ptr.data(), block->col_idx.data(),
-                block->values.data(), error);
+                manifest.unit_weights ? nullptr : block->values.data(),
+                error);
   if (!decoded) return fail();
 
   internal::Cursor cursor(payload, payload_size);

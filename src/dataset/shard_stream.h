@@ -30,7 +30,7 @@
 // by-construction holds for every manifest the writers produce.
 //
 // Byte accounting: the reader counts the CSR bytes (row_ptr + col_idx +
-// values) of every live block, with a high-water mark, so tests and
+// values, if any) of every live block, with a high-water mark, so tests and
 // benchmarks can assert the streaming guarantee ("no more than two
 // blocks resident") directly instead of trusting the pipeline shape.
 
@@ -102,8 +102,9 @@ class ShardStreamBlock {
   std::int64_t row_end = 0;
   std::vector<std::int64_t> row_ptr;  // local (rebased to 0), rows + 1
   std::vector<std::int32_t> col_idx;  // GLOBAL column ids
-  /// Exactly one of `values` / `values_f32` is populated: f64 for f64
-  /// manifests, f32 for f32 ones. Keeping the
+  /// At most one of `values` / `values_f32` is populated: f64 for f64
+  /// manifests, f32 for f32 ones, neither for unit-weight ones
+  /// (ShardStreamReader::unit_weights()). Keeping the
   /// narrow section narrow is the point — an f32 shard's values really
   /// are half the resident bytes, and the f32 kernels consume them with
   /// no second narrowing pass. f64 consumers widen per block.
@@ -115,8 +116,7 @@ class ShardStreamBlock {
 
   std::int64_t num_rows() const { return row_end - row_begin; }
   std::int64_t nnz() const {
-    return static_cast<std::int64_t>(values_f32.empty() ? values.size()
-                                                        : values_f32.size());
+    return static_cast<std::int64_t>(col_idx.size());
   }
   /// The CSR bytes this block counts against its reader's residency —
   /// what a budgeted cache must account per cached block.
@@ -153,6 +153,8 @@ class ShardStreamReader {
   bool has_ground_truth() const;
   /// True when blocks carry f32 value sections.
   bool values_f32() const;
+  /// True when every weight is 1.0: blocks carry no values at all.
+  bool unit_weights() const;
   const std::string& name() const;
   const std::string& spec() const;
   /// The k*k residual coupling matrix from the manifest (row-major).
@@ -161,8 +163,8 @@ class ShardStreamReader {
   std::int64_t row_begin(std::int64_t shard) const;
   std::int64_t row_end(std::int64_t shard) const;
 
-  /// CSR bytes (row_ptr + col_idx + values) of shard `s`, from the
-  /// manifest counts.
+  /// CSR bytes (row_ptr + col_idx + values, none for unit weights) of
+  /// shard `s`, from the manifest counts.
   std::int64_t block_csr_bytes(std::int64_t shard) const;
   /// Max over shards of block_csr_bytes — the streaming unit size.
   std::int64_t max_block_csr_bytes() const;

@@ -32,12 +32,13 @@ bool InMemoryBackend::VisitRowBlocks(Precision precision,
   block.num_rows = a.rows();
   block.row_ptr = a.row_ptr().data();
   block.col_idx = a.col_idx().data();
-  // Pins the matrix's cached narrowed copy for the visit.
+  // Pins the matrix's cached narrowed copy for the visit. A unit matrix
+  // leaves both value pointers null.
   std::shared_ptr<const std::vector<float>> values_f32;
-  if (precision == Precision::kF32) {
+  if (!a.unit_weights() && precision == Precision::kF32) {
     values_f32 = a.values_f32();
     block.values_f32 = values_f32->data();
-  } else {
+  } else if (!a.unit_weights()) {
     block.values = a.values().data();
   }
   visit(block);

@@ -43,8 +43,10 @@ namespace engine {
 /// One contiguous row block of A in CSR form, as a block visitor sees
 /// it. Local row r in [0, num_rows) is global row row_begin + r; its
 /// entries are [row_ptr[r], row_ptr[r + 1]) of col_idx and the values,
-/// and column ids are global. Exactly one of `values` / `values_f32` is
-/// set: the precision the visit asked for.
+/// and column ids are global. For a weighted A exactly one of `values` /
+/// `values_f32` is set: the precision the visit asked for. For a unit-
+/// weight A both are null — the row kernels' unit form — in either
+/// precision, and no value is read, narrowed or widened.
 struct CsrBlock {
   std::int64_t row_begin = 0;
   std::int64_t num_rows = 0;
@@ -72,7 +74,8 @@ class PropagationBackend {
   virtual std::int64_t num_stored_entries() const = 0;
 
   /// Weighted degrees d_s = sum of squared incident edge weights
-  /// (Sect. 5.2), the diagonal of the echo term.
+  /// (Sect. 5.2), the diagonal of the echo term (row counts for a
+  /// unit-weight A).
   virtual const std::vector<double>& weighted_degrees() const = 0;
 
   /// Visits A as CSR row blocks that tile [0, n) in row order, with the

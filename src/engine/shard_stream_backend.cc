@@ -23,6 +23,8 @@ bool ShardStreamBackend::StreamBlocks(
   if (span.active()) {
     span.SetAttr("shards", reader.num_shards());
     span.SetAttr("overlap", static_cast<std::int64_t>(overlap ? 1 : 0));
+    span.SetAttr("unit_weights",
+                 static_cast<std::int64_t>(reader.unit_weights() ? 1 : 0));
   }
   // With overlap, the prefetch thread only fetches shard s + 1 (read,
   // header check, checksum) into its pipeline slot's file buffer while
@@ -115,6 +117,8 @@ std::optional<ShardStreamBackend> ShardStreamBackend::Open(
   if (backend.reader_->has_ground_truth()) {
     backend.ground_truth_.assign(n, -1);
   }
+  const bool unit = backend.reader_->unit_weights();
+  const bool f32 = backend.reader_->values_f32();
   const bool streamed = backend.StreamBlocks(
       ctx,
       [&](const dataset::ShardStreamBlock& block) {
@@ -122,14 +126,19 @@ std::optional<ShardStreamBackend> ShardStreamBackend::Open(
         // term matches the in-memory degrees bit-for-bit. f32-valued
         // shards widen per entry — exactly what an in-memory load of
         // the same shards holds, so identity is preserved there too.
-        const bool f32 = !block.values_f32.empty();
+        // Unit-weight degrees are the row counts, as in memory.
         for (std::int64_t r = 0; r < block.num_rows(); ++r) {
           double degree = 0.0;
-          for (std::int64_t e = block.row_ptr[r]; e < block.row_ptr[r + 1];
-               ++e) {
-            const double v = f32 ? static_cast<double>(block.values_f32[e])
-                                 : block.values[e];
-            degree += v * v;
+          if (unit) {
+            degree = static_cast<double>(block.row_ptr[r + 1] -
+                                         block.row_ptr[r]);
+          } else {
+            for (std::int64_t e = block.row_ptr[r];
+                 e < block.row_ptr[r + 1]; ++e) {
+              const double v = f32 ? static_cast<double>(block.values_f32[e])
+                                   : block.values[e];
+              degree += v * v;
+            }
           }
           backend.weighted_degrees_[block.row_begin + r] = degree;
         }
@@ -168,9 +177,12 @@ bool ShardStreamBackend::VisitRowBlocks(Precision precision,
                                         const BlockVisitor& visit,
                                         std::string* error) const {
   // A block stored in the other precision is converted once, into a
-  // buffer reused across the pass's blocks.
+  // buffer reused across the pass's blocks. Unit-weight blocks have no
+  // values: both pointers stay null in either precision.
   std::vector<double> widened;
   std::vector<float> narrowed;
+  const bool unit = reader_->unit_weights();
+  const bool stored_f32 = reader_->values_f32();
   return StreamBlocks(
       ctx,
       [&](const dataset::ShardStreamBlock& block) {
@@ -179,14 +191,13 @@ bool ShardStreamBackend::VisitRowBlocks(Precision precision,
         view.num_rows = block.num_rows();
         view.row_ptr = block.row_ptr.data();
         view.col_idx = block.col_idx.data();
-        const bool stored_f32 = !block.values_f32.empty();
-        if (precision == Precision::kF32) {
+        if (!unit && precision == Precision::kF32) {
           if (!stored_f32) {
             narrowed.assign(block.values.begin(), block.values.end());
           }
           view.values_f32 =
               stored_f32 ? block.values_f32.data() : narrowed.data();
-        } else {
+        } else if (!unit) {
           if (stored_f32) {
             widened.assign(block.values_f32.begin(), block.values_f32.end());
           }

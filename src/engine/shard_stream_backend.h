@@ -68,7 +68,8 @@ class ShardStreamBackend final : public PropagationBackend {
   /// pipeline. A block stored in the other precision is converted once
   /// as it is visited (f64-valued shards narrowed for an f32 visit,
   /// compressed f32 shards widened for an f64 one); a block in the
-  /// requested precision is handed over as stored.
+  /// requested precision is handed over as stored, and a unit-weight
+  /// block with null value pointers in either precision.
   bool VisitRowBlocks(Precision precision, const exec::ExecContext& ctx,
                       const BlockVisitor& visit,
                       std::string* error) const override;

@@ -40,8 +40,9 @@ Graph Graph::FromValidatedAdjacency(SparseMatrix adjacency,
 
 // One parallel sweep optionally validates (no self-loops, symmetric
 // pattern and values via a mirror binary search per entry) and computes
-// the weighted degrees. Rows are chunk-owned, so the writes race with
-// nothing.
+// the weighted degrees. A unit matrix has no values to compare, and its
+// degrees are its row counts: the same bits as summing 1 * 1 per entry.
+// Rows are chunk-owned, so the writes race with nothing.
 Graph Graph::FromAdjacencyImpl(SparseMatrix adjacency,
                                const exec::ExecContext& ctx, bool validate) {
   LINBP_CHECK_MSG(adjacency.rows() == adjacency.cols(),
@@ -49,16 +50,15 @@ Graph Graph::FromAdjacencyImpl(SparseMatrix adjacency,
   const std::int64_t n = adjacency.rows();
   const auto& row_ptr = adjacency.row_ptr();
   const auto& col_idx = adjacency.col_idx();
-  const auto& values = adjacency.values();
+  const double* values = adjacency.values_or_null();
 
   Graph graph;
   graph.weighted_degrees_.assign(n, 0.0);
   ctx.ParallelFor(0, n, /*min_grain=*/512, [&](std::int64_t row_begin,
                                                std::int64_t row_end) {
     for (std::int64_t r = row_begin; r < row_end; ++r) {
-      double degree = 0.0;
-      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        if (validate) {
+      if (validate) {
+        for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
           const std::int64_t c = col_idx[e];
           LINBP_CHECK_MSG(c != r, "self-loops are not supported");
           const auto begin = col_idx.begin() + row_ptr[c];
@@ -66,10 +66,18 @@ Graph Graph::FromAdjacencyImpl(SparseMatrix adjacency,
           const auto it =
               std::lower_bound(begin, end, static_cast<std::int32_t>(r));
           LINBP_CHECK_MSG(it != end && *it == r &&
-                              values[it - col_idx.begin()] == values[e],
+                              (values == nullptr ||
+                               values[it - col_idx.begin()] == values[e]),
                           "adjacency matrix is not symmetric");
         }
-        degree += values[e] * values[e];
+      }
+      double degree = 0.0;
+      if (values == nullptr) {
+        degree = static_cast<double>(row_ptr[r + 1] - row_ptr[r]);
+      } else {
+        for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+          degree += values[e] * values[e];
+        }
       }
       graph.weighted_degrees_[r] = degree;
     }
@@ -86,12 +94,13 @@ std::int64_t Graph::Degree(std::int64_t node) const {
 std::vector<Edge> Graph::edges() const {
   const auto& row_ptr = adjacency_.row_ptr();
   const auto& col_idx = adjacency_.col_idx();
-  const auto& values = adjacency_.values();
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(num_undirected_edges()));
   for (std::int64_t r = 0; r < num_nodes(); ++r) {
     for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-      if (col_idx[e] > r) edges.push_back({r, col_idx[e], values[e]});
+      if (col_idx[e] > r) {
+        edges.push_back({r, col_idx[e], adjacency_.weight(e)});
+      }
     }
   }
   return edges;
@@ -112,36 +121,52 @@ Graph EditedGraph(const Graph& graph, const std::vector<Edge>& batch,
             });
 
   const std::int64_t n = graph.num_nodes();
-  const auto& old_row_ptr = graph.adjacency().row_ptr();
-  const auto& old_col_idx = graph.adjacency().col_idx();
-  const auto& old_values = graph.adjacency().values();
+  const SparseMatrix& old = graph.adjacency();
+  const auto& old_row_ptr = old.row_ptr();
+  const auto& old_col_idx = old.col_idx();
+  // The result keeps a value array when the graph has one or the batch
+  // brings in a weight other than 1; FromValidatedCsr drops it again
+  // when every weight left is 1 (the last other one removed or
+  // reweighted to 1). A unit graph edited with weight-1 edges and
+  // removals merges its pattern only.
+  const bool weighted =
+      !old.unit_weights() ||
+      (!remove && std::any_of(batch.begin(), batch.end(),
+                              [](const Edge& e) { return e.weight != 1.0; }));
   const std::size_t capacity =
       old_col_idx.size() + (remove ? 0 : edits.size());
   std::vector<std::int64_t> row_ptr(n + 1, 0);
   std::vector<std::int32_t> col_idx;
   std::vector<double> values;
   col_idx.reserve(capacity);
-  values.reserve(capacity);
+  if (weighted) values.reserve(capacity);
+  const auto copy_old = [&](std::int64_t from, std::int64_t to) {
+    col_idx.insert(col_idx.end(), old_col_idx.begin() + from,
+                   old_col_idx.begin() + to);
+    if (!weighted) return;
+    if (old.unit_weights()) {
+      values.insert(values.end(), static_cast<std::size_t>(to - from), 1.0);
+    } else {
+      values.insert(values.end(), old.values().begin() + from,
+                    old.values().begin() + to);
+    }
+  };
   auto edit = edits.begin();
   for (std::int64_t r = 0; r < n; ++r) {
     std::int64_t p = old_row_ptr[r];
     const std::int64_t end = old_row_ptr[r + 1];
     for (; edit != edits.end() && edit->row == r; ++edit) {
-      for (; p < end && old_col_idx[p] < edit->col; ++p) {
-        col_idx.push_back(old_col_idx[p]);
-        values.push_back(old_values[p]);
-      }
+      const std::int64_t from = p;
+      while (p < end && old_col_idx[p] < edit->col) ++p;
+      copy_old(from, p);
       // The edit replaces the stored entry at its column, if any.
       if (p < end && old_col_idx[p] == edit->col) ++p;
       if (!remove) {
         col_idx.push_back(static_cast<std::int32_t>(edit->col));
-        values.push_back(edit->value);
+        if (weighted) values.push_back(edit->value);
       }
     }
-    col_idx.insert(col_idx.end(), old_col_idx.begin() + p,
-                   old_col_idx.begin() + end);
-    values.insert(values.end(), old_values.begin() + p,
-                  old_values.begin() + end);
+    copy_old(p, end);
     row_ptr[r + 1] = static_cast<std::int64_t>(col_idx.size());
   }
   return Graph::FromValidatedAdjacency(

@@ -5,6 +5,9 @@
 // paper, the degree of a node in a weighted graph is the sum of the
 // *squared* weights of its incident edges (the echo travels across each
 // edge twice). Edge edits (EditedGraph) merge a batch into the CSR rows.
+// A graph whose weights are all 1 (every generated graph) keeps its CSR
+// in SparseMatrix's unit form, with no value array; its weighted degrees
+// are then its plain degrees.
 
 #ifndef LINBP_GRAPH_GRAPH_H_
 #define LINBP_GRAPH_GRAPH_H_
@@ -70,7 +73,8 @@ class Graph {
   const SparseMatrix& adjacency() const { return adjacency_; }
 
   /// Weighted degrees d_s = sum over neighbors of w_{s,t}^2 (Sect. 5.2).
-  /// For unweighted graphs this equals the ordinary degree.
+  /// For unweighted graphs this equals the ordinary degree (a unit-form
+  /// adjacency takes it from the row counts, the same bits).
   const std::vector<double>& weighted_degrees() const {
     return weighted_degrees_;
   }
@@ -79,8 +83,8 @@ class Graph {
   std::int64_t Degree(std::int64_t node) const;
 
   /// The undirected edge list, read off the CSR's upper triangle: u < v,
-  /// sorted by (u, v). Materializes O(m) on every call, so callers hoist
-  /// it out of loops.
+  /// sorted by (u, v), weight 1.0 on every edge of a unit-form graph.
+  /// Materializes O(m) on every call, so callers hoist it out of loops.
   std::vector<Edge> edges() const;
 
  private:
@@ -98,8 +102,12 @@ class Graph {
 /// ValidateEdgeReweightBatch); with `remove` true the named edges are
 /// dropped (ValidateEdgeRemovalBatch). The result equals Graph(n, edited
 /// edge list) bit for bit: weights are copied, never summed, so -0.0 and
-/// stored zeros survive. Degrees are recomputed on `ctx`. An unvalidated
-/// batch is undefined behavior.
+/// stored zeros survive, and the form matches too. A unit graph stays
+/// unit under removals and under adds or reweights to weight 1; a weight
+/// other than 1 brings in the value array, and the edit that removes or
+/// reweights to 1 the last such weight returns the graph to the unit
+/// form. Degrees are recomputed on `ctx`. An unvalidated batch is
+/// undefined behavior.
 Graph EditedGraph(const Graph& graph, const std::vector<Edge>& batch,
                   bool remove, const exec::ExecContext& ctx =
                                    exec::ExecContext::Default());

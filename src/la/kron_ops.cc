@@ -30,7 +30,7 @@ DenseMatrix LinBpPropagate(const SparseMatrix& adjacency,
   LinBpRowsArgs<double> args;
   args.row_ptr = adjacency.row_ptr().data();
   args.col_idx = adjacency.col_idx().data();
-  args.values = adjacency.values().data();
+  args.values = adjacency.values_or_null();
   args.k = k;
   args.beliefs = beliefs.data().data();
   args.hhat = hhat.data().data();

@@ -13,7 +13,9 @@ double FrobeniusNorm(const DenseMatrix& a) {
 
 double FrobeniusNorm(const SparseMatrix& a) {
   double sum = 0.0;
-  for (const double v : a.values()) sum += v * v;
+  for (std::int64_t e = 0; e < a.NumNonZeros(); ++e) {
+    sum += a.weight(e) * a.weight(e);
+  }
   return std::sqrt(sum);
 }
 

@@ -39,10 +39,26 @@ constexpr std::int64_t kColTile = 8;
 // before any of their dense tails run.
 constexpr std::int64_t kRowTile = 64;
 
+// Weight of entry e of a row kernel's CSR: vals[e], or 1 in the
+// unit-weight instantiation (kUnit, vals null), where the multiply by it
+// folds away. x * 1 == x exactly, so the unit instantiation gives the
+// bits of the weighted one over an array of ones.
+template <bool kUnit, typename Scalar>
+inline Scalar EntryWeight(const Scalar* __restrict__ vals, std::int64_t e) {
+  if constexpr (kUnit) {
+    (void)vals;
+    (void)e;
+    return Scalar(1);
+  } else {
+    return vals[e];
+  }
+}
+
 // The one SpMM row loop: out[c] = sum over e in [row_ptr[r],
 // row_ptr[r+1]) of vals[e] * b[cols[e]*k + c], per k-tile with the
 // entries in order into zeroed accumulators. kK in [1, kColTile] fixes
 // k at compile time (one tile, unrolled); kK == 0 uses the runtime k.
+// kUnit reads no value (see EntryWeight).
 //
 // The operand pointers are restrict-qualified and the per-entry tile
 // update carries an `omp simd` hint (the build adds -fopenmp-simd, no
@@ -53,7 +69,7 @@ constexpr std::int64_t kRowTile = 64;
 //   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -I. -c
 //   src/la/sparse_matrix.cc
 // when touching this kernel).
-template <typename Scalar, int kK>
+template <typename Scalar, int kK, bool kUnit>
 void SpmmRowT(const std::int64_t* row_ptr,
               const std::int32_t* __restrict__ cols,
               const Scalar* __restrict__ vals, std::int64_t r,
@@ -66,7 +82,7 @@ void SpmmRowT(const std::int64_t* row_ptr,
     const std::int64_t tile = std::min(kColTile, k - c0);
     Scalar acc[kColTile] = {};
     for (std::int64_t e = e_begin; e < e_end; ++e) {
-      const Scalar w = vals[e];
+      const Scalar w = EntryWeight<kUnit>(vals, e);
       const Scalar* __restrict__ b_row =
           b + static_cast<std::int64_t>(cols[e]) * k + c0;
 #pragma omp simd
@@ -74,6 +90,13 @@ void SpmmRowT(const std::int64_t* row_ptr,
     }
     for (std::int64_t c = 0; c < tile; ++c) out[c0 + c] = acc[c];
   }
+}
+
+// The form switch of the row kernels: calls fn(std::true_type()) for a
+// unit-weight CSR (null values) and fn(std::false_type()) otherwise.
+template <typename Scalar, typename Fn>
+auto DispatchUnit(const Scalar* values, Fn&& fn) {
+  return values == nullptr ? fn(std::true_type()) : fn(std::false_type());
 }
 
 // The k switch of SpmmRowsT and LinBpRowsT: calls
@@ -95,12 +118,13 @@ auto DispatchK(std::int64_t k, Fn&& fn) {
   }
 }
 
-// LinBpRowsT for one k (see DispatchK), a row tile at a time. Phase 1
-// gathers (A*B)_s of every row of the tile into the tile scratch; phase
-// 2 runs each row's dense tail in row order. Every element sees the
-// same operations in the same order as a row-at-a-time pass, and the
+// LinBpRowsT for one k (see DispatchK) and one storage form (kUnit: null
+// values, see DispatchUnit), a row tile at a time. Phase 1 gathers
+// (A*B)_s of every row of the tile into the tile scratch; phase 2 runs
+// each row's dense tail in row order. Every element sees the same
+// operations in the same order as a row-at-a-time pass, and the
 // statistics fold in row order, so the tile changes no bit.
-template <typename Scalar, int kK>
+template <typename Scalar, int kK, bool kUnit>
 LinBpRowStats LinBpRowsForK(const LinBpRowsArgs<Scalar>& args) {
   const std::int64_t k = kK > 0 ? kK : args.k;
   const std::int64_t* row_ptr = args.row_ptr;
@@ -145,8 +169,8 @@ LinBpRowStats LinBpRowsForK(const LinBpRowsArgs<Scalar>& args) {
         std::min(tile_begin + kRowTile, args.row_end);
     // Phase 1: (A*B)_s for every row of the tile.
     for (std::int64_t r = tile_begin; r < tile_end; ++r) {
-      SpmmRowT<Scalar, kK>(row_ptr, args.col_idx, args.values, r, b, k,
-                           ab_tile + (r - tile_begin) * k);
+      SpmmRowT<Scalar, kK, kUnit>(row_ptr, args.col_idx, args.values, r, b,
+                                  k, ab_tile + (r - tile_begin) * k);
     }
     // Phase 2: each row's dense tail, in row order.
     for (std::int64_t r = tile_begin; r < tile_end; ++r) {
@@ -210,11 +234,14 @@ void SpmmRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
   // For a fixed output element the entry order is that of an untiled
   // scalar loop, so the result is bit-identical to it for the same
   // Scalar, at every k and every row range.
-  DispatchK(k, [&](auto fixed_k) {
-    constexpr int kK = decltype(fixed_k)::value;
-    for (std::int64_t r = row_begin; r < row_end; ++r) {
-      SpmmRowT<Scalar, kK>(row_ptr, col_idx, values, r, b, k, out + r * k);
-    }
+  DispatchUnit(values, [&](auto unit) {
+    DispatchK(k, [&](auto fixed_k) {
+      constexpr int kK = decltype(fixed_k)::value;
+      for (std::int64_t r = row_begin; r < row_end; ++r) {
+        SpmmRowT<Scalar, kK, decltype(unit)::value>(row_ptr, col_idx, values,
+                                                    r, b, k, out + r * k);
+      }
+    });
   });
 }
 
@@ -225,31 +252,38 @@ void SpmvRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
   // The stored-zero skip protects 0 * inf / 0 * nan in operand vectors
   // (explicit entries with zero weight are legal CSR); it lives here, in
   // the one per-scalar implementation, so MultiplyVector and the
-  // row-range entry point cannot drift.
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    Scalar acc = Scalar(0);
-    for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-      const Scalar w = values[e];
-      if (w == Scalar(0)) continue;
-      acc += w * x[col_idx[e]];
+  // row-range entry point cannot drift. A unit weight is never zero, so
+  // the unit instantiation has no skip.
+  DispatchUnit(values, [&](auto unit) {
+    constexpr bool kUnit = decltype(unit)::value;
+    for (std::int64_t r = row_begin; r < row_end; ++r) {
+      Scalar acc = Scalar(0);
+      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        const Scalar w = EntryWeight<kUnit>(values, e);
+        if (w == Scalar(0)) continue;
+        acc += w * x[col_idx[e]];
+      }
+      y[r] = acc;
     }
-    y[r] = acc;
-  }
+  });
 }
 
 template <typename Scalar>
 void SpmtvRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
                 const Scalar* values, std::int64_t row_begin,
                 std::int64_t row_end, const Scalar* x, Scalar* out) {
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const Scalar xr = x[r];
-    if (xr == Scalar(0)) continue;
-    for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-      const Scalar w = values[e];
-      if (w == Scalar(0)) continue;
-      out[col_idx[e]] += w * xr;
+  DispatchUnit(values, [&](auto unit) {
+    constexpr bool kUnit = decltype(unit)::value;
+    for (std::int64_t r = row_begin; r < row_end; ++r) {
+      const Scalar xr = x[r];
+      if (xr == Scalar(0)) continue;
+      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        const Scalar w = EntryWeight<kUnit>(values, e);
+        if (w == Scalar(0)) continue;
+        out[col_idx[e]] += w * xr;
+      }
     }
-  }
+  });
 }
 
 template void SpmmRowsT<double>(const std::int64_t*, const std::int32_t*,
@@ -273,8 +307,11 @@ template void SpmtvRowsT<float>(const std::int64_t*, const std::int32_t*,
 
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args) {
-  return DispatchK(args.k, [&](auto fixed_k) {
-    return LinBpRowsForK<Scalar, decltype(fixed_k)::value>(args);
+  return DispatchUnit(args.values, [&](auto unit) {
+    return DispatchK(args.k, [&](auto fixed_k) {
+      return LinBpRowsForK<Scalar, decltype(fixed_k)::value,
+                           decltype(unit)::value>(args);
+    });
   });
 }
 
@@ -297,7 +334,6 @@ SparseMatrix SparseMatrix::FromTriplets(std::int64_t rows, std::int64_t cols,
               return a.row != b.row ? a.row < b.row : a.col < b.col;
             });
   m.col_idx_.reserve(triplets.size());
-  m.values_.reserve(triplets.size());
   std::size_t i = 0;
   while (i < triplets.size()) {
     // Sum runs of duplicate (row, col) coordinates.
@@ -308,8 +344,16 @@ SparseMatrix SparseMatrix::FromTriplets(std::int64_t rows, std::int64_t cols,
       sum += triplets[j].value;
       ++j;
     }
+    // values_ stays empty while every weight is 1; the first other weight
+    // brings in the array, with the 1s before it.
+    if (sum != 1.0 && m.values_.empty()) {
+      m.values_.reserve(triplets.size());
+      m.values_.assign(m.col_idx_.size(), 1.0);
+      m.values_.push_back(sum);
+    } else if (!m.values_.empty()) {
+      m.values_.push_back(sum);
+    }
     m.col_idx_.push_back(static_cast<std::int32_t>(triplets[i].col));
-    m.values_.push_back(sum);
     ++m.row_ptr_[triplets[i].row + 1];
     i = j;
   }
@@ -323,7 +367,7 @@ SparseMatrix SparseMatrix::FromCsr(std::int64_t rows, std::int64_t cols,
                                    std::vector<double> values,
                                    const exec::ExecContext& ctx) {
   LINBP_CHECK(static_cast<std::int64_t>(row_ptr.size()) == rows + 1);
-  LINBP_CHECK(col_idx.size() == values.size());
+  LINBP_CHECK(values.empty() || col_idx.size() == values.size());
   LINBP_CHECK(row_ptr.front() == 0);
   LINBP_CHECK(row_ptr.back() == static_cast<std::int64_t>(col_idx.size()));
   ctx.ParallelFor(0, rows, /*min_grain=*/4096,
@@ -349,10 +393,14 @@ SparseMatrix SparseMatrix::FromValidatedCsr(
     std::vector<std::int32_t> col_idx, std::vector<double> values) {
   SparseMatrix m(rows, cols);
   LINBP_CHECK(static_cast<std::int64_t>(row_ptr.size()) == rows + 1);
-  LINBP_CHECK(col_idx.size() == values.size());
+  LINBP_CHECK(values.empty() || col_idx.size() == values.size());
   m.row_ptr_ = std::move(row_ptr);
   m.col_idx_ = std::move(col_idx);
-  m.values_ = std::move(values);
+  // An array of 1.0s is freed: the matrix takes the unit form.
+  if (std::any_of(values.begin(), values.end(),
+                  [](double v) { return v != 1.0; })) {
+    m.values_ = std::move(values);
+  }
   return m;
 }
 
@@ -362,8 +410,9 @@ std::vector<double> SparseMatrix::MultiplyVector(
   std::vector<double> y(rows_, 0.0);
   ForEachRowBlock(ctx, row_ptr_, /*work_per_entry=*/1,
                   [&](std::int64_t row_begin, std::int64_t row_end) {
-                    SpmvRows(row_ptr_.data(), col_idx_.data(), values_.data(),
-                             row_begin, row_end, x.data(), y.data());
+                    SpmvRows(row_ptr_.data(), col_idx_.data(),
+                             values_or_null(), row_begin, row_end, x.data(),
+                             y.data());
                   });
   return y;
 }
@@ -376,7 +425,7 @@ std::vector<double> SparseMatrix::TransposeMultiplyVector(
       ctx.NumChunks(NumNonZeros(), exec::kDefaultMinWorkPerChunk);
   auto scatter_rows = [&](std::int64_t row_begin, std::int64_t row_end,
                           double* out) {
-    SpmtvRowsT<double>(row_ptr_.data(), col_idx_.data(), values_.data(),
+    SpmtvRowsT<double>(row_ptr_.data(), col_idx_.data(), values_or_null(),
                        row_begin, row_end, x.data(), out);
   };
   if (blocks <= 1 || rows_ <= 1) {
@@ -411,13 +460,15 @@ DenseMatrix SparseMatrix::MultiplyDense(const DenseMatrix& b,
   // nnz-balanced parallel row blocking.
   ForEachRowBlock(ctx, row_ptr_, /*work_per_entry=*/k,
                   [&](std::int64_t row_begin, std::int64_t row_end) {
-                    SpmmRows(row_ptr_.data(), col_idx_.data(), values_.data(),
-                             row_begin, row_end, b_data, k, out_data);
+                    SpmmRows(row_ptr_.data(), col_idx_.data(),
+                             values_or_null(), row_begin, row_end, b_data, k,
+                             out_data);
                   });
   return out;
 }
 
 std::shared_ptr<const std::vector<float>> SparseMatrix::values_f32() const {
+  if (unit_weights()) return nullptr;
   std::shared_ptr<const std::vector<float>> cached =
       std::atomic_load(&values_f32_cache_);
   if (cached != nullptr) return cached;
@@ -440,7 +491,9 @@ DenseMatrixF32 SparseMatrix::MultiplyDenseF32(
   LINBP_CHECK(b.rows() == cols_);
   const std::int64_t k = b.cols();
   DenseMatrixF32 out(rows_, k);
+  // Null for a unit matrix: the kernels' unit form.
   const std::shared_ptr<const std::vector<float>> vals = values_f32();
+  const float* vals_data = vals != nullptr ? vals->data() : nullptr;
   const float* b_data = b.data().data();
   float* out_data = out.mutable_data().data();
   // f32 entries cost half the bandwidth of f64, so the nnz-balanced
@@ -449,8 +502,8 @@ DenseMatrixF32 SparseMatrix::MultiplyDenseF32(
   ForEachRowBlock(ctx, row_ptr_, work_per_entry,
                   [&](std::int64_t row_begin, std::int64_t row_end) {
                     SpmmRowsT<float>(row_ptr_.data(), col_idx_.data(),
-                                     vals->data(), row_begin, row_end, b_data,
-                                     k, out_data);
+                                     vals_data, row_begin, row_end, b_data, k,
+                                     out_data);
                   });
   return out;
 }
@@ -460,19 +513,20 @@ std::vector<float> SparseMatrix::MultiplyVectorF32(
   LINBP_CHECK(static_cast<std::int64_t>(x.size()) == cols_);
   std::vector<float> y(rows_, 0.0f);
   const std::shared_ptr<const std::vector<float>> vals = values_f32();
+  const float* vals_data = vals != nullptr ? vals->data() : nullptr;
   ForEachRowBlock(ctx, row_ptr_, /*work_per_entry=*/1,
                   [&](std::int64_t row_begin, std::int64_t row_end) {
                     SpmvRowsT<float>(row_ptr_.data(), col_idx_.data(),
-                                     vals->data(), row_begin, row_end,
-                                     x.data(), y.data());
+                                     vals_data, row_begin, row_end, x.data(),
+                                     y.data());
                   });
   return y;
 }
 
 SparseMatrix SparseMatrix::Transpose() const {
   SparseMatrix t(cols_, rows_);
-  t.col_idx_.resize(values_.size());
-  t.values_.resize(values_.size());
+  t.col_idx_.resize(col_idx_.size());
+  t.values_.resize(values_.size());  // stays empty for a unit matrix
   // Counting sort of entries by column index.
   for (const std::int32_t c : col_idx_) ++t.row_ptr_[c + 1];
   for (std::int64_t r = 0; r < cols_; ++r) t.row_ptr_[r + 1] += t.row_ptr_[r];
@@ -481,7 +535,7 @@ SparseMatrix SparseMatrix::Transpose() const {
     for (std::int64_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e) {
       const std::int64_t pos = cursor[col_idx_[e]]++;
       t.col_idx_[pos] = static_cast<std::int32_t>(r);
-      t.values_[pos] = values_[e];
+      if (!unit_weights()) t.values_[pos] = values_[e];
     }
   }
   return t;
@@ -491,7 +545,7 @@ std::vector<double> SparseMatrix::AbsRowSums() const {
   std::vector<double> sums(rows_, 0.0);
   for (std::int64_t r = 0; r < rows_; ++r) {
     for (std::int64_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e) {
-      sums[r] += std::abs(values_[e]);
+      sums[r] += std::abs(weight(e));
     }
   }
   return sums;
@@ -499,8 +553,8 @@ std::vector<double> SparseMatrix::AbsRowSums() const {
 
 std::vector<double> SparseMatrix::AbsColSums() const {
   std::vector<double> sums(cols_, 0.0);
-  for (std::size_t e = 0; e < values_.size(); ++e) {
-    sums[col_idx_[e]] += std::abs(values_[e]);
+  for (std::size_t e = 0; e < col_idx_.size(); ++e) {
+    sums[col_idx_[e]] += std::abs(weight(static_cast<std::int64_t>(e)));
   }
   return sums;
 }
@@ -509,7 +563,7 @@ std::vector<double> SparseMatrix::SquaredRowSums() const {
   std::vector<double> sums(rows_, 0.0);
   for (std::int64_t r = 0; r < rows_; ++r) {
     for (std::int64_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e) {
-      sums[r] += values_[e] * values_[e];
+      sums[r] += weight(e) * weight(e);
     }
   }
   return sums;
@@ -522,14 +576,14 @@ double SparseMatrix::At(std::int64_t row, std::int64_t col) const {
   const auto it =
       std::lower_bound(begin, end, static_cast<std::int32_t>(col));
   if (it == end || *it != col) return 0.0;
-  return values_[it - col_idx_.begin()];
+  return weight(it - col_idx_.begin());
 }
 
 DenseMatrix SparseMatrix::ToDense() const {
   DenseMatrix d(rows_, cols_);
   for (std::int64_t r = 0; r < rows_; ++r) {
     for (std::int64_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e) {
-      d.At(r, col_idx_[e]) += values_[e];
+      d.At(r, col_idx_[e]) += weight(e);
     }
   }
   return d;
@@ -537,6 +591,8 @@ DenseMatrix SparseMatrix::ToDense() const {
 
 bool SparseMatrix::IsSymmetric() const {
   if (rows_ != cols_) return false;
+  // The transpose has this matrix's form, so a unit matrix compares its
+  // pattern only.
   const SparseMatrix t = Transpose();
   if (t.row_ptr_ != row_ptr_ || t.col_idx_ != col_idx_) return false;
   for (std::size_t e = 0; e < values_.size(); ++e) {

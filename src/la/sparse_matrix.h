@@ -5,6 +5,12 @@
 // matrices (SpMM) or vectors (SpMV). The CSR layout here is immutable once
 // built, which keeps the hot kernels simple and cache-friendly.
 //
+// A matrix has one of two storage forms, and the data decides which: a
+// matrix whose stored weights are all exactly 1.0 (every generated graph,
+// and the paper's unweighted ones) keeps its pattern only, with no value
+// array; any other matrix keeps one double per stored entry. The row
+// kernels below take a null value pointer as that unit form.
+//
 // The three product kernels accept an exec::ExecContext and run on its
 // thread pool over nnz-balanced row blocks (exec::RowPartition). SpMV and
 // SpMM assign whole output rows to exactly one block, so their parallel
@@ -53,6 +59,15 @@ struct Triplet {
 /// [1, 8] runs it with k fixed at compile time (one unrolled k-tile,
 /// through the same k switch as LinBpRowsT); any other k runs the same
 /// loop with a runtime k. Instantiated for float and double only.
+///
+/// A null `values` means unit weights (SparseMatrix::unit_weights()):
+/// every stored weight is 1. This and the three kernels below pick the
+/// form once per call, beside the k switch, as a compile-time flag: the
+/// unit instantiation reads no value and multiplies by no weight, and
+/// since x * 1 = x its output is bit-identical to the weighted kernel's
+/// over an explicit array of ones. (That needs the build's
+/// -ffp-contract=off: on FMA targets the compiler would otherwise fuse
+/// products per compiled copy, and the two copies could round apart.)
 template <typename Scalar>
 void SpmmRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
                const Scalar* values, std::int64_t row_begin,
@@ -62,7 +77,7 @@ void SpmmRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
 /// Block-apply SpMV entry point: the serial row-range kernel behind
 /// SparseMatrix::MultiplyVector (stored zero entries skipped). Writes
 /// y[r] for r in [row_begin, row_end) under the same conventions as
-/// SpmmRowsT.
+/// SpmmRowsT, a null `values` included.
 template <typename Scalar>
 void SpmvRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
                const Scalar* values, std::int64_t row_begin,
@@ -70,9 +85,10 @@ void SpmvRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
 
 /// Transpose-SpMV scatter over a row range: for every r in
 /// [row_begin, row_end) with x[r] != 0, adds values[e] * x[r] into
-/// out[col_idx[e]] (stored zeros skipped). Callers own the reduction
-/// discipline; SparseMatrix::TransposeMultiplyVector sums per-block
-/// partials in block order.
+/// out[col_idx[e]] (stored zeros skipped; a null `values` is unit, as in
+/// SpmmRowsT). Callers own the reduction discipline;
+/// SparseMatrix::TransposeMultiplyVector sums per-block partials in block
+/// order.
 template <typename Scalar>
 void SpmtvRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
                 const Scalar* values, std::int64_t row_begin,
@@ -114,13 +130,14 @@ struct LinBpRowStats {
 
 /// Operands of one fused LinBP pass over a CSR row range. The CSR fields
 /// follow SpmmRowsT (local row r has entries [row_ptr[r], row_ptr[r+1])
-/// and global column ids); local row r is global row row_offset + r,
-/// which indexes every n x k operand and `degrees`.
+/// and global column ids; a null `values` means unit weights); local row
+/// r is global row row_offset + r, which indexes every n x k operand and
+/// `degrees`.
 template <typename Scalar>
 struct LinBpRowsArgs {
   const std::int64_t* row_ptr = nullptr;
   const std::int32_t* col_idx = nullptr;
-  const Scalar* values = nullptr;
+  const Scalar* values = nullptr;  // nullptr: unit weights
   std::int64_t row_begin = 0;  // local rows [row_begin, row_end)
   std::int64_t row_end = 0;
   std::int64_t row_offset = 0;
@@ -154,8 +171,9 @@ struct LinBpRowsArgs {
 /// bit, and a range's statistics are the row-order fold of its rows
 /// wherever its tiles fall. k in [1, 8] runs a
 /// compile-time-k instantiation (k = 1 is FaBP's scalar sweep), any
-/// other k the same template with a runtime k. Instantiated for float
-/// and double only.
+/// other k the same template with a runtime k; a null `values` runs the
+/// unit-weight instantiation of the same body (see SpmmRowsT).
+/// Instantiated for float and double only.
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args);
 
@@ -176,7 +194,12 @@ inline void SpmvRows(const std::int64_t* row_ptr, const std::int32_t* col_idx,
   SpmvRowsT<double>(row_ptr, col_idx, values, row_begin, row_end, x, y);
 }
 
-/// Immutable CSR sparse matrix of doubles.
+/// Immutable CSR sparse matrix of doubles, in one of two forms: unit
+/// weights (no value array: every stored weight is exactly 1.0) or
+/// weighted (one double per stored entry). Every constructor picks the
+/// form from the data — an empty `values` argument means unit weights,
+/// and a value array that is all 1.0 is dropped — so two matrices with
+/// the same entries always have the same form.
 class SparseMatrix {
  public:
   /// Creates an empty rows x cols matrix (no stored entries).
@@ -191,11 +214,12 @@ class SparseMatrix {
   /// Adopts already-built CSR arrays without re-sorting (the fast path for
   /// binary snapshot deserialization). The invariants FromTriplets
   /// establishes are checked, not recomputed: row_ptr must be a monotone
-  /// array of size rows + 1 ending at col_idx.size(), and every row's
-  /// column indices must be strictly increasing and in [0, cols). The
+  /// array of size rows + 1 ending at col_idx.size(), every row's column
+  /// indices must be strictly increasing and in [0, cols), and `values`
+  /// must be empty (unit weights) or hold one weight per entry. The
   /// per-row validation sweep fans out on `ctx`. Aborts on violation;
   /// callers deserializing untrusted bytes must validate first (see
-  /// src/dataset/snapshot.cc).
+  /// src/dataset/shard.cc).
   static SparseMatrix FromCsr(std::int64_t rows, std::int64_t cols,
                               std::vector<std::int64_t> row_ptr,
                               std::vector<std::int32_t> col_idx,
@@ -206,8 +230,8 @@ class SparseMatrix {
   /// Adopts CSR arrays whose invariants the caller has ALREADY verified
   /// (the snapshot loader runs its own error-returning sweep first, so
   /// re-validating here would double the deserialization cost). Only the
-  /// array shapes are CHECKed; adopting unverified arrays is undefined
-  /// behavior in the kernels.
+  /// array shapes are CHECKed (an empty `values` is unit weights);
+  /// adopting unverified arrays is undefined behavior in the kernels.
   static SparseMatrix FromValidatedCsr(std::int64_t rows, std::int64_t cols,
                                        std::vector<std::int64_t> row_ptr,
                                        std::vector<std::int32_t> col_idx,
@@ -218,20 +242,40 @@ class SparseMatrix {
 
   /// Number of stored entries.
   std::int64_t NumNonZeros() const {
-    return static_cast<std::int64_t>(values_.size());
+    return static_cast<std::int64_t>(col_idx_.size());
+  }
+
+  /// True when every stored weight is exactly 1.0 and no value array is
+  /// kept (vacuously true without entries).
+  bool unit_weights() const { return values_.empty(); }
+
+  /// Weight of stored entry e (1.0 for a unit matrix). For cold callers;
+  /// a hot loop decides the form once, from unit_weights().
+  double weight(std::int64_t e) const {
+    return values_.empty() ? 1.0 : values_[e];
   }
 
   /// CSR internals, exposed for kernels that iterate rows directly.
+  /// values() is EMPTY for a unit matrix: read weights through weight(e),
+  /// or hand the row kernels values_or_null().
   const std::vector<std::int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<std::int32_t>& col_idx() const { return col_idx_; }
   const std::vector<double>& values() const { return values_; }
+
+  /// The value pointer the row kernels take: values().data(), or nullptr
+  /// for a unit matrix.
+  const double* values_or_null() const {
+    return unit_weights() ? nullptr : values_.data();
+  }
 
   /// Float32 copy of values(), built lazily on first use and cached for
   /// the matrix's lifetime (the CSR arrays are immutable once built, so
   /// the cache can never go stale — graph mutations construct a new
   /// SparseMatrix). Thread-safe: concurrent first calls may both build,
   /// but exactly one copy is published and all callers see a complete
-  /// vector. Costs nnz * 4 bytes while alive.
+  /// vector. Costs nnz * 4 bytes while alive. A unit matrix has no
+  /// values to narrow: it builds nothing and returns nullptr, the unit
+  /// value pointer of the f32 kernels.
   std::shared_ptr<const std::vector<float>> values_f32() const;
 
   /// y = A * x. Zero-weight stored entries are skipped. Bit-identical
@@ -304,7 +348,7 @@ class SparseMatrix {
   std::int64_t cols_ = 0;
   std::vector<std::int64_t> row_ptr_;
   std::vector<std::int32_t> col_idx_;
-  std::vector<double> values_;
+  std::vector<double> values_;  // empty: unit weights
   // Lazily-built f32 copy of values_ (see values_f32()). Accessed only
   // through std::atomic_load / std::atomic_compare_exchange_strong so
   // concurrent kernel launches can share one publication.

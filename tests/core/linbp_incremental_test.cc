@@ -507,6 +507,97 @@ TEST(LinBpStateTest, UpdateSpansAndOnDemandSpectralEstimate) {
   EXPECT_LT(rho, 1.0);
 }
 
+// A unit-weight graph switches form with its weights: an add or
+// reweight with a weight other than 1 makes it weighted, removing or
+// reweighting to 1 its last such weight makes it unit again, and a
+// rejected or rolled-back edit leaves the form it found. After every
+// edit the state's graph is memcmp-equal, form included, to the graph of
+// the edited edge list, and the warm beliefs equal its cold solve to
+// 1e-9.
+TEST(LinBpStateTest, EdgeEditsSwitchTheGraphFormAndStayExact) {
+  const std::int64_t n = 25;
+  const Graph g = RandomConnectedGraph(n, 20, /*seed=*/23);
+  ASSERT_TRUE(g.adjacency().unit_weights());
+  const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.04);
+  const SeededBeliefs seeded = SeedPaperBeliefs(n, 3, 5, /*seed=*/24);
+  LinBpState state(g, hhat, seeded.residuals, TightOptions());
+  ASSERT_TRUE(state.converged());
+  std::vector<Edge> edges = g.edges();
+  const auto expect_cold = [&](bool unit) {
+    EXPECT_EQ(state.graph().adjacency().unit_weights(), unit);
+    const Graph cold_graph(n, edges);
+    EXPECT_EQ(cold_graph.adjacency().unit_weights(), unit);
+    ExpectSameGraph(state.graph(), cold_graph);
+    const LinBpResult cold =
+        RunLinBp(cold_graph, hhat, seeded.residuals, TightOptions());
+    ExpectMatrixNear(state.beliefs(), cold.beliefs, 1e-9);
+  };
+  const auto set_weight = [&](const Edge& edit) {
+    for (Edge& e : edges) {
+      if (e.u == std::min(edit.u, edit.v) && e.v == std::max(edit.u, edit.v)) {
+        e.weight = edit.weight;
+      }
+    }
+  };
+  std::vector<Edge> missing;
+  for (std::int64_t u = 0; u < n && missing.size() < 2; ++u) {
+    for (std::int64_t v = u + 1; v < n && missing.size() < 2; ++v) {
+      if (g.adjacency().At(u, v) == 0.0) missing.push_back({u, v, 1.0});
+    }
+  }
+  ASSERT_EQ(missing.size(), 2u);
+  const Edge first = edges[0];
+  std::string error;
+
+  // Weight-1 add: still unit.
+  ASSERT_GE(state.AddEdges({missing[0]}, &error), 0) << error;
+  edges.push_back(missing[0]);
+  expect_cold(true);
+  // Reweight to 0.5: weighted.
+  ASSERT_GE(state.UpdateEdgeWeights({{first.u, first.v, 0.5}}, &error), 0)
+      << error;
+  set_weight({first.u, first.v, 0.5});
+  expect_cold(false);
+  // A rejected add (the edge exists) keeps it weighted.
+  EXPECT_EQ(state.AddEdges({{missing[0].u, missing[0].v, 2.0}}, &error), -1);
+  expect_cold(false);
+  // Reweight back to 1: unit again.
+  ASSERT_GE(state.UpdateEdgeWeights({{first.v, first.u, 1.0}}, &error), 0)
+      << error;
+  set_weight({first.u, first.v, 1.0});
+  expect_cold(true);
+  // Add at weight 1.5: weighted; remove it: unit again.
+  ASSERT_GE(state.AddEdges({{missing[1].u, missing[1].v, 1.5}}, &error), 0)
+      << error;
+  edges.push_back({missing[1].u, missing[1].v, 1.5});
+  expect_cold(false);
+  ASSERT_GE(state.RemoveEdges({missing[1]}, &error), 0) << error;
+  edges.pop_back();
+  expect_cold(true);
+  // A rejected reweight (a self-loop in the batch) keeps it unit.
+  EXPECT_EQ(state.UpdateEdgeWeights({{first.u, first.v, 3.0}, {2, 2, 3.0}},
+                                    &error),
+            -1);
+  expect_cold(true);
+  // A rolled-back reweight (every edge at 50 diverges) restores the unit
+  // form it found.
+  std::vector<Edge> heavy = edges;
+  for (Edge& e : heavy) e.weight = 50.0;
+  EXPECT_EQ(state.UpdateEdgeWeights(heavy, &error), -1);
+  EXPECT_NE(error.find("diverging"), std::string::npos) << error;
+  EXPECT_TRUE(state.graph().adjacency().unit_weights());
+  ExpectSameGraph(state.graph(), Graph(n, edges));
+  // ... and from a weighted graph, the weighted form it found.
+  ASSERT_GE(state.UpdateEdgeWeights({{first.u, first.v, 0.75}}, &error), 0)
+      << error;
+  set_weight({first.u, first.v, 0.75});
+  expect_cold(false);
+  heavy[0] = {first.u, first.v, 1.0};
+  EXPECT_EQ(state.UpdateEdgeWeights(heavy, &error), -1);
+  EXPECT_FALSE(state.graph().adjacency().unit_weights());
+  ExpectSameGraph(state.graph(), Graph(n, edges));
+}
+
 TEST(LinBpStateTest, DivergentAddEdgesRollsBackGraph) {
   const Graph g = RandomConnectedGraph(25, 20, /*seed=*/19);
   const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.04);

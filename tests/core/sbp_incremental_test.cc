@@ -28,6 +28,64 @@ void ExpectStateMatchesFromScratch(const SbpState& state, const Graph& graph,
   ExpectMatrixNear(state.beliefs(), reference.beliefs, 1e-12);
 }
 
+// SbpState reads a unit-weight graph through its weights (1 on every
+// edge) and takes edits that switch the graph's form: an add or reweight
+// with a weight other than 1, then removing or reweighting to 1 its last
+// such weight, and rejected batches in either form. After every edit the
+// warm state equals from-scratch SBP on the edited graph, whose form
+// follows its weights.
+TEST(SbpStateTest, EdgeEditsAcrossGraphFormsMatchFromScratch) {
+  const std::int64_t n = 25;
+  const Graph g = RandomConnectedGraph(n, 20, /*seed=*/31);
+  ASSERT_TRUE(g.adjacency().unit_weights());
+  const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.3);
+  const SeededBeliefs seeded = SeedPaperBeliefs(n, 3, 5, /*seed=*/32);
+  SbpState state = SbpState::FromGraph(g, hhat, seeded.residuals,
+                                       seeded.explicit_nodes);
+  std::vector<Edge> edges = g.edges();
+  const auto expect_scratch = [&](bool unit) {
+    const Graph scratch(n, edges);
+    EXPECT_EQ(scratch.adjacency().unit_weights(), unit);
+    ExpectStateMatchesFromScratch(state, scratch, hhat, seeded.residuals,
+                                  seeded.explicit_nodes);
+  };
+  expect_scratch(true);
+  std::vector<Edge> missing;
+  for (std::int64_t u = 0; u < n && missing.size() < 2; ++u) {
+    for (std::int64_t v = u + 1; v < n && missing.size() < 2; ++v) {
+      if (g.adjacency().At(u, v) == 0.0) missing.push_back({u, v, 1.0});
+    }
+  }
+  ASSERT_EQ(missing.size(), 2u);
+  const Edge first = edges[0];
+  std::string error;
+
+  ASSERT_GE(state.AddEdges({missing[0]}, &error), 0) << error;
+  edges.push_back(missing[0]);
+  expect_scratch(true);
+  ASSERT_GE(state.UpdateEdgeWeights({{first.u, first.v, 0.5}}, &error), 0)
+      << error;
+  edges[0].weight = 0.5;
+  expect_scratch(false);
+  EXPECT_EQ(state.AddEdges({{missing[0].v, missing[0].u, 2.0}}, &error), -1);
+  expect_scratch(false);
+  ASSERT_GE(state.UpdateEdgeWeights({{first.v, first.u, 1.0}}, &error), 0)
+      << error;
+  edges[0].weight = 1.0;
+  expect_scratch(true);
+  ASSERT_GE(state.AddEdges({{missing[1].u, missing[1].v, 1.5}}, &error), 0)
+      << error;
+  edges.push_back({missing[1].u, missing[1].v, 1.5});
+  expect_scratch(false);
+  ASSERT_GE(state.RemoveEdges({missing[1]}, &error), 0) << error;
+  edges.pop_back();
+  expect_scratch(true);
+  EXPECT_EQ(state.UpdateEdgeWeights({{first.u, first.v, 3.0}, {2, 2, 3.0}},
+                                    &error),
+            -1);
+  expect_scratch(true);
+}
+
 TEST(SbpStateTest, FromGraphMatchesRunSbp) {
   const Graph g = RandomConnectedGraph(20, 15, /*seed=*/1);
   const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.3);

@@ -77,7 +77,7 @@ TEST(ModifiedAdjacencyTest, SymmetrizationRecoversAdjacencyOnPath) {
     for (std::int64_t e = a_star.row_ptr()[s]; e < a_star.row_ptr()[s + 1];
          ++e) {
       const std::int64_t t = a_star.col_idx()[e];
-      const double w = a_star.values()[e];
+      const double w = a_star.weight(e);
       entries.push_back({s, t, w});
       entries.push_back({t, s, w});
     }

@@ -46,10 +46,16 @@ constexpr std::int64_t kShards = 4;
 constexpr char kMultiGroupSpec[] = "sbm:n=20000,k=3,deg=6,seed=11";
 constexpr std::int64_t kMultiGroupShards = 2;
 
-Scenario MakeTestScenario(const std::string& spec) {
+// The generated graph of `spec`, reweighted (WithEndpointWeights) unless
+// `unit`: generated graphs are unit-weight, and most of the reader's
+// checks are on the value section only a weighted graph has.
+Scenario MakeTestScenario(const std::string& spec, bool unit = false) {
   std::string error;
   auto scenario = MakeScenario(spec, &error);
   EXPECT_TRUE(scenario.has_value()) << error;
+  if (!unit) {
+    scenario->graph = linbp::testing::WithEndpointWeights(scenario->graph);
+  }
   return std::move(*scenario);
 }
 
@@ -76,48 +82,59 @@ ShardStreamReader OpenReader(const std::string& manifest) {
 }
 
 TEST(ShardStreamReaderTest, BlocksReassembleTheScenario) {
-  const Scenario scenario = TestScenario();
-  const std::string manifest = ShardScenario(scenario, "reader_blocks");
-  const ShardStreamReader reader = OpenReader(manifest);
-  ASSERT_EQ(reader.num_shards(), kShards);
-  EXPECT_EQ(reader.num_nodes(), scenario.graph.num_nodes());
-  EXPECT_EQ(reader.nnz(), scenario.graph.num_directed_edges());
-  EXPECT_EQ(reader.name(), scenario.name);
-  EXPECT_EQ(reader.spec(), scenario.spec);
+  for (const bool unit : {false, true}) {
+    SCOPED_TRACE(unit ? "unit weights" : "weighted");
+    const Scenario scenario = MakeTestScenario(kSpec, unit);
+    const SparseMatrix& adjacency = scenario.graph.adjacency();
+    ASSERT_EQ(adjacency.unit_weights(), unit);
+    const std::string manifest = ShardScenario(scenario, "reader_blocks");
+    const ShardStreamReader reader = OpenReader(manifest);
+    EXPECT_EQ(reader.unit_weights(), unit);
+    ASSERT_EQ(reader.num_shards(), kShards);
+    EXPECT_EQ(reader.num_nodes(), scenario.graph.num_nodes());
+    EXPECT_EQ(reader.nnz(), scenario.graph.num_directed_edges());
+    EXPECT_EQ(reader.name(), scenario.name);
+    EXPECT_EQ(reader.spec(), scenario.spec);
 
-  const auto& row_ptr = scenario.graph.adjacency().row_ptr();
-  const auto& col_idx = scenario.graph.adjacency().col_idx();
-  const auto& values = scenario.graph.adjacency().values();
-  std::int64_t covered_rows = 0;
-  std::int64_t covered_nnz = 0;
-  for (std::int64_t s = 0; s < reader.num_shards(); ++s) {
-    ShardStreamBlock block;
-    std::string error;
-    ASSERT_TRUE(reader.ReadBlock(s, &block, &error)) << error;
-    EXPECT_EQ(block.shard, s);
-    EXPECT_EQ(block.row_begin, reader.row_begin(s));
-    EXPECT_EQ(block.row_end, reader.row_end(s));
-    covered_rows += block.num_rows();
-    covered_nnz += block.nnz();
-    // Every entry matches the monolithic CSR's slice.
-    const std::int64_t nnz_begin = row_ptr[block.row_begin];
-    for (std::int64_t r = 0; r < block.num_rows(); ++r) {
-      EXPECT_EQ(block.row_ptr[r], row_ptr[block.row_begin + r] - nnz_begin);
-    }
-    for (std::int64_t e = 0; e < block.nnz(); ++e) {
-      EXPECT_EQ(block.col_idx[e], col_idx[nnz_begin + e]);
-      EXPECT_EQ(block.values[e], values[nnz_begin + e]);
-    }
-    for (std::size_t i = 0; i < block.explicit_nodes.size(); ++i) {
-      const std::int64_t v = block.explicit_nodes[i];
-      for (std::int64_t c = 0; c < reader.k(); ++c) {
-        EXPECT_EQ(block.explicit_rows[i * reader.k() + c],
-                  scenario.explicit_residuals.At(v, c));
+    const auto& row_ptr = adjacency.row_ptr();
+    const auto& col_idx = adjacency.col_idx();
+    std::int64_t covered_rows = 0;
+    std::int64_t covered_nnz = 0;
+    for (std::int64_t s = 0; s < reader.num_shards(); ++s) {
+      ShardStreamBlock block;
+      std::string error;
+      ASSERT_TRUE(reader.ReadBlock(s, &block, &error)) << error;
+      EXPECT_EQ(block.shard, s);
+      EXPECT_EQ(block.row_begin, reader.row_begin(s));
+      EXPECT_EQ(block.row_end, reader.row_end(s));
+      covered_rows += block.num_rows();
+      covered_nnz += block.nnz();
+      // Every entry matches the monolithic CSR's slice.
+      const std::int64_t nnz_begin = row_ptr[block.row_begin];
+      for (std::int64_t r = 0; r < block.num_rows(); ++r) {
+        EXPECT_EQ(block.row_ptr[r], row_ptr[block.row_begin + r] - nnz_begin);
+      }
+      // A unit-weight block holds no values, a weighted one every weight.
+      EXPECT_TRUE(block.values_f32.empty());
+      EXPECT_EQ(block.values.empty(), unit);
+      EXPECT_EQ(reader.block_csr_bytes(s),
+                (block.num_rows() + 1) * 8 + block.nnz() * (unit ? 4 : 12));
+      for (std::int64_t e = 0; e < block.nnz(); ++e) {
+        EXPECT_EQ(block.col_idx[e], col_idx[nnz_begin + e]);
+        EXPECT_EQ(unit ? 1.0 : block.values[e],
+                  adjacency.weight(nnz_begin + e));
+      }
+      for (std::size_t i = 0; i < block.explicit_nodes.size(); ++i) {
+        const std::int64_t v = block.explicit_nodes[i];
+        for (std::int64_t c = 0; c < reader.k(); ++c) {
+          EXPECT_EQ(block.explicit_rows[i * reader.k() + c],
+                    scenario.explicit_residuals.At(v, c));
+        }
       }
     }
+    EXPECT_EQ(covered_rows, scenario.graph.num_nodes());
+    EXPECT_EQ(covered_nnz, scenario.graph.num_directed_edges());
   }
-  EXPECT_EQ(covered_rows, scenario.graph.num_nodes());
-  EXPECT_EQ(covered_nnz, scenario.graph.num_directed_edges());
 }
 
 TEST(ShardStreamReaderTest, ResidencyAccountingIsExact) {
@@ -407,6 +424,58 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
 }
 
+// Each defect of the unit-weight flag fails the stream — at Open for a
+// manifest defect, at the block read for a shard defect — with its
+// message, and the reader holds nothing afterwards.
+TEST(ShardStreamReaderTest, UnitWeightFormatDefectsFailWithPreciseErrors) {
+  const Scenario scenario = linbp::testing::SparseUnitScenario();
+  for (const auto& defect : linbp::testing::UnitFormatCases()) {
+    SCOPED_TRACE(defect.name);
+    const std::string manifest =
+        ShardScenario(scenario, "reader_unit_defects", ShardCompression::kF64,
+                      2);
+    defect.forge(manifest);
+    std::string error;
+    auto reader = ShardStreamReader::Open(manifest, &error);
+    if (reader.has_value()) {
+      ShardStreamBlock block;
+      EXPECT_FALSE(reader->ReadBlock(0, &block, &error));
+      EXPECT_EQ(error, linbp::testing::ShardFilePath(manifest, 0) +
+                           defect.error);
+      EXPECT_EQ(reader->resident_csr_bytes(), 0);
+    } else {
+      EXPECT_EQ(error, manifest + defect.error);
+    }
+  }
+}
+
+// A shard set written before the unit-weight flag (value sections of
+// 1.0s) streams its values as stored, and a fresh unit-weight set of the
+// same scenario streams the same pattern with none.
+TEST(ShardStreamReaderTest, LegacyValueSectionsStreamAsStored) {
+  const Scenario scenario = MakeTestScenario(kSpec, /*unit=*/true);
+  const std::string unit = ShardScenario(scenario, "reader_unit");
+  const std::string legacy = ShardScenario(scenario, "reader_legacy");
+  linbp::testing::ForgeLegacyValueSections(legacy);
+  const ShardStreamReader unit_reader = OpenReader(unit);
+  const ShardStreamReader legacy_reader = OpenReader(legacy);
+  EXPECT_TRUE(unit_reader.unit_weights());
+  EXPECT_FALSE(legacy_reader.unit_weights());
+  for (std::int64_t s = 0; s < unit_reader.num_shards(); ++s) {
+    ShardStreamBlock a;
+    ShardStreamBlock b;
+    std::string error;
+    ASSERT_TRUE(unit_reader.ReadBlock(s, &a, &error)) << error;
+    ASSERT_TRUE(legacy_reader.ReadBlock(s, &b, &error)) << error;
+    EXPECT_EQ(a.row_ptr, b.row_ptr);
+    EXPECT_EQ(a.col_idx, b.col_idx);
+    EXPECT_TRUE(a.values.empty());
+    EXPECT_EQ(b.values, std::vector<double>(b.col_idx.size(), 1.0));
+    EXPECT_EQ(a.explicit_rows, b.explicit_rows);
+    EXPECT_EQ(b.resident_csr_bytes() - a.resident_csr_bytes(), 8 * b.nnz());
+  }
+}
+
 // A shard file that is a directory: the read is an error, never an
 // allocation sized by whatever the OS reports for a directory.
 TEST(ShardStreamReaderTest, ShardFileThatIsADirectoryIsAnError) {
@@ -656,20 +725,26 @@ bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
 
 // Decoded at 1, 2, 4 and 8 threads, every block of a multi-group
 // manifest is memcmp-equal to the serial read and to its slice of the
-// monolithic CSR, with f64 and with f32 values.
+// monolithic CSR, with f64 values, with f32 values, and with none (unit
+// weights).
 TEST(ShardStreamReaderTest, MultiGroupBlocksAreIdenticalAtEveryThreadCount) {
-  const Scenario scenario = MakeTestScenario(kMultiGroupSpec);
-  const auto& row_ptr = scenario.graph.adjacency().row_ptr();
-  const auto& col_idx = scenario.graph.adjacency().col_idx();
-  const auto& values = scenario.graph.adjacency().values();
+  const Scenario weighted = MakeTestScenario(kMultiGroupSpec);
+  const Scenario unit_weighted = MakeTestScenario(kMultiGroupSpec, true);
   std::vector<exec::ExecContext> contexts;
   for (const int threads : {1, 2, 4, 8}) {
     contexts.push_back(exec::ExecContext::WithThreads(threads));
   }
-  for (const bool f32 : {false, true}) {
-    SCOPED_TRACE(f32 ? "f32" : "f64");
+  for (const char* leg : {"f64", "f32", "unit"}) {
+    SCOPED_TRACE(leg);
+    const bool f32 = std::string(leg) == "f32";
+    const bool unit = std::string(leg) == "unit";
+    const Scenario& scenario = unit ? unit_weighted : weighted;
+    const auto& row_ptr = scenario.graph.adjacency().row_ptr();
+    const auto& col_idx = scenario.graph.adjacency().col_idx();
+    const auto& values = scenario.graph.adjacency().values();
+    ASSERT_EQ(values.empty(), unit);
     const ShardStreamReader reader = OpenReader(ShardScenario(
-        scenario, f32 ? "multi_group_f32" : "multi_group_f64",
+        scenario, std::string("multi_group_") + leg,
         f32 ? ShardCompression::kF32 : ShardCompression::kF64,
         kMultiGroupShards));
     for (std::int64_t s = 0; s < reader.num_shards(); ++s) {
@@ -687,13 +762,19 @@ TEST(ShardStreamReaderTest, MultiGroupBlocksAreIdenticalAtEveryThreadCount) {
           serial.col_idx,
           std::vector<std::int32_t>(col_idx.begin() + nnz_begin,
                                     col_idx.begin() + nnz_end)));
-      const std::vector<double> slice(values.begin() + nnz_begin,
-                                      values.begin() + nnz_end);
-      if (f32) {
-        EXPECT_TRUE(SameBytes(serial.values_f32,
-                              std::vector<float>(slice.begin(), slice.end())));
+      if (unit) {
+        EXPECT_TRUE(serial.values.empty());
+        EXPECT_TRUE(serial.values_f32.empty());
       } else {
-        EXPECT_TRUE(SameBytes(serial.values, slice));
+        const std::vector<double> slice(values.begin() + nnz_begin,
+                                        values.begin() + nnz_end);
+        if (f32) {
+          EXPECT_TRUE(SameBytes(
+              serial.values_f32,
+              std::vector<float>(slice.begin(), slice.end())));
+        } else {
+          EXPECT_TRUE(SameBytes(serial.values, slice));
+        }
       }
 
       std::vector<char> bytes;

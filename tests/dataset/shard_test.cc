@@ -20,12 +20,14 @@ namespace linbp {
 namespace dataset {
 namespace {
 
+using linbp::testing::ForgeLegacyValueSections;
 using linbp::testing::ForgeManifest;
 using linbp::testing::LayoutOf;
 using linbp::testing::ManifestEntryOffset;
 using linbp::testing::ReadBytes;
 using linbp::testing::ReadField;
 using linbp::testing::ReadShard;
+using linbp::testing::ValueBytes;
 using linbp::testing::WriteBytes;
 using linbp::testing::WriteField;
 using linbp::testing::WriteForgedShard;
@@ -59,6 +61,14 @@ Scenario TestScenario() {
   return std::move(*scenario);
 }
 
+// TestScenario with a weighted graph of the same shape (every generated
+// graph is unit-weight, so its shards carry no value section).
+Scenario WeightedTestScenario() {
+  Scenario scenario = TestScenario();
+  scenario.graph = linbp::testing::WithEndpointWeights(scenario.graph);
+  return scenario;
+}
+
 // Writes the test scenario as a sharded snapshot; returns the manifest
 // path (empty on failure).
 std::string ShardedScenario(const Scenario& scenario, const std::string& name,
@@ -81,7 +91,7 @@ void ExpectScenariosIdentical(const Scenario& a, const Scenario& b) {
   EXPECT_EQ(a.k, b.k);
   EXPECT_EQ(a.graph.adjacency().row_ptr(), b.graph.adjacency().row_ptr());
   EXPECT_EQ(a.graph.adjacency().col_idx(), b.graph.adjacency().col_idx());
-  EXPECT_EQ(a.graph.adjacency().values(), b.graph.adjacency().values());
+  linbp::testing::ExpectSameWeights(a.graph.adjacency(), b.graph.adjacency());
   EXPECT_EQ(a.graph.weighted_degrees(), b.graph.weighted_degrees());
   EXPECT_EQ(a.coupling_residual.data(), b.coupling_residual.data());
   EXPECT_EQ(a.explicit_residuals.data(), b.explicit_residuals.data());
@@ -90,21 +100,26 @@ void ExpectScenariosIdentical(const Scenario& a, const Scenario& b) {
 }
 
 TEST(ShardTest, RoundTripsBitIdenticallyToMonolithicSnapshot) {
-  const Scenario original = TestScenario();
-  const std::string manifest = ShardedScenario(original, "roundtrip", 4);
-  std::string error;
-  const auto loaded = LoadShardedSnapshot(manifest, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ExpectScenariosIdentical(original, *loaded);
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit weights");
+    const Scenario original =
+        weighted ? WeightedTestScenario() : TestScenario();
+    ASSERT_EQ(original.graph.adjacency().unit_weights(), !weighted);
+    const std::string manifest = ShardedScenario(original, "roundtrip", 4);
+    std::string error;
+    const auto loaded = LoadShardedSnapshot(manifest, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    ExpectScenariosIdentical(original, *loaded);
 
-  // The acceptance bar: a sharded load is indistinguishable from the
-  // monolithic snapshot of the same scenario — byte for byte when both
-  // are re-saved monolithically.
-  const std::string mono = ::testing::TempDir() + "/shard_vs_mono.lbps";
-  const std::string remono = ::testing::TempDir() + "/shard_vs_mono2.lbps";
-  ASSERT_TRUE(SaveSnapshot(original, mono, &error)) << error;
-  ASSERT_TRUE(SaveSnapshot(*loaded, remono, &error)) << error;
-  EXPECT_EQ(ReadBytes(mono), ReadBytes(remono));
+    // The acceptance bar: a sharded load is indistinguishable from the
+    // monolithic snapshot of the same scenario — byte for byte when both
+    // are re-saved monolithically.
+    const std::string mono = ::testing::TempDir() + "/shard_vs_mono.lbps";
+    const std::string remono = ::testing::TempDir() + "/shard_vs_mono2.lbps";
+    ASSERT_TRUE(SaveSnapshot(original, mono, &error)) << error;
+    ASSERT_TRUE(SaveSnapshot(*loaded, remono, &error)) << error;
+    EXPECT_EQ(ReadBytes(mono), ReadBytes(remono));
+  }
 }
 
 TEST(ShardTest, SingleShardAndMoreShardsThanRowsBothWork) {
@@ -167,6 +182,7 @@ TEST(ShardTest, ManifestInfoReportsTheShardTable) {
   ASSERT_TRUE(info.has_value()) << error;
   EXPECT_FALSE(info->shards_inline);
   EXPECT_FALSE(info->values_f32);
+  EXPECT_TRUE(info->unit_weights);
   EXPECT_EQ(info->num_nodes, original.graph.num_nodes());
   EXPECT_EQ(info->k, original.k);
   EXPECT_EQ(info->nnz, original.graph.num_directed_edges());
@@ -205,7 +221,7 @@ std::string ShardedCompressed(const Scenario& scenario,
 }
 
 TEST(ShardTest, F32RoundTripWidensStoredFloatsExactly) {
-  const Scenario original = TestScenario();
+  const Scenario original = WeightedTestScenario();
   const std::string manifest = ShardedCompressed(
       original, "v2_f32", 4, ShardCompression::kF32);
   std::string error;
@@ -222,6 +238,7 @@ TEST(ShardTest, F32RoundTripWidensStoredFloatsExactly) {
   EXPECT_EQ(original.ground_truth, loaded->ground_truth);
   const auto& expected = original.graph.adjacency().values();
   const auto& actual = loaded->graph.adjacency().values();
+  ASSERT_FALSE(expected.empty());
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t e = 0; e < expected.size(); ++e) {
     ASSERT_EQ(actual[e],
@@ -239,7 +256,7 @@ TEST(ShardTest, F32RoundTripWidensStoredFloatsExactly) {
 }
 
 TEST(ShardTest, ManifestInfoReportsValueWidthAndBothSizes) {
-  const Scenario original = TestScenario();
+  const Scenario original = WeightedTestScenario();
   for (const bool f32 : {false, true}) {
     const std::string manifest = ShardedCompressed(
         original, f32 ? "v2_info_f32" : "v2_info_f64", 4,
@@ -248,6 +265,7 @@ TEST(ShardTest, ManifestInfoReportsValueWidthAndBothSizes) {
     const auto info = ReadShardManifestInfo(manifest, &error);
     ASSERT_TRUE(info.has_value()) << error;
     EXPECT_EQ(info->values_f32, f32);
+    EXPECT_FALSE(info->unit_weights);
     const std::filesystem::path dir =
         std::filesystem::path(manifest).parent_path();
     std::int64_t encoded_total = 0;
@@ -270,6 +288,70 @@ TEST(ShardTest, ManifestInfoReportsValueWidthAndBothSizes) {
   }
 }
 
+// A unit-weight graph stores no values: the unit bit is set, the f32 bit
+// never is, kF32 writes the same bytes as kF64, and the decoded size
+// counts the CSR pattern only.
+TEST(ShardTest, UnitWeightShardsCarryNoValues) {
+  const Scenario original = TestScenario();
+  ASSERT_TRUE(original.graph.adjacency().unit_weights());
+  const std::string f64 =
+      ShardedCompressed(original, "unit_f64", 4, ShardCompression::kF64);
+  const std::string f32 =
+      ShardedCompressed(original, "unit_f32", 4, ShardCompression::kF32);
+  std::string error;
+  const auto info = ReadShardManifestInfo(f64, &error);
+  ASSERT_TRUE(info.has_value()) << error;
+  EXPECT_TRUE(info->unit_weights);
+  EXPECT_FALSE(info->values_f32);
+  EXPECT_EQ(ReadField<std::uint32_t>(ReadBytes(f64), 48) & 10u, 8u);
+  EXPECT_EQ(ReadBytes(f64), ReadBytes(f32));
+  for (std::size_t s = 0; s < info->shards.size(); ++s) {
+    const ShardRangeInfo& shard = info->shards[s];
+    EXPECT_EQ(ReadField<std::uint32_t>(ReadShard(f64, s), 48) & 10u, 8u);
+    EXPECT_EQ(ReadShard(f64, s), ReadShard(f32, s));
+    EXPECT_EQ(shard.decoded_bytes,
+              (shard.row_end - shard.row_begin + 1) * 8 + shard.nnz * 4 +
+                  shard.num_explicit * 8 * (1 + info->k) +
+                  (shard.row_end - shard.row_begin) * 4);
+  }
+  const auto loaded = LoadShardedSnapshot(f32, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->graph.adjacency().values().empty());
+  ExpectScenariosIdentical(original, *loaded);
+}
+
+// A version-6 file written before the unit-weight flag stores a value
+// section of 1.0s and no bit 3. It still loads, into the unit form, and
+// equals the scenario it was written from.
+TEST(ShardTest, LegacyValueSectionOfOnesLoadsAsUnitWeights) {
+  const Scenario original = TestScenario();
+  const std::string manifest = ShardedScenario(original, "legacy_ones", 3);
+  ForgeLegacyValueSections(manifest);
+  std::string error;
+  const auto info = ReadShardManifestInfo(manifest, &error);
+  ASSERT_TRUE(info.has_value()) << error;
+  EXPECT_FALSE(info->unit_weights);
+  const auto loaded = LoadShardedSnapshot(manifest, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->graph.adjacency().unit_weights());
+  ExpectScenariosIdentical(original, *loaded);
+}
+
+// Each defect of the unit-weight flag fails the bulk load with its own
+// message.
+TEST(ShardTest, UnitWeightFormatDefectsFailWithPreciseErrors) {
+  const Scenario original = linbp::testing::SparseUnitScenario();
+  for (const auto& defect : linbp::testing::UnitFormatCases()) {
+    SCOPED_TRACE(defect.name);
+    const std::string manifest = ShardedScenario(original, "unit_defects", 2);
+    std::string error;
+    ASSERT_TRUE(LoadShardedSnapshot(manifest, &error).has_value()) << error;
+    defect.forge(manifest);
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());
+    EXPECT_NE(error.find(defect.error), std::string::npos) << error;
+  }
+}
+
 // A manifest entry declares its payload size, and the parser
 // bounds it below by what the counts need on disk — the u64 varint byte
 // count, 16 bytes per 2048-row group, a varint byte per row and per
@@ -277,32 +359,39 @@ TEST(ShardTest, ManifestInfoReportsValueWidthAndBothSizes) {
 // decoded allocation to real bytes. One byte under that floor is
 // rejected; the floor itself parses.
 TEST(ShardTest, PayloadFloorCountsTheRowGroupTable) {
-  const Scenario original = TestScenario();
-  const std::string manifest = ShardedScenario(original, "payload_floor", 3);
-  const std::vector<char> pristine = ReadBytes(manifest);
-  const std::int64_t k = ReadField<std::int64_t>(pristine, 24);
-  const std::uint32_t flags = ReadField<std::uint32_t>(pristine, 48);
-  const std::size_t entry = ManifestEntryOffset(pristine, 1);
-  std::int64_t counts[4] = {};  // row_begin, row_end, nnz, num_explicit
-  std::memcpy(counts, pristine.data() + entry, sizeof(counts));
-  const std::int64_t rows = counts[1] - counts[0];
-  const std::int64_t nnz = counts[2];
-  const std::int64_t floor = 8 + 16 * ((rows + 2047) / 2048) + rows + nnz +
-                             8 * nnz + 8 * counts[3] * (1 + k) +
-                             ((flags & 1) != 0 ? 4 * rows : 0);
-  for (const std::int64_t declared : {floor - 1, floor}) {
-    WriteBytes(manifest, pristine);
-    ForgeManifest(manifest, [&](std::vector<char>* bytes) {
-      WriteField(bytes, entry + 32, declared);
-    });
-    std::string error;
-    EXPECT_EQ(ReadShardManifestInfo(manifest, &error).has_value(),
-              declared == floor)
-        << declared << " vs floor " << floor << ": " << error;
-    if (declared < floor) {
-      EXPECT_NE(error.find("payload size is inconsistent with its counts"),
-                std::string::npos)
-          << error;
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit weights");
+    const Scenario original =
+        weighted ? WeightedTestScenario() : TestScenario();
+    const std::string manifest = ShardedScenario(original, "payload_floor", 3);
+    const std::vector<char> pristine = ReadBytes(manifest);
+    const std::int64_t k = ReadField<std::int64_t>(pristine, 24);
+    const std::uint32_t flags = ReadField<std::uint32_t>(pristine, 48);
+    const std::size_t entry = ManifestEntryOffset(pristine, 1);
+    std::int64_t counts[4] = {};  // row_begin, row_end, nnz, num_explicit
+    std::memcpy(counts, pristine.data() + entry, sizeof(counts));
+    const std::int64_t rows = counts[1] - counts[0];
+    const std::int64_t nnz = counts[2];
+    // The values count only with a value section: 8 bytes each here.
+    EXPECT_EQ(ValueBytes(flags), weighted ? 8u : 0u);
+    const std::int64_t floor =
+        8 + 16 * ((rows + 2047) / 2048) + rows + nnz +
+        static_cast<std::int64_t>(ValueBytes(flags)) * nnz +
+        8 * counts[3] * (1 + k) + ((flags & 1) != 0 ? 4 * rows : 0);
+    for (const std::int64_t declared : {floor - 1, floor}) {
+      WriteBytes(manifest, pristine);
+      ForgeManifest(manifest, [&](std::vector<char>* bytes) {
+        WriteField(bytes, entry + 32, declared);
+      });
+      std::string error;
+      EXPECT_EQ(ReadShardManifestInfo(manifest, &error).has_value(),
+                declared == floor)
+          << declared << " vs floor " << floor << ": " << error;
+      if (declared < floor) {
+        EXPECT_NE(error.find("payload size is inconsistent with its counts"),
+                  std::string::npos)
+            << error;
+      }
     }
   }
 }
@@ -489,7 +578,7 @@ TEST(ShardTest, RejectsTruncatedShardFile) {
 }
 
 TEST(ShardTest, RejectsCrossShardAsymmetryWithForgedChecksums) {
-  const Scenario original = TestScenario();
+  const Scenario original = WeightedTestScenario();
   const std::string manifest = ShardedScenario(original, "asymmetry", 3);
   // Overwrite one stored value inside shard 0 and re-forge every
   // checksum: the mirror entry (in shard 0 or a later shard) keeps the
@@ -509,8 +598,10 @@ TEST(ShardTest, RejectsCrossShardAsymmetryWithForgedChecksums) {
 std::int64_t PayloadFloor(const std::vector<char>& manifest, std::int64_t rows,
                           std::int64_t nnz, std::int64_t num_explicit) {
   const std::int64_t k = ReadField<std::int64_t>(manifest, 24);
-  const bool truth = (ReadField<std::uint32_t>(manifest, 48) & 1) != 0;
-  return 8 + 16 * ((rows + 2047) / 2048) + rows + nnz + 8 * nnz +
+  const std::uint32_t flags = ReadField<std::uint32_t>(manifest, 48);
+  const bool truth = (flags & 1) != 0;
+  return 8 + 16 * ((rows + 2047) / 2048) + rows + nnz +
+         static_cast<std::int64_t>(ValueBytes(flags)) * nnz +
          8 * num_explicit * (1 + k) + (truth ? 4 * rows : 0);
 }
 
@@ -569,13 +660,11 @@ TEST(ShardTest, RejectsExplicitNodeOutsideItsShard) {
   const std::string manifest = ShardedScenario(original, "expl_range", 3);
   std::vector<char> shard = ReadShard(manifest, 0);
   const std::int64_t row_end = ReadField<std::int64_t>(shard, 24);
-  const std::int64_t nnz = ReadField<std::int64_t>(shard, 32);
   ASSERT_GT(ReadField<std::int64_t>(shard, 40), 0);
-  // Point the first explicit id, right after the values, past the shard's
-  // row range and forge the checksums; the per-shard range check must
-  // reject it.
-  WriteField(&shard, LayoutOf(shard).values + 8 * static_cast<std::size_t>(nnz),
-             row_end);
+  // Point the first explicit id, right after the values (none for this
+  // unit-weight scenario), past the shard's row range and forge the
+  // checksums; the per-shard range check must reject it.
+  WriteField(&shard, LayoutOf(shard).explicit_nodes, row_end);
   WriteForgedShard(manifest, 0, shard);
   std::string error;
   EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value());

@@ -33,6 +33,7 @@ using linbp::testing::LayoutOf;
 using linbp::testing::ManifestBytes;
 using linbp::testing::ManifestEntryOffset;
 using linbp::testing::ReadBytes;
+using linbp::testing::ReadField;
 using linbp::testing::ReadShard;
 using linbp::testing::WriteBytes;
 using linbp::testing::WriteField;
@@ -51,6 +52,14 @@ Scenario MakeTestScenario(const std::string& spec) {
 
 Scenario TestScenario() {
   return MakeTestScenario("fraud:users=80,products=40,seed=13");
+}
+
+// TestScenario with a weighted graph of the same shape: generated graphs
+// are unit-weight, and only a weighted one has a value section.
+Scenario WeightedTestScenario() {
+  Scenario scenario = TestScenario();
+  scenario.graph = linbp::testing::WithEndpointWeights(scenario.graph);
+  return scenario;
 }
 
 std::string SavedSnapshot(const Scenario& scenario, const std::string& name) {
@@ -94,18 +103,92 @@ void ExpectEveryReaderFails(const std::string& path,
 }
 
 TEST(SnapshotTest, RoundTripsBitIdentically) {
-  const Scenario original = TestScenario();
-  const std::string path = SavedSnapshot(original, "roundtrip.lbps");
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit weights");
+    const Scenario original =
+        weighted ? WeightedTestScenario() : TestScenario();
+    ASSERT_EQ(original.graph.adjacency().unit_weights(), !weighted);
+    const std::string path = SavedSnapshot(original, "roundtrip.lbps");
+    std::string error;
+    const auto loaded = LoadSnapshot(path, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    ExpectScenariosIdentical(original, *loaded);
+    EXPECT_EQ(loaded->graph.num_undirected_edges(),
+              original.graph.num_undirected_edges());
+
+    // Saving the loaded scenario reproduces the file byte for byte.
+    const std::string resaved = SavedSnapshot(*loaded, "roundtrip2.lbps");
+    EXPECT_EQ(ReadBytes(path), ReadBytes(resaved));
+  }
+}
+
+// The bulk load and the streaming reader (Open, then every block) fail
+// on `path` with exactly `expected`.
+void ExpectLoadAndStreamFail(const std::string& path,
+                             const std::string& expected) {
   std::string error;
+  EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
+  EXPECT_EQ(error, expected);
+  error.clear();
+  const auto reader = ShardStreamReader::Open(path, &error);
+  bool streamed = reader.has_value();
+  for (std::int64_t s = 0; streamed && s < reader->num_shards(); ++s) {
+    ShardStreamBlock block;
+    streamed = reader->ReadBlock(s, &block, &error);
+  }
+  EXPECT_FALSE(streamed);
+  EXPECT_EQ(error, expected);
+}
+
+// A `.lbps` of a unit-weight graph has flag bit 3 and no value section;
+// one written before the flag (a value section of 1.0s, no bit 3) still
+// loads, into the unit form, and streams the same blocks.
+TEST(SnapshotTest, UnitWeightsStoreNoValuesAndLegacyOnesStillLoad) {
+  const Scenario original = TestScenario();
+  const std::string path = SavedSnapshot(original, "unit.lbps");
+  std::string error;
+  const auto info = ReadShardManifestInfo(path, &error);
+  ASSERT_TRUE(info.has_value()) << error;
+  EXPECT_TRUE(info->unit_weights);
+  EXPECT_FALSE(info->values_f32);
+  const std::vector<char> unit_file = ReadBytes(path);
+
+  linbp::testing::ForgeLegacyValueSections(path);
+  const std::vector<char> legacy_file = ReadBytes(path);
+  const std::size_t nnz =
+      static_cast<std::size_t>(original.graph.num_directed_edges());
+  EXPECT_EQ(legacy_file.size(), unit_file.size() + 8 * nnz);
+  const auto legacy_info = ReadShardManifestInfo(path, &error);
+  ASSERT_TRUE(legacy_info.has_value()) << error;
+  EXPECT_FALSE(legacy_info->unit_weights);
   const auto loaded = LoadSnapshot(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->graph.adjacency().unit_weights());
   ExpectScenariosIdentical(original, *loaded);
-  EXPECT_EQ(loaded->graph.num_undirected_edges(),
-            original.graph.num_undirected_edges());
+  // Saving it again writes today's file.
+  EXPECT_EQ(ReadBytes(SavedSnapshot(*loaded, "unit_again.lbps")), unit_file);
 
-  // Saving the loaded scenario reproduces the file byte for byte.
-  const std::string resaved = SavedSnapshot(*loaded, "roundtrip2.lbps");
-  EXPECT_EQ(ReadBytes(path), ReadBytes(resaved));
+  // The streaming reader hands out the legacy values as stored.
+  const auto reader = ShardStreamReader::Open(path, &error);
+  ASSERT_TRUE(reader.has_value()) << error;
+  EXPECT_FALSE(reader->unit_weights());
+  ShardStreamBlock block;
+  ASSERT_TRUE(reader->ReadBlock(0, &block, &error)) << error;
+  EXPECT_EQ(block.values, std::vector<double>(block.col_idx.size(), 1.0));
+}
+
+// Each defect of the unit-weight flag, forged into an inline file behind
+// valid checksums, fails the bulk load and the stream with its message.
+TEST(SnapshotTest, UnitWeightFormatDefectsFailWithPreciseErrors) {
+  for (const auto& defect : linbp::testing::UnitFormatCases()) {
+    SCOPED_TRACE(defect.name);
+    const std::string path =
+        SavedSnapshot(linbp::testing::SparseUnitScenario(), "unit_bad.lbps");
+    std::string error;
+    ASSERT_TRUE(LoadSnapshot(path, &error).has_value()) << error;
+    defect.forge(path);
+    ExpectLoadAndStreamFail(path, path + defect.error);
+  }
 }
 
 TEST(SnapshotTest, RoundTripsWithoutGroundTruth) {
@@ -182,6 +265,18 @@ TEST(SnapshotTest, TracedLoadShowsTheLoadSpansAndEqualsAnUntracedOne) {
               std::string::npos)
         << span << " in " << json;
   }
+  // The reads carry their bytes (the manifest, then the inline shard),
+  // and the adopt span the form the graph took.
+  const std::vector<char> file = ReadBytes(path);
+  const std::size_t manifest_bytes = ManifestBytes(file);
+  EXPECT_NE(json.find("\"bytes\":" + std::to_string(manifest_bytes)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(
+      json.find("\"bytes\":" + std::to_string(file.size() - manifest_bytes)),
+      std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"unit_weights\":1"), std::string::npos) << json;
 }
 
 TEST(SnapshotTest, InfoReadsTheManifestWithoutTheShard) {
@@ -386,7 +481,7 @@ TEST(SnapshotTest, RejectsBitFlipsAndBadHeaderCounts) {
 // Hostile payloads behind re-forged checksums: only the decode and the
 // mirror sweep can reject them, with errors, never a crash.
 TEST(SnapshotTest, RejectsChecksumValidVarintCorruptionAndAsymmetry) {
-  const Scenario original = TestScenario();
+  const Scenario original = WeightedTestScenario();
   const std::string path = SavedSnapshot(original, "hostile.lbps");
   const std::vector<char> pristine = ReadBytes(path);
 
@@ -482,9 +577,11 @@ TEST(SnapshotTest, RejectsHugeCountsWithoutAllocating) {
     const std::int64_t rows = original.graph.num_nodes();
     WriteField<std::int64_t>(file, 32, huge);
     WriteField<std::int64_t>(file, entry + 16, huge);
+    const std::int64_t value_bytes = static_cast<std::int64_t>(
+        linbp::testing::ValueBytes(ReadField<std::uint32_t>(*file, 48)));
     WriteField<std::int64_t>(
         file, entry + 32,
-        8 + 16 + rows + huge + 8 * huge +
+        8 + 16 + rows + huge + value_bytes * huge +
             8 * static_cast<std::int64_t>(original.explicit_nodes.size()) *
                 (1 + original.k) +
             4 * rows);
@@ -497,8 +594,10 @@ TEST(SnapshotTest, RejectsHugeCountsWithoutAllocating) {
 // NaN weight — still fails, through the decode, on the bulk path: in an
 // inline file and in a shard set.
 TEST(SnapshotTest, DefectsTheDecodeRejectsFailTheBulkLoad) {
-  // Multi-group shards, so the row-group table can go non-monotone.
-  const Scenario original = MakeTestScenario("sbm:n=5000,k=3,deg=4,seed=2");
+  // Multi-group shards, so the row-group table can go non-monotone, and
+  // weighted, so they have a value section.
+  Scenario original = MakeTestScenario("sbm:n=5000,k=3,deg=4,seed=2");
+  original.graph = linbp::testing::WithEndpointWeights(original.graph);
   const auto& row_ptr = original.graph.adjacency().row_ptr();
   std::int64_t first_row = 0;  // the first row with an entry
   while (row_ptr[first_row + 1] == row_ptr[first_row]) ++first_row;

@@ -21,6 +21,7 @@
 #include "src/dataset/shard.h"
 #include "src/engine/shard_stream_backend.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "tests/testing/test_util.h"
 
 namespace linbp {
@@ -42,6 +43,15 @@ dataset::Scenario TestScenario() {
   auto scenario = dataset::MakeScenario(kSpec, &error);
   EXPECT_TRUE(scenario.has_value()) << error;
   return std::move(*scenario);
+}
+
+// The test scenario with a weighted graph of the same shape: generated
+// graphs are unit-weight, and only a weighted one stores values (so only
+// it has f32 shards that differ from f64 ones).
+dataset::Scenario WeightedTestScenario() {
+  dataset::Scenario scenario = TestScenario();
+  scenario.graph = testing::WithEndpointWeights(scenario.graph);
+  return scenario;
 }
 
 // Shards the test scenario into a fresh temp dir; returns the manifest.
@@ -93,27 +103,32 @@ TEST(ShardStreamBackendTest, OpenDerivesScenarioInputs) {
 }
 
 TEST(ShardStreamBackendTest, ProductsMatchInMemoryBitForBit) {
-  const dataset::Scenario scenario = TestScenario();
-  const std::string manifest = ShardScenario(scenario, "stream_products");
-  for (const int threads : {1, 4}) {
-    const exec::ExecContext ctx = exec::ExecContext::WithThreads(threads);
-    const engine::ShardStreamBackend backend = OpenBackend(manifest, ctx);
-    const DenseMatrix b =
-        testing::RandomMatrix(scenario.graph.num_nodes(), scenario.k, 0.3,
-                              77);
-    DenseMatrix ab;
-    std::string error;
-    ASSERT_TRUE(backend.MultiplyDense(b, ctx, &ab, &error)) << error;
-    EXPECT_EQ(ab.MaxAbsDiff(scenario.graph.adjacency().MultiplyDense(b)),
-              0.0)
-        << "threads=" << threads;
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit weights");
+    const dataset::Scenario scenario =
+        weighted ? WeightedTestScenario() : TestScenario();
+    const std::string manifest = ShardScenario(scenario, "stream_products");
+    for (const int threads : {1, 4}) {
+      const exec::ExecContext ctx = exec::ExecContext::WithThreads(threads);
+      const engine::ShardStreamBackend backend = OpenBackend(manifest, ctx);
+      const DenseMatrix b =
+          testing::RandomMatrix(scenario.graph.num_nodes(), scenario.k, 0.3,
+                                77);
+      DenseMatrix ab;
+      std::string error;
+      ASSERT_TRUE(backend.MultiplyDense(b, ctx, &ab, &error)) << error;
+      EXPECT_EQ(ab.MaxAbsDiff(scenario.graph.adjacency().MultiplyDense(b)),
+                0.0)
+          << "threads=" << threads;
 
-    std::vector<double> x(scenario.graph.num_nodes());
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.001 * i - 0.7;
-    std::vector<double> ax;
-    ASSERT_TRUE(backend.MultiplyVector(x, ctx, &ax, &error)) << error;
-    EXPECT_EQ(ax, scenario.graph.adjacency().MultiplyVector(x))
-        << "threads=" << threads;
+      std::vector<double> x(scenario.graph.num_nodes());
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.001 * i - 0.7;
+      std::vector<double> ax;
+      ASSERT_TRUE(backend.MultiplyVector(x, ctx, &ax, &error)) << error;
+      EXPECT_EQ(ax, scenario.graph.adjacency().MultiplyVector(x))
+          << "threads=" << threads;
+      EXPECT_EQ(backend.weighted_degrees(), scenario.graph.weighted_degrees());
+    }
   }
 }
 
@@ -343,14 +358,16 @@ TEST(ShardStreamBackendTest, CompressedStreamBitIdenticalCacheOnAndOff) {
 // of the same shards loaded back whole (one narrowing at write time, one
 // widening at load — both paths see identical doubles).
 TEST(ShardStreamBackendTest, F32ShardsMatchTheirBulkLoadBitForBit) {
-  const dataset::Scenario scenario = TestScenario();
+  const dataset::Scenario scenario = WeightedTestScenario();
   const std::string manifest = ShardScenario(
       scenario, "stream_v2_f32", dataset::ShardCompression::kF32);
   std::string error;
   const auto widened = dataset::LoadShardedSnapshot(manifest, &error);
   ASSERT_TRUE(widened.has_value()) << error;
+  ASSERT_FALSE(widened->graph.adjacency().unit_weights());
 
   const engine::ShardStreamBackend backend = OpenBackend(manifest);
+  EXPECT_TRUE(backend.reader().values_f32());
   EXPECT_EQ(backend.weighted_degrees(), widened->graph.weighted_degrees());
 
   const exec::ExecContext ctx = exec::ExecContext::Serial();
@@ -525,6 +542,34 @@ TEST(ShardStreamBackendTest, StreamedSweepInsideAPoolTaskFinishes) {
     EXPECT_TRUE(SameBeliefs(result.beliefs, c.reference.beliefs));
   }
   EXPECT_EQ(backend.reader().resident_csr_bytes(), 0);
+}
+
+// A traced stream pass says which form it ran and what it read: every
+// `shard_stream_pass` span carries `unit_weights`, every `stream_read`
+// span its shard's `bytes`.
+TEST(ShardStreamBackendTest, TracedPassesNameTheirFormAndBytes) {
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit weights");
+    const dataset::Scenario scenario =
+        weighted ? WeightedTestScenario() : TestScenario();
+    const std::string manifest = ShardScenario(scenario, "stream_traced");
+    obs::Tracer tracer;
+    obs::SetActiveTracer(&tracer);
+    const engine::ShardStreamBackend backend = OpenBackend(manifest);
+    obs::SetActiveTracer(nullptr);
+    const std::string json = tracer.Json();
+    EXPECT_NE(json.find(std::string("\"unit_weights\":") +
+                        (weighted ? "0" : "1")),
+              std::string::npos)
+        << json;
+    const std::int64_t shard0 = static_cast<std::int64_t>(
+        std::filesystem::file_size(std::filesystem::path(manifest)
+                                       .parent_path() /
+                                   dataset::ShardFileName(0)));
+    EXPECT_NE(json.find("\"bytes\":" + std::to_string(shard0)),
+              std::string::npos)
+        << json;
+  }
 }
 
 TEST(ShardStreamBackendTest, OpenRejectsCorruptManifestAndShards) {

@@ -7,7 +7,9 @@
 // reduces per-block partials instead and is checked to tight tolerance
 // plus run-to-run determinism. The solver-level checks extend the
 // guarantee to RunLinBp / RunSbp outputs, and the fused-sweep matrix at
-// the end pins RunLinBp to the unfused primitives it replaced.
+// the end pins RunLinBp to the unfused primitives it replaced, and the
+// unit-weight matrix pins every row kernel's null-value form to the
+// weighted kernel over an explicit array of 1.0s.
 
 #include <algorithm>
 #include <cmath>
@@ -28,6 +30,7 @@
 #include "src/dataset/registry.h"
 #include "src/dataset/shard.h"
 #include "src/dataset/snapshot.h"
+#include "src/engine/backend_ops.h"
 #include "src/engine/in_memory_backend.h"
 #include "src/engine/shard_stream_backend.h"
 #include "src/exec/exec_context.h"
@@ -36,6 +39,7 @@
 #include "src/la/dense_matrix_f32.h"
 #include "src/la/kron_ops.h"
 #include "src/la/sparse_matrix.h"
+#include "tests/testing/shard_bytes.h"
 #include "tests/testing/test_util.h"
 
 namespace linbp {
@@ -214,54 +218,64 @@ TEST(KernelEquivalenceTest, F32SpMVSkipsStoredZeroWeights) {
 // MultiplyVector* to the byte, in both precisions. This is the guard
 // against the row-range and whole-matrix paths drifting apart.
 TEST(KernelEquivalenceTest, EntryPointsMatchRawRowRangeKernelsByMemcmp) {
-  const Graph graph = KroneckerPowerGraph(7);
-  const SparseMatrix& m = graph.adjacency();
-  const std::int64_t n = m.rows();
-  const std::int64_t k = 3;
-  const DenseMatrix b64 =
-      testing::RandomMatrix(n, k, /*scale=*/1.0, /*seed=*/13);
-  const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(b64);
-  std::vector<float> x32(n);
-  std::vector<double> x64(n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    x64[i] = 0.5 * static_cast<double>(i % 11) - 2.0;
-    x32[i] = static_cast<float>(x64[i]);
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit weights");
+    const Graph unit = KroneckerPowerGraph(7);
+    const Graph graph = weighted ? testing::WithEndpointWeights(unit) : unit;
+    const SparseMatrix& m = graph.adjacency();
+    ASSERT_EQ(m.unit_weights(), !weighted);
+    // The raw kernels take the matrix's own value pointers: null for a
+    // unit matrix, in either precision.
+    const auto values32 = m.values_f32();
+    const float* values32_data = values32 ? values32->data() : nullptr;
+    EXPECT_EQ(values32 == nullptr, !weighted);
+    const std::int64_t n = m.rows();
+    const std::int64_t k = 3;
+    const DenseMatrix b64 =
+        testing::RandomMatrix(n, k, /*scale=*/1.0, /*seed=*/13);
+    const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(b64);
+    std::vector<float> x32(n);
+    std::vector<double> x64(n);
+    for (std::int64_t i = 0; i < n; ++i) {
+      x64[i] = 0.5 * static_cast<double>(i % 11) - 2.0;
+      x32[i] = static_cast<float>(x64[i]);
+    }
+
+    const DenseMatrix spmm64 = m.MultiplyDense(b64, ExecContext::Serial());
+    std::vector<double> raw64(n * k, 0.0);
+    SpmmRowsT<double>(m.row_ptr().data(), m.col_idx().data(),
+                      m.values_or_null(), 0, n, b64.data().data(), k,
+                      raw64.data());
+    ASSERT_EQ(spmm64.data().size(), raw64.size());
+    EXPECT_EQ(std::memcmp(spmm64.data().data(), raw64.data(),
+                          raw64.size() * sizeof(double)),
+              0);
+
+    const DenseMatrixF32 spmm32 =
+        m.MultiplyDenseF32(b32, ExecContext::Serial());
+    std::vector<float> raw32(n * k, 0.0f);
+    SpmmRowsT<float>(m.row_ptr().data(), m.col_idx().data(), values32_data, 0,
+                     n, b32.data().data(), k, raw32.data());
+    ASSERT_EQ(spmm32.data().size(), raw32.size());
+    EXPECT_EQ(std::memcmp(spmm32.data().data(), raw32.data(),
+                          raw32.size() * sizeof(float)),
+              0);
+
+    const std::vector<double> spmv64 =
+        m.MultiplyVector(x64, ExecContext::Serial());
+    std::vector<double> rawv64(n, 0.0);
+    SpmvRowsT<double>(m.row_ptr().data(), m.col_idx().data(),
+                      m.values_or_null(), 0, n, x64.data(), rawv64.data());
+    EXPECT_EQ(std::memcmp(spmv64.data(), rawv64.data(), n * sizeof(double)),
+              0);
+
+    const std::vector<float> spmv32 =
+        m.MultiplyVectorF32(x32, ExecContext::Serial());
+    std::vector<float> rawv32(n, 0.0f);
+    SpmvRowsT<float>(m.row_ptr().data(), m.col_idx().data(), values32_data, 0,
+                     n, x32.data(), rawv32.data());
+    EXPECT_EQ(std::memcmp(spmv32.data(), rawv32.data(), n * sizeof(float)), 0);
   }
-
-  const DenseMatrix spmm64 = m.MultiplyDense(b64, ExecContext::Serial());
-  std::vector<double> raw64(n * k, 0.0);
-  SpmmRowsT<double>(m.row_ptr().data(), m.col_idx().data(),
-                    m.values().data(), 0, n, b64.data().data(), k,
-                    raw64.data());
-  ASSERT_EQ(spmm64.data().size(), raw64.size());
-  EXPECT_EQ(std::memcmp(spmm64.data().data(), raw64.data(),
-                        raw64.size() * sizeof(double)),
-            0);
-
-  const DenseMatrixF32 spmm32 = m.MultiplyDenseF32(b32, ExecContext::Serial());
-  const auto values32 = m.values_f32();
-  std::vector<float> raw32(n * k, 0.0f);
-  SpmmRowsT<float>(m.row_ptr().data(), m.col_idx().data(), values32->data(),
-                   0, n, b32.data().data(), k, raw32.data());
-  ASSERT_EQ(spmm32.data().size(), raw32.size());
-  EXPECT_EQ(std::memcmp(spmm32.data().data(), raw32.data(),
-                        raw32.size() * sizeof(float)),
-            0);
-
-  const std::vector<double> spmv64 =
-      m.MultiplyVector(x64, ExecContext::Serial());
-  std::vector<double> rawv64(n, 0.0);
-  SpmvRowsT<double>(m.row_ptr().data(), m.col_idx().data(),
-                    m.values().data(), 0, n, x64.data(), rawv64.data());
-  EXPECT_EQ(std::memcmp(spmv64.data(), rawv64.data(), n * sizeof(double)),
-            0);
-
-  const std::vector<float> spmv32 =
-      m.MultiplyVectorF32(x32, ExecContext::Serial());
-  std::vector<float> rawv32(n, 0.0f);
-  SpmvRowsT<float>(m.row_ptr().data(), m.col_idx().data(), values32->data(),
-                   0, n, x32.data(), rawv32.data());
-  EXPECT_EQ(std::memcmp(spmv32.data(), rawv32.data(), n * sizeof(float)), 0);
 }
 
 TEST(KernelEquivalenceTest, F32RunLinBpIsBitExactAcrossThreadCounts) {
@@ -576,57 +590,65 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
                                     LinBpVariant::kLinBpStar,
                                     LinBpVariant::kLinBpExact};
 
-  for (const std::int64_t k : {2, 3, 4, 8, 9}) {
-    std::string error;
-    const auto scenario = dataset::MakeScenario(
-        "sbm:n=240,k=" + std::to_string(k) +
-            ",deg=6,labeled=0.1,seed=" + std::to_string(k),
-        &error);
-    ASSERT_TRUE(scenario.has_value()) << error;
-    const CouplingMatrix coupling = scenario->Coupling();
-    const DenseMatrix hhat = coupling.ScaledResidual(
-        0.5 * SufficientEpsilonBound(scenario->graph, coupling,
-                                     LinBpVariant::kLinBp));
-    const DenseMatrix& e = scenario->explicit_residuals;
-    std::vector<engine::ShardStreamBackend> streamed;
-    std::optional<Graph> narrowed;
-    ASSERT_NO_FATAL_FAILURE(OpenStreams(*scenario, "k" + std::to_string(k),
-                                        kStreams, 3, &streamed, &narrowed));
-    const engine::InMemoryBackend in_memory(&scenario->graph);
+  for (const bool weighted : {false, true}) {
+    for (const std::int64_t k : {2, 3, 4, 8, 9}) {
+      std::string error;
+      auto scenario = dataset::MakeScenario(
+          "sbm:n=240,k=" + std::to_string(k) +
+              ",deg=6,labeled=0.1,seed=" + std::to_string(k),
+          &error);
+      ASSERT_TRUE(scenario.has_value()) << error;
+      if (weighted) {
+        scenario->graph = testing::WithEndpointWeights(scenario->graph);
+      }
+      const CouplingMatrix coupling = scenario->Coupling();
+      const DenseMatrix hhat = coupling.ScaledResidual(
+          0.5 * SufficientEpsilonBound(scenario->graph, coupling,
+                                       LinBpVariant::kLinBp));
+      const DenseMatrix& e = scenario->explicit_residuals;
+      std::vector<engine::ShardStreamBackend> streamed;
+      std::optional<Graph> narrowed;
+      ASSERT_NO_FATAL_FAILURE(OpenStreams(
+          *scenario, (weighted ? "weighted_k" : "k") + std::to_string(k),
+          kStreams, 3, &streamed, &narrowed));
+      const engine::InMemoryBackend in_memory(&scenario->graph);
 
-    for (const LinBpVariant variant : kVariants) {
-      const DenseMatrix modulation = variant == LinBpVariant::kLinBpExact
-                                         ? ExactModulation(hhat)
-                                         : hhat;
-      const DenseMatrix echo = hhat.Multiply(modulation);
-      const DenseMatrix* echo_modulation =
-          variant == LinBpVariant::kLinBpStar ? nullptr : &echo;
-      for (const Precision precision : {Precision::kF64, Precision::kF32}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "k " << k << ", variant " << static_cast<int>(variant)
-                     << ", " << PrecisionName(precision));
-        LinBpOptions options;
-        options.variant = variant;
-        options.precision = precision;
-        options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
-        options.divergence_patience = 0;
-        const auto reference = [&](const Graph& graph) {
-          return precision == Precision::kF32
-                     ? UnfusedLinBpF32(graph, modulation, echo_modulation, e,
-                                       e, options)
-                     : UnfusedLinBp(graph, modulation, echo_modulation, e, e,
-                                    options);
-        };
-        const SweepTrace expected = reference(scenario->graph);
-        ASSERT_GE(expected.iterations, 3);
-        ASSERT_LT(expected.iterations, options.max_iterations);
-        ExpectFusedEverywhere(
-            [&](const engine::PropagationBackend& backend,
-                const LinBpOptions& run) {
-              return FusedLinBp(backend, hhat, e, run);
-            },
-            in_memory, kStreams, streamed, contexts, options, expected,
-            reference(*narrowed));
+      for (const LinBpVariant variant : kVariants) {
+        const DenseMatrix modulation = variant == LinBpVariant::kLinBpExact
+                                           ? ExactModulation(hhat)
+                                           : hhat;
+        const DenseMatrix echo = hhat.Multiply(modulation);
+        const DenseMatrix* echo_modulation =
+            variant == LinBpVariant::kLinBpStar ? nullptr : &echo;
+        for (const Precision precision :
+             {Precision::kF64, Precision::kF32}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (weighted ? "weighted" : "unit weights") << ", k "
+                       << k << ", variant " << static_cast<int>(variant)
+                       << ", " << PrecisionName(precision));
+          LinBpOptions options;
+          options.variant = variant;
+          options.precision = precision;
+          options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
+          options.divergence_patience = 0;
+          const auto reference = [&](const Graph& graph) {
+            return precision == Precision::kF32
+                       ? UnfusedLinBpF32(graph, modulation, echo_modulation,
+                                         e, e, options)
+                       : UnfusedLinBp(graph, modulation, echo_modulation, e,
+                                      e, options);
+          };
+          const SweepTrace expected = reference(scenario->graph);
+          ASSERT_GE(expected.iterations, 3);
+          ASSERT_LT(expected.iterations, options.max_iterations);
+          ExpectFusedEverywhere(
+              [&](const engine::PropagationBackend& backend,
+                  const LinBpOptions& run) {
+                return FusedLinBp(backend, hhat, e, run);
+              },
+              in_memory, kStreams, streamed, contexts, options, expected,
+              reference(*narrowed));
+        }
       }
     }
   }
@@ -694,43 +716,328 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedOnMultiGroupShards) {
   for (const int threads : kThreadCounts) {
     contexts.push_back(ExecContext::WithThreads(threads));
   }
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit weights");
+    std::string error;
+    auto scenario = dataset::MakeScenario(
+        "sbm:n=5000,k=3,deg=6,labeled=0.1,seed=3", &error);
+    ASSERT_TRUE(scenario.has_value()) << error;
+    if (weighted) {
+      scenario->graph = testing::WithEndpointWeights(scenario->graph);
+    }
+    const CouplingMatrix coupling = scenario->Coupling();
+    const DenseMatrix hhat = coupling.ScaledResidual(
+        0.5 * SufficientEpsilonBound(scenario->graph, coupling,
+                                     LinBpVariant::kLinBp));
+    const DenseMatrix echo = hhat.Multiply(hhat);
+    const DenseMatrix& e = scenario->explicit_residuals;
+    std::vector<engine::ShardStreamBackend> streamed;
+    std::optional<Graph> narrowed;
+    ASSERT_NO_FATAL_FAILURE(
+        OpenStreams(*scenario, weighted ? "multi_group_w" : "multi_group",
+                    streams, 1, &streamed, &narrowed));
+    const engine::InMemoryBackend in_memory(&scenario->graph);
+    for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+      SCOPED_TRACE(PrecisionName(precision));
+      LinBpOptions options;
+      options.precision = precision;
+      options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
+      options.divergence_patience = 0;
+      const auto reference = [&](const Graph& graph) {
+        return precision == Precision::kF32
+                   ? UnfusedLinBpF32(graph, hhat, &echo, e, e, options)
+                   : UnfusedLinBp(graph, hhat, &echo, e, e, options);
+      };
+      const SweepTrace expected = reference(scenario->graph);
+      ASSERT_GE(expected.iterations, 3);
+      ASSERT_LT(expected.iterations, options.max_iterations);
+      ExpectFusedEverywhere(
+          [&](const engine::PropagationBackend& backend,
+              const LinBpOptions& run) {
+            return FusedLinBp(backend, hhat, e, run);
+          },
+          in_memory, streams, streamed, contexts, options, expected,
+          reference(*narrowed));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Unit weights: a null value pointer against an explicit array of 1.0s.
+
+// memcmp equality of two equally long arrays of T.
+template <typename T>
+bool SameBits(const T* a, const T* b, std::size_t count) {
+  return count == 0 || std::memcmp(a, b, count * sizeof(T)) == 0;
+}
+
+// delta_sq sums per range, so it is compared only between runs with the
+// same row split (`with_delta_sq`).
+bool SameStats(const LinBpRowStats& a, const LinBpRowStats& b,
+               bool with_delta_sq = true) {
+  return SameBits(&a.delta, &b.delta, 1) &&
+         (!with_delta_sq || SameBits(&a.delta_sq, &b.delta_sq, 1)) &&
+         SameBits(&a.magnitude, &b.magnitude, 1);
+}
+
+// A backend over a unit-weight graph's CSR that hands out an explicit
+// value array of 1.0s (f64 and f32) where the graph keeps none, with
+// degrees summed as 1 * 1 per entry: the weighted kernels over ones.
+class OnesBackend final : public engine::PropagationBackend {
+ public:
+  explicit OnesBackend(const Graph* graph)
+      : graph_(graph),
+        ones_(static_cast<std::size_t>(graph->num_directed_edges()), 1.0),
+        ones_f32_(ones_.size(), 1.0f),
+        degrees_(static_cast<std::size_t>(graph->num_nodes()), 0.0) {
+    const auto& row_ptr = graph->adjacency().row_ptr();
+    for (std::int64_t r = 0; r < graph->num_nodes(); ++r) {
+      for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        degrees_[r] += ones_[e] * ones_[e];
+      }
+    }
+  }
+  std::int64_t num_nodes() const override { return graph_->num_nodes(); }
+  std::int64_t num_stored_entries() const override {
+    return graph_->num_directed_edges();
+  }
+  const std::vector<double>& weighted_degrees() const override {
+    return degrees_;
+  }
+  bool VisitRowBlocks(Precision precision, const ExecContext& ctx,
+                      const engine::BlockVisitor& visit,
+                      std::string* error) const override {
+    (void)ctx;
+    (void)error;
+    engine::CsrBlock block;
+    block.num_rows = graph_->num_nodes();
+    block.row_ptr = graph_->adjacency().row_ptr().data();
+    block.col_idx = graph_->adjacency().col_idx().data();
+    if (precision == Precision::kF32) {
+      block.values_f32 = ones_f32_.data();
+    } else {
+      block.values = ones_.data();
+    }
+    visit(block);
+    return true;
+  }
+
+ private:
+  const Graph* graph_;
+  std::vector<double> ones_;
+  std::vector<float> ones_f32_;
+  std::vector<double> degrees_;
+};
+
+// The four row kernels over a unit-weight CSR, serial over every row:
+// the null-value (unit) instantiation against the weighted one over an
+// explicit array of 1.0s, at k = 1..8 (compile-time) and 9 (runtime).
+template <typename Scalar>
+void ExpectUnitRowKernelsMatchOnes(const Graph& graph) {
+  const SparseMatrix& a = graph.adjacency();
+  ASSERT_TRUE(a.unit_weights());
+  const std::int64_t n = a.rows();
+  const std::int64_t* row_ptr = a.row_ptr().data();
+  const std::int32_t* col_idx = a.col_idx().data();
+  const std::vector<Scalar> ones(static_cast<std::size_t>(a.NumNonZeros()),
+                                 Scalar(1));
+  // Zeros in the operands exercise the skips of SpMV's transpose.
+  const auto operand = [n](std::int64_t k, std::uint64_t seed) {
+    std::vector<Scalar> out(static_cast<std::size_t>(n * k));
+    const DenseMatrix m = testing::RandomMatrix(n, k, 1.0, seed);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = i % 5 == 0 ? Scalar(0) : static_cast<Scalar>(m.data()[i]);
+    }
+    return out;
+  };
+
+  const std::vector<Scalar> x = operand(1, 3);
+  std::vector<Scalar> unit(n), with_ones(n);
+  SpmvRowsT<Scalar>(row_ptr, col_idx, nullptr, 0, n, x.data(), unit.data());
+  SpmvRowsT<Scalar>(row_ptr, col_idx, ones.data(), 0, n, x.data(),
+                    with_ones.data());
+  EXPECT_TRUE(SameBits(unit.data(), with_ones.data(), unit.size()))
+      << "SpmvRowsT";
+  std::fill(unit.begin(), unit.end(), Scalar(0));
+  std::fill(with_ones.begin(), with_ones.end(), Scalar(0));
+  SpmtvRowsT<Scalar>(row_ptr, col_idx, nullptr, 0, n, x.data(), unit.data());
+  SpmtvRowsT<Scalar>(row_ptr, col_idx, ones.data(), 0, n, x.data(),
+                     with_ones.data());
+  EXPECT_TRUE(SameBits(unit.data(), with_ones.data(), unit.size()))
+      << "SpmtvRowsT";
+
+  for (std::int64_t k = 1; k <= 9; ++k) {
+    SCOPED_TRACE(::testing::Message() << "k " << k);
+    const std::vector<Scalar> b = operand(k, 10 + k);
+    std::vector<Scalar> spmm_unit(b.size()), spmm_ones(b.size());
+    SpmmRowsT<Scalar>(row_ptr, col_idx, nullptr, 0, n, b.data(), k,
+                      spmm_unit.data());
+    SpmmRowsT<Scalar>(row_ptr, col_idx, ones.data(), 0, n, b.data(), k,
+                      spmm_ones.data());
+    EXPECT_TRUE(SameBits(spmm_unit.data(), spmm_ones.data(), b.size()))
+        << "SpmmRowsT";
+
+    const DenseMatrix hhat = testing::RandomMatrix(k, k, 0.1, 20 + k);
+    const DenseMatrix hhat2 = hhat.Multiply(hhat);
+    const std::vector<Scalar> e = operand(k, 30 + k);
+    for (const bool echo : {false, true}) {
+      for (const bool apply : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "LinBpRowsT echo " << echo << ", apply " << apply);
+        LinBpRowsArgs<Scalar> args;
+        args.row_ptr = row_ptr;
+        args.col_idx = col_idx;
+        args.row_begin = 0;
+        args.row_end = n;
+        args.k = k;
+        args.beliefs = b.data();
+        args.hhat = hhat.data().data();
+        args.hhat2 = echo ? hhat2.data().data() : nullptr;
+        args.degrees = graph.weighted_degrees().data();
+        args.explicit_residuals = apply ? e.data() : nullptr;
+        std::vector<Scalar> out_unit(b.size()), out_ones(b.size());
+        args.out = out_unit.data();
+        const LinBpRowStats stats_unit = LinBpRowsT<Scalar>(args);
+        args.values = ones.data();
+        args.out = out_ones.data();
+        const LinBpRowStats stats_ones = LinBpRowsT<Scalar>(args);
+        EXPECT_TRUE(SameBits(out_unit.data(), out_ones.data(), b.size()));
+        EXPECT_TRUE(SameStats(stats_unit, stats_ones));
+      }
+    }
+  }
+}
+
+// One fused sweep of every backend in `backends` at every context, k and
+// precision, against the first backend's: next beliefs and statistics
+// memcmp-equal (delta_sq only with `same_split`: the backends split the
+// rows alike). Then the backends' f64 SpMM and SpMV, the same way.
+void ExpectBackendsAgree(
+    const std::vector<const engine::PropagationBackend*>& backends,
+    const std::vector<const char*>& names, bool same_split) {
+  const std::int64_t n = backends.front()->num_nodes();
+  for (const int threads : kThreadCounts) {
+    const ExecContext ctx = ExecContext::WithThreads(threads);
+    for (std::int64_t k = 1; k <= 9; ++k) {
+      const DenseMatrix hhat = testing::RandomMatrix(k, k, 0.05, 40 + k);
+      const DenseMatrix hhat2 = hhat.Multiply(hhat);
+      const DenseMatrix b = testing::RandomMatrix(n, k, 1.0, 50 + k);
+      const DenseMatrix e = testing::RandomMatrix(n, k, 0.1, 60 + k);
+      const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(b);
+      const DenseMatrixF32 e32 = DenseMatrixF32::FromF64(e);
+      DenseMatrix first(n, k);
+      DenseMatrixF32 first32(n, k);
+      LinBpRowStats first_stats;
+      LinBpRowStats first_stats32;
+      DenseMatrix first_spmm;
+      std::vector<double> first_spmv;
+      for (std::size_t i = 0; i < backends.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << names[i] << ", threads "
+                                          << threads << ", k " << k);
+        std::string error;
+        DenseMatrix next(n, k);
+        DenseMatrixF32 next32(n, k);
+        LinBpRowStats stats;
+        LinBpRowStats stats32;
+        ASSERT_TRUE(engine::BackendLinBpSweep(*backends[i], hhat, &hhat2, b,
+                                              e, ctx, &next, &stats, &error))
+            << error;
+        ASSERT_TRUE(engine::BackendLinBpSweep(*backends[i], hhat, &hhat2,
+                                              b32, e32, ctx, &next32,
+                                              &stats32, &error))
+            << error;
+        DenseMatrix spmm;
+        std::vector<double> spmv;
+        ASSERT_TRUE(backends[i]->MultiplyDense(b, ctx, &spmm, &error))
+            << error;
+        ASSERT_TRUE(backends[i]->MultiplyVector(
+            std::vector<double>(b.data().begin(), b.data().begin() + n), ctx,
+            &spmv, &error))
+            << error;
+        if (i == 0) {
+          first = std::move(next);
+          first32 = std::move(next32);
+          first_stats = stats;
+          first_stats32 = stats32;
+          first_spmm = std::move(spmm);
+          first_spmv = std::move(spmv);
+          continue;
+        }
+        EXPECT_TRUE(SameBits(next.data().data(), first.data().data(),
+                             next.data().size()));
+        EXPECT_TRUE(SameBits(next32.data().data(), first32.data().data(),
+                             next32.data().size()));
+        EXPECT_TRUE(SameStats(stats, first_stats, same_split));
+        EXPECT_TRUE(SameStats(stats32, first_stats32, same_split));
+        EXPECT_TRUE(SameBits(spmm.data().data(), first_spmm.data().data(),
+                             spmm.data().size()));
+        EXPECT_TRUE(SameBits(spmv.data(), first_spmv.data(), spmv.size()));
+      }
+    }
+  }
+}
+
+// A unit-weight matrix runs every row kernel with a null value pointer,
+// and no value array exists to hand over. Its results must be the bits
+// of the weighted kernels over an explicit array of 1.0s: the raw row
+// kernels (SpMM, SpMV, transpose SpMV, the fused LinBP rows) at every k
+// in f32 and f64, and the fused sweep and products of every backend —
+// in memory, over unit-weight shards (f64 and f32 requested, which write
+// the same bytes), over legacy shards whose value sections store the
+// 1.0s, and over an in-memory CSR with an explicit ones array — at 1, 2,
+// 4 and 8 threads.
+TEST(KernelEquivalenceTest, UnitWeightKernelsMatchExplicitOnesByMemcmp) {
   std::string error;
   const auto scenario = dataset::MakeScenario(
-      "sbm:n=5000,k=3,deg=6,labeled=0.1,seed=3", &error);
+      "sbm:n=3000,k=3,deg=6,labeled=0.1,seed=5", &error);
   ASSERT_TRUE(scenario.has_value()) << error;
-  const CouplingMatrix coupling = scenario->Coupling();
-  const DenseMatrix hhat = coupling.ScaledResidual(
-      0.5 * SufficientEpsilonBound(scenario->graph, coupling,
-                                   LinBpVariant::kLinBp));
-  const DenseMatrix echo = hhat.Multiply(hhat);
-  const DenseMatrix& e = scenario->explicit_residuals;
-  std::vector<engine::ShardStreamBackend> streamed;
-  std::optional<Graph> narrowed;
-  ASSERT_NO_FATAL_FAILURE(OpenStreams(*scenario, "multi_group", streams, 1,
-                                      &streamed, &narrowed));
-  const engine::InMemoryBackend in_memory(&scenario->graph);
-  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
-    SCOPED_TRACE(PrecisionName(precision));
-    LinBpOptions options;
-    options.precision = precision;
-    options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
-    options.divergence_patience = 0;
-    const auto reference = [&](const Graph& graph) {
-      return precision == Precision::kF32
-                 ? UnfusedLinBpF32(graph, hhat, &echo, e, e, options)
-                 : UnfusedLinBp(graph, hhat, &echo, e, e, options);
-    };
-    const SweepTrace expected = reference(scenario->graph);
-    ASSERT_GE(expected.iterations, 3);
-    ASSERT_LT(expected.iterations, options.max_iterations);
-    ExpectFusedEverywhere(
-        [&](const engine::PropagationBackend& backend,
-            const LinBpOptions& run) {
-          return FusedLinBp(backend, hhat, e, run);
-        },
-        in_memory, streams, streamed, contexts, options, expected,
-        reference(*narrowed));
+  const Graph& graph = scenario->graph;
+  ASSERT_TRUE(graph.adjacency().unit_weights());
+  ASSERT_TRUE(graph.adjacency().values().empty());
+  ASSERT_EQ(graph.adjacency().values_f32(), nullptr);
+  {
+    SCOPED_TRACE("f64 row kernels");
+    ExpectUnitRowKernelsMatchOnes<double>(graph);
   }
+  {
+    SCOPED_TRACE("f32 row kernels");
+    ExpectUnitRowKernelsMatchOnes<float>(graph);
+  }
+
+  const engine::InMemoryBackend in_memory(&graph);
+  const OnesBackend ones(&graph);
+  EXPECT_EQ(ones.weighted_degrees(), graph.weighted_degrees());
+  std::vector<engine::ShardStreamBackend> streamed;
+  const char* stream_names[] = {"unit shards", "unit shards (f32 asked)",
+                                "legacy ones shards"};
+  for (int i = 0; i < 3; ++i) {
+    const std::string dir =
+        ::testing::TempDir() + "/unit_vs_ones_" + std::to_string(i);
+    std::filesystem::remove_all(dir);
+    const auto written = dataset::ShardSnapshot(
+        *scenario, 4, dir, &error,
+        i == 1 ? dataset::ShardCompression::kF32
+               : dataset::ShardCompression::kF64);
+    ASSERT_TRUE(written.has_value()) << error;
+    if (i == 2) testing::ForgeLegacyValueSections(written->manifest_path);
+    auto backend = engine::ShardStreamBackend::Open(written->manifest_path,
+                                                    &error);
+    ASSERT_TRUE(backend.has_value()) << error;
+    EXPECT_EQ(backend->reader().unit_weights(), i != 2);
+    EXPECT_EQ(backend->weighted_degrees(), graph.weighted_degrees());
+    streamed.push_back(std::move(*backend));
+  }
+  ExpectBackendsAgree({&ones, &in_memory, &streamed[0], &streamed[1],
+                       &streamed[2]},
+                      {"explicit ones in memory", "in memory",
+                       stream_names[0], stream_names[1], stream_names[2]},
+                      /*same_split=*/false);
+  ExpectBackendsAgree({&ones, &in_memory},
+                      {"explicit ones in memory", "in memory"},
+                      /*same_split=*/true);
+  ExpectBackendsAgree({&streamed[2], &streamed[0], &streamed[1]},
+                      {stream_names[2], stream_names[0], stream_names[1]},
+                      /*same_split=*/true);
 }
 
 }  // namespace

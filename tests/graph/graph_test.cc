@@ -283,5 +283,71 @@ TEST_P(EditedGraphTest, MergeEqualsGraphOfTheEditedEdgeList) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EditedGraphTest, ::testing::Range(0, 6));
 
+// A unit-weight graph keeps no value array. Edits switch its form with
+// its weights: adds and reweights to 1 and removals keep it unit, a
+// weight other than 1 makes it weighted, and removing or reweighting to 1
+// the last such weight makes it unit again. Every edited graph is
+// memcmp-equal, form included, to Graph(n, edited edge list); a rejected
+// batch and the input graph keep the form they had.
+TEST(EditedGraphFormTest, UnitGraphSwitchesFormWithItsWeights) {
+  const std::int64_t n = 30;
+  Graph graph = RandomConnectedGraph(n, 25, /*seed=*/9);
+  ASSERT_TRUE(graph.adjacency().unit_weights());
+  EdgeMap reference;
+  for (const Edge& e : graph.edges()) reference[Key(e)] = e.weight;
+  std::vector<Edge> missing;
+  for (std::int64_t u = 0; u < n && missing.size() < 2; ++u) {
+    for (std::int64_t v = u + 1; v < n && missing.size() < 2; ++v) {
+      if (reference.count({u, v}) == 0) missing.push_back({u, v, 1.0});
+    }
+  }
+  ASSERT_EQ(missing.size(), 2u);
+  const Edge stored_a{graph.edges()[0].u, graph.edges()[0].v, 1.0};
+  const Edge stored_b{graph.edges()[5].v, graph.edges()[5].u, 1.0};
+
+  enum Kind { kAdd, kReweight, kRemove };
+  const auto apply = [&](Kind kind, std::vector<Edge> batch, bool unit) {
+    const std::string problem =
+        kind == kAdd      ? ValidateNewEdgeBatch(graph, batch)
+        : kind == kRemove ? ValidateEdgeRemovalBatch(graph, batch)
+                          : ValidateEdgeReweightBatch(graph, batch);
+    ASSERT_EQ(problem, "");
+    for (const Edge& e : batch) {
+      if (kind == kRemove) {
+        reference.erase(Key(e));
+      } else {
+        reference[Key(e)] = e.weight;
+      }
+    }
+    std::vector<Edge> edited_list;
+    for (const auto& [key, w] : reference) {
+      edited_list.push_back({key.first, key.second, w});
+    }
+    const bool was_unit = graph.adjacency().unit_weights();
+    const Graph edited = EditedGraph(graph, batch, kind == kRemove);
+    EXPECT_EQ(graph.adjacency().unit_weights(), was_unit);
+    EXPECT_EQ(edited.adjacency().unit_weights(), unit);
+    EXPECT_EQ(edited.adjacency().values().empty(), unit);
+    ExpectSameGraph(edited, Graph(n, edited_list));
+    graph = edited;
+  };
+
+  apply(kAdd, {missing[0]}, /*unit=*/true);
+  apply(kReweight, {stored_a}, /*unit=*/true);
+  apply(kRemove, {missing[0]}, /*unit=*/true);
+  apply(kAdd, {{missing[1].u, missing[1].v, 2.5}}, /*unit=*/false);
+  apply(kReweight, {{stored_a.u, stored_a.v, -0.0}}, /*unit=*/false);
+  // A rejected batch (the edge exists already) leaves the graph as is.
+  EXPECT_NE(ValidateNewEdgeBatch(graph, {{stored_b.u, stored_b.v, 3.0}}),
+            "");
+  EXPECT_FALSE(graph.adjacency().unit_weights());
+  apply(kRemove, {missing[1]}, /*unit=*/false);  // -0.0 is still there
+  apply(kReweight, {{stored_a.u, stored_a.v, 1.0}, stored_b},
+        /*unit=*/true);
+  apply(kReweight, {{stored_b.u, stored_b.v, 0.25}}, /*unit=*/false);
+  apply(kRemove, {stored_b}, /*unit=*/true);
+  EXPECT_EQ(graph.weighted_degrees(), graph.adjacency().AbsRowSums());
+}
+
 }  // namespace
 }  // namespace linbp

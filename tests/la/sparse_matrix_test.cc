@@ -143,6 +143,93 @@ TEST_P(SparseRandomTest, AtMatchesDense) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseRandomTest, ::testing::Range(0, 8));
 
+// ---- Unit weights ----------------------------------------------------------
+
+// A 5 x 5 pattern with all weights 1: rows 0-3 and an empty row 4.
+std::vector<Triplet> UnitTriplets() {
+  return {{0, 1, 1.0}, {0, 3, 1.0}, {1, 0, 1.0}, {1, 2, 1.0},
+          {2, 1, 1.0}, {3, 0, 1.0}, {3, 3, 1.0}};
+}
+
+TEST(SparseMatrixUnitWeightsTest, AllOnesKeepNoValueArray) {
+  const SparseMatrix m = SparseMatrix::FromTriplets(5, 5, UnitTriplets());
+  EXPECT_TRUE(m.unit_weights());
+  EXPECT_TRUE(m.values().empty());
+  EXPECT_EQ(m.values_or_null(), nullptr);
+  EXPECT_EQ(m.values_f32(), nullptr);
+  EXPECT_EQ(m.NumNonZeros(), 7);
+  for (std::int64_t e = 0; e < m.NumNonZeros(); ++e) {
+    EXPECT_EQ(m.weight(e), 1.0);
+  }
+  // An empty matrix is vacuously unit.
+  EXPECT_TRUE(SparseMatrix(3, 3).unit_weights());
+
+  // Every constructor picks the same form from the same entries: an
+  // empty value array is unit, and an explicit array of 1.0s is dropped.
+  const SparseMatrix from_csr =
+      SparseMatrix::FromCsr(5, 5, m.row_ptr(), m.col_idx(), {});
+  const SparseMatrix from_ones = SparseMatrix::FromCsr(
+      5, 5, m.row_ptr(), m.col_idx(), std::vector<double>(7, 1.0));
+  const SparseMatrix validated = SparseMatrix::FromValidatedCsr(
+      5, 5, m.row_ptr(), m.col_idx(), std::vector<double>(7, 1.0));
+  for (const SparseMatrix* other : {&from_csr, &from_ones, &validated}) {
+    EXPECT_TRUE(other->unit_weights());
+    EXPECT_EQ(other->row_ptr(), m.row_ptr());
+    EXPECT_EQ(other->col_idx(), m.col_idx());
+  }
+}
+
+TEST(SparseMatrixUnitWeightsTest, OneOtherWeightBringsInTheArray) {
+  // A weight other than 1 anywhere (here summed from two duplicate 1s)
+  // makes the matrix weighted, with the 1s before it filled in.
+  std::vector<Triplet> triplets = UnitTriplets();
+  triplets.push_back({2, 1, 1.0});
+  const SparseMatrix m = SparseMatrix::FromTriplets(5, 5, triplets);
+  EXPECT_FALSE(m.unit_weights());
+  EXPECT_EQ(m.values(),
+            (std::vector<double>{1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0}));
+  // First entry other than 1.
+  const SparseMatrix first =
+      SparseMatrix::FromTriplets(2, 2, {{0, 0, 0.5}, {1, 1, 1.0}});
+  EXPECT_EQ(first.values(), (std::vector<double>{0.5, 1.0}));
+  // -0.0 and 0.0 are weights too.
+  EXPECT_FALSE(SparseMatrix::FromTriplets(1, 1, {{0, 0, 0.0}}).unit_weights());
+}
+
+TEST(SparseMatrixUnitWeightsTest, OperationsMatchTheDenseForm) {
+  const SparseMatrix m = SparseMatrix::FromTriplets(5, 5, UnitTriplets());
+  const DenseMatrix dense = m.ToDense();
+  EXPECT_EQ(dense.At(0, 1), 1.0);
+  EXPECT_EQ(dense.At(3, 3), 1.0);
+  EXPECT_EQ(dense.At(4, 4), 0.0);
+  for (std::int64_t r = 0; r < 5; ++r) {
+    for (std::int64_t c = 0; c < 5; ++c) {
+      EXPECT_EQ(m.At(r, c), dense.At(r, c));
+    }
+  }
+  const SparseMatrix t = m.Transpose();
+  EXPECT_TRUE(t.unit_weights());
+  ExpectMatrixNear(t.ToDense(), dense.Transpose(), 0.0);
+  EXPECT_EQ(m.AbsRowSums(), (std::vector<double>{2, 2, 1, 2, 0}));
+  EXPECT_EQ(m.SquaredRowSums(), m.AbsRowSums());
+  EXPECT_EQ(m.AbsColSums(), (std::vector<double>{2, 2, 1, 2, 0}));
+  EXPECT_TRUE(m.IsSymmetric());
+  std::vector<Triplet> lopsided = UnitTriplets();
+  lopsided.push_back({4, 2, 1.0});
+  EXPECT_FALSE(SparseMatrix::FromTriplets(5, 5, lopsided).IsSymmetric());
+
+  const DenseMatrix b = RandomMatrix(5, 3, 1.0, /*seed=*/4);
+  ExpectMatrixNear(m.MultiplyDense(b), dense.Multiply(b), 0.0);
+  const std::vector<double> x = {0.5, -1.0, 2.0, 0.25, 3.0};
+  ExpectVectorNear(m.MultiplyVector(x), dense.MultiplyVector(x), 0.0);
+  ExpectVectorNear(m.TransposeMultiplyVector(x),
+                   dense.Transpose().MultiplyVector(x), 0.0);
+  const std::vector<float> y =
+      m.MultiplyVectorF32({0.5f, -1.0f, 2.0f, 0.25f, 3.0f},
+                          exec::ExecContext::Serial());
+  EXPECT_EQ(y, (std::vector<float>{-0.75f, 2.5f, -1.0f, 0.75f, 0.0f}));
+}
+
 TEST(SparseMatrixFromCsrTest, AdoptsArraysExactly) {
   const SparseMatrix original = RandomSparse(40, 30, 120, /*seed=*/11);
   const SparseMatrix adopted = SparseMatrix::FromCsr(

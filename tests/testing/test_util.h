@@ -133,8 +133,36 @@ inline DenseMatrix RandomResidualCoupling(std::int64_t k, double scale,
   return out;
 }
 
+/// EXPECTs two matrices to have the same storage form (unit weights or a
+/// value array) and, compared with memcmp, the same weight at every
+/// stored entry.
+inline void ExpectSameWeights(const SparseMatrix& actual,
+                              const SparseMatrix& expected) {
+  EXPECT_EQ(actual.unit_weights(), expected.unit_weights());
+  ASSERT_EQ(actual.NumNonZeros(), expected.NumNonZeros());
+  for (std::int64_t e = 0; e < actual.NumNonZeros(); ++e) {
+    const double a = actual.weight(e);
+    const double b = expected.weight(e);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+        << "entry " << e << ": " << a << " vs " << b;
+  }
+}
+
+/// `graph` with every edge (u, v), u < v, reweighted to
+/// 0.5 + ((u + 2v) mod 7) / 8, a weight in [0.5, 1.25] derived from its
+/// endpoints. Generated graphs are unit-weight; this gives the tests a
+/// weighted one of the same shape for the paths only weights reach.
+inline Graph WithEndpointWeights(const Graph& graph) {
+  std::vector<Edge> edges = graph.edges();
+  for (Edge& e : edges) {
+    e.weight = 0.5 + static_cast<double>((e.u + 2 * e.v) % 7) / 8.0;
+  }
+  return Graph(graph.num_nodes(), edges);
+}
+
 /// EXPECTs two graphs to hold the same CSR arrays and weighted degrees.
-/// Values and degrees are compared with memcmp, so -0.0 and 0.0 differ.
+/// Values and degrees are compared with memcmp, so -0.0 and 0.0 differ,
+/// and so do a unit-form graph and one holding an array of 1.0s.
 inline void ExpectSameGraph(const Graph& actual, const Graph& expected) {
   const auto same_bits = [](const std::vector<double>& x,
                             const std::vector<double>& y) {
@@ -145,6 +173,8 @@ inline void ExpectSameGraph(const Graph& actual, const Graph& expected) {
   EXPECT_EQ(actual.num_nodes(), expected.num_nodes());
   EXPECT_EQ(actual.adjacency().row_ptr(), expected.adjacency().row_ptr());
   EXPECT_EQ(actual.adjacency().col_idx(), expected.adjacency().col_idx());
+  EXPECT_EQ(actual.adjacency().unit_weights(),
+            expected.adjacency().unit_weights());
   EXPECT_TRUE(same_bits(actual.adjacency().values(),
                         expected.adjacency().values()));
   EXPECT_TRUE(

@@ -14,6 +14,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/la/matrix_io.h"
+#include "tests/testing/test_util.h"
 
 namespace linbp {
 namespace cli {
@@ -647,37 +648,89 @@ TEST(RunMainTest, CacheBudgetValidation) {
       << error;
 }
 
+// `info` names the value width: none for a unit-weight graph (every
+// generated one), whose f64 and f32 shards are the same bytes, and f64 or
+// f32 for a weighted one.
 TEST(RunMainTest, InfoReportsValueWidthAndRatio) {
-  const std::string dir = TempPath("cli_v2_info");
   std::string output;
   std::string error;
-  ASSERT_EQ(RunMain({"shard", "--scenario=sbm:n=200,k=2,seed=5",
-                     "--out-dir=" + dir, "--shards=2", "--compress=f64"},
-                    &output, &error),
-            0)
-      << error;
-  ASSERT_EQ(RunMain({"info", "--snapshot=" + dir + "/manifest.lbpm"},
-                    &output, &error),
-            0)
-      << error;
-  EXPECT_NE(output.find("version:       6"), std::string::npos) << output;
-  EXPECT_NE(output.find("values:        f64"), std::string::npos) << output;
-  EXPECT_NE(output.find("decoded;"), std::string::npos) << output;
-  EXPECT_NE(output.find("encoded on disk, ratio"), std::string::npos)
-      << output;
+  std::vector<std::vector<char>> unit_files;
+  for (const char* compress : {"f64", "f32"}) {
+    const std::string dir = TempPath(std::string("cli_v2_info_") + compress);
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(RunMain({"shard", "--scenario=sbm:n=200,k=2,seed=5",
+                       "--out-dir=" + dir, "--shards=2",
+                       std::string("--compress=") + compress},
+                      &output, &error),
+              0)
+        << error;
+    ASSERT_EQ(RunMain({"info", "--snapshot=" + dir + "/manifest.lbpm"},
+                      &output, &error),
+              0)
+        << error;
+    EXPECT_NE(output.find("version:       6"), std::string::npos) << output;
+    EXPECT_NE(output.find("values:        none (unit weights)"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("decoded;"), std::string::npos) << output;
+    EXPECT_NE(output.find("encoded on disk, ratio"), std::string::npos)
+        << output;
+    for (const char* name :
+         {"manifest.lbpm", "shard-000000.lbpsd", "shard-000001.lbpsd"}) {
+      unit_files.push_back(linbp::testing::ReadBytes(dir + "/" + name));
+    }
+  }
+  // --compress=f32 writes the f64 bytes for a unit-weight graph.
+  ASSERT_EQ(unit_files.size(), 6u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(unit_files[i], unit_files[i + 3]) << "file " << i;
+  }
 
-  // The f32 encoding names itself too.
-  const std::string dir32 = TempPath("cli_v2_info_f32");
-  ASSERT_EQ(RunMain({"shard", "--scenario=sbm:n=200,k=2,seed=5",
-                     "--out-dir=" + dir32, "--shards=2", "--compress=f32"},
+  // The same graph with weights derived from the endpoints, as a file:
+  // scenario: each width names itself.
+  const std::string graph_path = TempPath("cli_info_weighted.edges");
+  const std::string beliefs_path = TempPath("cli_info_weighted.beliefs");
+  ASSERT_EQ(RunMain({"convert", "--scenario=sbm:n=200,k=2,seed=5",
+                     "--out-graph=" + graph_path,
+                     "--out-beliefs=" + beliefs_path},
                     &output, &error),
             0)
       << error;
-  ASSERT_EQ(RunMain({"info", "--snapshot=" + dir32 + "/manifest.lbpm"},
-                    &output, &error),
-            0)
-      << error;
-  EXPECT_NE(output.find("values:        f32"), std::string::npos) << output;
+  std::ifstream edges(graph_path);
+  std::ostringstream weighted;
+  for (std::string line; std::getline(edges, line);) {
+    std::istringstream fields(line);
+    std::int64_t u = 0;
+    std::int64_t v = 0;
+    if (line.empty() || line[0] == '#' || !(fields >> u >> v)) {
+      weighted << line << '\n';  // the header keeps the node count
+      continue;
+    }
+    weighted << u << ' ' << v << ' ' << 0.5 + ((u + 2 * v) % 7) / 8.0
+             << '\n';
+  }
+  edges.close();
+  WriteFile(graph_path, weighted.str());
+  for (const char* compress : {"f64", "f32"}) {
+    const std::string dir =
+        TempPath(std::string("cli_v2_info_weighted_") + compress);
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(RunMain({"shard",
+                       "--scenario=file:graph=" + graph_path +
+                           ",beliefs=" + beliefs_path,
+                       "--out-dir=" + dir, "--shards=2",
+                       std::string("--compress=") + compress},
+                      &output, &error),
+              0)
+        << error;
+    ASSERT_EQ(RunMain({"info", "--snapshot=" + dir + "/manifest.lbpm"},
+                      &output, &error),
+              0)
+        << error;
+    EXPECT_NE(output.find(std::string("values:        ") + compress + "\n"),
+              std::string::npos)
+        << output;
+  }
 }
 
 TEST(RunMainTest, InfoReportsShardPayloadBytes) {

@@ -309,7 +309,10 @@ int RunInfo(const InfoOptions& options, std::string* output,
   std::ostringstream lines;
   lines << "snapshot:      " << options.snapshot_path << "\n"
         << "version:       " << dataset::kShardFormatVersion << "\n"
-        << "values:        " << (info->values_f32 ? "f32" : "f64") << "\n"
+        << "values:        "
+        << (info->unit_weights ? "none (unit weights)"
+                               : info->values_f32 ? "f32" : "f64")
+        << "\n"
         << "nodes:         " << info->num_nodes << "\n"
         << "classes k:     " << info->k << "\n"
         << "stored entries " << info->nnz << " (" << info->nnz / 2
@@ -543,7 +546,8 @@ std::string Usage() {
       "           bare --compress means; lossless, labels unchanged) or f32\n"
       "           (half the value bytes; beliefs then match the f32 solve\n"
       "           of the same shards). Column ids are always delta+varint\n"
-      "           encoded\n"
+      "           encoded. A graph whose weights are all 1 stores no\n"
+      "           values, so f32 writes the same bytes as f64 for it\n"
       "  serve:   REPL on stdin; per line: a u v w | d u v | w u v w |\n"
       "           b node k r_1..r_k | q v [v...] | labels | stats |\n"
       "           metrics | quit. Updates reply 'ok sweeps=N' or\n"
