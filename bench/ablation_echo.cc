@@ -23,7 +23,7 @@
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   const int graph_index = static_cast<int>(args.Int("graph", 3));
   const Graph graph = bench::PaperGraph(graph_index);
@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
     for (const LinBpVariant variant :
          {LinBpVariant::kLinBp, LinBpVariant::kLinBpStar}) {
       LinBpOptions options;
+      options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
       options.variant = variant;
       options.max_iterations = 3000;
       options.tolerance = 1e-13;

@@ -39,7 +39,7 @@ double BoundWithNorm(const Graph& graph, const CouplingMatrix& coupling,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"max-graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   const int max_graph = static_cast<int>(args.Int("max-graph", 3));
 

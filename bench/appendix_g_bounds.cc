@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"max-graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   const int max_graph = static_cast<int>(args.Int("max-graph", 3));
 

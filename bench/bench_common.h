@@ -5,6 +5,7 @@
 #ifndef LINBP_BENCH_BENCH_COMMON_H_
 #define LINBP_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -13,8 +14,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/exec/exec_context.h"
 #include "src/graph/beliefs.h"
@@ -22,6 +25,7 @@
 #include "src/graph/graph.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/util/timer.h"
 
@@ -57,13 +61,37 @@ inline double TimeSeconds(const std::function<void()>& fn) {
   return timer.Seconds();
 }
 
-/// Minimal "--flag=value" parser for the bench binaries. Numeric values
-/// are strict: a malformed, trailing-garbage, overflowing or negative
-/// value exits the driver with code 2 and a message naming the flag,
-/// instead of silently running with a default.
+/// Minimal "--flag=value" parser for the bench binaries. It is strict:
+/// an argument that is not one of the driver's flags, and a malformed,
+/// trailing-garbage, overflowing or negative numeric value, exit the
+/// driver with code 2 and a message naming the flag, instead of silently
+/// running with a default.
 class Args {
  public:
-  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
+  /// `flags` names (without "--") every flag the driver reads; the
+  /// global --metrics-out, --trace-out and --quiet (MetricsDumpGuard)
+  /// are known to every driver. Any other argument exits with code 2
+  /// before the driver does any work.
+  Args(int argc, char** argv, std::initializer_list<const char*> flags)
+      : argc_(argc), argv_(argv) {
+    std::vector<std::string> known = {"metrics-out", "trace-out", "quiet"};
+    known.insert(known.end(), flags.begin(), flags.end());
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const std::string name =
+          arg.rfind("--", 0) == 0 ? arg.substr(2, arg.find('=') - 2) : "";
+      if (std::find(known.begin(), known.end(), name) != known.end()) {
+        continue;
+      }
+      std::string list;
+      for (const std::string& flag : known) list += " --" + flag;
+      std::fprintf(stderr, "error: %s '%s' (this driver takes%s)\n",
+                   name.empty() ? "unexpected argument" : "unknown flag",
+                   name.empty() ? arg.c_str() : ("--" + name).c_str(),
+                   list.c_str());
+      std::exit(2);
+    }
+  }
 
   /// Integer flag "--name=V" with a default; V must be a non-negative
   /// decimal integer that fits in int64.
@@ -172,13 +200,15 @@ inline std::string HostJsonBlock() {
 /// driver: installs a span tracer for the driver's lifetime and writes
 /// the combined metrics + time-series + trace report (and/or the Chrome
 /// trace-event file for chrome://tracing / ui.perfetto.dev) on
-/// destruction. A driver declares one at the top of main(); without
-/// either flag the guard is a no-op.
+/// destruction. --quiet silences diagnostic notes (obs::Log). A driver
+/// declares one at the top of main(); without these flags the guard is
+/// a no-op.
 class MetricsDumpGuard {
  public:
   explicit MetricsDumpGuard(const Args& args)
       : path_(args.Str("metrics-out", "")),
         trace_path_(args.Str("trace-out", "")) {
+    if (args.Has("quiet")) obs::SetQuiet(true);
     if (!path_.empty() || !trace_path_.empty()) {
       obs::SetActiveTracer(&tracer_);
     }

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"graph", "iterations"});
   const bench::MetricsDumpGuard metrics_guard(args);
   const int graph_index = static_cast<int>(args.Int("graph", 4));
   const int iterations = static_cast<int>(args.Int("iterations", 5));

@@ -27,7 +27,7 @@
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   const bool check = args.Has("check");
   const int graph_index =

@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"full"});
   const bench::MetricsDumpGuard metrics_guard(args);
 
   DblpConfig config;
@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
     for (const LinBpVariant variant :
          {LinBpVariant::kLinBp, LinBpVariant::kLinBpStar}) {
       LinBpOptions options;
+      options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
       options.variant = variant;
       options.max_iterations = 300;
       options.tolerance = 1e-16;

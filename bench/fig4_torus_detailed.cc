@@ -27,7 +27,7 @@
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check"});
   const bench::MetricsDumpGuard metrics_guard(args);
 
   const Graph graph = TorusExampleGraph();
@@ -138,6 +138,7 @@ int main(int argc, char** argv) {
     for (const LinBpVariant variant :
          {LinBpVariant::kLinBp, LinBpVariant::kLinBpStar}) {
       LinBpOptions options;
+      options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
       options.variant = variant;
       options.max_iterations = 3000;
       options.tolerance = 1e-14;

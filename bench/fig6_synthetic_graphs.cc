@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "max-graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   // Graph #7 has 4.2M adjacency entries; fine to *generate* by default.
   const int max_graph = static_cast<int>(args.Int("max-graph", 7));

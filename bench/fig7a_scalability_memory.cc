@@ -39,6 +39,7 @@ int RunCheck() {
                             ResidualToProbability(seeded.residuals),
                             bp_options);
   LinBpOptions lin_options;
+  lin_options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
   lin_options.max_iterations = 500;
   lin_options.tolerance = 1e-16;
   const LinBpResult lin = RunLinBp(graph, coupling.ScaledResidual(eps),
@@ -76,7 +77,8 @@ int RunCheck() {
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(
+      argc, argv, {"check", "iterations", "max-graph", "threads"});
   const bench::MetricsDumpGuard metrics_guard(args);
   if (args.Has("check")) return RunCheck();
   const int max_graph = static_cast<int>(args.Int("max-graph", 6));
@@ -104,6 +106,7 @@ int main(int argc, char** argv) {
         [&] { RunBp(graph, h, priors, bp_options); });
 
     LinBpOptions lin_options;
+    lin_options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
     lin_options.max_iterations = iterations;
     lin_options.tolerance = 0.0;
     lin_options.exec = ctx;

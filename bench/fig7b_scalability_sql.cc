@@ -59,7 +59,7 @@ int RunCheck() {
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "iterations", "max-graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   if (args.Has("check")) return RunCheck();
   const int max_graph = static_cast<int>(args.Int("max-graph", 5));

@@ -30,6 +30,7 @@ int RunCheck() {
   const int iterations = 5;
 
   LinBpOptions options;
+  options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
   options.max_iterations = iterations;
   options.tolerance = 0.0;
   const LinBpResult memory = RunLinBp(graph, coupling.ScaledResidual(eps),
@@ -51,7 +52,7 @@ int RunCheck() {
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "max-graph", "min-graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   if (args.Has("check")) return RunCheck();
   const int min_graph = static_cast<int>(args.Int("min-graph", 2));
@@ -77,6 +78,7 @@ int main(int argc, char** argv) {
     });
 
     LinBpOptions lin_options;
+    lin_options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
     lin_options.max_iterations = iterations;
     lin_options.tolerance = 0.0;
     const double lin_mem = bench::TimeSeconds([&] {

@@ -49,6 +49,7 @@ int RunCheck() {
     }
   }
   LinBpOptions options;
+  options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
   options.max_iterations = iterations;
   options.tolerance = 0.0;
   const LinBpResult reference = RunLinBp(graph, hhat, seeded.residuals,
@@ -104,7 +105,7 @@ int RunCheck() {
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "graph", "iterations"});
   const bench::MetricsDumpGuard metrics_guard(args);
   if (args.Has("check")) return RunCheck();
   const int graph_index = static_cast<int>(args.Int("graph", 6));
@@ -124,6 +125,7 @@ int main(int argc, char** argv) {
   // table and the JSON report can never disagree.
   const DenseMatrix hhat = coupling.ScaledResidual(eps);
   LinBpOptions lin_options;
+  lin_options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
   lin_options.max_iterations = iterations;
   lin_options.tolerance = 0.0;
   RunLinBp(graph, hhat, seeded.residuals, lin_options);

@@ -55,7 +55,7 @@ int RunCheck() {
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   if (args.Has("check")) return RunCheck();
   const int graph_index = static_cast<int>(args.Int("graph", 4));

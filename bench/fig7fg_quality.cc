@@ -43,6 +43,7 @@ int RunCheck() {
   }
 
   LinBpOptions options;
+  options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
   options.max_iterations = 500;
   options.tolerance = 1e-16;
   const LinBpResult lin = RunLinBp(graph, coupling.ScaledResidual(eps),
@@ -85,7 +86,7 @@ int RunCheck() {
 
 int main(int argc, char** argv) {
   using namespace linbp;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "extra-digits", "graph"});
   const bench::MetricsDumpGuard metrics_guard(args);
   if (args.Has("check")) return RunCheck();
   const int graph_index = static_cast<int>(args.Int("graph", 4));
@@ -127,6 +128,7 @@ int main(int argc, char** argv) {
                                         2e-4, 5e-4, 1e-3, 2e-3, 5e-3};
   for (const double eps : eps_grid) {
     LinBpOptions options;
+    options.schedule = SweepSchedule::kJacobi;  // the paper's iteration
     options.max_iterations = 500;
     options.tolerance = 1e-16;
     const LinBpResult lin = RunLinBp(graph, coupling.ScaledResidual(eps),

@@ -438,6 +438,9 @@ int RunStreamBench(const std::string& spec, const exec::ExecContext& ctx,
   LinBpOptions options;
   options.max_iterations = iterations;
   options.tolerance = 0.0;  // fixed-sweep timing protocol
+  // Jacobi keeps the recorded per-sweep timings (BENCH_dataset.json)
+  // comparable with earlier records.
+  options.schedule = SweepSchedule::kJacobi;
   options.exec = ctx;
   // Bit-identity between the resident and streamed runs holds per
   // precision: the f32 path narrows shard values once per block load and
@@ -550,7 +553,10 @@ int RunStreamBench(const std::string& spec, const exec::ExecContext& ctx,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv);
+  const bench::Args args(
+      argc, argv, {"cache-budget", "check", "compress", "golden", "io-bench",
+                    "iterations", "parity", "precision", "reps", "scenario",
+                    "shards", "stream", "threads"});
   const bench::MetricsDumpGuard metrics_guard(args);
   const exec::ExecContext ctx = bench::ExecFromArgs(args);
   Precision precision = Precision::kF64;

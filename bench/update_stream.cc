@@ -290,7 +290,7 @@ int RunBench(const exec::ExecContext& ctx, std::int64_t num_ops,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"check", "ops", "seed", "threads"});
   const bench::MetricsDumpGuard metrics_guard(args);
   const exec::ExecContext ctx = bench::ExecFromArgs(args);
   if (args.Has("check")) return RunCheck(ctx);

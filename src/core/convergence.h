@@ -11,6 +11,11 @@
 //
 // Spectral radii are estimated with power iteration on the implicit
 // Kronecker operator, so no nk x nk matrix is ever materialized.
+//
+// These are the criteria of the paper's Jacobi iteration
+// (SweepSchedule::kJacobi). The solvers' segmented Gauss-Seidel default
+// converges whenever Jacobi does, and somewhat beyond (see SweepSchedule
+// in src/core/linbp.h), so a threshold here is conservative for it.
 
 #ifndef LINBP_CORE_CONVERGENCE_H_
 #define LINBP_CORE_CONVERGENCE_H_

@@ -9,7 +9,7 @@
 // choices lead to the same equation). The Jacobi update
 // b <- e + c1*A*b - c2*D*b is the LinBP sweep B <- E + A*B*M - D*B*M2
 // with n x 1 beliefs, M = [c1] and M2 = [c2], so FaBP runs the LinBP sweep
-// loop at k = 1.
+// loop at k = 1, in either sweep schedule (see SweepSchedule).
 
 #ifndef LINBP_CORE_FABP_H_
 #define LINBP_CORE_FABP_H_
@@ -60,6 +60,9 @@ struct FabpOptions {
   /// Storage precision of the beliefs on the sweep hot path (see
   /// LinBpOptions::precision).
   Precision precision = Precision::kF64;
+  /// The sweep order (see LinBpOptions::schedule); kJacobi is the scalar
+  /// Jacobi iteration b <- e + c1*A*b - c2*D*b.
+  SweepSchedule schedule = SweepSchedule::kSegmentedGaussSeidel;
 };
 
 /// Solves the binary linearized system over any propagation backend with

@@ -27,6 +27,15 @@ DenseMatrix ExactModulation(const DenseMatrix& hhat) {
   return inverse->Multiply(hhat);
 }
 
+int SweepSegments(SweepSchedule schedule) {
+  return schedule == SweepSchedule::kJacobi ? 1 : kSweepSegments;
+}
+
+const char* SweepScheduleName(SweepSchedule schedule) {
+  return schedule == SweepSchedule::kJacobi ? "jacobi"
+                                            : "segmented_gauss_seidel";
+}
+
 namespace core_internal {
 namespace {
 
@@ -42,6 +51,8 @@ void ReportSweep(SweepFamily family, const SweepTelemetry& telemetry,
   sample.seconds = telemetry.seconds;
   sample.bytes_streamed = telemetry.bytes_streamed;
   sample.precision = PrecisionName(telemetry.precision);
+  sample.schedule = SweepScheduleName(telemetry.schedule);
+  sample.segments = telemetry.segments;
   // The obs macros cache one handle per call site, so each family's
   // names need call sites of their own.
   switch (family) {
@@ -67,6 +78,8 @@ void ReportSweep(SweepFamily family, const SweepTelemetry& telemetry,
     span->SetAttr("rows", telemetry.rows);
     span->SetAttr("nnz", telemetry.nnz);
     span->SetAttr("precision", PrecisionName(telemetry.precision));
+    span->SetAttr("schedule", SweepScheduleName(telemetry.schedule));
+    span->SetAttr("segments", telemetry.segments);
   }
   if (observer) observer(telemetry);
 }
@@ -131,18 +144,19 @@ std::string DivergenceAbortError(int sweeps, int streak, double rho_hat,
 
 // One fused sweep from *current into *next, then a swap: the two buffers
 // carry the whole loop, and a failed sweep skips the swap, leaving
-// *current — the last completed sweep — untouched.
+// *current — the last completed sweep — untouched. A segmented sweep
+// reads this sweep's rows from *next too, but writes only *next.
 template <typename Matrix>
 bool SweepAndSwap(const engine::PropagationBackend& backend,
                   const DenseMatrix& modulation,
                   const DenseMatrix* echo_modulation,
-                  const Matrix& explicit_residuals,
+                  const Matrix& explicit_residuals, int segments,
                   const exec::ExecContext& ctx, Matrix* current, Matrix* next,
                   LinBpSweepStats* stats, std::string* error) {
   LinBpRowStats rows;
   if (!engine::BackendLinBpSweep(backend, modulation, echo_modulation,
-                                 *current, explicit_residuals, ctx, next,
-                                 &rows, error)) {
+                                 *current, explicit_residuals, segments, ctx,
+                                 next, &rows, error)) {
     return false;
   }
   std::swap(*current, *next);
@@ -172,6 +186,7 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
   // *beliefs itself is one of the two buffers.
   const std::int64_t k = modulation.rows();
   const bool f32 = options.precision == Precision::kF32;
+  const int segments = SweepSegments(options.schedule);
   DenseMatrix next;
   DenseMatrixF32 beliefs32;
   DenseMatrixF32 next32;
@@ -201,10 +216,11 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
     LinBpSweepStats stats;
     const bool swept =
         f32 ? SweepAndSwap(backend, modulation, echo_modulation, explicit32,
-                           ctx, &beliefs32, &next32, &stats, &result.error)
+                           segments, ctx, &beliefs32, &next32, &stats,
+                           &result.error)
             : SweepAndSwap(backend, modulation, echo_modulation,
-                           explicit_residuals, ctx, beliefs, &next, &stats,
-                           &result.error);
+                           explicit_residuals, segments, ctx, beliefs, &next,
+                           &stats, &result.error);
     if (!swept) {
       // The failing sweep was never applied: beliefs still hold sweep
       // it - 1, so callers can report the error with their state intact.
@@ -227,6 +243,8 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
     telemetry.nnz = backend.num_stored_entries();
     telemetry.bytes_streamed = StreamBytesCounterValue() - bytes_before;
     telemetry.precision = options.precision;
+    telemetry.schedule = options.schedule;
+    telemetry.segments = segments;
     ReportSweep(family, telemetry, options.sweep_observer, &span);
 
     growth_streak =

@@ -30,6 +30,50 @@ enum class LinBpVariant {
   kLinBpExact,  // Eq. 29, with the exact Hhat* modulation
 };
 
+/// The order a LinBP / FaBP sweep updates its rows in. Both iterate the
+/// same update equation to the same fixed point B = E + M(B), where M is
+/// the swept operator B -> A*B*modulation - D*B*echo_modulation.
+///
+/// kJacobi is the paper's iteration (Eq. 6): every row reads the
+/// previous sweep's beliefs. It converges iff rho(M) < 1 (Lemma 8), and
+/// the residual contracts by rho(M) per sweep.
+///
+/// kSegmentedGaussSeidel splits the rows into kSweepSegments fixed
+/// segments [g*n/kSweepSegments, (g+1)*n/kSweepSegments), set by n alone
+/// (never by the thread count, the shard layout or the row groups; a
+/// graph with n < kSweepSegments gets empty segments, and the sweep is
+/// row-order Gauss-Seidel). A row reads this sweep's value for each
+/// neighbour in an earlier segment and the previous sweep's value for
+/// every other neighbour, its own echo term included. M is symmetric
+/// (Hhat, Hhat* and A are), so with I - M = P - N, P = I - L and L the
+/// part of M strictly below the segment diagonal, P + P^T - (I - M) =
+/// I + D_S, where D_S is M's segment-diagonal part; by Cauchy
+/// interlacing D_S's eigenvalues lie in [lambda_min(M), lambda_max(M)].
+/// By the Householder-John theorem the schedule therefore converges iff
+/// lambda_max(M) < 1, given I + D_S positive definite. Every solve that
+/// converges under Jacobi (rho(M) < 1, which gives both) converges here
+/// too, to the same fixed point; on the perfbench graphs it takes 35-55%
+/// fewer sweeps. It can converge where Jacobi diverges, when
+/// lambda_min(M) <= -1 < lambda_max(M) < 1 with I + D_S still positive
+/// definite, and with I + D_S positive definite it diverges when
+/// lambda_max(M) > 1.
+enum class SweepSchedule {
+  kSegmentedGaussSeidel,
+  kJacobi,
+};
+
+/// The segment count of kSegmentedGaussSeidel, a constant like the
+/// shard format's row-group size, not a setting. Each segment is one
+/// fork-join per sweep, so more segments save sweeps but pay for short
+/// fork-joins.
+inline constexpr int kSweepSegments = 8;
+
+/// Row segments of one sweep under `schedule` (1 for Jacobi).
+int SweepSegments(SweepSchedule schedule);
+
+/// "segmented_gauss_seidel" or "jacobi" (telemetry and reports).
+const char* SweepScheduleName(SweepSchedule schedule);
+
 /// Telemetry for one completed solver sweep, delivered to a
 /// SweepObserver. One "sweep" is one propagate + apply over all rows
 /// (LinBP, and FaBP at k = 1), or one geodesic level (SBP).
@@ -49,6 +93,10 @@ struct SweepTelemetry {
   /// Belief-storage precision the sweep ran at (recorded on the sweep's
   /// trace span). Delta norms are fp64-accumulated either way.
   Precision precision = Precision::kF64;
+  /// The sweep's row order and its segment count (LinBP and FaBP sweeps;
+  /// an SBP level keeps the defaults).
+  SweepSchedule schedule = SweepSchedule::kJacobi;
+  int segments = 1;
 };
 
 /// Per-sweep telemetry hook. Observers only *read* solver state —
@@ -96,6 +144,11 @@ struct LinBpOptions {
   /// accumulates in fp64; the result's beliefs are widened back to fp64
   /// on exit. See src/la/precision.h for when f32 is safe.
   Precision precision = Precision::kF64;
+  /// The sweep order (see SweepSchedule). The segmented default needs
+  /// 35-55% fewer sweeps to a tolerance; kJacobi is the paper's
+  /// iteration, for runs that reproduce it (fixed sweep counts, Lemma 8
+  /// thresholds, the SQL implementation's iterates).
+  SweepSchedule schedule = SweepSchedule::kSegmentedGaussSeidel;
 };
 
 /// Convergence diagnostics of one (re-)solve, fitted from the per-sweep
@@ -103,9 +156,12 @@ struct LinBpOptions {
 /// statistics the solver already tracks, never from extra solver math.
 struct ConvergenceDiagnostics {
   /// Empirical contraction rate rho-hat (la FitContractionRate over the
-  /// trailing sweeps). Asymptotically equals rho(M) of the update
-  /// operator — the quantity Lemma 8 requires below 1. 0 when fewer
-  /// than 2 usable deltas exist.
+  /// trailing sweeps): the rate of the schedule that ran. Under kJacobi
+  /// it asymptotically equals rho(M) of the update operator, the
+  /// quantity Lemma 8 requires below 1. Under the segmented default it
+  /// fits that schedule's faster rate, below rho(M) (0.26 against 0.90
+  /// on Example 20's torus at eps 0.45). 0 when fewer than 2 usable
+  /// deltas exist.
   double empirical_contraction = 0.0;
   /// Sweeps whose deltas entered the rho-hat fit.
   int fitted_sweeps = 0;
@@ -116,9 +172,9 @@ struct ConvergenceDiagnostics {
   /// rho(M) power-iteration estimate for the operator the sweeps iterate:
   /// RunLinBp's when options.estimate_spectral_radius was set, a
   /// LinBpState's cached SpectralRadius(), or the one a divergence abort
-  /// computed for its error message; -1 when none was. Compare against
-  /// empirical_contraction: they agree within a few percent on a
-  /// converging run.
+  /// computed for its error message; -1 when none was. Under kJacobi it
+  /// and empirical_contraction agree within a few percent on a
+  /// converging run; under the segmented schedule rho-hat is lower.
   double spectral_radius_estimate = -1.0;
 };
 
@@ -197,8 +253,8 @@ struct SweepLoopResult {
   ConvergenceDiagnostics diagnostics;
 };
 
-/// The Jacobi sweep loop of LinBP and FaBP: one fused sweep
-/// (engine::BackendLinBpSweep) of
+/// The sweep loop of LinBP and FaBP: one fused sweep
+/// (engine::BackendLinBpSweep, in options.schedule's row order) of
 ///   B <- E + A*B*modulation - D*B*(*echo_modulation)
 /// (no echo term when `echo_modulation` is null) per iteration until
 /// convergence, divergence, failure, or options.max_iterations, with all

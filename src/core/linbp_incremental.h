@@ -3,11 +3,12 @@
 // Sect. 8 of the paper notes that incrementally maintaining LinBP results
 // (general matrix computations) is future work. The linear fixed point
 // B = E + M(B) gives a simple effective scheme: after a small change to E
-// or to the graph, re-run the Jacobi iteration *warm-started* from the
-// previous solution. Because the fixed point moves continuously with the
-// inputs, a localized change converges in a handful of sweeps instead of a
-// full cold start (measured in bench/ablation_incremental_linbp.cc and
-// property-tested against cold solves).
+// or to the graph, re-run the sweep loop *warm-started* from the previous
+// solution (segmented Gauss-Seidel sweeps by default; see SweepSchedule).
+// Because the fixed point moves continuously with the inputs, a localized
+// change converges in a handful of sweeps instead of a full cold start
+// (measured in bench/ablation_incremental_linbp.cc and property-tested
+// against cold solves).
 //
 // The state solves through a PropagationBackend (src/engine), so warm
 // restarts also run out-of-core over a ShardStreamBackend. A streamed

@@ -39,38 +39,56 @@ LinBpRowsArgs<Scalar> StepArgs(const PropagationBackend& backend,
 }
 
 // Runs LinBpRowsT over every row of the backend: one block visit, each
-// block fanned out on `ctx` over nnz-balanced ranges of its rows. Range
+// block cut at the starts of `segments` fixed row segments into pieces,
+// and each piece fanned out on `ctx` over nnz-balanced ranges of its
+// rows. A piece past segment 0 gathers the rows below its segment from
+// args.out, which the earlier pieces of this pass completed. Range
 // statistics fold in row order — delta and magnitude are maxima,
 // independent of the split; delta_sq is a sum, deterministic for a
 // fixed backend and ctx.
 template <typename Scalar>
 bool RunLinBpRows(const PropagationBackend& backend,
-                  const LinBpRowsArgs<Scalar>& args,
+                  const LinBpRowsArgs<Scalar>& args, std::int64_t segments,
                   const exec::ExecContext& ctx, LinBpRowStats* stats,
                   std::string* error) {
   constexpr bool kF32 = std::is_same_v<Scalar, float>;
+  LINBP_CHECK(segments >= 1);
+  const std::int64_t n = backend.num_nodes();
   std::vector<LinBpRowStats> partials;
   const bool visited = backend.VisitRowBlocks(
       kF32 ? Precision::kF32 : Precision::kF64, ctx,
       [&](const CsrBlock& block) {
-        const exec::RowPartition ranges = exec::RowPartition::ForContext(
-            ctx, block.row_ptr, block.num_rows, args.k);
-        const std::size_t first = partials.size();
-        partials.resize(first + ranges.num_blocks());
-        ctx.RunBlocks(ranges.num_blocks(), [&](std::int64_t p) {
-          LinBpRowsArgs<Scalar> range = args;
-          range.row_ptr = block.row_ptr;
-          range.col_idx = block.col_idx;
-          if constexpr (kF32) {
-            range.values = block.values_f32;
-          } else {
-            range.values = block.values;
-          }
-          range.row_begin = ranges.begin(p);
-          range.row_end = ranges.end(p);
-          range.row_offset = block.row_begin;
-          partials[first + p] = LinBpRowsT<Scalar>(range);
-        });
+        const std::int64_t block_end = block.row_begin + block.num_rows;
+        for (std::int64_t g = 0; g < segments; ++g) {
+          const std::int64_t segment_begin = g * n / segments;
+          const std::int64_t begin =
+              std::max(segment_begin, block.row_begin) - block.row_begin;
+          const std::int64_t end =
+              std::min((g + 1) * n / segments, block_end) - block.row_begin;
+          if (begin >= end) continue;  // an empty segment, or not in block
+          const exec::RowPartition ranges = exec::RowPartition::ForContext(
+              ctx, block.row_ptr + begin, end - begin, args.k);
+          const std::size_t first = partials.size();
+          partials.resize(first + ranges.num_blocks());
+          ctx.RunBlocks(ranges.num_blocks(), [&](std::int64_t p) {
+            LinBpRowsArgs<Scalar> range = args;
+            range.row_ptr = block.row_ptr;
+            range.col_idx = block.col_idx;
+            if constexpr (kF32) {
+              range.values = block.values_f32;
+            } else {
+              range.values = block.values;
+            }
+            range.row_begin = begin + ranges.begin(p);
+            range.row_end = begin + ranges.end(p);
+            range.row_offset = block.row_begin;
+            if (segment_begin > 0) {
+              range.fresh = args.out;
+              range.fresh_below = segment_begin;
+            }
+            partials[first + p] = LinBpRowsT<Scalar>(range);
+          });
+        }
       },
       error);
   if (!visited) return false;
@@ -86,8 +104,9 @@ bool RunLinBpRows(const PropagationBackend& backend,
 template <typename Matrix>
 bool Sweep(const PropagationBackend& backend, const DenseMatrix& hhat,
            const DenseMatrix* hhat2, const Matrix& beliefs,
-           const Matrix& explicit_residuals, const exec::ExecContext& ctx,
-           Matrix* next, LinBpRowStats* stats, std::string* error) {
+           const Matrix& explicit_residuals, std::int64_t segments,
+           const exec::ExecContext& ctx, Matrix* next, LinBpRowStats* stats,
+           std::string* error) {
   const std::int64_t n = backend.num_nodes();
   const std::int64_t k = hhat.rows();
   LINBP_CHECK(beliefs.rows() == n && beliefs.cols() == k);
@@ -99,7 +118,7 @@ bool Sweep(const PropagationBackend& backend, const DenseMatrix& hhat,
       StepArgs(backend, hhat, hhat2, beliefs.data().data(),
                explicit_residuals.data().data(),
                next->mutable_data().data()),
-      ctx, stats, error);
+      segments, ctx, stats, error);
 }
 
 // The propagate-only pass: *out = A*B*hhat - D*B*(*hhat2), no echo term
@@ -117,7 +136,7 @@ bool Propagate(const PropagationBackend& backend, const DenseMatrix& hhat,
       backend,
       StepArgs<double>(backend, hhat, hhat2, beliefs.data().data(), nullptr,
                        out->mutable_data().data()),
-      ctx, &unused, error);
+      /*segments=*/1, ctx, &unused, error);
 }
 
 }  // namespace
@@ -126,20 +145,22 @@ bool BackendLinBpSweep(const PropagationBackend& backend,
                        const DenseMatrix& hhat, const DenseMatrix* hhat2,
                        const DenseMatrix& beliefs,
                        const DenseMatrix& explicit_residuals,
-                       const exec::ExecContext& ctx, DenseMatrix* next,
-                       LinBpRowStats* stats, std::string* error) {
-  return Sweep(backend, hhat, hhat2, beliefs, explicit_residuals, ctx, next,
-               stats, error);
+                       std::int64_t segments, const exec::ExecContext& ctx,
+                       DenseMatrix* next, LinBpRowStats* stats,
+                       std::string* error) {
+  return Sweep(backend, hhat, hhat2, beliefs, explicit_residuals, segments,
+               ctx, next, stats, error);
 }
 
 bool BackendLinBpSweep(const PropagationBackend& backend,
                        const DenseMatrix& hhat, const DenseMatrix* hhat2,
                        const DenseMatrixF32& beliefs,
                        const DenseMatrixF32& explicit_residuals,
-                       const exec::ExecContext& ctx, DenseMatrixF32* next,
-                       LinBpRowStats* stats, std::string* error) {
-  return Sweep(backend, hhat, hhat2, beliefs, explicit_residuals, ctx, next,
-               stats, error);
+                       std::int64_t segments, const exec::ExecContext& ctx,
+                       DenseMatrixF32* next, LinBpRowStats* stats,
+                       std::string* error) {
+  return Sweep(backend, hhat, hhat2, beliefs, explicit_residuals, segments,
+               ctx, next, stats, error);
 }
 
 bool BackendLinBpPropagate(const PropagationBackend& backend,

@@ -3,8 +3,9 @@
 // BackendLinBpSweep is the solvers' sweep (LinBP's, and FaBP's at k = 1):
 // one pass of the fused row kernel (LinBpRowsT in src/la/sparse_matrix.h)
 // over a backend's row blocks, each fanned out over nnz-balanced ranges
-// of its rows (exec::RowPartition::ForContext). It lives here once for
-// both backends and both precisions.
+// of its rows (exec::RowPartition::ForContext), Jacobi or segmented
+// Gauss-Seidel. It lives here once for both backends and both
+// precisions.
 // BackendLinBpPropagate runs the same pass with the propagate-only
 // epilogue, mirroring kron_ops' LinBpPropagate with the SparseMatrix
 // replaced by a PropagationBackend, and the LinearOperator adapters let
@@ -30,14 +31,28 @@
 namespace linbp {
 namespace engine {
 
-/// One fused LinBP Jacobi sweep over `backend`:
+/// One fused LinBP sweep over `backend`:
 ///   *next = E + A*B*hhat - D*B*(*hhat2)   (no echo term if hhat2 is null)
 /// with B = `beliefs`, E = `explicit_residuals` and D = diag(weighted
 /// degrees), in a single pass over the row blocks with no n x k
 /// temporaries. `*next` must already be n x k and must not alias
-/// `beliefs`. Bit-identical to MultiplyDense, DenseMatrix::Multiply
-/// twice, SubtractDegreeScaledEcho and ApplyLinBpSweep in a row. On
-/// success *stats holds the sweep's change statistics: delta and
+/// `beliefs`.
+///
+/// `segments` >= 1 splits the rows into that many fixed segments
+/// [g*n/segments, (g+1)*n/segments), set by n alone (empty ones are
+/// skipped). Row s of segment g reads this sweep's *next row for every
+/// neighbour below g's start and B for every other neighbour, its own
+/// echo term included: Jacobi inside a segment, Gauss-Seidel across
+/// segments. Each block visit runs its rows as pieces (block intersected
+/// with segment), in row order, one fan-out per piece. The blocks arrive
+/// in row order, so a neighbour below the segment is final before it is
+/// read, whichever block holds it: the result depends on n and
+/// `segments`, never on the block split or the thread count. segments = 1
+/// is the Jacobi sweep, bit-identical to MultiplyDense,
+/// DenseMatrix::Multiply twice, SubtractDegreeScaledEcho and
+/// ApplyLinBpSweep in a row.
+///
+/// On success *stats holds the sweep's change statistics: delta and
 /// magnitude are identical for every backend and context; delta_sq
 /// depends on the block split, so it is deterministic for a fixed
 /// backend and context. Returns false and fills *error on a stream
@@ -46,8 +61,9 @@ bool BackendLinBpSweep(const PropagationBackend& backend,
                        const DenseMatrix& hhat, const DenseMatrix* hhat2,
                        const DenseMatrix& beliefs,
                        const DenseMatrix& explicit_residuals,
-                       const exec::ExecContext& ctx, DenseMatrix* next,
-                       LinBpRowStats* stats, std::string* error);
+                       std::int64_t segments, const exec::ExecContext& ctx,
+                       DenseMatrix* next, LinBpRowStats* stats,
+                       std::string* error);
 
 /// The Precision::kF32 sweep: beliefs stored and CSR values read as
 /// float, the coupling matrices and every dense product in fp64, each
@@ -56,8 +72,9 @@ bool BackendLinBpSweep(const PropagationBackend& backend,
                        const DenseMatrix& hhat, const DenseMatrix* hhat2,
                        const DenseMatrixF32& beliefs,
                        const DenseMatrixF32& explicit_residuals,
-                       const exec::ExecContext& ctx, DenseMatrixF32* next,
-                       LinBpRowStats* stats, std::string* error);
+                       std::int64_t segments, const exec::ExecContext& ctx,
+                       DenseMatrixF32* next, LinBpRowStats* stats,
+                       std::string* error);
 
 /// One LinBP propagation step over `backend`:
 ///   *out = A*B*Hhat - D*B*Hhat2   if `with_echo`

@@ -69,11 +69,20 @@ inline Scalar EntryWeight(const Scalar* __restrict__ vals, std::int64_t e) {
 //   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -I. -c
 //   src/la/sparse_matrix.cc
 // when touching this kernel).
-template <typename Scalar, int kK, bool kUnit>
+//
+// kFresh is the segmented Gauss-Seidel gather (see LinBpRowsArgs): an
+// entry whose column is below `fresh_below` reads its operand row from
+// `fresh` instead of `b`, a select per entry. The entry order and every
+// product are the plain loop's, and without kFresh the select is gone.
+// (Splitting a row's sorted columns at fresh_below instead, by a binary
+// search, by a compare in the loop condition or by a count, measured
+// slower on batch-mem's graph, for k = 1 and k = 4.)
+template <typename Scalar, int kK, bool kUnit, bool kFresh = false>
 void SpmmRowT(const std::int64_t* row_ptr,
               const std::int32_t* __restrict__ cols,
               const Scalar* __restrict__ vals, std::int64_t r,
-              const Scalar* b, std::int64_t k, Scalar* __restrict__ out) {
+              const Scalar* b, std::int64_t k, Scalar* __restrict__ out,
+              const Scalar* fresh = nullptr, std::int64_t fresh_below = 0) {
   static_assert(kK >= 0 && kK <= kColTile, "one tile per row");
   if constexpr (kK > 0) k = kK;
   const std::int64_t e_begin = row_ptr[r];
@@ -83,8 +92,10 @@ void SpmmRowT(const std::int64_t* row_ptr,
     Scalar acc[kColTile] = {};
     for (std::int64_t e = e_begin; e < e_end; ++e) {
       const Scalar w = EntryWeight<kUnit>(vals, e);
+      const Scalar* src = b;
+      if constexpr (kFresh) src = cols[e] < fresh_below ? fresh : b;
       const Scalar* __restrict__ b_row =
-          b + static_cast<std::int64_t>(cols[e]) * k + c0;
+          src + static_cast<std::int64_t>(cols[e]) * k + c0;
 #pragma omp simd
       for (std::int64_t c = 0; c < tile; ++c) acc[c] += w * b_row[c];
     }
@@ -97,6 +108,14 @@ void SpmmRowT(const std::int64_t* row_ptr,
 template <typename Scalar, typename Fn>
 auto DispatchUnit(const Scalar* values, Fn&& fn) {
   return values == nullptr ? fn(std::true_type()) : fn(std::false_type());
+}
+
+// The gather switch of LinBpRowsT: calls fn(std::true_type()) for a
+// range that reads its rows below fresh_below from `fresh` (kFresh, see
+// SpmmRowT) and fn(std::false_type()) for the plain gather.
+template <typename Fn>
+auto DispatchFresh(bool fresh, Fn&& fn) {
+  return fresh ? fn(std::true_type()) : fn(std::false_type());
 }
 
 // The k switch of SpmmRowsT and LinBpRowsT: calls
@@ -118,13 +137,14 @@ auto DispatchK(std::int64_t k, Fn&& fn) {
   }
 }
 
-// LinBpRowsT for one k (see DispatchK) and one storage form (kUnit: null
-// values, see DispatchUnit), a row tile at a time. Phase 1 gathers
-// (A*B)_s of every row of the tile into the tile scratch; phase 2 runs
-// each row's dense tail in row order. Every element sees the same
-// operations in the same order as a row-at-a-time pass, and the
-// statistics fold in row order, so the tile changes no bit.
-template <typename Scalar, int kK, bool kUnit>
+// LinBpRowsT for one k (see DispatchK), one storage form (kUnit: null
+// values, see DispatchUnit) and one gather (kFresh, see DispatchFresh),
+// a row tile at a time. Phase 1 gathers (A*B)_s of every row of the tile
+// into the tile scratch; phase 2 runs each row's dense tail in row
+// order. Every element sees the same operations in the same order as a
+// row-at-a-time pass, and the statistics fold in row order, so the tile
+// changes no bit.
+template <typename Scalar, int kK, bool kUnit, bool kFresh>
 LinBpRowStats LinBpRowsForK(const LinBpRowsArgs<Scalar>& args) {
   const std::int64_t k = kK > 0 ? kK : args.k;
   const std::int64_t* row_ptr = args.row_ptr;
@@ -169,8 +189,9 @@ LinBpRowStats LinBpRowsForK(const LinBpRowsArgs<Scalar>& args) {
         std::min(tile_begin + kRowTile, args.row_end);
     // Phase 1: (A*B)_s for every row of the tile.
     for (std::int64_t r = tile_begin; r < tile_end; ++r) {
-      SpmmRowT<Scalar, kK, kUnit>(row_ptr, args.col_idx, args.values, r, b,
-                                  k, ab_tile + (r - tile_begin) * k);
+      SpmmRowT<Scalar, kK, kUnit, kFresh>(
+          row_ptr, args.col_idx, args.values, r, b, k,
+          ab_tile + (r - tile_begin) * k, args.fresh, args.fresh_below);
     }
     // Phase 2: each row's dense tail, in row order.
     for (std::int64_t r = tile_begin; r < tile_end; ++r) {
@@ -308,9 +329,12 @@ template void SpmtvRowsT<float>(const std::int64_t*, const std::int32_t*,
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args) {
   return DispatchUnit(args.values, [&](auto unit) {
-    return DispatchK(args.k, [&](auto fixed_k) {
-      return LinBpRowsForK<Scalar, decltype(fixed_k)::value,
-                           decltype(unit)::value>(args);
+    return DispatchFresh(args.fresh != nullptr, [&](auto fresh) {
+      return DispatchK(args.k, [&](auto fixed_k) {
+        return LinBpRowsForK<Scalar, decltype(fixed_k)::value,
+                             decltype(unit)::value, decltype(fresh)::value>(
+            args);
+      });
     });
   });
 }

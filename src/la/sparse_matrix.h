@@ -143,6 +143,13 @@ struct LinBpRowsArgs {
   std::int64_t row_offset = 0;
   std::int64_t k = 0;
   const Scalar* beliefs = nullptr;  // B, n x k
+  /// This sweep's output so far (n x k; the sweep's `out` buffer): the
+  /// SpMM gather reads it instead of `beliefs` for every column below
+  /// the global row `fresh_below`, the start of the range's segment in a
+  /// segmented Gauss-Seidel sweep. Those rows must be complete and
+  /// outside the range. nullptr gathers from `beliefs` alone (Jacobi).
+  const Scalar* fresh = nullptr;
+  std::int64_t fresh_below = 0;
   const double* hhat = nullptr;     // k x k modulation
   /// k x k echo modulation (Hhat^2 for LinBP); nullptr drops D*B*hhat2.
   const double* hhat2 = nullptr;
@@ -173,6 +180,13 @@ struct LinBpRowsArgs {
 /// compile-time-k instantiation (k = 1 is FaBP's scalar sweep), any
 /// other k the same template with a runtime k; a null `values` runs the
 /// unit-weight instantiation of the same body (see SpmmRowsT).
+///
+/// With `fresh` set, the gather of row s reads (A*B)_s's operand rows
+/// below `fresh_below` from `fresh`, in the same entry order into the
+/// same accumulators. The echo term and the change statistics still read
+/// B_s from `beliefs`. A compile-time flag picks this gather beside the
+/// k and storage-form switches, so a range without `fresh` runs the
+/// plain instantiation.
 /// Instantiated for float and double only.
 template <typename Scalar>
 LinBpRowStats LinBpRowsT(const LinBpRowsArgs<Scalar>& args);

@@ -91,7 +91,9 @@ std::string TimeSeries::Json() const {
            ",\"delta_l2\":" + FormatDouble(s.delta_l2) +
            ",\"seconds\":" + FormatDouble(s.seconds) +
            ",\"bytes_streamed\":" + std::to_string(s.bytes_streamed) +
-           ",\"precision\":\"" + s.precision + "\"}";
+           ",\"precision\":\"" + s.precision + "\"" +
+           ",\"schedule\":\"" + s.schedule + "\"" +
+           ",\"segments\":" + std::to_string(s.segments) + "}";
   }
   out += "]";
   return out;

@@ -44,6 +44,10 @@ struct TimeSeriesSample {
   // Belief-storage precision of the run ("f64" or "f32"), kept as a
   // plain string so obs stays independent of the la layer's enum.
   std::string precision = "f64";
+  // The sweep order ("jacobi" or "segmented_gauss_seidel", see
+  // core/linbp.h SweepSchedule) and its row segment count.
+  std::string schedule = "jacobi";
+  std::int64_t segments = 1;
 };
 
 /// Default bound on stored samples per run. Must be even (the decimation

@@ -606,13 +606,22 @@ TEST(LinBpStateTest, DivergentAddEdgesRollsBackGraph) {
   ASSERT_TRUE(state.converged());
   const DenseMatrix before = state.beliefs();
 
-  // Adding every missing edge at weight 50 pushes rho(M) far above 1.
+  // Adding every missing edge at weight 4 pushes lambda_max(M) past 1,
+  // where the segmented default diverges too. (Heavier is not surer: at
+  // weight 50 the echo term dominates, I + D_S is indefinite, and the
+  // segmented sweep converges; see SweepSchedule.)
   std::vector<Edge> dense_batch;
   for (std::int64_t u = 0; u < 25; ++u) {
     for (std::int64_t v = u + 1; v < 25; ++v) {
-      if (g.adjacency().At(u, v) == 0.0) dense_batch.push_back({u, v, 50.0});
+      if (g.adjacency().At(u, v) == 0.0) dense_batch.push_back({u, v, 4.0});
     }
   }
+  ASSERT_GT(testing::SweptOperatorEigenRange(
+                EditedGraph(g, dense_batch, /*remove=*/false,
+                            exec::ExecContext::Serial()),
+                hhat, /*with_echo=*/true)
+                .hi,
+            1.0);
   std::string error;
   EXPECT_EQ(state.AddEdges(dense_batch, &error), -1);
   EXPECT_NE(error.find("diverging"), std::string::npos) << error;

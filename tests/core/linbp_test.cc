@@ -71,9 +71,23 @@ TEST(LinBpTest, DivergenceDetectedAboveThreshold) {
   e.At(0, 2) = -0.05;
   LinBpOptions options;
   options.max_iterations = 600;
+  options.schedule = SweepSchedule::kJacobi;  // Lemma 8 is Jacobi's test
   const LinBpResult result = RunLinBp(g, hhat, e, options);
   EXPECT_TRUE(result.diverged);
   EXPECT_FALSE(result.converged);
+
+  // Here lambda_min(M) <= -1 < lambda_max(M) < 1: the segmented default
+  // converges past Lemma 8's threshold, to Eq. 11's closed form.
+  const testing::EigenRange range =
+      testing::SweptOperatorEigenRange(g, hhat, /*with_echo=*/true);
+  ASSERT_LE(range.lo, -1.0);
+  ASSERT_LT(range.hi, 1.0);
+  options.schedule = SweepSchedule::kSegmentedGaussSeidel;
+  options.tolerance = 1e-13;
+  const LinBpResult segmented = RunLinBp(g, hhat, e, options);
+  ASSERT_TRUE(segmented.converged) << segmented.error;
+  ExpectMatrixNear(segmented.beliefs, ClosedFormLinBpDense(g, hhat, e),
+                   1e-9);
 }
 
 TEST(LinBpTest, StarVariantConvergesWhereEchoVariantDiverges) {
@@ -86,6 +100,7 @@ TEST(LinBpTest, StarVariantConvergesWhereEchoVariantDiverges) {
   e.At(0, 2) = -0.05;
   LinBpOptions options;
   options.max_iterations = 2000;
+  options.schedule = SweepSchedule::kJacobi;  // the thresholds are Jacobi's
   options.variant = LinBpVariant::kLinBp;
   EXPECT_TRUE(RunLinBp(g, hhat, e, options).diverged);
   options.variant = LinBpVariant::kLinBpStar;
@@ -155,54 +170,73 @@ TEST(LinBpTest, InstrumentationIsBitInvisible) {
   const DenseMatrix hhat = AuctionCoupling().ScaledResidual(0.05);
   const DenseMatrix e = SeedResiduals(40, 3, /*seed=*/10);
 
-  // Baseline: metrics and time series null-sinked, no tracer, no
-  // observer, no diagnostics extras.
-  obs::Registry::Global().SetEnabled(false);
-  obs::TimeSeriesRegistry::Global().SetEnabled(false);
-  const LinBpResult plain = RunLinBp(g, hhat, e);
-  obs::Registry::Global().SetEnabled(true);
-  obs::TimeSeriesRegistry::Global().SetEnabled(true);
+  // The default schedule first, then the paper's Jacobi iteration.
+  for (const SweepSchedule schedule :
+       {SweepSchedule::kSegmentedGaussSeidel, SweepSchedule::kJacobi}) {
+    SCOPED_TRACE(SweepScheduleName(schedule));
+    LinBpOptions options;
+    options.schedule = schedule;
 
-  // Fully instrumented: metrics on, time series recording, span tracer
-  // installed, sweep observer attached, spectral estimate requested.
-  obs::Tracer tracer;
-  obs::SetActiveTracer(&tracer);
-  LinBpOptions options;
-  options.estimate_spectral_radius = true;
-  int observed_sweeps = 0;
-  std::int64_t observed_rows = 0;
-  options.sweep_observer = [&](const SweepTelemetry& telemetry) {
-    ++observed_sweeps;
-    observed_rows = telemetry.rows;
-    EXPECT_GE(telemetry.seconds, 0.0);
-    EXPECT_GE(telemetry.delta_l2, 0.0);
-  };
-  const LinBpResult traced = RunLinBp(g, hhat, e, options);
-  obs::SetActiveTracer(nullptr);
+    // Baseline: metrics and time series null-sinked, no tracer, no
+    // observer, no diagnostics extras.
+    obs::Registry::Global().SetEnabled(false);
+    obs::TimeSeriesRegistry::Global().SetEnabled(false);
+    const LinBpResult plain = RunLinBp(g, hhat, e, options);
+    obs::Registry::Global().SetEnabled(true);
+    obs::TimeSeriesRegistry::Global().SetEnabled(true);
 
-  ASSERT_TRUE(plain.converged && traced.converged);
-  EXPECT_EQ(traced.iterations, plain.iterations);
-  EXPECT_EQ(observed_sweeps, traced.iterations);
-  EXPECT_EQ(observed_rows, 40);
-  EXPECT_GE(tracer.num_spans(),
-            static_cast<std::size_t>(traced.iterations));
-  // The instrumented run recorded one time-series sample per sweep.
-  const std::vector<obs::TimeSeriesSample> samples =
-      obs::TimeSeriesRegistry::Global().Get("linbp_sweep").Samples();
-  EXPECT_EQ(samples.size(), static_cast<std::size_t>(traced.iterations));
-  // And its diagnostics carry a contraction fit plus the spectral
-  // estimate the options requested.
-  EXPECT_GT(traced.diagnostics.empirical_contraction, 0.0);
-  EXPECT_LT(traced.diagnostics.empirical_contraction, 1.0);
-  EXPECT_GT(traced.diagnostics.spectral_radius_estimate, 0.0);
-  EXPECT_EQ(traced.diagnostics.predicted_sweeps_to_tolerance, 0.0);
-  // Bit identity, not a tolerance: telemetry must never touch the math.
-  ASSERT_EQ(plain.beliefs.rows(), traced.beliefs.rows());
-  ASSERT_EQ(plain.beliefs.cols(), traced.beliefs.cols());
-  EXPECT_EQ(std::memcmp(plain.beliefs.data().data(),
-                        traced.beliefs.data().data(),
-                        plain.beliefs.data().size() * sizeof(double)),
-            0);
+    // Fully instrumented: metrics on, time series recording, span tracer
+    // installed, sweep observer attached, spectral estimate requested.
+    obs::Tracer tracer;
+    obs::SetActiveTracer(&tracer);
+    options.estimate_spectral_radius = true;
+    int observed_sweeps = 0;
+    std::int64_t observed_rows = 0;
+    options.sweep_observer = [&](const SweepTelemetry& telemetry) {
+      ++observed_sweeps;
+      observed_rows = telemetry.rows;
+      EXPECT_GE(telemetry.seconds, 0.0);
+      EXPECT_GE(telemetry.delta_l2, 0.0);
+      EXPECT_EQ(telemetry.schedule, schedule);
+      EXPECT_EQ(telemetry.segments, SweepSegments(schedule));
+    };
+    const LinBpResult traced = RunLinBp(g, hhat, e, options);
+    obs::SetActiveTracer(nullptr);
+
+    ASSERT_TRUE(plain.converged && traced.converged);
+    EXPECT_EQ(traced.iterations, plain.iterations);
+    EXPECT_EQ(observed_sweeps, traced.iterations);
+    EXPECT_EQ(observed_rows, 40);
+    EXPECT_GE(tracer.num_spans(),
+              static_cast<std::size_t>(traced.iterations));
+    // The sweep spans name the schedule.
+    EXPECT_NE(tracer.ChromeTraceJson().find(
+                  std::string("\"schedule\":\"") +
+                  SweepScheduleName(schedule) + "\""),
+              std::string::npos);
+    // The instrumented run recorded one time-series sample per sweep,
+    // each naming the schedule and its segment count.
+    const std::vector<obs::TimeSeriesSample> samples =
+        obs::TimeSeriesRegistry::Global().Get("linbp_sweep").Samples();
+    EXPECT_EQ(samples.size(), static_cast<std::size_t>(traced.iterations));
+    for (const obs::TimeSeriesSample& sample : samples) {
+      EXPECT_EQ(sample.schedule, SweepScheduleName(schedule));
+      EXPECT_EQ(sample.segments, SweepSegments(schedule));
+    }
+    // And its diagnostics carry a contraction fit plus the spectral
+    // estimate the options requested.
+    EXPECT_GT(traced.diagnostics.empirical_contraction, 0.0);
+    EXPECT_LT(traced.diagnostics.empirical_contraction, 1.0);
+    EXPECT_GT(traced.diagnostics.spectral_radius_estimate, 0.0);
+    EXPECT_EQ(traced.diagnostics.predicted_sweeps_to_tolerance, 0.0);
+    // Bit identity, not a tolerance: telemetry must never touch the math.
+    ASSERT_EQ(plain.beliefs.rows(), traced.beliefs.rows());
+    ASSERT_EQ(plain.beliefs.cols(), traced.beliefs.cols());
+    EXPECT_EQ(std::memcmp(plain.beliefs.data().data(),
+                          traced.beliefs.data().data(),
+                          plain.beliefs.data().size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(LinBpTest, ContractionFitMatchesSpectralRadiusOnTorus) {
@@ -220,6 +254,7 @@ TEST(LinBpTest, ContractionFitMatchesSpectralRadiusOnTorus) {
   options.max_iterations = 2000;
   options.tolerance = 1e-14;
   options.estimate_spectral_radius = true;
+  options.schedule = SweepSchedule::kJacobi;
   const LinBpResult result = RunLinBp(g, hhat, e, options);
   ASSERT_TRUE(result.converged);
   const ConvergenceDiagnostics& diag = result.diagnostics;
@@ -228,6 +263,19 @@ TEST(LinBpTest, ContractionFitMatchesSpectralRadiusOnTorus) {
   EXPECT_GT(diag.fitted_sweeps, 2);
   EXPECT_NEAR(diag.empirical_contraction, diag.spectral_radius_estimate,
               0.05);
+
+  // The segmented default fits its own, faster rate: well below rho(M),
+  // with rho(M) itself unchanged (it describes the operator, not the
+  // schedule).
+  options.schedule = SweepSchedule::kSegmentedGaussSeidel;
+  const LinBpResult segmented = RunLinBp(g, hhat, e, options);
+  ASSERT_TRUE(segmented.converged);
+  EXPECT_LT(segmented.iterations, result.iterations);
+  EXPECT_EQ(segmented.diagnostics.spectral_radius_estimate,
+            diag.spectral_radius_estimate);
+  EXPECT_GT(segmented.diagnostics.empirical_contraction, 0.0);
+  EXPECT_LT(segmented.diagnostics.empirical_contraction,
+            0.5 * diag.spectral_radius_estimate);
 }
 
 TEST(LinBpTest, PredictsRemainingSweepsWhenStoppedEarly) {
@@ -240,6 +288,7 @@ TEST(LinBpTest, PredictsRemainingSweepsWhenStoppedEarly) {
   LinBpOptions options;
   options.tolerance = 1e-14;
   options.max_iterations = 40;  // stop well before convergence
+  options.schedule = SweepSchedule::kJacobi;
   const LinBpResult result = RunLinBp(g, hhat, e, options);
   ASSERT_FALSE(result.converged);
   ASSERT_FALSE(result.failed);
@@ -262,6 +311,7 @@ TEST(LinBpTest, DivergenceAbortsEarlyWithDiagnosticError) {
   e.At(0, 2) = -0.05;
   LinBpOptions options;
   options.max_iterations = 600;
+  options.schedule = SweepSchedule::kJacobi;
   const LinBpResult result = RunLinBp(g, hhat, e, options);
   EXPECT_TRUE(result.failed);
   EXPECT_TRUE(result.diverged);
@@ -287,6 +337,7 @@ TEST(LinBpTest, DivergencePatienceZeroDisablesEarlyAbort) {
   LinBpOptions options;
   options.max_iterations = 600;
   options.divergence_patience = 0;
+  options.schedule = SweepSchedule::kJacobi;
   const LinBpResult result = RunLinBp(g, hhat, e, options);
   // The old magnitude-threshold path: diverged but not failed, and the
   // run had to iterate until beliefs crossed divergence_threshold.

@@ -94,9 +94,11 @@ TEST_F(Example20Test, TopBeliefOfV4IsClass2) {
 
 TEST_F(Example20Test, ConvergenceBoundariesBehaveAsPredicted) {
   // eps = 0.45 < 0.488: both converge. 0.55: only LinBP*. 0.7: neither.
+  // These are Lemma 8's boundaries, which hold for the Jacobi schedule.
   LinBpOptions options;
   options.max_iterations = 4000;
   options.tolerance = 1e-14;
+  options.schedule = SweepSchedule::kJacobi;
 
   // Perturb the (highly symmetric) Example 20 seeds slightly: the symmetric
   // seeds are orthogonal to the unstable eigenmode, so exact arithmetic

@@ -476,6 +476,7 @@ SweepTrace FusedFabp(const engine::PropagationBackend& backend, double h,
   fabp.tolerance = options.tolerance;
   fabp.exec = options.exec;
   fabp.precision = options.precision;
+  fabp.schedule = options.schedule;
   fabp.observer = [&trace](const SweepTelemetry& t) {
     trace.deltas.push_back(t.delta);
   };
@@ -631,6 +632,7 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
           options.precision = precision;
           options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
           options.divergence_patience = 0;
+          options.schedule = SweepSchedule::kJacobi;
           const auto reference = [&](const Graph& graph) {
             return precision == Precision::kF32
                        ? UnfusedLinBpF32(graph, modulation, echo_modulation,
@@ -681,6 +683,7 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
     LinBpOptions options;
     options.precision = precision;
     options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
+    options.schedule = SweepSchedule::kJacobi;
     const auto reference = [&](const Graph& graph) {
       return precision == Precision::kF32
                  ? UnfusedLinBpF32(graph, c1, &c2, e, zero, options)
@@ -743,6 +746,7 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedOnMultiGroupShards) {
       options.precision = precision;
       options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
       options.divergence_patience = 0;
+      options.schedule = SweepSchedule::kJacobi;
       const auto reference = [&](const Graph& graph) {
         return precision == Precision::kF32
                    ? UnfusedLinBpF32(graph, hhat, &echo, e, e, options)
@@ -758,6 +762,222 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedOnMultiGroupShards) {
           },
           in_memory, streams, streamed, contexts, options, expected,
           reference(*narrowed));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The segmented Gauss-Seidel schedule against an independent replica.
+
+// SweepSchedule::kSegmentedGaussSeidel in plain scalar loops, written
+// from its definition: row s of segment g = [g*n/S, (g+1)*n/S), S =
+// kSweepSegments, gathers (A*B)_s from this sweep's rows below g's start
+// and from the previous sweep's rows otherwise, and forms
+// E_s + (A*B)_s*modulation - d_s*(B_s*echo) with its own previous row
+// B_s. Per element it keeps the order LinBpRowsT documents: the gather
+// in Scalar over the row's entries in order, the coupling products in
+// fp64 with zero left entries skipped, each stored element rounded once.
+// It starts from `start` (LinBP from E, FaBP from zero).
+template <typename Scalar>
+SweepTrace SegmentedReplica(const Graph& graph, const DenseMatrix& modulation,
+                            const DenseMatrix* echo_modulation,
+                            const DenseMatrix& explicit_residuals,
+                            const DenseMatrix& start,
+                            const LinBpOptions& options) {
+  const SparseMatrix& a = graph.adjacency();
+  const std::vector<double>& degrees = graph.weighted_degrees();
+  const std::int64_t n = graph.num_nodes();
+  const std::int64_t k = modulation.rows();
+  std::vector<Scalar> e(n * k);
+  std::vector<Scalar> b(n * k);
+  std::vector<Scalar> next(n * k);
+  for (std::int64_t i = 0; i < n * k; ++i) {
+    e[i] = static_cast<Scalar>(explicit_residuals.data()[i]);
+    b[i] = static_cast<Scalar>(start.data()[i]);
+  }
+  // Column j of row * m in fp64, zero entries of the row skipped.
+  const auto product = [k](const Scalar* row, const DenseMatrix& m,
+                           std::int64_t j) {
+    double sum = 0.0;
+    for (std::int64_t l = 0; l < k; ++l) {
+      if (row[l] != Scalar(0)) sum += static_cast<double>(row[l]) * m.At(l, j);
+    }
+    return sum;
+  };
+  SweepTrace trace;
+  std::vector<Scalar> ab(k);
+  for (int it = 1; it <= options.max_iterations; ++it) {
+    LinBpSweepStats stats;
+    for (std::int64_t g = 0; g < kSweepSegments; ++g) {
+      const std::int64_t first = g * n / kSweepSegments;
+      const std::int64_t last = (g + 1) * n / kSweepSegments;
+      for (std::int64_t s = first; s < last; ++s) {
+        std::fill(ab.begin(), ab.end(), Scalar(0));
+        for (std::int64_t i = a.row_ptr()[s]; i < a.row_ptr()[s + 1]; ++i) {
+          const std::int64_t t = a.col_idx()[i];
+          const Scalar w = static_cast<Scalar>(a.weight(i));
+          const Scalar* from = (t < first ? next.data() : b.data()) + t * k;
+          for (std::int64_t c = 0; c < k; ++c) ab[c] += w * from[c];
+        }
+        for (std::int64_t j = 0; j < k; ++j) {
+          Scalar p = static_cast<Scalar>(product(ab.data(), modulation, j));
+          if (echo_modulation != nullptr) {
+            const Scalar echo =
+                static_cast<Scalar>(product(&b[s * k], *echo_modulation, j));
+            p = static_cast<Scalar>(static_cast<double>(p) -
+                                    degrees[s] * static_cast<double>(echo));
+          }
+          const Scalar value = e[s * k + j] + p;
+          const double change = static_cast<double>(value) -
+                                static_cast<double>(b[s * k + j]);
+          stats.delta = std::max(stats.delta, std::abs(change));
+          stats.magnitude =
+              std::max(stats.magnitude, std::abs(static_cast<double>(value)));
+          next[s * k + j] = value;
+        }
+      }
+    }
+    b.swap(next);
+    trace.iterations = it;
+    trace.deltas.push_back(stats.delta);
+    if (StopsAfter(stats, options)) break;
+  }
+  trace.beliefs = DenseMatrix(n, k);
+  for (std::int64_t i = 0; i < n * k; ++i) {
+    trace.beliefs.mutable_data()[i] = static_cast<double>(b[i]);
+  }
+  return trace;
+}
+
+// The segmented default, by memcmp against SegmentedReplica: k = 1
+// (FaBP), 3, 4 and 9 (runtime k), f64 and f32, LinBP, LinBP* and the
+// exact variant, unit and weighted graphs, in memory and streamed from
+// 3 and 7 shards with the block cache off and on, at 1, 2, 4 and 8
+// threads. Beliefs, sweep count and every sweep's delta match, so the
+// result is one for every backend, shard split and context. At n = 5000
+// every shard boundary falls inside a segment.
+TEST(KernelEquivalenceTest, SegmentedSweepMatchesScalarReplicaByMemcmp) {
+  const std::vector<Stream> streams = {
+      {"3 shards", dataset::ShardCompression::kF64, 0},
+      {"3 shards cached", dataset::ShardCompression::kF64,
+       std::int64_t{1} << 30},
+      {"7 shards", dataset::ShardCompression::kF64, 0},
+      {"7 shards cached", dataset::ShardCompression::kF64,
+       std::int64_t{1} << 30},
+  };
+  std::vector<ExecContext> contexts;
+  for (const int threads : kThreadCounts) {
+    contexts.push_back(ExecContext::WithThreads(threads));
+  }
+  const LinBpVariant kVariants[] = {LinBpVariant::kLinBp,
+                                    LinBpVariant::kLinBpStar,
+                                    LinBpVariant::kLinBpExact};
+
+  for (const bool weighted : {false, true}) {
+    for (const std::int64_t k : {1, 3, 4, 9}) {
+      std::string error;
+      // k = 1 is FaBP, on a two-class scenario's class-0 priors.
+      auto scenario = dataset::MakeScenario(
+          "sbm:n=5000,k=" + std::to_string(std::max<std::int64_t>(k, 2)) +
+              ",deg=4,labeled=0.1,seed=" + std::to_string(k),
+          &error);
+      ASSERT_TRUE(scenario.has_value()) << error;
+      if (weighted) {
+        scenario->graph = testing::WithEndpointWeights(scenario->graph);
+      }
+      const std::int64_t n = scenario->graph.num_nodes();
+      const std::string tag =
+          (weighted ? "segmented_w_k" : "segmented_k") + std::to_string(k);
+      std::vector<engine::ShardStreamBackend> streamed;
+      std::optional<Graph> unused;
+      ASSERT_NO_FATAL_FAILURE(OpenStreams(
+          *scenario, tag + "_3", {streams[0], streams[1]}, 3, &streamed,
+          &unused));
+      ASSERT_NO_FATAL_FAILURE(OpenStreams(
+          *scenario, tag + "_7", {streams[2], streams[3]}, 7, &streamed,
+          &unused));
+      int inside = 0;
+      for (const engine::ShardStreamBackend& backend : streamed) {
+        for (std::int64_t s = 1; s < backend.reader().num_shards(); ++s) {
+          const std::int64_t row = backend.reader().row_begin(s);
+          const std::int64_t g = row * kSweepSegments / n;
+          if (row != g * n / kSweepSegments) ++inside;
+        }
+      }
+      ASSERT_GE(inside, 4) << "shard boundaries should split segments";
+      const engine::InMemoryBackend in_memory(&scenario->graph);
+
+      for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+        LinBpOptions options;
+        options.precision = precision;
+        options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-8;
+        options.divergence_patience = 0;
+        ASSERT_EQ(options.schedule, SweepSchedule::kSegmentedGaussSeidel);
+        if (k == 1) {
+          SCOPED_TRACE(::testing::Message()
+                       << (weighted ? "weighted" : "unit weights")
+                       << ", k 1 (FaBP), " << PrecisionName(precision));
+          std::vector<double> priors(static_cast<std::size_t>(n));
+          for (std::int64_t v = 0; v < n; ++v) {
+            priors[v] = scenario->explicit_residuals.At(v, 0);
+          }
+          const double h = 0.04;
+          const double denom = 1.0 - 4.0 * h * h;
+          const DenseMatrix c1{{2.0 * h / denom}};
+          const DenseMatrix c2{{4.0 * h * h / denom}};
+          const DenseMatrix e = DenseMatrix::FromVectorized(priors, n, 1);
+          const DenseMatrix zero(n, 1);
+          const SweepTrace expected =
+              precision == Precision::kF32
+                  ? SegmentedReplica<float>(scenario->graph, c1, &c2, e, zero,
+                                            options)
+                  : SegmentedReplica<double>(scenario->graph, c1, &c2, e,
+                                             zero, options);
+          ASSERT_GE(expected.iterations, 3);
+          ASSERT_LT(expected.iterations, options.max_iterations);
+          ExpectFusedEverywhere(
+              [&](const engine::PropagationBackend& backend,
+                  const LinBpOptions& run) {
+                return FusedFabp(backend, h, priors, run);
+              },
+              in_memory, streams, streamed, contexts, options, expected,
+              expected);
+          continue;
+        }
+        const CouplingMatrix coupling = scenario->Coupling();
+        const DenseMatrix hhat = coupling.ScaledResidual(
+            0.5 * SufficientEpsilonBound(scenario->graph, coupling,
+                                         LinBpVariant::kLinBp));
+        const DenseMatrix& e = scenario->explicit_residuals;
+        for (const LinBpVariant variant : kVariants) {
+          SCOPED_TRACE(::testing::Message()
+                       << (weighted ? "weighted" : "unit weights") << ", k "
+                       << k << ", variant " << static_cast<int>(variant)
+                       << ", " << PrecisionName(precision));
+          const DenseMatrix modulation = variant == LinBpVariant::kLinBpExact
+                                             ? ExactModulation(hhat)
+                                             : hhat;
+          const DenseMatrix echo = hhat.Multiply(modulation);
+          const DenseMatrix* echo_modulation =
+              variant == LinBpVariant::kLinBpStar ? nullptr : &echo;
+          options.variant = variant;
+          const SweepTrace expected =
+              precision == Precision::kF32
+                  ? SegmentedReplica<float>(scenario->graph, modulation,
+                                            echo_modulation, e, e, options)
+                  : SegmentedReplica<double>(scenario->graph, modulation,
+                                             echo_modulation, e, e, options);
+          ASSERT_GE(expected.iterations, 3);
+          ASSERT_LT(expected.iterations, options.max_iterations);
+          ExpectFusedEverywhere(
+              [&](const engine::PropagationBackend& backend,
+                  const LinBpOptions& run) {
+                return FusedLinBp(backend, hhat, e, run);
+              },
+              in_memory, streams, streamed, contexts, options, expected,
+              expected);
+        }
+      }
     }
   }
 }
@@ -908,70 +1128,75 @@ void ExpectUnitRowKernelsMatchOnes(const Graph& graph) {
   }
 }
 
-// One fused sweep of every backend in `backends` at every context, k and
-// precision, against the first backend's: next beliefs and statistics
-// memcmp-equal (delta_sq only with `same_split`: the backends split the
-// rows alike). Then the backends' f64 SpMM and SpMV, the same way.
+// One fused sweep of every backend in `backends` at every context, k,
+// precision and schedule (Jacobi, and kSweepSegments segments), against
+// the first backend's: next beliefs and statistics memcmp-equal
+// (delta_sq only with `same_split`: the backends split the rows alike).
+// Then the backends' f64 SpMM and SpMV, the same way.
 void ExpectBackendsAgree(
     const std::vector<const engine::PropagationBackend*>& backends,
     const std::vector<const char*>& names, bool same_split) {
   const std::int64_t n = backends.front()->num_nodes();
   for (const int threads : kThreadCounts) {
     const ExecContext ctx = ExecContext::WithThreads(threads);
-    for (std::int64_t k = 1; k <= 9; ++k) {
-      const DenseMatrix hhat = testing::RandomMatrix(k, k, 0.05, 40 + k);
-      const DenseMatrix hhat2 = hhat.Multiply(hhat);
-      const DenseMatrix b = testing::RandomMatrix(n, k, 1.0, 50 + k);
-      const DenseMatrix e = testing::RandomMatrix(n, k, 0.1, 60 + k);
-      const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(b);
-      const DenseMatrixF32 e32 = DenseMatrixF32::FromF64(e);
-      DenseMatrix first(n, k);
-      DenseMatrixF32 first32(n, k);
-      LinBpRowStats first_stats;
-      LinBpRowStats first_stats32;
-      DenseMatrix first_spmm;
-      std::vector<double> first_spmv;
-      for (std::size_t i = 0; i < backends.size(); ++i) {
-        SCOPED_TRACE(::testing::Message() << names[i] << ", threads "
-                                          << threads << ", k " << k);
-        std::string error;
-        DenseMatrix next(n, k);
-        DenseMatrixF32 next32(n, k);
-        LinBpRowStats stats;
-        LinBpRowStats stats32;
-        ASSERT_TRUE(engine::BackendLinBpSweep(*backends[i], hhat, &hhat2, b,
-                                              e, ctx, &next, &stats, &error))
-            << error;
-        ASSERT_TRUE(engine::BackendLinBpSweep(*backends[i], hhat, &hhat2,
-                                              b32, e32, ctx, &next32,
-                                              &stats32, &error))
-            << error;
-        DenseMatrix spmm;
-        std::vector<double> spmv;
-        ASSERT_TRUE(backends[i]->MultiplyDense(b, ctx, &spmm, &error))
-            << error;
-        ASSERT_TRUE(backends[i]->MultiplyVector(
-            std::vector<double>(b.data().begin(), b.data().begin() + n), ctx,
-            &spmv, &error))
-            << error;
-        if (i == 0) {
-          first = std::move(next);
-          first32 = std::move(next32);
-          first_stats = stats;
-          first_stats32 = stats32;
-          first_spmm = std::move(spmm);
-          first_spmv = std::move(spmv);
-          continue;
+    for (const std::int64_t segments : {1, kSweepSegments}) {
+      for (std::int64_t k = 1; k <= 9; ++k) {
+        const DenseMatrix hhat = testing::RandomMatrix(k, k, 0.05, 40 + k);
+        const DenseMatrix hhat2 = hhat.Multiply(hhat);
+        const DenseMatrix b = testing::RandomMatrix(n, k, 1.0, 50 + k);
+        const DenseMatrix e = testing::RandomMatrix(n, k, 0.1, 60 + k);
+        const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(b);
+        const DenseMatrixF32 e32 = DenseMatrixF32::FromF64(e);
+        DenseMatrix first(n, k);
+        DenseMatrixF32 first32(n, k);
+        LinBpRowStats first_stats;
+        LinBpRowStats first_stats32;
+        DenseMatrix first_spmm;
+        std::vector<double> first_spmv;
+        for (std::size_t i = 0; i < backends.size(); ++i) {
+          SCOPED_TRACE(::testing::Message()
+                       << names[i] << ", threads " << threads << ", k " << k
+                       << ", segments " << segments);
+          std::string error;
+          DenseMatrix next(n, k);
+          DenseMatrixF32 next32(n, k);
+          LinBpRowStats stats;
+          LinBpRowStats stats32;
+          ASSERT_TRUE(engine::BackendLinBpSweep(*backends[i], hhat, &hhat2, b,
+                                                e, segments, ctx, &next,
+                                                &stats, &error))
+              << error;
+          ASSERT_TRUE(engine::BackendLinBpSweep(*backends[i], hhat, &hhat2,
+                                                b32, e32, segments, ctx,
+                                                &next32, &stats32, &error))
+              << error;
+          DenseMatrix spmm;
+          std::vector<double> spmv;
+          ASSERT_TRUE(backends[i]->MultiplyDense(b, ctx, &spmm, &error))
+              << error;
+          ASSERT_TRUE(backends[i]->MultiplyVector(
+              std::vector<double>(b.data().begin(), b.data().begin() + n), ctx,
+              &spmv, &error))
+              << error;
+          if (i == 0) {
+            first = std::move(next);
+            first32 = std::move(next32);
+            first_stats = stats;
+            first_stats32 = stats32;
+            first_spmm = std::move(spmm);
+            first_spmv = std::move(spmv);
+            continue;
+          }
+          EXPECT_TRUE(SameBits(next.data().data(), first.data().data(),
+                               next.data().size()));
+          EXPECT_TRUE(SameBits(next32.data().data(), first32.data().data(),
+                               next32.data().size()));
+          EXPECT_TRUE(SameStats(stats, first_stats, same_split));
+          EXPECT_TRUE(SameStats(stats32, first_stats32, same_split));
+          EXPECT_TRUE(SameBits(spmm.data().data(), first_spmm.data().data(),
+                               spmm.data().size()));
+          EXPECT_TRUE(SameBits(spmv.data(), first_spmv.data(), spmv.size()));
         }
-        EXPECT_TRUE(SameBits(next.data().data(), first.data().data(),
-                             next.data().size()));
-        EXPECT_TRUE(SameBits(next32.data().data(), first32.data().data(),
-                             next32.data().size()));
-        EXPECT_TRUE(SameStats(stats, first_stats, same_split));
-        EXPECT_TRUE(SameStats(stats32, first_stats32, same_split));
-        EXPECT_TRUE(SameBits(spmm.data().data(), first_spmm.data().data(),
-                             spmm.data().size()));
-        EXPECT_TRUE(SameBits(spmv.data(), first_spmv.data(), spmv.size()));
       }
     }
   }

@@ -20,6 +20,8 @@ TimeSeriesSample Sample(int sweep) {
   sample.seconds = 0.001 * sweep;
   sample.bytes_streamed = 100 * sweep;
   sample.precision = sweep % 2 == 0 ? "f32" : "f64";
+  sample.schedule = "segmented_gauss_seidel";
+  sample.segments = 8;
   return sample;
 }
 
@@ -122,6 +124,10 @@ TEST(TimeSeriesTest, JsonCarriesRunMetadataAndSampleFields) {
   EXPECT_NE(json.find("\"seconds\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"bytes_streamed\":100"), std::string::npos) << json;
   EXPECT_NE(json.find("\"precision\":\"f64\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schedule\":\"segmented_gauss_seidel\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"segments\":8"), std::string::npos) << json;
 }
 
 TEST(TimeSeriesRegistryTest, GetReturnsTheSameSeriesByName) {

@@ -86,6 +86,7 @@ TEST_P(LinBpSqlEquivalenceTest, MatchesMatrixLinBp) {
       with_echo ? LinBpVariant::kLinBp : LinBpVariant::kLinBpStar;
   options.max_iterations = iterations;
   options.tolerance = 0.0;  // force exactly `iterations` sweeps
+  options.schedule = SweepSchedule::kJacobi;  // the SQL iteration's order
   const LinBpResult reference = RunLinBp(g, hhat, seeded.residuals, options);
 
   ExpectMatrixNear(BeliefsFromTable(b_sql, 15, 3), reference.beliefs, 1e-11);
@@ -106,6 +107,7 @@ TEST_P(LinBpSqlEquivalenceTest, WeightedGraphsMatchToo) {
       with_echo ? LinBpVariant::kLinBp : LinBpVariant::kLinBpStar;
   options.max_iterations = 4;
   options.tolerance = 0.0;
+  options.schedule = SweepSchedule::kJacobi;
   const LinBpResult reference = RunLinBp(g, hhat, seeded.residuals, options);
   ExpectMatrixNear(BeliefsFromTable(b_sql, 10, 2), reference.beliefs, 1e-11);
 }

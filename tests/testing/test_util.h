@@ -3,6 +3,7 @@
 #ifndef LINBP_TESTS_TESTING_TEST_UTIL_H_
 #define LINBP_TESTS_TESTING_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -11,7 +12,9 @@
 
 #include "gtest/gtest.h"
 #include "src/graph/graph.h"
+#include "src/la/dense_linalg.h"
 #include "src/la/dense_matrix.h"
+#include "src/la/kron_ops.h"
 #include "src/la/sparse_matrix.h"
 #include "src/util/random.h"
 
@@ -179,6 +182,41 @@ inline void ExpectSameGraph(const Graph& actual, const Graph& expected) {
                         expected.adjacency().values()));
   EXPECT_TRUE(
       same_bits(actual.weighted_degrees(), expected.weighted_degrees()));
+}
+
+/// The smallest and largest eigenvalue of the swept LinBP operator M:
+/// B -> A*B*Hhat - D*B*Hhat^2, or A*B*Hhat without the echo term
+/// (LinBP*). M is symmetric, so both are real. It is materialized column
+/// by column from its action on the unit n x k matrices: small graphs
+/// only. Lemma 8's Jacobi test is max(|lo|, |hi|) < 1; the segmented
+/// sweep schedule converges iff hi < 1 (given I + D_S positive definite,
+/// see SweepSchedule).
+struct EigenRange {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+inline EigenRange SweptOperatorEigenRange(const Graph& graph,
+                                          const DenseMatrix& hhat,
+                                          bool with_echo) {
+  const std::int64_t n = graph.num_nodes();
+  const std::int64_t k = hhat.rows();
+  const DenseMatrix hhat2 = hhat.Multiply(hhat);
+  DenseMatrix m(n * k, n * k);
+  for (std::int64_t col = 0; col < n * k; ++col) {
+    DenseMatrix unit(n, k);
+    unit.mutable_data()[col] = 1.0;
+    const DenseMatrix image =
+        LinBpPropagate(graph.adjacency(), graph.weighted_degrees(), hhat,
+                       hhat2, unit, with_echo);
+    for (std::int64_t row = 0; row < n * k; ++row) {
+      m.At(row, col) = image.data()[row];
+    }
+  }
+  const std::vector<double> eigenvalues = SymmetricEigenvalues(m);
+  EigenRange range;
+  range.lo = *std::min_element(eigenvalues.begin(), eigenvalues.end());
+  range.hi = *std::max_element(eigenvalues.begin(), eigenvalues.end());
+  return range;
 }
 
 /// Samples `count` distinct unit-weight edges absent from `existing`

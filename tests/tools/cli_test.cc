@@ -969,6 +969,10 @@ TEST(RunServeTest, StatsReportsLatencyTelemetry) {
   EXPECT_NE(stats.find("update_p95_ms="), std::string::npos) << stats;
   EXPECT_NE(stats.find("query_p50_ms="), std::string::npos) << stats;
   EXPECT_NE(stats.find("query_p95_ms="), std::string::npos) << stats;
+  // serve solves on the segmented Gauss-Seidel schedule, and says so.
+  EXPECT_NE(stats.find(" schedule=segmented_gauss_seidel segments=8 "),
+            std::string::npos)
+      << stats;
 }
 
 // `stats` prints rho(M) computed when it asks: the cold estimate of the
@@ -1148,6 +1152,14 @@ TEST(RunMainTest, MetricsOutWritesReportWithoutChangingLabels) {
             std::string::npos);
   EXPECT_NE(json.find("shard_stream_bytes_read_total"), std::string::npos);
   EXPECT_NE(json.find("shard_stream_csr_bytes_total"), std::string::npos);
+  // The convergence report names the sweep schedule, in the same words
+  // on each linbp_sweep series sample and on each sweep span: so at
+  // least twice.
+  const std::string schedule =
+      "\"schedule\":\"segmented_gauss_seidel\",\"segments\":8}";
+  const std::size_t first = json.find(schedule);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_NE(json.find(schedule, first + 1), std::string::npos);
 
   // A bad path fails loudly, not silently.
   EXPECT_EQ(RunMain({"--stream", "--scenario=snap:path=" + manifest,

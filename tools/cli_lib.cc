@@ -553,11 +553,13 @@ std::string Usage() {
       "           metrics | quit. Updates reply 'ok sweeps=N' or\n"
       "           'error: ...' (state untouched on error); queries reply\n"
       "           label lines; stats adds convergence diagnostics\n"
-      "           (rho_hat, spectral_radius, predicted_sweeps) and\n"
+      "           (rho_hat, spectral_radius, predicted_sweeps, and the\n"
+      "           sweep schedule with its segment count) and\n"
       "           update/query latency percentiles; metrics dumps\n"
       "           Prometheus text exposition. spectral_radius is\n"
       "           rho(M) by power iteration, run when stats asks and\n"
-      "           cached until the next edge edit\n"
+      "           cached until the next edge edit; rho_hat is the fitted\n"
+      "           rate of the segmented Gauss-Seidel sweeps, below it\n"
       "  trace:   writes start.lbps, final.lbps, updates.txt, eps.txt for\n"
       "           the serve round-trip (warm replay vs cold solve)\n";
 }
@@ -979,14 +981,19 @@ int RunServe(const ServeOptions& options, std::istream& in,
                     static_cast<long long>(queries.count),
                     queries.Quantile(0.5) * 1e3, queries.Quantile(0.95) * 1e3);
       // rho(M) is the one thing only `stats` asks for: the state runs its
-      // power iteration here, at most once per edge edit.
+      // power iteration here, at most once per edge edit. rho_hat fits
+      // the rate of the schedule the solves run, below rho(M) for the
+      // segmented default.
       const double spectral_radius = state.SpectralRadius();
       const ConvergenceDiagnostics& diag = state.diagnostics();
-      char convergence[160];
+      char convergence[224];
       std::snprintf(convergence, sizeof(convergence),
-                    " rho_hat=%.6g spectral_radius=%.6g predicted_sweeps=%.6g",
+                    " rho_hat=%.6g spectral_radius=%.6g predicted_sweeps=%.6g"
+                    " schedule=%s segments=%d",
                     diag.empirical_contraction, spectral_radius,
-                    diag.predicted_sweeps_to_tolerance);
+                    diag.predicted_sweeps_to_tolerance,
+                    SweepScheduleName(lin_options.schedule),
+                    SweepSegments(lin_options.schedule));
       out << "nodes=" << n << " edges=" << state.graph().num_undirected_edges()
           << " k=" << k << " eps=" << eps
           << " converged=" << (state.converged() ? 1 : 0)
