@@ -24,10 +24,9 @@ FabpResult RunFabp(const engine::PropagationBackend& backend, double h,
   loop_options.exec = options.exec;
   loop_options.sweep_observer = options.observer;
   loop_options.precision = options.precision;
-  loop_options.schedule = options.schedule;
 
   // From zero beliefs, as the scalar iteration b <- e + c1*A*b - c2*D*b
-  // always started (a first Jacobi sweep lands on the priors).
+  // always started.
   DenseMatrix beliefs(n, 1);
   obs::ScopedSpan span("fabp_solve");
   const core_internal::SweepLoopResult loop = core_internal::RunSweepLoop(
@@ -40,7 +39,6 @@ FabpResult RunFabp(const engine::PropagationBackend& backend, double h,
     span.SetAttr("rows", n);
     span.SetAttr("nnz", backend.num_stored_entries());
     span.SetAttr("precision", PrecisionName(options.precision));
-    span.SetAttr("schedule", SweepScheduleName(options.schedule));
   }
   FabpResult result;
   result.beliefs = std::move(beliefs.mutable_data());

@@ -6,10 +6,11 @@
 //   b = (I_n - c1 * A + c2 * D)^-1 e
 // with c1 = 2h / (1 - 4h^2) and c2 = 4h^2 / (1 - 4h^2). This equals the
 // kLinBpExact variant specialized to k = 2 (the paper shows both centering
-// choices lead to the same equation). The Jacobi update
+// choices lead to the same equation). The update
 // b <- e + c1*A*b - c2*D*b is the LinBP sweep B <- E + A*B*M - D*B*M2
 // with n x 1 beliefs, M = [c1] and M2 = [c2], so FaBP runs the LinBP sweep
-// loop at k = 1, in either sweep schedule (see SweepSchedule).
+// loop at k = 1, always in the segmented Gauss-Seidel order (see
+// SweepSchedule in linbp.h): every FaBP solve runs to a tolerance.
 
 #ifndef LINBP_CORE_FABP_H_
 #define LINBP_CORE_FABP_H_
@@ -60,9 +61,6 @@ struct FabpOptions {
   /// Storage precision of the beliefs on the sweep hot path (see
   /// LinBpOptions::precision).
   Precision precision = Precision::kF64;
-  /// The sweep order (see LinBpOptions::schedule); kJacobi is the scalar
-  /// Jacobi iteration b <- e + c1*A*b - c2*D*b.
-  SweepSchedule schedule = SweepSchedule::kSegmentedGaussSeidel;
 };
 
 /// Solves the binary linearized system over any propagation backend with

@@ -27,10 +27,6 @@ DenseMatrix ExactModulation(const DenseMatrix& hhat) {
   return inverse->Multiply(hhat);
 }
 
-int SweepSegments(SweepSchedule schedule) {
-  return schedule == SweepSchedule::kJacobi ? 1 : kSweepSegments;
-}
-
 const char* SweepScheduleName(SweepSchedule schedule) {
   return schedule == SweepSchedule::kJacobi ? "jacobi"
                                             : "segmented_gauss_seidel";
@@ -52,7 +48,6 @@ void ReportSweep(SweepFamily family, const SweepTelemetry& telemetry,
   sample.bytes_streamed = telemetry.bytes_streamed;
   sample.precision = PrecisionName(telemetry.precision);
   sample.schedule = SweepScheduleName(telemetry.schedule);
-  sample.segments = telemetry.segments;
   // The obs macros cache one handle per call site, so each family's
   // names need call sites of their own.
   switch (family) {
@@ -79,7 +74,6 @@ void ReportSweep(SweepFamily family, const SweepTelemetry& telemetry,
     span->SetAttr("nnz", telemetry.nnz);
     span->SetAttr("precision", PrecisionName(telemetry.precision));
     span->SetAttr("schedule", SweepScheduleName(telemetry.schedule));
-    span->SetAttr("segments", telemetry.segments);
   }
   if (observer) observer(telemetry);
 }
@@ -186,7 +180,8 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
   // *beliefs itself is one of the two buffers.
   const std::int64_t k = modulation.rows();
   const bool f32 = options.precision == Precision::kF32;
-  const int segments = SweepSegments(options.schedule);
+  const int segments =
+      options.schedule == SweepSchedule::kJacobi ? 1 : kSweepSegments;
   DenseMatrix next;
   DenseMatrixF32 beliefs32;
   DenseMatrixF32 next32;
@@ -244,7 +239,6 @@ SweepLoopResult RunSweepLoop(const engine::PropagationBackend& backend,
     telemetry.bytes_streamed = StreamBytesCounterValue() - bytes_before;
     telemetry.precision = options.precision;
     telemetry.schedule = options.schedule;
-    telemetry.segments = segments;
     ReportSweep(family, telemetry, options.sweep_observer, &span);
 
     growth_streak =

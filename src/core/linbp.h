@@ -68,9 +68,6 @@ enum class SweepSchedule {
 /// fork-joins.
 inline constexpr int kSweepSegments = 8;
 
-/// Row segments of one sweep under `schedule` (1 for Jacobi).
-int SweepSegments(SweepSchedule schedule);
-
 /// "segmented_gauss_seidel" or "jacobi" (telemetry and reports).
 const char* SweepScheduleName(SweepSchedule schedule);
 
@@ -93,10 +90,9 @@ struct SweepTelemetry {
   /// Belief-storage precision the sweep ran at (recorded on the sweep's
   /// trace span). Delta norms are fp64-accumulated either way.
   Precision precision = Precision::kF64;
-  /// The sweep's row order and its segment count (LinBP and FaBP sweeps;
-  /// an SBP level keeps the defaults).
+  /// The sweep's row order (LinBP and FaBP sweeps; an SBP level keeps
+  /// the default).
   SweepSchedule schedule = SweepSchedule::kJacobi;
-  int segments = 1;
 };
 
 /// Per-sweep telemetry hook. Observers only *read* solver state —

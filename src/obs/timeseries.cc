@@ -92,8 +92,7 @@ std::string TimeSeries::Json() const {
            ",\"seconds\":" + FormatDouble(s.seconds) +
            ",\"bytes_streamed\":" + std::to_string(s.bytes_streamed) +
            ",\"precision\":\"" + s.precision + "\"" +
-           ",\"schedule\":\"" + s.schedule + "\"" +
-           ",\"segments\":" + std::to_string(s.segments) + "}";
+           ",\"schedule\":\"" + s.schedule + "\"}";
   }
   out += "]";
   return out;

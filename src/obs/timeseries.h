@@ -45,9 +45,8 @@ struct TimeSeriesSample {
   // plain string so obs stays independent of the la layer's enum.
   std::string precision = "f64";
   // The sweep order ("jacobi" or "segmented_gauss_seidel", see
-  // core/linbp.h SweepSchedule) and its row segment count.
+  // core/linbp.h SweepSchedule).
   std::string schedule = "jacobi";
-  std::int64_t segments = 1;
 };
 
 /// Default bound on stored samples per run. Must be even (the decimation

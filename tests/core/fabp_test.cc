@@ -1,7 +1,10 @@
 #include "src/core/fabp.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -13,7 +16,6 @@
 #include "src/graph/generators.h"
 #include "src/la/dense_linalg.h"
 #include "src/la/kron_ops.h"
-#include "src/la/solvers.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeseries.h"
 #include "tests/testing/test_util.h"
@@ -64,8 +66,9 @@ TEST(FabpTest, HeterophilyAlternatesSign) {
 }
 
 TEST(FabpTest, DivergenceAbortsEarlyWithDiagnosticError) {
-  // h = 0.45 gives c1 = 2h/(1-4h^2) ~ 4.7, so rho(c1 A) >> 1 on a path
-  // graph: the Jacobi iteration diverges and must abort after a few
+  // h = 0.45 gives c1 = 2h/(1-4h^2) ~ 4.7 and c2 = 4h^2/(1-4h^2) ~ 4.3:
+  // on a path graph each row's own echo term -c2 * d_s * b_s alone
+  // amplifies it, so the sweeps diverge and must abort after a few
   // growth sweeps instead of running out the iteration budget.
   const Graph g = PathGraph(4);
   const FabpResult result =
@@ -165,57 +168,76 @@ TEST(FabpDeathTest, RejectsCouplingOutOfRange) {
   EXPECT_DEATH(RunFabp(g, 0.5, {0.0, 0.0}), "1/2");
 }
 
-// The arithmetic FaBP ran before it became the k = 1 LinBP sweep: la
-// JacobiSolve over y = c1 * A x - c2 * D x, from zero.
-class ScalarJacobiOperator final : public LinearOperator {
- public:
-  ScalarJacobiOperator(const Graph* graph, double h)
-      : graph_(graph),
-        c1_(2.0 * h / (1.0 - 4.0 * h * h)),
-        c2_(4.0 * h * h / (1.0 - 4.0 * h * h)) {}
-  std::int64_t dim() const override { return graph_->num_nodes(); }
-  void Apply(const std::vector<double>& x,
-             std::vector<double>* y) const override {
-    *y = graph_->adjacency().MultiplyVector(x);
-    const std::vector<double>& degrees = graph_->weighted_degrees();
-    for (std::size_t s = 0; s < y->size(); ++s) {
-      (*y)[s] = c1_ * (*y)[s] - c2_ * degrees[s] * x[s];
-    }
-  }
-
- private:
-  const Graph* graph_;
-  double c1_;
-  double c2_;
+// FaBP's arithmetic in plain scalar loops, in the segmented Gauss-Seidel
+// order RunFabp sweeps in (SweepSchedule in src/core/linbp.h): from zero,
+// row s of segment g = [g*n/S, (g+1)*n/S), S = kSweepSegments, takes
+//   b_s <- e_s + (c1 * sum_t w_st x_t - d_s * (c2 * b_s))
+// with x_t this sweep's value for t below g's start and the previous
+// sweep's otherwise, until the largest change is within the tolerance.
+struct ScalarSolve {
+  std::vector<double> beliefs;
+  int iterations = 0;
+  bool converged = false;
 };
 
-// FaBP on the Jacobi schedule stays within 1e-12 of that arithmetic, in
-// as many sweeps.
-void ExpectMatchesScalarJacobi(const Graph& g, double h,
-                               const std::vector<double>& priors,
-                               FabpOptions options) {
-  options.schedule = SweepSchedule::kJacobi;
-  const FabpResult fabp = RunFabp(g, h, priors, options);
-  const JacobiResult jacobi =
-      JacobiSolve(ScalarJacobiOperator(&g, h), priors, options.max_iterations,
-                  options.tolerance);
-  EXPECT_TRUE(fabp.converged);
-  EXPECT_EQ(fabp.converged, jacobi.converged);
-  EXPECT_EQ(fabp.iterations, jacobi.iterations);
-  ExpectVectorNear(fabp.beliefs, jacobi.solution, 1e-12);
+ScalarSolve ScalarSegmentedFabp(const Graph& g, double h,
+                                const std::vector<double>& priors,
+                                const FabpOptions& options) {
+  const double c1 = 2.0 * h / (1.0 - 4.0 * h * h);
+  const double c2 = 4.0 * h * h / (1.0 - 4.0 * h * h);
+  const SparseMatrix& a = g.adjacency();
+  const std::vector<double>& degrees = g.weighted_degrees();
+  const std::int64_t n = g.num_nodes();
+  std::vector<double> b(n, 0.0);
+  std::vector<double> next(n, 0.0);
+  ScalarSolve solve;
+  while (solve.iterations < options.max_iterations && !solve.converged) {
+    double delta = 0.0;
+    for (std::int64_t seg = 0; seg < kSweepSegments; ++seg) {
+      const std::int64_t first = seg * n / kSweepSegments;
+      const std::int64_t last = (seg + 1) * n / kSweepSegments;
+      for (std::int64_t s = first; s < last; ++s) {
+        double sum = 0.0;
+        for (std::int64_t e = a.row_ptr()[s]; e < a.row_ptr()[s + 1]; ++e) {
+          const std::int64_t t = a.col_idx()[e];
+          sum += a.weight(e) * (t < first ? next[t] : b[t]);
+        }
+        next[s] = priors[s] + (c1 * sum - degrees[s] * (c2 * b[s]));
+        delta = std::max(delta, std::abs(next[s] - b[s]));
+      }
+    }
+    b.swap(next);
+    ++solve.iterations;
+    solve.converged = delta <= options.tolerance;
+  }
+  solve.beliefs = std::move(b);
+  return solve;
 }
 
-TEST(FabpTest, MatchesScalarJacobiArithmetic) {
-  ExpectMatchesScalarJacobi(Graph(2, {{0, 1, 1.0}}), 0.15, {0.08, 0.0}, {});
+// FaBP stays within 1e-12 of that arithmetic, in as many sweeps.
+void ExpectMatchesScalarSegmented(const Graph& g, double h,
+                                  const std::vector<double>& priors,
+                                  const FabpOptions& options) {
+  const FabpResult fabp = RunFabp(g, h, priors, options);
+  const ScalarSolve scalar = ScalarSegmentedFabp(g, h, priors, options);
+  EXPECT_TRUE(fabp.converged);
+  EXPECT_EQ(fabp.converged, scalar.converged);
+  EXPECT_EQ(fabp.iterations, scalar.iterations);
+  ExpectVectorNear(fabp.beliefs, scalar.beliefs, 1e-12);
+}
+
+TEST(FabpTest, MatchesScalarSegmentedArithmetic) {
+  ExpectMatchesScalarSegmented(Graph(2, {{0, 1, 1.0}}), 0.15, {0.08, 0.0},
+                               {});
   const Graph path = PathGraph(4);
   for (const double h : {0.1, -0.1}) {
-    ExpectMatchesScalarJacobi(path, h, {0.1, 0.0, 0.0, 0.0}, {});
+    ExpectMatchesScalarSegmented(path, h, {0.1, 0.0, 0.0, 0.0}, {});
   }
-  ExpectMatchesScalarJacobi(path, 0.1, {0.1, 0.0, 0.0, 0.0},
-                            Options(2000, 1e-14));
-  ExpectMatchesScalarJacobi(PathGraph(6), 0.12,
-                            {0.1, 0.0, -0.05, 0.0, 0.0, 0.08},
-                            Options(1000, 1e-7));
+  ExpectMatchesScalarSegmented(path, 0.1, {0.1, 0.0, 0.0, 0.0},
+                               Options(2000, 1e-14));
+  ExpectMatchesScalarSegmented(PathGraph(6), 0.12,
+                               {0.1, 0.0, -0.05, 0.0, 0.0, 0.08},
+                               Options(1000, 1e-7));
   for (int seed = 0; seed < 8; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     // FabpEquivalenceTest's graphs and couplings.
@@ -227,10 +249,10 @@ TEST(FabpTest, MatchesScalarJacobiArithmetic) {
     for (int v = 0; v < 4; ++v) {
       priors[v] = 0.2 * (2.0 * rng.NextDouble() - 1.0);
     }
-    ExpectMatchesScalarJacobi(g, h, priors, Options(2000, 1e-14));
+    ExpectMatchesScalarSegmented(g, h, priors, Options(2000, 1e-14));
     std::vector<double> weighted_priors(10, 0.0);
     weighted_priors[0] = 0.1;
-    ExpectMatchesScalarJacobi(
+    ExpectMatchesScalarSegmented(
         RandomWeightedConnectedGraph(10, 6, 0.5, 1.5, seed + 100), 0.08,
         weighted_priors, Options(2000, 1e-14));
   }
@@ -243,7 +265,7 @@ TEST(FabpTest, MatchesScalarJacobiArithmetic) {
   for (std::int64_t v = 0; v < scenario->graph.num_nodes(); ++v) {
     priors[v] = scenario->explicit_residuals.At(v, 0);
   }
-  ExpectMatchesScalarJacobi(scenario->graph, 0.02, priors, {});
+  ExpectMatchesScalarSegmented(scenario->graph, 0.02, priors, {});
 }
 
 // Appendix E: for k = 2 the binary linearization coincides with the

@@ -198,7 +198,6 @@ TEST(LinBpTest, InstrumentationIsBitInvisible) {
       EXPECT_GE(telemetry.seconds, 0.0);
       EXPECT_GE(telemetry.delta_l2, 0.0);
       EXPECT_EQ(telemetry.schedule, schedule);
-      EXPECT_EQ(telemetry.segments, SweepSegments(schedule));
     };
     const LinBpResult traced = RunLinBp(g, hhat, e, options);
     obs::SetActiveTracer(nullptr);
@@ -215,13 +214,12 @@ TEST(LinBpTest, InstrumentationIsBitInvisible) {
                   SweepScheduleName(schedule) + "\""),
               std::string::npos);
     // The instrumented run recorded one time-series sample per sweep,
-    // each naming the schedule and its segment count.
+    // each naming the schedule.
     const std::vector<obs::TimeSeriesSample> samples =
         obs::TimeSeriesRegistry::Global().Get("linbp_sweep").Samples();
     EXPECT_EQ(samples.size(), static_cast<std::size_t>(traced.iterations));
     for (const obs::TimeSeriesSample& sample : samples) {
       EXPECT_EQ(sample.schedule, SweepScheduleName(schedule));
-      EXPECT_EQ(sample.segments, SweepSegments(schedule));
     }
     // And its diagnostics carry a contraction fit plus the spectral
     // estimate the options requested.

@@ -7,8 +7,11 @@
 // reduces per-block partials instead and is checked to tight tolerance
 // plus run-to-run determinism. The solver-level checks extend the
 // guarantee to RunLinBp / RunSbp outputs, and the fused-sweep matrix at
-// the end pins RunLinBp to the unfused primitives it replaced, and the
-// unit-weight matrix pins every row kernel's null-value form to the
+// the end pins RunLinBp's Jacobi schedule to the unfused primitives it
+// replaced, a scalar replica pins the segmented Gauss-Seidel default of
+// RunLinBp / RunFabp (CTest runs that test as its own entry,
+// kernel_equivalence_segmented_test; see tests/exec/CMakeLists.txt), and
+// the unit-weight matrix pins every row kernel's null-value form to the
 // weighted kernel over an explicit array of 1.0s.
 
 #include <algorithm>
@@ -476,7 +479,6 @@ SweepTrace FusedFabp(const engine::PropagationBackend& backend, double h,
   fabp.tolerance = options.tolerance;
   fabp.exec = options.exec;
   fabp.precision = options.precision;
-  fabp.schedule = options.schedule;
   fabp.observer = [&trace](const SweepTelemetry& t) {
     trace.deltas.push_back(t.delta);
   };
@@ -577,11 +579,12 @@ void ExpectFusedEverywhere(
   }
 }
 
-// Every k the kernel dispatches on (compile-time 1..8, runtime 9; k = 1
-// is FaBP), every variant, both precisions, threads {1, 2, 4, 8}, in
-// memory and streamed from f64 and f32 shards with the block cache off
-// and on: beliefs, sweep count and every sweep's delta equal the unfused
-// loop's.
+// The Jacobi schedule at k = 2, 3, 4, 8 (compile-time) and 9 (runtime),
+// every variant, both precisions, threads {1, 2, 4, 8}, in memory and
+// streamed from f64 and f32 shards with the block cache off and on:
+// beliefs, sweep count and every sweep's delta equal the unfused loop's.
+// FaBP (k = 1) sweeps only in the segmented order; the scalar replica
+// below pins it.
 TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
   std::vector<ExecContext> contexts;
   for (const int threads : kThreadCounts) {
@@ -653,52 +656,6 @@ TEST(KernelEquivalenceTest, FusedSweepMatchesUnfusedPrimitivesByMemcmp) {
         }
       }
     }
-  }
-
-  // k = 1 is FaBP: the sweep over n x 1 beliefs with modulation [c1] and
-  // echo modulation [c2], started from zero beliefs.
-  std::string error;
-  const auto scenario = dataset::MakeScenario(
-      "sbm:n=240,k=2,deg=6,labeled=0.1,seed=1", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  const std::int64_t n = scenario->graph.num_nodes();
-  std::vector<double> priors(static_cast<std::size_t>(n));
-  for (std::int64_t v = 0; v < n; ++v) {
-    priors[v] = scenario->explicit_residuals.At(v, 0);
-  }
-  const double h = 0.04;
-  const double denom = 1.0 - 4.0 * h * h;
-  const DenseMatrix c1{{2.0 * h / denom}};
-  const DenseMatrix c2{{4.0 * h * h / denom}};
-  const DenseMatrix e = DenseMatrix::FromVectorized(priors, n, 1);
-  const DenseMatrix zero(n, 1);
-  std::vector<engine::ShardStreamBackend> streamed;
-  std::optional<Graph> narrowed;
-  ASSERT_NO_FATAL_FAILURE(
-      OpenStreams(*scenario, "k1", kStreams, 3, &streamed, &narrowed));
-  const engine::InMemoryBackend in_memory(&scenario->graph);
-  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "k 1 (FaBP), " << PrecisionName(precision));
-    LinBpOptions options;
-    options.precision = precision;
-    options.tolerance = precision == Precision::kF32 ? 1e-6 : 1e-10;
-    options.schedule = SweepSchedule::kJacobi;
-    const auto reference = [&](const Graph& graph) {
-      return precision == Precision::kF32
-                 ? UnfusedLinBpF32(graph, c1, &c2, e, zero, options)
-                 : UnfusedLinBp(graph, c1, &c2, e, zero, options);
-    };
-    const SweepTrace expected = reference(scenario->graph);
-    ASSERT_GE(expected.iterations, 3);
-    ASSERT_LT(expected.iterations, options.max_iterations);
-    ExpectFusedEverywhere(
-        [&](const engine::PropagationBackend& backend,
-            const LinBpOptions& run) {
-          return FusedFabp(backend, h, priors, run);
-        },
-        in_memory, kStreams, streamed, contexts, options, expected,
-        reference(*narrowed));
   }
 }
 
@@ -1132,27 +1089,26 @@ void ExpectUnitRowKernelsMatchOnes(const Graph& graph) {
 // precision and schedule (Jacobi, and kSweepSegments segments), against
 // the first backend's: next beliefs and statistics memcmp-equal
 // (delta_sq only with `same_split`: the backends split the rows alike).
-// Then the backends' f64 SpMM and SpMV, the same way.
+// Then the backends' f64 SpMM and SpMV, the same way, once per context
+// and k (no schedule applies to them).
 void ExpectBackendsAgree(
     const std::vector<const engine::PropagationBackend*>& backends,
     const std::vector<const char*>& names, bool same_split) {
   const std::int64_t n = backends.front()->num_nodes();
   for (const int threads : kThreadCounts) {
     const ExecContext ctx = ExecContext::WithThreads(threads);
-    for (const std::int64_t segments : {1, kSweepSegments}) {
-      for (std::int64_t k = 1; k <= 9; ++k) {
-        const DenseMatrix hhat = testing::RandomMatrix(k, k, 0.05, 40 + k);
-        const DenseMatrix hhat2 = hhat.Multiply(hhat);
-        const DenseMatrix b = testing::RandomMatrix(n, k, 1.0, 50 + k);
-        const DenseMatrix e = testing::RandomMatrix(n, k, 0.1, 60 + k);
-        const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(b);
-        const DenseMatrixF32 e32 = DenseMatrixF32::FromF64(e);
+    for (std::int64_t k = 1; k <= 9; ++k) {
+      const DenseMatrix hhat = testing::RandomMatrix(k, k, 0.05, 40 + k);
+      const DenseMatrix hhat2 = hhat.Multiply(hhat);
+      const DenseMatrix b = testing::RandomMatrix(n, k, 1.0, 50 + k);
+      const DenseMatrix e = testing::RandomMatrix(n, k, 0.1, 60 + k);
+      const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(b);
+      const DenseMatrixF32 e32 = DenseMatrixF32::FromF64(e);
+      for (const std::int64_t segments : {1, kSweepSegments}) {
         DenseMatrix first(n, k);
         DenseMatrixF32 first32(n, k);
         LinBpRowStats first_stats;
         LinBpRowStats first_stats32;
-        DenseMatrix first_spmm;
-        std::vector<double> first_spmv;
         for (std::size_t i = 0; i < backends.size(); ++i) {
           SCOPED_TRACE(::testing::Message()
                        << names[i] << ", threads " << threads << ", k " << k
@@ -1170,21 +1126,11 @@ void ExpectBackendsAgree(
                                                 b32, e32, segments, ctx,
                                                 &next32, &stats32, &error))
               << error;
-          DenseMatrix spmm;
-          std::vector<double> spmv;
-          ASSERT_TRUE(backends[i]->MultiplyDense(b, ctx, &spmm, &error))
-              << error;
-          ASSERT_TRUE(backends[i]->MultiplyVector(
-              std::vector<double>(b.data().begin(), b.data().begin() + n), ctx,
-              &spmv, &error))
-              << error;
           if (i == 0) {
             first = std::move(next);
             first32 = std::move(next32);
             first_stats = stats;
             first_stats32 = stats32;
-            first_spmm = std::move(spmm);
-            first_spmv = std::move(spmv);
             continue;
           }
           EXPECT_TRUE(SameBits(next.data().data(), first.data().data(),
@@ -1193,10 +1139,30 @@ void ExpectBackendsAgree(
                                next32.data().size()));
           EXPECT_TRUE(SameStats(stats, first_stats, same_split));
           EXPECT_TRUE(SameStats(stats32, first_stats32, same_split));
-          EXPECT_TRUE(SameBits(spmm.data().data(), first_spmm.data().data(),
-                               spmm.data().size()));
-          EXPECT_TRUE(SameBits(spmv.data(), first_spmv.data(), spmv.size()));
         }
+      }
+      DenseMatrix first_spmm;
+      std::vector<double> first_spmv;
+      for (std::size_t i = 0; i < backends.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << names[i] << ", threads "
+                                          << threads << ", k " << k);
+        std::string error;
+        DenseMatrix spmm;
+        std::vector<double> spmv;
+        ASSERT_TRUE(backends[i]->MultiplyDense(b, ctx, &spmm, &error))
+            << error;
+        ASSERT_TRUE(backends[i]->MultiplyVector(
+            std::vector<double>(b.data().begin(), b.data().begin() + n), ctx,
+            &spmv, &error))
+            << error;
+        if (i == 0) {
+          first_spmm = std::move(spmm);
+          first_spmv = std::move(spmv);
+          continue;
+        }
+        EXPECT_TRUE(SameBits(spmm.data().data(), first_spmm.data().data(),
+                             spmm.data().size()));
+        EXPECT_TRUE(SameBits(spmv.data(), first_spmv.data(), spmv.size()));
       }
     }
   }

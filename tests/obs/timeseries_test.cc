@@ -21,7 +21,6 @@ TimeSeriesSample Sample(int sweep) {
   sample.bytes_streamed = 100 * sweep;
   sample.precision = sweep % 2 == 0 ? "f32" : "f64";
   sample.schedule = "segmented_gauss_seidel";
-  sample.segments = 8;
   return sample;
 }
 
@@ -127,7 +126,6 @@ TEST(TimeSeriesTest, JsonCarriesRunMetadataAndSampleFields) {
   EXPECT_NE(json.find("\"schedule\":\"segmented_gauss_seidel\""),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"segments\":8"), std::string::npos) << json;
 }
 
 TEST(TimeSeriesRegistryTest, GetReturnsTheSameSeriesByName) {

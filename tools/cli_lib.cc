@@ -554,9 +554,9 @@ std::string Usage() {
       "           'error: ...' (state untouched on error); queries reply\n"
       "           label lines; stats adds convergence diagnostics\n"
       "           (rho_hat, spectral_radius, predicted_sweeps, and the\n"
-      "           sweep schedule with its segment count) and\n"
-      "           update/query latency percentiles; metrics dumps\n"
-      "           Prometheus text exposition. spectral_radius is\n"
+      "           sweep schedule) and update/query latency\n"
+      "           percentiles; metrics dumps Prometheus text\n"
+      "           exposition. spectral_radius is\n"
       "           rho(M) by power iteration, run when stats asks and\n"
       "           cached until the next edge edit; rho_hat is the fitted\n"
       "           rate of the segmented Gauss-Seidel sweeps, below it\n"
@@ -986,14 +986,13 @@ int RunServe(const ServeOptions& options, std::istream& in,
       // segmented default.
       const double spectral_radius = state.SpectralRadius();
       const ConvergenceDiagnostics& diag = state.diagnostics();
-      char convergence[224];
+      char convergence[160];
       std::snprintf(convergence, sizeof(convergence),
                     " rho_hat=%.6g spectral_radius=%.6g predicted_sweeps=%.6g"
-                    " schedule=%s segments=%d",
+                    " schedule=%s",
                     diag.empirical_contraction, spectral_radius,
                     diag.predicted_sweeps_to_tolerance,
-                    SweepScheduleName(lin_options.schedule),
-                    SweepSegments(lin_options.schedule));
+                    SweepScheduleName(lin_options.schedule));
       out << "nodes=" << n << " edges=" << state.graph().num_undirected_edges()
           << " k=" << k << " eps=" << eps
           << " converged=" << (state.converged() ? 1 : 0)
